@@ -1,34 +1,47 @@
 """Learnable pseudo-coresets with closed-form last-layer Gaussian posteriors
 and single-forward-pass Bayesian model averaging."""
 
+import ctypes
+import glob
 import os
-import sys
 
 # The workload is many small dense solves; multi-threaded BLAS loses badly
-# to sync overhead there (measured ~45x on 2 cores). Only effective if set
-# before numpy initializes its thread pool, and never overrides an explicit
-# user choice.
-if "numpy" not in sys.modules:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+# to sync overhead there (measured ~45x on 2 cores). Unless the user chose a
+# thread count, pin to 1: the variables reach every OpenBLAS not yet loaded,
+# and the bundled OpenBLAS builds already loaded (numpy imported first) are
+# set through their own call below.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_PIN_THREADS = not any(var in os.environ for var in _THREAD_VARS)
+if _PIN_THREADS:
+    for _var in _THREAD_VARS:
         os.environ.setdefault(_var, "1")
 
-from . import ndiff
-from .posterior import (Hyperparams, CoresetPosterior, solve_posterior,
-                        dense_variance, logdet_v, trace_v, kl_to_prior,
-                        fixed_point_residual)
-from .predictive import (PredictiveBatch, predictive_moments,
-                         probit_log_softmax, mc_log_softmax, bma_predict,
-                         metrics)
-from .objective import (OuterLossBreakdown, outer_loss, coreset_grad,
-                        fd_grad_oracle, loss_value)
-from .network import (FeatureNet, ModelPool, init_net, features,
-                      gaussian_step, pool_new, pool_sample, pool_update)
-from .optim import AdamState, adam_step, sgd_step, cosine_lr
-from .data import (Dataset, PseudoCoreset, gen_synthetic, load_idx,
-                   normalize, normalize_with, init_coreset, save_coreset,
-                   load_coreset)
-from .trainer import (TrainConfig, TrainAbort, BatchSampler, augment_noise,
-                      train, evaluate_coreset)
+from .posterior import (Hyperparams, solve_posterior, dense_variance,
+                        logdet_v, trace_v, kl_to_prior, fixed_point_residual)
+from .predictive import probit_log_softmax, mc_log_softmax
+from .data import gen_synthetic, normalize, normalize_with, init_coreset
+from .trainer import TrainConfig, train, evaluate_coreset
 from .bench import run_bench
 
 __version__ = "0.1.0"
+
+
+def _pin_bundled_openblas():
+    """Set one thread in the OpenBLAS builds that numpy and scipy bundle."""
+    import numpy
+    import scipy
+
+    for package in (numpy, scipy):
+        libs = os.path.dirname(os.path.dirname(package.__file__))
+        pattern = os.path.join(libs, package.__name__ + ".libs", "*openblas*.so*")
+        for path in glob.glob(pattern):
+            lib = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_set_num_threads64_",
+                           "scipy_openblas_set_num_threads"):
+                if hasattr(lib, symbol):
+                    getattr(lib, symbol)(1)
+                    break
+
+
+if _PIN_THREADS:
+    _pin_bundled_openblas()

@@ -67,7 +67,7 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
     mean_te = nd.matmul(bphi, means)
     spread = nd.matmul(bphi, v_star)
     variance = nd.sum(nd.hadamard(spread, bphi), axis=1)
-    log_probs = probit_log_softmax(mean_te, variance, alpha=hyper.alpha)
+    log_probs = probit_log_softmax(mean_te, variance)
     picked = float((y_b * log_probs.data).sum())
     likelihood = -(n_total / y_b.shape[0]) * picked
     return likelihood + hyper.beta_d * kl
@@ -76,8 +76,9 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
 def run_bench(h, nhat, mode, reps=3, k=10, batch=128, seed=0, n_total=None):
     """Time the loss evaluation and report tracked allocation peaks.
 
-    Returns {"mode", "h", "peak_f64", "ms_per_100", "largest_block",
-    "loss"}; ms_per_100 extrapolates mean wall time per evaluation.
+    Returns {"mode", "h", "nhat", "peak_f64", "largest_block",
+    "ms_per_100", "loss"}; ms_per_100 extrapolates mean wall time per
+    evaluation.
     """
     if mode not in ("naive", "efficient"):
         raise ValueError(f"unknown bench mode {mode!r}")

@@ -11,17 +11,12 @@ Exit codes: 0 success, 1 runtime abort (non-finite loss), 2 usage/config
 errors.
 """
 
-import os
-import sys
-
-if "numpy" not in sys.modules:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
-
 import argparse
 import dataclasses
 import json
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -218,8 +213,7 @@ def cmd_bench(args):
                            reps=args.reps)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    blob = json.dumps({key: result[key] for key in
-                       ("mode", "h", "nhat", "peak_f64", "ms_per_100")})
+    blob = json.dumps(result)
     print(blob)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "bench.json"), "w") as fh:

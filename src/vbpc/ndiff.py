@@ -45,23 +45,17 @@ class NonFiniteError(NdiffError):
 class AllocationTracker:
     """Counts live float64 elements owned by the array layer.
 
-    ``live`` is the current element count, ``peak`` the high-water mark and
-    ``largest_block`` the largest single allocation seen. Windows opened via
-    :func:`track_allocations` observe the same stream over a limited scope.
+    ``live`` is the current element count. Windows opened via
+    :func:`track_allocations` record the high-water mark and the largest
+    single allocation over a limited scope.
     """
 
     def __init__(self):
         self.live = 0
-        self.peak = 0
-        self.largest_block = 0
         self._windows = []
 
     def add(self, n):
         self.live += n
-        if self.live > self.peak:
-            self.peak = self.live
-        if n > self.largest_block:
-            self.largest_block = n
         for w in self._windows:
             w._observe(self.live, n)
 
@@ -253,21 +247,6 @@ def _chol_of(array):
     return array._chol
 
 
-def cholesky_spd(array):
-    """Factor a symmetric positive definite matrix as L @ L.T, L lower.
-
-    Validates symmetry to 1e-12 relative before factoring; the jitter retry
-    of the solve primitives applies here as well.
-    """
-    a = array.data if isinstance(array, Array) else _as_owned_matrix(array)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"cholesky needs a square matrix, got {a.shape}")
-    scale_ref = max(float(np.abs(a).max()), 1.0)
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale_ref:
-        raise NonSPDError("matrix is not symmetric to 1e-12 relative")
-    return Array._wrap(_raw_cholesky(0.5 * (a + a.T)))
-
-
 # ---------------------------------------------------------------------------
 # primitives: forward + vjp pairs
 # ---------------------------------------------------------------------------
@@ -438,23 +417,6 @@ def _vjp_trace_matmul(g, saved, needs):
     return ga, gb
 
 
-def _fwd_row_gather(a, idx):
-    idx = np.asarray(idx, dtype=np.int64).ravel()
-    if idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"row_gather: {idx.shape[0]} indices for {a.shape[0]} rows")
-    if idx.min() < 0 or idx.max() >= a.shape[1]:
-        raise ShapeError("row_gather: index out of range")
-    out = a[np.arange(a.shape[0]), idx].reshape(-1, 1)
-    return out, (a.shape, idx)
-
-
-def _vjp_row_gather(g, saved, needs):
-    shape, idx = saved
-    ga = np.zeros(shape)
-    ga[np.arange(shape[0]), idx] = g[:, 0]
-    return (ga,)
-
-
 def _fwd_sum(a, axis=None):
     if axis is None:
         out = np.array([[a.sum()]])
@@ -472,22 +434,6 @@ def _vjp_sum(g, saved, needs):
     return (np.broadcast_to(g, shape).copy(order="C"),)
 
 
-def _fwd_broadcast_div(a, v):
-    if v.shape != (a.shape[0], 1):
-        raise ShapeError(f"broadcast_div: divisor {v.shape} for {a.shape}")
-    if np.abs(v).min() == 0.0:
-        raise NonFiniteError("broadcast_div: zero divisor")
-    out = a / v
-    return out, (v, out)
-
-
-def _vjp_broadcast_div(g, saved, needs):
-    v, out = saved
-    ga = g / v if needs[0] else None
-    gv = -(g * out / v).sum(axis=1, keepdims=True) if needs[1] else None
-    return ga, gv
-
-
 _REGISTRY = {
     "matmul": (_fwd_matmul, _vjp_matmul, 2),
     "transpose": (_fwd_transpose, _vjp_transpose, 1),
@@ -501,9 +447,7 @@ _REGISTRY = {
     "cholesky_solve_spd": (_fwd_cholesky_solve_spd, _vjp_cholesky_solve_spd, 2),
     "logdet_spd": (_fwd_logdet_spd, _vjp_logdet_spd, 1),
     "trace_matmul": (_fwd_trace_matmul, _vjp_trace_matmul, 2),
-    "row_gather": (_fwd_row_gather, _vjp_row_gather, 1),
     "sum": (_fwd_sum, _vjp_sum, 1),
-    "broadcast_div": (_fwd_broadcast_div, _vjp_broadcast_div, 2),
 }
 
 
@@ -624,13 +568,6 @@ def trace_matmul(a, b, tape=None):
     return apply("trace_matmul", (a, b), tape)
 
 
-def row_gather(a, idx, tape=None):
-    return apply("row_gather", (a,), tape, idx=idx)
-
-
 def sum(a, axis=None, tape=None):  # noqa: A001 - mirrors np.sum naming
     return apply("sum", (a,), tape, axis=axis)
 
-
-def broadcast_div(a, v, tape=None):
-    return apply("broadcast_div", (a, v), tape)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndiff as nd
-from .optim import AdamState, adam_step, sgd_step
+from .optim import AdamState, adam_step
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class FeatureNet:
     weights: tuple          # per feature layer, shape (w_in, w_out)
     biases: tuple           # per feature layer, shape (1, w_out)
     head: np.ndarray        # (h, k)
-
-    @property
-    def feature_dim(self):
-        return self.widths[-1]
 
     @property
     def params(self):
@@ -95,11 +91,10 @@ def gaussian_likelihood_loss(net, images, labels, gamma, tape, param_arrays):
                     gamma / 2.0, tape)
 
 
-def gaussian_step(net, images, labels, gamma, lr, state=None, plain=False):
-    """One optimizer step on the Gaussian likelihood over all parameters.
+def gaussian_step(net, images, labels, gamma, lr, state=None):
+    """One Adam step on the Gaussian likelihood over all parameters.
 
-    Adam by default (`state` carries the moments; pass None to start fresh);
-    plain=True uses a bare gradient step for hand-checkable tests. Returns
+    `state` carries the moments; pass None to start fresh. Returns
     (new_net, new_state).
     """
     tape = nd.Tape()
@@ -107,9 +102,7 @@ def gaussian_step(net, images, labels, gamma, lr, state=None, plain=False):
     loss = gaussian_likelihood_loss(net, images, labels, gamma, tape, leaves)
     grad_map = nd.backward(tape, loss)
     grads = [grad_map[tape.node_id(leaf)].data for leaf in leaves]
-    params = [p for p in net.params]
-    if plain:
-        return net.replace_params(sgd_step(params, grads, lr)), state
+    params = net.params
     if state is None:
         state = AdamState.init(params)
     state, params = adam_step(state, params, grads, lr)

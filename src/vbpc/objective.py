@@ -29,14 +29,12 @@ class OuterLossBreakdown:
 
 
 def _loss_graph(images, labels, net, batch_phi, batch_onehot, n_total, hyper,
-                tape, noise=None):
+                tape):
     """Core assembly shared by the taped loss and the FD oracle."""
-    used = images if noise is None else nd.add(images, nd.constant(noise), tape)
-    phi = network.features_graph(net, used, tape)
+    phi = network.features_graph(net, images, tape)
     post = solve_posterior(phi, labels, hyper, tape=tape)
     batch = predictive_moments(post, batch_phi)
-    log_probs = probit_log_softmax(batch.mean, batch.variance,
-                                   alpha=hyper.alpha, tape=tape)
+    log_probs = probit_log_softmax(batch.mean, batch.variance, tape=tape)
     picked = nd.sum(nd.hadamard(nd.constant(batch_onehot), log_probs, tape),
                     tape=tape)
     batch_size = batch_onehot.shape[0]
@@ -46,7 +44,7 @@ def _loss_graph(images, labels, net, batch_phi, batch_onehot, n_total, hyper,
     return total, likelihood, kl_term
 
 
-def outer_loss(coreset, net, batch, n_total, hyper, tape, noise=None):
+def outer_loss(coreset, net, batch, n_total, hyper, tape):
     """Build the stochastic outer loss on `tape`.
 
     coreset supplies images (nhat x d) and labels (nhat x k); batch is
@@ -61,7 +59,7 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape, noise=None):
     batch_phi = nd.Array(network.features(net, x_b))
     total, likelihood, kl_term = _loss_graph(
         images, labels, net, batch_phi, np.asarray(y_b, dtype=np.float64),
-        n_total, hyper, tape, noise)
+        n_total, hyper, tape)
     return total, OuterLossBreakdown(total.item(), likelihood.item(),
                                      kl_term.item())
 
@@ -73,17 +71,17 @@ def coreset_grad(loss, tape):
             grads[tape.leaf_id("labels")].data)
 
 
-def loss_value(images, labels, net, batch, n_total, hyper, noise=None):
+def loss_value(images, labels, net, batch, n_total, hyper):
     """Un-taped forward evaluation of the same loss (used by the oracle)."""
     x_b, y_b = batch
     batch_phi = nd.Array(network.features(net, x_b))
     total, _, _ = _loss_graph(nd.constant(images), nd.constant(labels), net,
                               batch_phi, np.asarray(y_b, dtype=np.float64),
-                              n_total, hyper, None, noise)
+                              n_total, hyper, None)
     return total.item()
 
 
-def fd_grad_oracle(coreset, net, batch, n_total, hyper, eps=1e-5, noise=None):
+def fd_grad_oracle(coreset, net, batch, n_total, hyper, eps=1e-5):
     """Central-difference gradient of the outer loss w.r.t. the coreset.
 
     Two forward evaluations per coordinate; guarded to tiny instances. The
@@ -103,9 +101,9 @@ def fd_grad_oracle(coreset, net, batch, n_total, hyper, eps=1e-5, noise=None):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = loss_value(images, labels, net, batch, n_total, hyper, noise)
+            up = loss_value(images, labels, net, batch, n_total, hyper)
             flat[i] = orig - eps
-            down = loss_value(images, labels, net, batch, n_total, hyper, noise)
+            down = loss_value(images, labels, net, batch, n_total, hyper)
             flat[i] = orig
             gflat[i] = (up - down) / (2.0 * eps)
         return grad

@@ -1,4 +1,4 @@
-"""Adam with bias correction, a plain-gradient mode, and the cosine schedule."""
+"""Adam with bias correction and the cosine schedule."""
 
 import math
 from dataclasses import dataclass
@@ -40,11 +40,6 @@ def adam_step(state, params, grads, lr):
         new_v.append(v)
         new_p.append(p - step)
     return AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps), new_p
-
-
-def sgd_step(params, grads, lr):
-    """Plain gradient descent, for hand-checkable tests."""
-    return [p - lr * g for p, g in zip(params, grads)]
 
 
 def cosine_lr(step, total, base):

@@ -23,8 +23,6 @@ import numpy as np
 
 from . import ndiff as nd
 
-ALPHA_PROBIT = math.pi / 8
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -34,7 +32,6 @@ class Hyperparams:
     gamma   Gaussian-likelihood precision (> 0)
     beta_s  coreset KL temperature (> 0); conventionally nhat
     beta_d  dataset KL temperature (>= 0)
-    alpha   probit constant, fixed at pi/8
     nhat, h, k   problem dimensions, filled in by `resolved`
     """
 
@@ -42,7 +39,6 @@ class Hyperparams:
     gamma: float
     beta_s: float
     beta_d: float = 0.0
-    alpha: float = ALPHA_PROBIT
     nhat: int | None = None
     h: int | None = None
     k: int | None = None
@@ -52,13 +48,16 @@ class Hyperparams:
             raise ValueError("rho, gamma and beta_s must be > 0")
         if self.beta_d < 0:
             raise ValueError("beta_d must be >= 0")
-        if self.alpha != ALPHA_PROBIT:
-            raise ValueError("alpha is fixed at pi/8")
 
     @property
     def kernel_scale(self):
         """gamma / (rho * beta_s), the coefficient of Phi @ Phi.T in A."""
         return self.gamma / (self.rho * self.beta_s)
+
+    @property
+    def variance_scale(self):
+        """gamma / (rho^2 * beta_s), the coefficient of Phi^T A^{-1} Phi in V*."""
+        return self.gamma / (self.rho ** 2 * self.beta_s)
 
     def resolved(self, nhat, h, k):
         return replace(self, nhat=nhat, h=h, k=k)
@@ -82,11 +81,6 @@ class CoresetPosterior:
         self.means = means            # columns m_j
         self.hyper = hyper
         self.tape = tape
-
-    @property
-    def chol(self):
-        """Lower Cholesky factor of A (numpy view, shared by all solves)."""
-        return nd._chol_of(self.system)
 
 
 def solve_posterior(phi, labels, hyper, tape=None):
@@ -125,8 +119,8 @@ def dense_variance(p, allow_large=False):
         raise ValueError(f"dense_variance guard: h={hyper.h} > 4096")
     solved = nd.cholesky_solve_spd(p.system, p.phi)
     outer = nd.matmul(nd.transpose(p.phi), solved)
-    coeff = hyper.gamma / (hyper.rho ** 2 * hyper.beta_s)
-    return nd.sub(nd.scale(nd.eye(hyper.h), 1.0 / hyper.rho), nd.scale(outer, coeff))
+    return nd.sub(nd.scale(nd.eye(hyper.h), 1.0 / hyper.rho),
+                  nd.scale(outer, hyper.variance_scale))
 
 
 def logdet_v(p):
@@ -138,14 +132,19 @@ def logdet_v(p):
     return nd.sub(const, logdet_a, tape)
 
 
+def _trace_ainv_kernel(p):
+    """Tr(A^{-1} Phi Phi^T) on the posterior's tape."""
+    solved = nd.cholesky_solve_spd(p.system, p.kernel, p.tape)
+    return nd.trace_matmul(solved, nd.eye(p.hyper.nhat), p.tape)
+
+
 def trace_v(p):
     """Tr V* = h/rho - gamma/(rho^2 beta_s) * Tr(A^{-1} Phi Phi^T)."""
     hyper = p.hyper
     tape = p.tape
-    solved = nd.cholesky_solve_spd(p.system, p.kernel, tape)
-    t = nd.trace_matmul(solved, nd.eye(hyper.nhat), tape)
-    coeff = hyper.gamma / (hyper.rho ** 2 * hyper.beta_s)
-    return nd.sub(nd.constant([[hyper.h / hyper.rho]]), nd.scale(t, coeff, tape), tape)
+    t = _trace_ainv_kernel(p)
+    return nd.sub(nd.constant([[hyper.h / hyper.rho]]),
+                  nd.scale(t, hyper.variance_scale, tape), tape)
 
 
 def kl_to_prior(p):
@@ -164,8 +163,7 @@ def kl_to_prior(p):
     tape = p.tape
     k = hyper.k
     logdet_a = nd.logdet_spd(p.system, tape)
-    solved = nd.cholesky_solve_spd(p.system, p.kernel, tape)
-    t = nd.trace_matmul(solved, nd.eye(hyper.nhat), tape)
+    t = _trace_ainv_kernel(p)
     msq = nd.sum(nd.hadamard(p.means, p.means, tape), tape=tape)
     inner = nd.add(
         nd.sub(nd.scale(logdet_a, float(k), tape),

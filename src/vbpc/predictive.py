@@ -11,11 +11,13 @@ which is exact at zero variance. A seeded Monte Carlo estimator of the same
 expectation serves as the test oracle.
 """
 
+import math
+
 import numpy as np
 
 from . import ndiff as nd
-from .posterior import ALPHA_PROBIT
 
+ALPHA_PROBIT = math.pi / 8
 VARIANCE_CLAMP = -1e-12
 
 
@@ -25,10 +27,6 @@ class PredictiveBatch:
     def __init__(self, mean, variance):
         self.mean = mean
         self.variance = variance
-
-    @property
-    def n(self):
-        return self.mean.shape[0]
 
 
 def _clamp_variance(variance, tape):
@@ -59,24 +57,23 @@ def predictive_moments(p, phi_batch):
     quad = nd.sum(nd.hadamard(cross, nd.transpose(solved, tape), tape),
                   axis=1, tape=tape)                                   # n x 1
     norms = nd.sum(nd.hadamard(phi_batch, phi_batch, tape), axis=1, tape=tape)
-    coeff = hyper.gamma / (hyper.rho ** 2 * hyper.beta_s)
     variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho, tape),
-                      nd.scale(quad, coeff, tape), tape)
+                      nd.scale(quad, hyper.variance_scale, tape), tape)
     return PredictiveBatch(mean, _clamp_variance(variance, tape))
 
 
-def probit_log_softmax(mean, variance, alpha=ALPHA_PROBIT, tape=None):
+def probit_log_softmax(mean, variance, tape=None):
     """Probit-scaled expected log-softmax, row-wise.
 
     mean: n x k, variance: n x 1 with entries >= 0 (round-off clamped).
-    Row i is log softmax(mean_i / sqrt(1 + alpha * variance_i)).
+    Row i is log softmax(mean_i / sqrt(1 + (pi/8) * variance_i)).
     """
     mean = nd.constant(mean)
     variance = nd.constant(variance)
     if variance.shape != (mean.shape[0], 1):
         raise nd.ShapeError(f"variance shape {variance.shape} for mean {mean.shape}")
     variance = _clamp_variance(variance, tape)
-    scaling = nd.rsqrt_shift(variance, alpha=alpha, tape=tape)
+    scaling = nd.rsqrt_shift(variance, alpha=ALPHA_PROBIT, tape=tape)
     return nd.row_log_softmax(nd.hadamard(mean, scaling, tape), tape)
 
 
@@ -118,8 +115,7 @@ def bma_predict(p, phi_test):
     evaluation per input since the moments come from the stored posterior.
     """
     batch = predictive_moments(p, phi_test)
-    logp = probit_log_softmax(batch.mean, batch.variance,
-                              alpha=p.hyper.alpha, tape=p.tape)
+    logp = probit_log_softmax(batch.mean, batch.variance, tape=p.tape)
     return np.exp(logp.data)
 
 

@@ -142,15 +142,14 @@ def train(config, dataset, sink=None):
         lr = cosine_lr(step, config.steps, config.coreset_lr)
         batch = sampler.next()
         idx, net = pool_sample(pool, sample_rng)
-        noise = None
-        if config.noise_aug and config.noise_sigma > 0:
-            noise = config.noise_sigma * noise_rng.standard_normal(images.shape)
+        loss_images = images
+        if config.noise_aug:
+            loss_images = augment_noise(images, config.noise_sigma, noise_rng)
 
         try:
             tape = nd.Tape()
-            loss, breakdown = outer_loss(coreset.with_arrays(images, labels),
-                                         net, batch, dataset.n, hyper, tape,
-                                         noise=noise)
+            loss, breakdown = outer_loss(coreset.with_arrays(loss_images, labels),
+                                         net, batch, dataset.n, hyper, tape)
             grad_x, grad_y = coreset_grad(loss, tape)
         except nd.NonFiniteError as err:
             emit({"step": step, "event": "abort", "error": str(err)})
@@ -189,6 +188,6 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500,
                                    hyper.gamma, pool_lr, state=state)
     post = solve_posterior(features(net, coreset.images), coreset.labels, hyper)
     batch = predictive_moments(post, features(net, test_x))
-    log_probs = probit_log_softmax(batch.mean, batch.variance, alpha=hyper.alpha)
+    log_probs = probit_log_softmax(batch.mean, batch.variance)
     acc, nll = metrics(log_probs, test_labels)
     return {"acc": acc, "nll": nll}

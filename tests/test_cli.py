@@ -209,7 +209,8 @@ def test_bench_json_fields(tmp_path, capsys):
                  "--reps", "1", "--out", str(tmp_path)])
     assert code == 0
     record = json.loads(capsys.readouterr().out)
-    assert set(record) == {"mode", "h", "nhat", "peak_f64", "ms_per_100"}
+    assert set(record) == {"mode", "h", "nhat", "peak_f64", "largest_block",
+                           "ms_per_100", "loss"}
     assert record == json.loads((tmp_path / "bench.json").read_text())
 
 

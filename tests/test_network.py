@@ -6,7 +6,8 @@ from scipy import stats
 
 from vbpc import ndiff as nd
 from vbpc.network import (init_net, features, features_graph, gaussian_step,
-                          pool_new, pool_sample, pool_update)
+                          gaussian_likelihood_loss, pool_new, pool_sample,
+                          pool_update)
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +110,16 @@ def test_feature_gradient_wrt_params_matches_fd():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_step_scalar_hand_case():
-    # identity feature map, W=0, x=1, y=1, gamma=1, plain lr 0.1:
-    # grad_W = -gamma (y - Wx) x = -1, so W moves to 0.1
+    # identity feature map, W=0, x=1, y=1, gamma=1, lr 0.1:
+    # grad_W = -gamma (y - Wx) x = -1; Adam's bias-corrected first step is
+    # lr * g / (|g| + eps), so W moves to 0.1 / (1 + 1e-8)
     net = init_net((1,), k=1, seed=0)
     net = net.replace_params([np.zeros((1, 1))])
-    stepped, _ = gaussian_step(net, np.array([[1.0]]), np.array([[1.0]]),
-                               gamma=1.0, lr=0.1, plain=True)
-    np.testing.assert_allclose(stepped.head, [[0.1]], rtol=1e-15)
+    stepped, state = gaussian_step(net, np.array([[1.0]]), np.array([[1.0]]),
+                                   gamma=1.0, lr=0.1)
+    np.testing.assert_allclose(stepped.head, [[0.1 / (1.0 + state.eps)]],
+                               rtol=1e-15)
+    np.testing.assert_allclose(state.m[0], [[-0.1]], rtol=1e-15)
 
 
 def test_gaussian_step_stationary_point():
@@ -123,19 +127,19 @@ def test_gaussian_step_stationary_point():
     net = init_net((2, 3), k=2, seed=5)
     images = rng.standard_normal((4, 2))
     labels = features(net, images) @ net.head  # exactly current predictions
-    stepped, _ = gaussian_step(net, images, labels, gamma=10.0, lr=0.05, plain=True)
+    stepped, _ = gaussian_step(net, images, labels, gamma=10.0, lr=0.05)
     for before, after in zip(net.params, stepped.params):
         np.testing.assert_array_equal(before, after)
 
 
 def test_gaussian_step_gradient_matches_fd():
-    # plain-gradient step size lr recovers the loss gradient exactly, so the
-    # parameter delta over lr is checkable against central differences
+    # the taped Gaussian-likelihood loss that gaussian_step differentiates,
+    # checked per parameter block against central differences
     rng = np.random.default_rng(13)
     net = init_net((2, 4, 3), k=2, seed=14)
     images = rng.standard_normal((5, 2))
     labels = rng.standard_normal((5, 2))
-    gamma, lr, eps = 3.0, 1e-3, 1e-5
+    gamma, eps = 3.0, 1e-5
     # finite differences need relu margins well clear of the kink
     pre = images
     for w, b in zip(net.weights, net.biases):
@@ -148,11 +152,15 @@ def test_gaussian_step_gradient_matches_fd():
         r = labels - features(candidate, images) @ candidate.head
         return gamma / 2.0 * (r ** 2).sum()
 
-    stepped, _ = gaussian_step(net, images, labels, gamma, lr, plain=True)
-    for i, (before, after) in enumerate(zip(net.params, stepped.params)):
-        ad = (before - after) / lr  # the gradient the step consumed
+    tape = nd.Tape()
+    leaves = [tape.leaf(nd.Array(p)) for p in net.params]
+    loss = gaussian_likelihood_loss(net, images, labels, gamma, tape, leaves)
+    np.testing.assert_allclose(loss.item(), loss_at(net.params), rtol=1e-14)
+    grads = nd.backward(tape, loss)
+    for i, leaf in enumerate(leaves):
+        ad = grads[tape.node_id(leaf)].data
         params = [p.copy() for p in net.params]
-        fd = np.zeros_like(before)
+        fd = np.zeros_like(ad)
         flat, fdf = params[i].ravel(), fd.ravel()
         for j in range(flat.size):
             orig = flat[j]

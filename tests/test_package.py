@@ -1,0 +1,110 @@
+"""Package surface: every tape primitive has a caller, the names the demos
+import resolve, and the BLAS thread pinning holds in any import order."""
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import vbpc
+from vbpc import ndiff as nd
+from vbpc import network
+from vbpc.data import PseudoCoreset
+from vbpc.objective import coreset_grad, outer_loss
+from vbpc.posterior import Hyperparams
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_upper_layers_use_every_primitive(monkeypatch):
+    used = set()
+    real_apply = nd.apply
+
+    def recording_apply(op, *args, **kwargs):
+        used.add(op)
+        return real_apply(op, *args, **kwargs)
+
+    monkeypatch.setattr(nd, "apply", recording_apply)
+    rng = np.random.default_rng(0)
+    hyper = Hyperparams(rho=1.0, gamma=10.0, beta_s=4.0, beta_d=1e-3)
+    coreset = PseudoCoreset(images=rng.standard_normal((4, 3)),
+                            labels=rng.standard_normal((4, 2)),
+                            ipc=2, hyper=hyper)
+    net = network.init_net((3, 5), 2, seed=1)
+    batch = (rng.standard_normal((6, 3)), np.eye(2)[rng.integers(0, 2, 6)])
+    tape = nd.Tape()
+    loss, _ = outer_loss(coreset, net, batch, 12, hyper, tape)
+    coreset_grad(loss, tape)
+    network.gaussian_step(net, coreset.images, coreset.labels, hyper.gamma, 1e-3)
+    assert used == set(nd._REGISTRY)
+
+
+def test_demo_imports_resolve():
+    names = set()
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "vbpc":
+                names.update(alias.name for alias in node.names)
+    assert names
+    missing = sorted(name for name in names if not hasattr(vbpc, name))
+    assert not missing, f"demos import names vbpc does not export: {missing}"
+
+
+# Imports numpy before vbpc, then reports the thread count of every
+# OpenBLAS mapped into the process.
+_PROBE = """
+import ctypes, json, os
+import numpy
+import vbpc
+
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh
+                    if "openblas" in line.lower() and line.rstrip().endswith(".so")})
+threads = {}
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            threads[os.path.basename(path)] = getattr(lib, symbol)()
+            break
+print(json.dumps({"threads": threads,
+                  "env": {v: os.environ.get(v) for v in %r}}))
+""" % (THREAD_VARS,)
+
+
+def _probe(**thread_env):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(thread_env)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    result = json.loads(out)
+    if not result["threads"]:
+        pytest.skip("no bundled OpenBLAS mapped into the process")
+    return result
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the process memory map")
+def test_blas_pinned_to_one_thread_after_numpy_import():
+    result = _probe()
+    assert set(result["threads"].values()) == {1}, result
+    assert result["env"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the process memory map")
+def test_blas_thread_choice_of_user_is_kept():
+    result = _probe(OPENBLAS_NUM_THREADS="2")
+    expect = min(2, len(os.sched_getaffinity(0)))
+    assert set(result["threads"].values()) == {expect}, result
+    assert result["env"] == {"OMP_NUM_THREADS": None,
+                             "OPENBLAS_NUM_THREADS": "2",
+                             "MKL_NUM_THREADS": None}
