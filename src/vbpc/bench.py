@@ -58,7 +58,7 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
     means = nd.scale(nd.matmul(v_star, nd.matmul(phi_t, lab)), g)
 
     logdet_v = nd.logdet_spd(v_star).item()
-    trace_v = nd.trace_matmul(v_star, eye_h).item()
+    trace_v = float(np.trace(v_star.data))
     msq = nd.sum(nd.hadamard(means, means)).item()
     kl = 0.5 * (k * (-h * math.log(hyper.rho) - logdet_v) - k * h
                 + k * hyper.rho * trace_v + hyper.rho * msq)

@@ -21,6 +21,10 @@ import scipy.linalg
 
 JITTER = 1e-10
 
+# Factorizations in this process whose first attempt failed and went to the
+# jitter retry; callers that report it take differences over their own work.
+jitter_retries = 0
+
 
 class NdiffError(Exception):
     pass
@@ -220,11 +224,14 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 def _raw_cholesky(sym):
-    """Lower Cholesky factor with the one-shot jitter retry."""
+    """Lower Cholesky factor with the one-shot jitter retry, counted in
+    `jitter_retries`."""
+    global jitter_retries
     try:
         return scipy.linalg.cholesky(sym, lower=True)
     except scipy.linalg.LinAlgError:
         pass
+    jitter_retries += 1
     bump = JITTER * float(np.mean(np.diag(sym)))
     jittered = sym + bump * np.eye(sym.shape[0])
     try:
@@ -372,11 +379,7 @@ def _vjp_rsqrt_shift(g, saved, needs):
 def _fwd_cholesky_solve_spd(a, b, _chol=None):
     if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
         raise ShapeError(f"cholesky_solve_spd: {a.shape} vs {b.shape}")
-    sym = 0.5 * (a + a.T)
     x = scipy.linalg.cho_solve((_chol, True), b)
-    # one step of iterative refinement keeps solve residuals near eps even
-    # for badly conditioned systems (A is always I + PSD here)
-    x = x + scipy.linalg.cho_solve((_chol, True), b - sym @ x)
     return x, (_chol, x)
 
 
@@ -402,18 +405,21 @@ def _vjp_logdet_spd(g, saved, needs):
     return (float(g[0, 0]) * 0.5 * (inv + inv.T),)
 
 
-def _fwd_trace_matmul(a, b):
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
-        raise ShapeError(f"trace_matmul: {a.shape} vs {b.shape}")
-    out = float((a * b.T).sum())
-    return np.array([[out]]), (a, b)
+def _fwd_inv_quad_spd(a, b, _chol=None):
+    """Column j of the m x 1 result is b_j^T a^{-1} b_j = ||L^{-1} b_j||^2:
+    one triangular solve, and a sum of squares that cannot cancel."""
+    if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"inv_quad_spd: {a.shape} vs {b.shape}")
+    z = scipy.linalg.solve_triangular(_chol, b, lower=True)
+    return (z * z).sum(axis=0).reshape(-1, 1), (_chol, z)
 
 
-def _vjp_trace_matmul(g, saved, needs):
-    a, b = saved
-    s = float(g[0, 0])
-    ga = s * b.T.copy(order="C") if needs[0] else None
-    gb = s * a.T.copy(order="C") if needs[1] else None
+def _vjp_inv_quad_spd(g, saved, needs):
+    chol, z = saved
+    x = scipy.linalg.solve_triangular(chol, z, lower=True, trans="T")  # a^{-1} b
+    xg = x * g.T
+    ga = -xg @ x.T if needs[0] else None
+    gb = 2.0 * xg if needs[1] else None
     return ga, gb
 
 
@@ -446,7 +452,7 @@ _REGISTRY = {
     "rsqrt_shift": (_fwd_rsqrt_shift, _vjp_rsqrt_shift, 1),
     "cholesky_solve_spd": (_fwd_cholesky_solve_spd, _vjp_cholesky_solve_spd, 2),
     "logdet_spd": (_fwd_logdet_spd, _vjp_logdet_spd, 1),
-    "trace_matmul": (_fwd_trace_matmul, _vjp_trace_matmul, 2),
+    "inv_quad_spd": (_fwd_inv_quad_spd, _vjp_inv_quad_spd, 2),
     "sum": (_fwd_sum, _vjp_sum, 1),
 }
 
@@ -465,7 +471,7 @@ def apply(op, operands, tape=None, **params):
     if len(operands) != arity:
         raise ShapeError(f"{op}: expected {arity} operands, got {len(operands)}")
     datas = [o.data for o in operands]
-    if op in ("cholesky_solve_spd", "logdet_spd"):
+    if op in ("cholesky_solve_spd", "logdet_spd", "inv_quad_spd"):
         params = dict(params)
         params["_chol"] = _chol_of(operands[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -564,8 +570,8 @@ def logdet_spd(a, tape=None):
     return apply("logdet_spd", (a,), tape)
 
 
-def trace_matmul(a, b, tape=None):
-    return apply("trace_matmul", (a, b), tape)
+def inv_quad_spd(a, b, tape=None):
+    return apply("inv_quad_spd", (a, b), tape)
 
 
 def sum(a, axis=None, tape=None):  # noqa: A001 - mirrors np.sum naming

@@ -7,10 +7,11 @@ closed form. Everything here works through the nhat x nhat system
     A = I + (gamma / (rho * beta_s)) * Phi @ Phi.T
 
 so that no h x h matrix is ever materialized: the mean uses the kernel-trick
-form, the log-determinant the Weinstein-Aronszajn identity, and the trace a
-cyclic rearrangement. One Cholesky factorization of A is shared by the mean,
-log-det, trace and the predictive variance. ``dense_variance`` is the only
-exception; it exists purely as a test/benchmark oracle.
+form, the log-determinant the Weinstein-Aronszajn identity, and the trace
+Tr(A^{-1} Phi Phi^T) the squared Frobenius norm ||L^{-1} Phi||^2 of one
+triangular solve. One Cholesky factorization A = L L^T is shared by the
+mean, log-det, trace and the predictive variance. ``dense_variance`` is the
+only exception; it exists purely as a test/benchmark oracle.
 
 All constructions optionally record on a gradient tape, which is what makes
 the coreset trainable by direct differentiation through the closed form.
@@ -32,14 +33,13 @@ class Hyperparams:
     gamma   Gaussian-likelihood precision (> 0)
     beta_s  coreset KL temperature (> 0); conventionally nhat
     beta_d  dataset KL temperature (>= 0)
-    nhat, h, k   problem dimensions, filled in by `resolved`
+    h, k    problem dimensions, filled in by `resolved`
     """
 
     rho: float
     gamma: float
     beta_s: float
     beta_d: float = 0.0
-    nhat: int | None = None
     h: int | None = None
     k: int | None = None
 
@@ -59,25 +59,23 @@ class Hyperparams:
         """gamma / (rho^2 * beta_s), the coefficient of Phi^T A^{-1} Phi in V*."""
         return self.gamma / (self.rho ** 2 * self.beta_s)
 
-    def resolved(self, nhat, h, k):
-        return replace(self, nhat=nhat, h=h, k=k)
+    def resolved(self, h, k):
+        return replace(self, h=h, k=k)
 
 
 class CoresetPosterior:
     """Efficient representation of the solved coreset posterior.
 
     Stores the feature matrix, labels, the nhat x nhat system A (whose
-    Cholesky factor is cached and reused by every solve), the kernel
-    Phi @ Phi.T and the h x k posterior means. Storage is
-    O(nhat*h + nhat^2 + h*k); the shared h x h covariance is represented
-    implicitly. Immutable after construction.
+    Cholesky factor is cached and reused by every solve) and the h x k
+    posterior means. Storage is O(nhat*h + nhat^2 + h*k); the shared h x h
+    covariance is represented implicitly. Immutable after construction.
     """
 
-    def __init__(self, phi, labels, system, kernel, means, hyper, tape):
+    def __init__(self, phi, labels, system, means, hyper, tape):
         self.phi = phi
         self.labels = labels
         self.system = system          # A = I + c * Phi Phi^T
-        self.kernel = kernel          # Phi Phi^T
         self.means = means            # columns m_j
         self.hyper = hyper
         self.tape = tape
@@ -97,7 +95,7 @@ def solve_posterior(phi, labels, hyper, tape=None):
     if labels.shape[0] != nhat:
         raise nd.ShapeError(f"labels rows {labels.shape[0]} != features rows {nhat}")
     k = labels.shape[1]
-    hyper = hyper.resolved(nhat, h, k)
+    hyper = hyper.resolved(h, k)
     c = hyper.kernel_scale
 
     phi_t = nd.transpose(phi, tape)
@@ -105,7 +103,7 @@ def solve_posterior(phi, labels, hyper, tape=None):
     system = nd.add(nd.eye(nhat), nd.scale(kernel, c, tape), tape)
     solved = nd.cholesky_solve_spd(system, labels, tape)
     means = nd.scale(nd.matmul(phi_t, solved, tape), c, tape)
-    return CoresetPosterior(phi, labels, system, kernel, means, hyper, tape)
+    return CoresetPosterior(phi, labels, system, means, hyper, tape)
 
 
 def dense_variance(p, allow_large=False):
@@ -133,9 +131,9 @@ def logdet_v(p):
 
 
 def _trace_ainv_kernel(p):
-    """Tr(A^{-1} Phi Phi^T) on the posterior's tape."""
-    solved = nd.cholesky_solve_spd(p.system, p.kernel, p.tape)
-    return nd.trace_matmul(solved, nd.eye(p.hyper.nhat), p.tape)
+    """Tr(A^{-1} Phi Phi^T) = sum over the columns phi_j of Phi of
+    phi_j^T A^{-1} phi_j, on the posterior's tape."""
+    return nd.sum(nd.inv_quad_spd(p.system, p.phi, p.tape), tape=p.tape)
 
 
 def trace_v(p):

@@ -40,9 +40,10 @@ def _clamp_variance(variance, tape):
 def predictive_moments(p, phi_batch):
     """Gaussian predictive moments for a feature batch (n x h).
 
-    mean = Phi_b @ M; variance_i uses the stored nhat x nhat factorization:
-    (beta_s/gamma) (c ||phi_i||^2 - c^2 phi_i Phi^T A^{-1} Phi phi_i^T) with
-    c = gamma/(rho beta_s). No h x h buffer; differentiable on the tape.
+    mean = Phi_b @ M; variance_i = ||phi_i||^2 / rho
+    - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2, where A = L L^T is the
+    stored nhat x nhat factorization: one triangular solve for the batch.
+    No h x h buffer; differentiable on the tape.
     """
     hyper = p.hyper
     tape = p.tape
@@ -52,10 +53,8 @@ def predictive_moments(p, phi_batch):
             f"feature dim {phi_batch.shape[1]} != posterior dim {hyper.h}")
     mean = nd.matmul(phi_batch, p.means, tape)
 
-    cross = nd.matmul(phi_batch, nd.transpose(p.phi, tape), tape)     # n x nhat
-    solved = nd.cholesky_solve_spd(p.system, nd.transpose(cross, tape), tape)
-    quad = nd.sum(nd.hadamard(cross, nd.transpose(solved, tape), tape),
-                  axis=1, tape=tape)                                   # n x 1
+    cross = nd.matmul(p.phi, nd.transpose(phi_batch, tape), tape)     # nhat x n
+    quad = nd.inv_quad_spd(p.system, cross, tape)                      # n x 1
     norms = nd.sum(nd.hadamard(phi_batch, phi_batch, tape), axis=1, tape=tape)
     variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho, tape),
                       nd.scale(quad, hyper.variance_scale, tape), tape)

@@ -5,8 +5,9 @@ outer loss on a fresh tape (optionally with Gaussian noise added to the
 coreset images; the pixels' only consumer is the loss, so augmentation
 lives here), takes an Adam step on the coreset with a single-cycle cosine
 schedule, and then gives the sampled pool slot one Gaussian-likelihood
-update. Metrics records go to a sink callable; a non-finite loss aborts
-with a diagnostic record and never returns a corrupted coreset.
+update. Metrics records go to a sink callable and carry the number of
+Cholesky factorizations the run needed the jitter retry for; a non-finite
+loss aborts with a diagnostic record and never returns a corrupted coreset.
 """
 
 import time
@@ -136,6 +137,7 @@ def train(config, dataset, sink=None):
     labels = np.array(coreset.labels)
     state_x = AdamState.init([images])
     state_y = AdamState.init([labels])
+    retries_before = nd.jitter_retries
 
     for step in range(config.steps):
         started = time.perf_counter()
@@ -152,7 +154,8 @@ def train(config, dataset, sink=None):
                                          net, batch, dataset.n, hyper, tape)
             grad_x, grad_y = coreset_grad(loss, tape)
         except nd.NonFiniteError as err:
-            emit({"step": step, "event": "abort", "error": str(err)})
+            emit({"step": step, "event": "abort", "error": str(err),
+                  "jitter_retries": nd.jitter_retries - retries_before})
             raise TrainAbort(f"non-finite loss at step {step}: {err}") from err
 
         state_x, (images,) = adam_step(state_x, [images], [grad_x], lr)
@@ -166,6 +169,7 @@ def train(config, dataset, sink=None):
                   "lik": breakdown.likelihood_term,
                   "kl": breakdown.kl_term,
                   "lr": lr,
+                  "jitter_retries": nd.jitter_retries - retries_before,
                   "ms": (time.perf_counter() - started) * 1e3})
 
     return coreset.with_arrays(images, labels)

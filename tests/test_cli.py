@@ -102,7 +102,8 @@ def test_train_writes_outputs(tmp_path):
     lines = (out / "metrics.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     assert [r["step"] for r in records] == [0, 2, 4, 5]
-    assert set(records[0]) == {"step", "loss", "lik", "kl", "lr", "ms"}
+    assert set(records[0]) == {"step", "loss", "lik", "kl", "lr",
+                               "jitter_retries", "ms"}
     assert (out / "coreset.vbpc").exists()
     resolved = parse_config(out / "resolved-config.txt")
     assert resolved.beta_s == 4.0  # ipc * k

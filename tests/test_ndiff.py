@@ -115,8 +115,12 @@ def test_cholesky_indefinite_raises():
 
 
 def test_cholesky_jitter_rescues_singular_psd():
+    before = nd.jitter_retries
     out = nd._chol_of(nd.Array([[1.0, 1.0], [1.0, 1.0]]))
     assert np.all(np.diag(out) > 0)
+    assert nd.jitter_retries == before + 1
+    nd._chol_of(nd.Array([[2.0, 1.0], [1.0, 2.0]]))
+    assert nd.jitter_retries == before + 1
 
 
 def test_cholesky_reconstruction_tolerance():
@@ -138,6 +142,29 @@ def test_cholesky_solve_residual_well_conditioned():
         b = rng.standard_normal((8, 3))
         x = nd.cholesky_solve_spd(nd.Array(a), nd.Array(b)).data
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
+
+
+def test_inv_quad_matches_dense_solve():
+    rng = np.random.default_rng(12)
+    spectra = [np.logspace(-3, 3, 8), rng.uniform(1.0, 5.0, 8)]  # cond ~1e6, ~5
+    for spectrum in spectra:
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+            a = (q * spectrum) @ q.T
+            b = rng.standard_normal((8, 5))
+            out = nd.inv_quad_spd(nd.Array(a), nd.Array(b)).data
+            expect = np.diag(b.T @ np.linalg.solve(a, b)).reshape(-1, 1)
+            assert out.shape == (5, 1)
+            np.testing.assert_allclose(out, expect, rtol=1e-10)
+
+
+def test_inv_quad_shape_and_spd_errors():
+    with pytest.raises(nd.ShapeError):
+        nd.inv_quad_spd(nd.eye(3), nd.zeros((2, 4)))
+    with pytest.raises(nd.ShapeError):
+        nd.inv_quad_spd(nd.zeros((2, 3)), nd.zeros((3, 1)))
+    with pytest.raises(nd.NonSPDError):
+        nd.inv_quad_spd(nd.Array([[1.0, 2.0], [2.0, 1.0]]), nd.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +264,13 @@ def test_grad_logdet():
     check_primitive_gradient(operands, lambda a, tape: nd.logdet_spd(a, tape=tape))
 
 
-def test_grad_trace_matmul():
+def test_grad_inv_quad():
+    def operands(rng):
+        q = rng.standard_normal((4, 4))
+        return (q @ q.T + 4 * np.eye(4), rng.standard_normal((4, 3)))
+
     check_primitive_gradient(
-        lambda rng: (rng.standard_normal((3, 4)), rng.standard_normal((4, 3))),
-        lambda a, b, tape: nd.trace_matmul(a, b, tape=tape))
+        operands, lambda a, b, tape: nd.inv_quad_spd(a, b, tape=tape))
 
 
 def test_grad_sum_axes():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vbpc import ndiff as nd
 from vbpc import network
@@ -206,3 +207,24 @@ def test_loss_path_avoids_hxh_buffers():
         loss, _ = outer_loss(coreset, net, batch, 8, hyper, tape)
         coreset_grad(loss, tape)
     assert window.largest_block < h * h
+
+
+def test_step_shares_one_factorization(monkeypatch):
+    # one Cholesky of A; cho_solve for the label solve, its adjoint and the
+    # log-det adjoint; triangular solves for the KL trace and the predictive
+    # variance, forward and adjoint each
+    counts = {"cholesky": 0, "cho_solve": 0, "solve_triangular": 0}
+    for name in counts:
+        real = getattr(scipy.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    rng = np.random.default_rng(14)
+    coreset, net, batch, hyper = make_instance(rng, beta_d=0.5)
+    tape = nd.Tape()
+    loss, _ = outer_loss(coreset, net, batch, 8, hyper, tape)
+    coreset_grad(loss, tape)
+    assert counts == {"cholesky": 1, "cho_solve": 3, "solve_triangular": 4}

@@ -197,7 +197,7 @@ def test_fixed_point_satisfied_by_solution():
 def test_fixed_point_detects_perturbation():
     phi, y, hyper = canonical_instance()
     p = solve_posterior(phi, y, hyper)
-    bad = CoresetPosterior(p.phi, p.labels, p.system, p.kernel,
+    bad = CoresetPosterior(p.phi, p.labels, p.system,
                            nd.Array(p.means.data + 0.1), p.hyper, None)
     assert fixed_point_residual(bad) >= 0.01
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vbpc.data import gen_synthetic, normalize, normalize_with, init_coreset
 from vbpc.optim import AdamState, adam_step, cosine_lr
@@ -152,9 +153,29 @@ def test_metrics_deterministic_across_runs():
     a, b = run(), run()
     assert len(a) == len(b) == 10
     for ra, rb in zip(a, b):
-        for key in ("step", "loss", "lik", "kl", "lr"):
+        for key in ("step", "loss", "lik", "kl", "lr", "jitter_retries"):
             assert ra[key] == rb[key]
         assert "ms" in ra
+    assert a[-1]["jitter_retries"] == 0
+
+
+def test_jitter_retries_counted_per_run(monkeypatch):
+    # every factorization fails once, so each step needs one retry
+    real = scipy.linalg.cholesky
+    calls = []
+
+    def fail_first_try(a, *args, **kwargs):
+        calls.append(None)
+        if len(calls) % 2 == 1:
+            raise scipy.linalg.LinAlgError("forced")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail_first_try)
+    ds = moons_dataset()
+    for _ in range(2):
+        records = []
+        train(tiny_config(steps=4), ds, sink=records.append)
+        assert [r["jitter_retries"] for r in records] == [1, 2, 3, 4]
 
 
 def test_training_reduces_loss_on_moons():
