@@ -1,5 +1,9 @@
-"""Closed-form coreset posterior: the efficient kernel-form route against
-dense h x h algebra, plus the exact KL and the fixed-point check."""
+"""Closed-form coreset posterior: the efficient route against dense h x h
+algebra, plus the exact KL and the fixed-point check.
+
+Here h = 256 >= nhat = 8, so the posterior factors the nhat x nhat kernel
+system and never builds an h x h block; with h < nhat it would factor the
+h x h weight-space system instead (the smaller side wins)."""
 
 import numpy as np
 

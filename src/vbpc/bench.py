@@ -39,8 +39,8 @@ def efficient_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
     tape = nd.Tape()
     images = tape.leaf(nd.Array(phi_hat), label="images")
     lab = tape.leaf(nd.Array(labels), label="labels")
-    total, _, _ = _loss_graph(images, lab, net, nd.Array(phi_b), y_b,
-                              n_total, hyper, tape)
+    total, _, _, _ = _loss_graph(images, lab, net, nd.Array(phi_b), y_b,
+                                 n_total, hyper, tape)
     return total.item()
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ndiff as nd
 from . import network
-from .posterior import solve_posterior, kl_to_prior
+from .posterior import condition_lower_bound, solve_posterior, kl_to_prior
 from .predictive import predictive_moments, probit_log_softmax
 
 FD_COORD_LIMIT = 2000
@@ -26,11 +26,13 @@ class OuterLossBreakdown:
     total: float
     likelihood_term: float
     kl_term: float
+    cond_lb: float        # lower bound on cond of the factored Gram system
 
 
 def _loss_graph(images, labels, net, batch_phi, batch_onehot, n_total, hyper,
                 tape):
-    """Core assembly shared by the taped loss and the FD oracle."""
+    """Core assembly shared by the taped loss and the FD oracle; returns the
+    total, likelihood and KL nodes and the solved posterior."""
     phi = network.features_graph(net, images, tape)
     post = solve_posterior(phi, labels, hyper, tape=tape)
     batch = predictive_moments(post, batch_phi)
@@ -41,7 +43,7 @@ def _loss_graph(images, labels, net, batch_phi, batch_onehot, n_total, hyper,
     likelihood = nd.scale(picked, -float(n_total) / batch_size, tape)
     kl_term = nd.scale(kl_to_prior(post), hyper.beta_d, tape)
     total = nd.add(likelihood, kl_term, tape)
-    return total, likelihood, kl_term
+    return total, likelihood, kl_term, post
 
 
 def outer_loss(coreset, net, batch, n_total, hyper, tape):
@@ -57,11 +59,11 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape):
     images = tape.leaf(nd.Array(coreset.images), label="images")
     labels = tape.leaf(nd.Array(coreset.labels), label="labels")
     batch_phi = nd.Array(network.features(net, x_b))
-    total, likelihood, kl_term = _loss_graph(
+    total, likelihood, kl_term, post = _loss_graph(
         images, labels, net, batch_phi, np.asarray(y_b, dtype=np.float64),
         n_total, hyper, tape)
     return total, OuterLossBreakdown(total.item(), likelihood.item(),
-                                     kl_term.item())
+                                     kl_term.item(), condition_lower_bound(post))
 
 
 def coreset_grad(loss, tape):
@@ -75,9 +77,10 @@ def loss_value(images, labels, net, batch, n_total, hyper):
     """Un-taped forward evaluation of the same loss (used by the oracle)."""
     x_b, y_b = batch
     batch_phi = nd.Array(network.features(net, x_b))
-    total, _, _ = _loss_graph(nd.constant(images), nd.constant(labels), net,
-                              batch_phi, np.asarray(y_b, dtype=np.float64),
-                              n_total, hyper, None)
+    total, _, _, _ = _loss_graph(nd.constant(images), nd.constant(labels),
+                                 net, batch_phi,
+                                 np.asarray(y_b, dtype=np.float64),
+                                 n_total, hyper, None)
     return total.item()
 
 

@@ -2,16 +2,25 @@
 
 Given coreset features Phi (nhat x h) and real-valued labels Y (nhat x k),
 the per-class posterior mean and the shared covariance are available in
-closed form. Everything here works through the nhat x nhat system
+closed form. Everything here works through one Cholesky factorization of
+the smaller of the two Gram systems,
 
-    A = I + (gamma / (rho * beta_s)) * Phi @ Phi.T
+    S = I + c G G^T,   c = gamma / (rho * beta_s),
 
-so that no h x h matrix is ever materialized: the mean uses the kernel-trick
-form, the log-determinant the Weinstein-Aronszajn identity, and the trace
-Tr(A^{-1} Phi Phi^T) the squared Frobenius norm ||L^{-1} Phi||^2 of one
-triangular solve. One Cholesky factorization A = L L^T is shared by the
-mean, log-det, trace and the predictive variance. ``dense_variance`` is the
-only exception; it exists purely as a test/benchmark oracle.
+with G = Phi (the nhat x nhat function-space system, when h >= nhat) or
+G = Phi^T (the h x h weight-space system, when h < nhat). The shape alone
+picks the side; a tie goes to the nhat side. The smaller side is also the
+better conditioned: the larger system has the same eigenvalues 1 + c s_i^2
+(s_i the singular values of Phi) plus |h - nhat| unit ones, so its
+condition number can only be larger. Both sides share the same
+formulas wherever they can: the log-determinant is log det S by the
+Weinstein-Aronszajn identity, and the trace Tr(A^{-1} Phi Phi^T) with
+A = I + c Phi Phi^T, which equals Tr(S^{-1} G G^T) on either side, is the
+squared Frobenius norm ||L^{-1} G||^2 of one triangular solve with
+S = L L^T. The means take the kernel-trick form
+c Phi^T S^{-1} Y on the nhat side and the push-through form c S^{-1} Phi^T Y
+on the h side. No h x h matrix is materialized when h >= nhat;
+``dense_variance`` builds one only as a test/benchmark oracle.
 
 All constructions optionally record on a gradient tape, which is what makes
 the coreset trainable by direct differentiation through the closed form.
@@ -66,19 +75,26 @@ class Hyperparams:
 class CoresetPosterior:
     """Efficient representation of the solved coreset posterior.
 
-    Stores the feature matrix, labels, the nhat x nhat system A (whose
-    Cholesky factor is cached and reused by every solve) and the h x k
-    posterior means. Storage is O(nhat*h + nhat^2 + h*k); the shared h x h
+    Stores the feature matrix, labels, the factored Gram side G (Phi or
+    Phi^T), the system S = I + c G G^T (whose Cholesky factor is cached and
+    reused by every solve), which side it is, and the h x k posterior means.
+    `weight_space` is True when S is the h x h system (h < nhat). Storage is
+    O(nhat*h + min(h, nhat)^2 + h*k); on the nhat side the shared h x h
     covariance is represented implicitly. Immutable after construction.
     """
 
-    def __init__(self, phi, labels, system, means, hyper, tape):
+    def __init__(self, phi, labels, gram, system, means, hyper, tape):
         self.phi = phi
         self.labels = labels
-        self.system = system          # A = I + c * Phi Phi^T
+        self.gram = gram              # G: Phi, or Phi^T on the h side
+        self.system = system          # S = I + c * G G^T
         self.means = means            # columns m_j
         self.hyper = hyper
         self.tape = tape
+
+    @property
+    def weight_space(self):
+        return self.gram is not self.phi
 
 
 def solve_posterior(phi, labels, hyper, tape=None):
@@ -86,9 +102,17 @@ def solve_posterior(phi, labels, hyper, tape=None):
 
     phi: nhat x h features, labels: nhat x k. Returns a CoresetPosterior
     whose means equal Phi^T ((rho*beta_s/gamma) I + Phi Phi^T)^{-1} y_j per
-    class, computed in the numerically stable kernel form. Differentiable
+    class, computed through the min(h, nhat) square system. Differentiable
     w.r.t. phi and labels when they are leaves of `tape`.
     """
+    phi = nd.constant(phi)
+    nhat, h = phi.shape
+    return _solve(phi, labels, hyper, tape, weight_space=h < nhat)
+
+
+def _solve(phi, labels, hyper, tape, weight_space):
+    """`solve_posterior` with the factored side given, for tests that run
+    one instance through both sides."""
     phi = nd.constant(phi)
     labels = nd.constant(labels)
     nhat, h = phi.shape
@@ -99,22 +123,30 @@ def solve_posterior(phi, labels, hyper, tape=None):
     c = hyper.kernel_scale
 
     phi_t = nd.transpose(phi, tape)
-    kernel = nd.matmul(phi, phi_t, tape)
-    system = nd.add(nd.eye(nhat), nd.scale(kernel, c, tape), tape)
-    solved = nd.cholesky_solve_spd(system, labels, tape)
-    means = nd.scale(nd.matmul(phi_t, solved, tape), c, tape)
-    return CoresetPosterior(phi, labels, system, means, hyper, tape)
+    gram, gram_t = (phi_t, phi) if weight_space else (phi, phi_t)
+    system = nd.add(nd.eye(gram.shape[0]),
+                    nd.scale(nd.matmul(gram, gram_t, tape), c, tape), tape)
+    if weight_space:
+        means = nd.cholesky_solve_spd(system, nd.matmul(phi_t, labels, tape), tape)
+    else:
+        means = nd.matmul(phi_t, nd.cholesky_solve_spd(system, labels, tape), tape)
+    means = nd.scale(means, c, tape)
+    return CoresetPosterior(phi, labels, gram, system, means, hyper, tape)
 
 
 def dense_variance(p, allow_large=False):
     """Materialized h x h shared covariance V*. Test/benchmark oracle only.
 
-    V* = rho^{-1} I - (gamma / (rho^2 beta_s)) Phi^T A^{-1} Phi. Guarded so
+    V* = rho^{-1} S^{-1} on the h side, and rho^{-1} I -
+    (gamma / (rho^2 beta_s)) Phi^T S^{-1} Phi on the nhat side. Guarded so
     it cannot sneak into training paths at scale.
     """
     hyper = p.hyper
     if hyper.h > 4096 and not allow_large:
         raise ValueError(f"dense_variance guard: h={hyper.h} > 4096")
+    if p.weight_space:
+        return nd.scale(nd.cholesky_solve_spd(p.system, nd.eye(hyper.h)),
+                        1.0 / hyper.rho)
     solved = nd.cholesky_solve_spd(p.system, p.phi)
     outer = nd.matmul(nd.transpose(p.phi), solved)
     return nd.sub(nd.scale(nd.eye(hyper.h), 1.0 / hyper.rho),
@@ -122,25 +154,26 @@ def dense_variance(p, allow_large=False):
 
 
 def logdet_v(p):
-    """log det V* = -h log rho - log det A, via the cached Cholesky factor."""
+    """log det V* = -h log rho - log det S, via the cached Cholesky factor
+    (det S is the same on either side by Weinstein-Aronszajn)."""
     hyper = p.hyper
     tape = p.tape
-    logdet_a = nd.logdet_spd(p.system, tape)
+    logdet_s = nd.logdet_spd(p.system, tape)
     const = nd.constant([[-hyper.h * math.log(hyper.rho)]])
-    return nd.sub(const, logdet_a, tape)
+    return nd.sub(const, logdet_s, tape)
 
 
-def _trace_ainv_kernel(p):
-    """Tr(A^{-1} Phi Phi^T) = sum over the columns phi_j of Phi of
-    phi_j^T A^{-1} phi_j, on the posterior's tape."""
-    return nd.sum(nd.inv_quad_spd(p.system, p.phi, p.tape), tape=p.tape)
+def _trace_sinv_gram(p):
+    """Tr(S^{-1} G G^T) = Tr(A^{-1} Phi Phi^T) on either side: the sum over
+    the columns g_j of G of g_j^T S^{-1} g_j, on the posterior's tape."""
+    return nd.sum(nd.inv_quad_spd(p.system, p.gram, p.tape), tape=p.tape)
 
 
 def trace_v(p):
-    """Tr V* = h/rho - gamma/(rho^2 beta_s) * Tr(A^{-1} Phi Phi^T)."""
+    """Tr V* = h/rho - gamma/(rho^2 beta_s) * Tr(S^{-1} G G^T)."""
     hyper = p.hyper
     tape = p.tape
-    t = _trace_ainv_kernel(p)
+    t = _trace_sinv_gram(p)
     return nd.sub(nd.constant([[hyper.h / hyper.rho]]),
                   nd.scale(t, hyper.variance_scale, tape), tape)
 
@@ -151,23 +184,33 @@ def kl_to_prior(p):
     Equals 1/2 (k (-h log rho - log det V*) - k h + k rho Tr V* + rho ||M||^2).
     Evaluated in the algebraically cancelled form
 
-        1/2 (k log det A - k (gamma/(rho beta_s)) Tr(A^{-1} Phi Phi^T)
+        1/2 (k log det S - k (gamma/(rho beta_s)) Tr(S^{-1} G G^T)
              + rho ||M||^2)
 
-    which is the same quantity but is exactly zero for an empty coreset and
-    never goes negative beyond round-off.
+    which is the same quantity on either side but is exactly zero for an
+    empty coreset and never goes negative beyond round-off.
     """
     hyper = p.hyper
     tape = p.tape
     k = hyper.k
-    logdet_a = nd.logdet_spd(p.system, tape)
-    t = _trace_ainv_kernel(p)
+    logdet_s = nd.logdet_spd(p.system, tape)
+    t = _trace_sinv_gram(p)
     msq = nd.sum(nd.hadamard(p.means, p.means, tape), tape=tape)
     inner = nd.add(
-        nd.sub(nd.scale(logdet_a, float(k), tape),
+        nd.sub(nd.scale(logdet_s, float(k), tape),
                nd.scale(t, k * hyper.kernel_scale, tape), tape),
         nd.scale(msq, hyper.rho, tape), tape)
     return nd.scale(inner, 0.5, tape)
+
+
+def condition_lower_bound(p):
+    """(max diag L / min diag L)^2 for the cached factor S = L L^T.
+
+    The diagonal of L holds its eigenvalues, so this is a lower bound on
+    cond(S) = cond(L)^2; it reads the factor the solve already made.
+    """
+    diag = np.diag(nd._chol_of(p.system))
+    return float((diag.max() / diag.min()) ** 2)
 
 
 def fixed_point_residual(p):
@@ -176,7 +219,8 @@ def fixed_point_residual(p):
     second block holds by construction).
 
     Evaluates lambda_j^(1) = rho m_j + (gamma/beta_s) Phi^T (Phi m_j) against
-    (gamma/beta_s) Phi^T y_j with nhat x nhat algebra and returns the largest
+    (gamma/beta_s) Phi^T y_j with products by Phi and Phi^T only (no Gram
+    system, so the same check holds on either side) and returns the largest
     per-class norm, relative with the denominator floored at 1.
     """
     hyper = p.hyper

@@ -40,10 +40,12 @@ def _clamp_variance(variance, tape):
 def predictive_moments(p, phi_batch):
     """Gaussian predictive moments for a feature batch (n x h).
 
-    mean = Phi_b @ M; variance_i = ||phi_i||^2 / rho
-    - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2, where A = L L^T is the
-    stored nhat x nhat factorization: one triangular solve for the batch.
-    No h x h buffer; differentiable on the tape.
+    mean = Phi_b @ M. The variance reads the posterior's factored system
+    S = L L^T with one triangular solve for the batch:
+    on the h side V* = rho^{-1} S^{-1}, so variance_i = ||L^{-1} phi_i^T||^2
+    / rho, a sum of squares; on the nhat side variance_i = ||phi_i||^2 / rho
+    - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2. No h x h buffer on the
+    nhat side; differentiable on the tape.
     """
     hyper = p.hyper
     tape = p.tape
@@ -53,11 +55,16 @@ def predictive_moments(p, phi_batch):
             f"feature dim {phi_batch.shape[1]} != posterior dim {hyper.h}")
     mean = nd.matmul(phi_batch, p.means, tape)
 
-    cross = nd.matmul(p.phi, nd.transpose(phi_batch, tape), tape)     # nhat x n
-    quad = nd.inv_quad_spd(p.system, cross, tape)                      # n x 1
-    norms = nd.sum(nd.hadamard(phi_batch, phi_batch, tape), axis=1, tape=tape)
-    variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho, tape),
-                      nd.scale(quad, hyper.variance_scale, tape), tape)
+    phi_batch_t = nd.transpose(phi_batch, tape)                         # h x n
+    if p.weight_space:
+        quad = nd.inv_quad_spd(p.system, phi_batch_t, tape)             # n x 1
+        variance = nd.scale(quad, 1.0 / hyper.rho, tape)
+    else:
+        cross = nd.matmul(p.phi, phi_batch_t, tape)                     # nhat x n
+        quad = nd.inv_quad_spd(p.system, cross, tape)
+        norms = nd.sum(nd.hadamard(phi_batch, phi_batch, tape), axis=1, tape=tape)
+        variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho, tape),
+                          nd.scale(quad, hyper.variance_scale, tape), tape)
     return PredictiveBatch(mean, _clamp_variance(variance, tape))
 
 

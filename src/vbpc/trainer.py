@@ -6,8 +6,10 @@ coreset images; the pixels' only consumer is the loss, so augmentation
 lives here), takes an Adam step on the coreset with a single-cycle cosine
 schedule, and then gives the sampled pool slot one Gaussian-likelihood
 update. Metrics records go to a sink callable and carry the number of
-Cholesky factorizations the run needed the jitter retry for; a non-finite
-loss aborts with a diagnostic record and never returns a corrupted coreset.
+Cholesky factorizations the run needed the jitter retry for and a lower
+bound on the condition number of the step's factored Gram system; a
+non-finite loss aborts with a diagnostic record and never returns a
+corrupted coreset.
 """
 
 import time
@@ -170,6 +172,7 @@ def train(config, dataset, sink=None):
                   "kl": breakdown.kl_term,
                   "lr": lr,
                   "jitter_retries": nd.jitter_retries - retries_before,
+                  "cond_lb": breakdown.cond_lb,
                   "ms": (time.perf_counter() - started) * 1e3})
 
     return coreset.with_arrays(images, labels)

@@ -103,7 +103,7 @@ def test_train_writes_outputs(tmp_path):
     records = [json.loads(line) for line in lines]
     assert [r["step"] for r in records] == [0, 2, 4, 5]
     assert set(records[0]) == {"step", "loss", "lik", "kl", "lr",
-                               "jitter_retries", "ms"}
+                               "jitter_retries", "cond_lb", "ms"}
     assert (out / "coreset.vbpc").exists()
     resolved = parse_config(out / "resolved-config.txt")
     assert resolved.beta_s == 4.0  # ipc * k

@@ -210,21 +210,32 @@ def test_loss_path_avoids_hxh_buffers():
 
 
 def test_step_shares_one_factorization(monkeypatch):
-    # one Cholesky of A; cho_solve for the label solve, its adjoint and the
-    # log-det adjoint; triangular solves for the KL trace and the predictive
-    # variance, forward and adjoint each
+    # one Cholesky of the min(h, nhat) square Gram system; cho_solve for the
+    # label solve, its adjoint and the log-det adjoint; triangular solves for
+    # the KL trace and the predictive variance, forward and adjoint each.
+    # The same counts hold on the nhat side (nhat=4 < h=6) and on the h side
+    # (nhat=8 > h=6); one test id covers both.
     counts = {"cholesky": 0, "cho_solve": 0, "solve_triangular": 0}
+    factored = []
     for name in counts:
         real = getattr(scipy.linalg, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             counts[_name] += 1
+            if _name == "cholesky":
+                factored.append(args[0].shape)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, name, counted)
-    rng = np.random.default_rng(14)
-    coreset, net, batch, hyper = make_instance(rng, beta_d=0.5)
-    tape = nd.Tape()
-    loss, _ = outer_loss(coreset, net, batch, 8, hyper, tape)
-    coreset_grad(loss, tape)
-    assert counts == {"cholesky": 1, "cho_solve": 3, "solve_triangular": 4}
+    for nhat, h in ((4, 6), (8, 6)):
+        counts.update(dict.fromkeys(counts, 0))
+        factored.clear()
+        rng = np.random.default_rng(14)
+        coreset, net, batch, hyper = make_instance(rng, nhat=nhat, h=h,
+                                                   beta_d=0.5)
+        tape = nd.Tape()
+        loss, _ = outer_loss(coreset, net, batch, 8, hyper, tape)
+        coreset_grad(loss, tape)
+        assert counts == {"cholesky": 1, "cho_solve": 3,
+                          "solve_triangular": 4}, (nhat, h)
+        assert factored == [(min(h, nhat), min(h, nhat))], (nhat, h)

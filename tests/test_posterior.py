@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from vbpc import ndiff as nd
+from vbpc import network, objective, posterior
+from vbpc.data import PseudoCoreset
 from vbpc.posterior import (Hyperparams, CoresetPosterior, solve_posterior,
                             dense_variance, logdet_v, trace_v, kl_to_prior,
                             fixed_point_residual)
+from vbpc.predictive import predictive_moments
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def test_fixed_point_satisfied_by_solution():
 def test_fixed_point_detects_perturbation():
     phi, y, hyper = canonical_instance()
     p = solve_posterior(phi, y, hyper)
-    bad = CoresetPosterior(p.phi, p.labels, p.system,
+    bad = CoresetPosterior(p.phi, p.labels, p.gram, p.system,
                            nd.Array(p.means.data + 0.1), p.hyper, None)
     assert fixed_point_residual(bad) >= 0.01
 
@@ -206,6 +209,88 @@ def test_fixed_point_zero_for_prior():
     hyper = Hyperparams(rho=1.5, gamma=2.0, beta_s=3.0)
     p = solve_posterior(np.zeros((2, 4)), np.zeros((2, 3)), hyper)
     assert fixed_point_residual(p) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# both sides: the nhat x nhat and the h x h Gram system
+# ---------------------------------------------------------------------------
+
+def both_sides(phi, y, hyper, tape=None):
+    """The same instance solved through each side, nhat side first."""
+    return [posterior._solve(phi, y, hyper, tape, weight_space=side)
+            for side in (False, True)]
+
+
+@pytest.mark.parametrize("h", [5, 6, 7])
+def test_side_selected_by_shape(h):
+    rng = np.random.default_rng(h)
+    nhat = 6
+    p = solve_posterior(rng.standard_normal((nhat, h)),
+                        rng.standard_normal((nhat, 2)),
+                        Hyperparams(rho=1.0, gamma=3.0, beta_s=2.0))
+    assert p.weight_space == (h < nhat)
+    assert p.system.shape == (min(h, nhat),) * 2
+    assert (p.gram is p.phi) == (h >= nhat)
+
+
+@pytest.mark.parametrize("nhat,h", [(3, 8), (8, 3), (6, 6), (16, 5), (5, 40)])
+def test_both_sides_match_dense_oracle(nhat, h):
+    rng = np.random.default_rng(100 * nhat + h)
+    for _ in range(4):
+        _, _, hyper = random_instance(rng)
+        phi = rng.standard_normal((nhat, h))
+        y = rng.standard_normal((nhat, 3))
+        phi_test = rng.standard_normal((7, h))
+        v = oracle_variance(phi, hyper)
+        m = oracle_mean(phi, y, hyper)
+        kl = oracle_kl(phi, y, hyper)
+        _, ld = np.linalg.slogdet(v)
+        sigma = np.einsum("ij,jk,ik->i", phi_test, v, phi_test)
+        for side, p in zip((False, True), both_sides(phi, y, hyper)):
+            assert p.weight_space == side
+            assert p.system.shape == ((h, h) if side else (nhat, nhat))
+            assert np.abs(p.means.data - m).max() / np.abs(m).max() <= 1e-10
+            assert np.abs(dense_variance(p).data - v).max() / np.abs(v).max() <= 1e-10
+            assert abs(logdet_v(p).item() - ld) / abs(ld) <= 1e-10
+            assert abs(trace_v(p).item() - np.trace(v)) / np.trace(v) <= 1e-10
+            assert abs(kl_to_prior(p).item() - kl) / max(abs(kl), 1e-8) <= 1e-8
+            var = predictive_moments(p, phi_test).variance.data[:, 0]
+            assert np.abs(var - sigma).max() / np.abs(sigma).max() <= 1e-10
+            assert fixed_point_residual(p) <= 1e-8
+
+
+@pytest.mark.parametrize("nhat,h", [(4, 6), (8, 6)])
+def test_both_sides_give_the_same_coreset_gradients(monkeypatch, nhat, h):
+    rng = np.random.default_rng(nhat * h)
+    d, k, batch = 3, 3, 8
+    hyper = Hyperparams(rho=1.0, gamma=100.0, beta_s=float(nhat), beta_d=0.5)
+    net = network.init_net((d, h), k, seed=7)
+    coreset = PseudoCoreset(images=rng.standard_normal((nhat, d)),
+                            labels=rng.standard_normal((nhat, k)),
+                            ipc=1, hyper=hyper)
+    data = (rng.standard_normal((batch, d)), np.eye(k)[rng.integers(0, k, batch)])
+    results = []
+    for side in (False, True):
+        monkeypatch.setattr(
+            objective, "solve_posterior",
+            lambda phi, labels, hyper, tape=None, side=side:
+                posterior._solve(phi, labels, hyper, tape, weight_space=side))
+        tape = nd.Tape()
+        loss, _ = objective.outer_loss(coreset, net, data, 40, hyper, tape)
+        results.append((loss.item(), *objective.coreset_grad(loss, tape)))
+    (loss_n, gx_n, gy_n), (loss_h, gx_h, gy_h) = results
+    assert abs(loss_h - loss_n) <= 1e-12 * abs(loss_n)
+    assert np.abs(gx_h - gx_n).max() <= 1e-10 * np.abs(gx_n).max()
+    assert np.abs(gy_h - gy_n).max() <= 1e-10 * np.abs(gy_n).max()
+
+
+def test_condition_lower_bound_on_both_sides():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        phi, y, hyper = random_instance(rng, h_range=(2, 24))
+        for p in both_sides(phi, y, hyper):
+            bound = posterior.condition_lower_bound(p)
+            assert 1.0 <= bound <= np.linalg.cond(p.system.data) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

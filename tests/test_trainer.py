@@ -153,8 +153,10 @@ def test_metrics_deterministic_across_runs():
     a, b = run(), run()
     assert len(a) == len(b) == 10
     for ra, rb in zip(a, b):
-        for key in ("step", "loss", "lik", "kl", "lr", "jitter_retries"):
+        for key in ("step", "loss", "lik", "kl", "lr", "jitter_retries",
+                    "cond_lb"):
             assert ra[key] == rb[key]
+        assert ra["cond_lb"] >= 1.0
         assert "ms" in ra
     assert a[-1]["jitter_retries"] == 0
 
