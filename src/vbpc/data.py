@@ -247,8 +247,7 @@ def load_coreset(path):
     images = np.frombuffer(blob, dtype="<f8", count=nhat * d, offset=56)
     labels = np.frombuffer(blob, dtype="<f8", count=nhat * k,
                            offset=56 + 8 * nhat * d)
-    hyper = Hyperparams(rho=rho, gamma=gamma, beta_s=beta_s, beta_d=beta_d,
-                        k=k)
+    hyper = Hyperparams(rho=rho, gamma=gamma, beta_s=beta_s, beta_d=beta_d)
     return PseudoCoreset(images=images.reshape(nhat, d).copy(),
                          labels=labels.reshape(nhat, k).copy(),
                          ipc=ipc, hyper=hyper)

@@ -6,10 +6,12 @@ suite in the tests certifies every downstream gradient. Arrays are immutable
 once built; a Tape records primitive applications and `backward` replays the
 adjoints in reverse topological order.
 
-A module-level allocation tracker counts live float64 elements owned by this
-layer (array buffers, gradient buffers, cached Cholesky factors). It is the
+An allocation window (`track_allocations`) counts the float64 elements this
+layer allocates while it is open (array buffers, gradient buffers, cached
+Cholesky factors): live count, peak and largest single block. It is the
 evidence used by the memory benchmarks and the "never materialize an h x h
-buffer" assertions.
+buffer" assertions. With no window open, nothing is counted and buffers
+carry no bookkeeping.
 """
 
 import math
@@ -46,59 +48,52 @@ class NonFiniteError(NdiffError):
 # allocation tracking
 # ---------------------------------------------------------------------------
 
-class AllocationTracker:
-    """Counts live float64 elements owned by the array layer.
+class AllocationWindow:
+    """Float64 elements this layer allocates while the window is open.
 
-    ``live`` is the current element count. Windows opened via
-    :func:`track_allocations` record the high-water mark and the largest
-    single allocation over a limited scope.
+    A window counts the buffers born inside it: array buffers, gradient
+    buffers and cached Cholesky factors. ``live`` is how many of those
+    elements are still alive, ``peak`` its high-water mark and
+    ``largest_block`` the largest single buffer. A buffer born before the
+    window opened is not counted, even when it is freed inside. ``base`` is
+    always 0, so ``peak - base`` is the window's own peak.
     """
 
     def __init__(self):
+        self.base = 0
         self.live = 0
-        self._windows = []
-
-    def add(self, n):
-        self.live += n
-        for w in self._windows:
-            w._observe(self.live, n)
-
-    def remove(self, n):
-        self.live -= n
-
-
-class AllocationWindow:
-    """Peak and largest single block observed while the window is open."""
-
-    def __init__(self, base):
-        self.base = base
-        self.peak = base
+        self.peak = 0
         self.largest_block = 0
 
-    def _observe(self, live, block):
-        if live > self.peak:
-            self.peak = live
+    def _add(self, block):
+        self.live += block
+        if self.live > self.peak:
+            self.peak = self.live
         if block > self.largest_block:
             self.largest_block = block
 
+    def _remove(self, block):
+        self.live -= block
 
-tracker = AllocationTracker()
+
+# Windows currently open; with none open a new buffer costs nothing here.
+_open_windows = []
 
 
 @contextmanager
 def track_allocations():
-    window = AllocationWindow(tracker.live)
-    tracker._windows.append(window)
+    window = AllocationWindow()
+    _open_windows.append(window)
     try:
         yield window
     finally:
-        tracker._windows.remove(window)
+        _open_windows.remove(window)
 
 
 def _register_buffer(arr):
-    tracker.add(arr.size)
-    weakref.finalize(arr, tracker.remove, arr.size)
-    return arr
+    for window in _open_windows:
+        window._add(arr.size)
+        weakref.finalize(arr, window._remove, arr.size)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +114,7 @@ def _as_owned_matrix(values):
 class Array:
     """Immutable 2-d float64 matrix, optionally attached to a tape node."""
 
-    __slots__ = ("data", "_node", "_chol", "__weakref__")
+    __slots__ = ("data", "_node", "_chol")
 
     def __init__(self, values):
         data = _as_owned_matrix(values)
@@ -173,14 +168,13 @@ _tape_tokens = iter(range(1, 1 << 62))
 
 
 class _Record:
-    __slots__ = ("op", "out_id", "in_ids", "saved", "params")
+    __slots__ = ("op", "out_id", "in_ids", "saved")
 
-    def __init__(self, op, out_id, in_ids, saved, params):
+    def __init__(self, op, out_id, in_ids, saved):
         self.op = op
         self.out_id = out_id
         self.in_ids = in_ids
         self.saved = saved
-        self.params = params
 
 
 class Tape:
@@ -483,8 +477,7 @@ def apply(op, operands, tape=None, **params):
         in_ids = tuple(tape.node_id(o) for o in operands)
         out_id = tape._new_id()
         out._node = (tape.token, out_id)
-        public = {k: v for k, v in params.items() if not k.startswith("_")}
-        tape.records.append(_Record(op, out_id, in_ids, saved, public))
+        tape.records.append(_Record(op, out_id, in_ids, saved))
     return out
 
 

@@ -5,6 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -13,9 +17,6 @@ class AdamState:
     m: list
     v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params):
@@ -30,16 +31,16 @@ def adam_step(state, params, grads, lr):
         raise ValueError("parameter/gradient/state block counts differ")
     t = state.t + 1
     new_m, new_v, new_p = [], [], []
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        step = lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        step = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         new_m.append(m)
         new_v.append(v)
         new_p.append(p - step)
-    return AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps), new_p
+    return AdamState(new_m, new_v, t), new_p
 
 
 def cosine_lr(step, total, base):

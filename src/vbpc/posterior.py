@@ -27,7 +27,7 @@ the coreset trainable by direct differentiation through the closed form.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,15 +42,14 @@ class Hyperparams:
     gamma   Gaussian-likelihood precision (> 0)
     beta_s  coreset KL temperature (> 0); conventionally nhat
     beta_d  dataset KL temperature (>= 0)
-    h, k    problem dimensions, filled in by `resolved`
+
+    The problem dimensions h and k come from the features and labels.
     """
 
     rho: float
     gamma: float
     beta_s: float
     beta_d: float = 0.0
-    h: int | None = None
-    k: int | None = None
 
     def __post_init__(self):
         if not (self.rho > 0 and self.gamma > 0 and self.beta_s > 0):
@@ -67,9 +66,6 @@ class Hyperparams:
     def variance_scale(self):
         """gamma / (rho^2 * beta_s), the coefficient of Phi^T A^{-1} Phi in V*."""
         return self.gamma / (self.rho ** 2 * self.beta_s)
-
-    def resolved(self, h, k):
-        return replace(self, h=h, k=k)
 
 
 class CoresetPosterior:
@@ -115,11 +111,9 @@ def _solve(phi, labels, hyper, tape, weight_space):
     one instance through both sides."""
     phi = nd.constant(phi)
     labels = nd.constant(labels)
-    nhat, h = phi.shape
+    nhat = phi.shape[0]
     if labels.shape[0] != nhat:
         raise nd.ShapeError(f"labels rows {labels.shape[0]} != features rows {nhat}")
-    k = labels.shape[1]
-    hyper = hyper.resolved(h, k)
     c = hyper.kernel_scale
 
     phi_t = nd.transpose(phi, tape)
@@ -142,14 +136,15 @@ def dense_variance(p, allow_large=False):
     it cannot sneak into training paths at scale.
     """
     hyper = p.hyper
-    if hyper.h > 4096 and not allow_large:
-        raise ValueError(f"dense_variance guard: h={hyper.h} > 4096")
+    h = p.phi.shape[1]
+    if h > 4096 and not allow_large:
+        raise ValueError(f"dense_variance guard: h={h} > 4096")
     if p.weight_space:
-        return nd.scale(nd.cholesky_solve_spd(p.system, nd.eye(hyper.h)),
+        return nd.scale(nd.cholesky_solve_spd(p.system, nd.eye(h)),
                         1.0 / hyper.rho)
     solved = nd.cholesky_solve_spd(p.system, p.phi)
     outer = nd.matmul(nd.transpose(p.phi), solved)
-    return nd.sub(nd.scale(nd.eye(hyper.h), 1.0 / hyper.rho),
+    return nd.sub(nd.scale(nd.eye(h), 1.0 / hyper.rho),
                   nd.scale(outer, hyper.variance_scale))
 
 
@@ -159,7 +154,7 @@ def logdet_v(p):
     hyper = p.hyper
     tape = p.tape
     logdet_s = nd.logdet_spd(p.system, tape)
-    const = nd.constant([[-hyper.h * math.log(hyper.rho)]])
+    const = nd.constant([[-p.phi.shape[1] * math.log(hyper.rho)]])
     return nd.sub(const, logdet_s, tape)
 
 
@@ -174,7 +169,7 @@ def trace_v(p):
     hyper = p.hyper
     tape = p.tape
     t = _trace_sinv_gram(p)
-    return nd.sub(nd.constant([[hyper.h / hyper.rho]]),
+    return nd.sub(nd.constant([[p.phi.shape[1] / hyper.rho]]),
                   nd.scale(t, hyper.variance_scale, tape), tape)
 
 
@@ -192,7 +187,7 @@ def kl_to_prior(p):
     """
     hyper = p.hyper
     tape = p.tape
-    k = hyper.k
+    k = p.labels.shape[1]
     logdet_s = nd.logdet_spd(p.system, tape)
     t = _trace_sinv_gram(p)
     msq = nd.sum(nd.hadamard(p.means, p.means, tape), tape=tape)

@@ -50,9 +50,9 @@ def predictive_moments(p, phi_batch):
     hyper = p.hyper
     tape = p.tape
     phi_batch = nd.constant(phi_batch)
-    if phi_batch.shape[1] != hyper.h:
+    if phi_batch.shape[1] != p.phi.shape[1]:
         raise nd.ShapeError(
-            f"feature dim {phi_batch.shape[1]} != posterior dim {hyper.h}")
+            f"feature dim {phi_batch.shape[1]} != posterior dim {p.phi.shape[1]}")
     mean = nd.matmul(phi_batch, p.means, tape)
 
     phi_batch_t = nd.transpose(phi_batch, tape)                         # h x n

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from vbpc import ndiff as nd
+from vbpc import ndiff as nd, network
+from vbpc.data import PseudoCoreset
+from vbpc.objective import coreset_grad, outer_loss
+from vbpc.posterior import Hyperparams
 
 
 def fd_gradient(fn, values, eps=1e-5):
@@ -381,14 +384,13 @@ def test_tape_replay_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_tracker_counts_live_and_peak():
-    base = nd.tracker.live
     with nd.track_allocations() as window:
         a = nd.zeros((10, 10))
         b = nd.matmul(a, a)
-        assert nd.tracker.live >= base + 200
+        assert window.live >= 200
         assert window.largest_block >= 100
         del a, b
-    assert nd.tracker.live <= base + 8  # cached/incidental slack only
+    assert window.live <= 8  # cached/incidental slack only
 
 
 def test_tracker_window_scopes_peak():
@@ -398,3 +400,41 @@ def test_tracker_window_scopes_peak():
             nd.zeros((20, 20))
         assert inner.largest_block == 400
     assert outer.largest_block == 400
+
+
+def test_window_counts_only_buffers_born_inside():
+    before = nd.zeros((100, 100))
+    with nd.track_allocations() as window:
+        del before
+        nd.zeros((5, 5))
+    assert window.peak - window.base == 25
+
+
+def test_no_open_window_attaches_no_finalizer(monkeypatch):
+    attached = []
+    real_finalize = nd.weakref.finalize
+
+    def counting_finalize(*args, **kwargs):
+        attached.append(args[0])
+        return real_finalize(*args, **kwargs)
+
+    monkeypatch.setattr(nd.weakref, "finalize", counting_finalize)
+    rng = np.random.default_rng(0)
+    hyper = Hyperparams(rho=1.0, gamma=10.0, beta_s=4.0, beta_d=1e-3)
+    coreset = PseudoCoreset(images=rng.standard_normal((4, 3)),
+                            labels=rng.standard_normal((4, 2)),
+                            ipc=2, hyper=hyper)
+    net = network.init_net((3, 5), 2, seed=1)
+    batch = (rng.standard_normal((6, 3)), np.eye(2)[rng.integers(0, 2, 6)])
+
+    def step():
+        tape = nd.Tape()
+        loss, _ = outer_loss(coreset, net, batch, 12, hyper, tape)
+        coreset_grad(loss, tape)
+        network.gaussian_step(net, coreset.images, coreset.labels, hyper.gamma, 1e-3)
+
+    step()
+    assert attached == []
+    with nd.track_allocations():
+        step()
+    assert attached  # the same step inside a window is counted

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vbpc import ndiff as nd
+from vbpc import ndiff as nd, optim
 from vbpc.network import (init_net, features, features_graph, gaussian_step,
                           gaussian_likelihood_loss, pool_new, pool_sample,
                           pool_update)
@@ -117,7 +117,7 @@ def test_gaussian_step_scalar_hand_case():
     net = net.replace_params([np.zeros((1, 1))])
     stepped, state = gaussian_step(net, np.array([[1.0]]), np.array([[1.0]]),
                                    gamma=1.0, lr=0.1)
-    np.testing.assert_allclose(stepped.head, [[0.1 / (1.0 + state.eps)]],
+    np.testing.assert_allclose(stepped.head, [[0.1 / (1.0 + optim.EPS)]],
                                rtol=1e-15)
     np.testing.assert_allclose(state.m[0], [[-0.1]], rtol=1e-15)
 
