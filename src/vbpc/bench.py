@@ -1,9 +1,10 @@
 """Naive (dense h x h) vs efficient loss evaluation: time and tracked memory.
 
-The efficient mode runs the exact training-path loss (tape included) on a
-random instance. The naive mode materializes the shared covariance through
-the primal h x h inverse, takes its log-determinant and trace directly, and
-computes predictive variances through the dense matrix. Both paths flow
+The efficient mode calls `outer_loss`, the loss training differentiates
+(tape included), with the identity feature map on a random instance. The
+naive mode materializes the shared covariance through the primal h x h
+inverse, takes its log-determinant and trace directly, and computes
+predictive variances through the dense matrix. Both paths flow
 through the tracked array layer, so peak live float64 elements are
 comparable evidence.
 """
@@ -15,11 +16,14 @@ import numpy as np
 
 from . import ndiff as nd
 from . import network
-from .objective import _loss_graph
+from .data import PseudoCoreset
+from .objective import outer_loss
 from .posterior import Hyperparams
 from .predictive import probit_log_softmax
 
 NAIVE_H_LIMIT = 8192
+BATCH = 128
+N_TOTAL = 50 * BATCH
 
 
 def _instance(h, nhat, k, batch, seed):
@@ -33,15 +37,11 @@ def _instance(h, nhat, k, batch, seed):
 
 
 def efficient_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
-    """The training loss path: identity feature map over raw features."""
-    h = phi_hat.shape[1]
-    net = network.init_net((h,), y_b.shape[1], seed=0)
-    tape = nd.Tape()
-    images = tape.leaf(nd.Array(phi_hat), label="images")
-    lab = tape.leaf(nd.Array(labels), label="labels")
-    total, _, _, _ = _loss_graph(images, lab, net, nd.Array(phi_b), y_b,
-                                 n_total, hyper, tape)
-    return total.item()
+    """The training loss: outer_loss with the identity feature map."""
+    net = network.init_net((phi_hat.shape[1],), y_b.shape[1], seed=0)
+    coreset = PseudoCoreset(phi_hat, labels, ipc=0, hyper=hyper)
+    loss, _ = outer_loss(coreset, net, (phi_b, y_b), n_total, hyper, nd.Tape())
+    return loss.item()
 
 
 def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
@@ -73,7 +73,7 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
     return likelihood + hyper.beta_d * kl
 
 
-def run_bench(h, nhat, mode, reps=3, k=10, batch=128, seed=0, n_total=None):
+def run_bench(h, nhat, mode, reps=3, k=10, seed=0):
     """Time the loss evaluation and report tracked allocation peaks.
 
     Returns {"mode", "h", "nhat", "peak_f64", "largest_block",
@@ -86,15 +86,14 @@ def run_bench(h, nhat, mode, reps=3, k=10, batch=128, seed=0, n_total=None):
         raise ValueError(f"naive mode refuses h={h} > {NAIVE_H_LIMIT}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    phi_hat, labels, phi_b, y_b, hyper = _instance(h, nhat, k, batch, seed)
-    n_total = n_total if n_total is not None else 50 * batch
+    phi_hat, labels, phi_b, y_b, hyper = _instance(h, nhat, k, BATCH, seed)
     evaluate = efficient_loss if mode == "efficient" else naive_loss
 
-    loss = evaluate(phi_hat, labels, phi_b, y_b, n_total, hyper)  # warmup
+    loss = evaluate(phi_hat, labels, phi_b, y_b, N_TOTAL, hyper)  # warmup
     with nd.track_allocations() as window:
         started = time.perf_counter()
         for _ in range(reps):
-            evaluate(phi_hat, labels, phi_b, y_b, n_total, hyper)
+            evaluate(phi_hat, labels, phi_b, y_b, N_TOTAL, hyper)
         elapsed = time.perf_counter() - started
     return {"mode": mode,
             "h": h,

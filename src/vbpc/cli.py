@@ -7,7 +7,7 @@ use a compact spec grammar:
     synthetic:<blobs|moons|circles>:n=<N>,k=<K>,noise=<F>
     idx:<images>,<labels>[;test=<images>,<labels>]
 
-Exit codes: 0 success, 1 runtime abort (non-finite loss), 2 usage/config
+Exit codes: 0 success, 1 runtime abort (non-finite value), 2 usage/config
 errors.
 """
 
@@ -38,31 +38,23 @@ class ConfigError(Exception):
 # config files
 # ---------------------------------------------------------------------------
 
-_BOOL_KEYS = ("noise_aug", "learn_labels")
-_INT_KEYS = ("steps", "batch_size", "ipc", "pool_size", "pool_period",
-             "seed_data", "seed_pool", "seed_noise", "seed_init",
-             "log_interval")
-_FLOAT_KEYS = ("rho", "gamma", "beta_s", "beta_d", "coreset_lr", "pool_lr",
-               "noise_sigma")
-_STR_KEYS = ("init",)
-_ALL_KEYS = _BOOL_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + ("hidden",)
+def _parse_bool(raw):
+    if raw not in ("true", "false"):
+        raise ValueError("expected true/false")
+    return raw == "true"
 
 
-def _parse_value(key, raw):
-    try:
-        if key in _BOOL_KEYS:
-            if raw not in ("true", "false"):
-                raise ValueError("expected true/false")
-            return raw == "true"
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "hidden":
-            return tuple(int(w) for w in raw.split(",") if w)
-        return raw
-    except ValueError as err:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({err})") from err
+def _hidden_widths(raw):
+    return tuple(int(w) for w in raw.split(",") if w)
+
+
+_PARSERS = {bool: _parse_bool, int: int, float: float, float | None: float,
+            str: str, tuple: _hidden_widths}
+# TrainConfig fields whose config key differs from the field name
+_KEY_OF_FIELD = {"init_mode": "init"}
+# config key -> (TrainConfig field name, value parser)
+_SCHEMA = {_KEY_OF_FIELD.get(f.name, f.name): (f.name, _PARSERS[f.type])
+           for f in dataclasses.fields(TrainConfig)}
 
 
 def parse_config(path):
@@ -80,11 +72,14 @@ def parse_config(path):
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; valid "
-                              f"keys: {', '.join(sorted(_ALL_KEYS))}")
-        field = "init_mode" if key == "init" else key
-        overrides[field] = _parse_value(key, raw)
+                              f"keys: {', '.join(sorted(_SCHEMA))}")
+        name, parse = _SCHEMA[key]
+        try:
+            overrides[name] = parse(raw)
+        except ValueError as err:
+            raise ConfigError(f"bad value for {key!r}: {raw!r} ({err})") from err
     try:
         return TrainConfig(**overrides)
     except ValueError as err:
@@ -92,18 +87,20 @@ def parse_config(path):
 
 
 def write_config(config, path):
-    """Write every field explicitly, in the parseable key = value format."""
+    """Write every set field in the parseable key = value format; an unset
+    field (None) is omitted, so it reads back as unset."""
     with open(path, "w") as fh:
-        for field in dataclasses.fields(config):
-            value = getattr(config, field.name)
-            key = "init" if field.name == "init_mode" else field.name
-            if key == "hidden":
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if value is None:
+                continue
+            if isinstance(value, tuple):
                 value = ",".join(str(w) for w in value)
             elif isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, float):
                 value = repr(value)
-            fh.write(f"{key} = {value}\n")
+            fh.write(f"{_KEY_OF_FIELD.get(f.name, f.name)} = {value}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +262,6 @@ def cmd_export_images(args):
 # ---------------------------------------------------------------------------
 # argument surface
 # ---------------------------------------------------------------------------
-
-def _hidden_widths(raw):
-    return tuple(int(w) for w in raw.split(",") if w)
-
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="vbpc")

@@ -8,7 +8,7 @@ reborn from a deterministic seed stream, so the coreset never overfits one
 feature map.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,10 +83,11 @@ def features_graph(net, x, tape, param_arrays=None):
 
 
 def gaussian_likelihood_loss(net, images, labels, gamma, tape, param_arrays):
-    """(gamma/2) ||Y - features(X) @ W||_F^2 on the tape."""
+    """(gamma/2) ||Y - features(X) @ W||_F^2 on the tape, over the leaves
+    `param_arrays` that stand for net.params."""
     phi = features_graph(net, nd.constant(images), tape, param_arrays)
-    head = param_arrays[-1] if param_arrays is not None else nd.constant(net.head)
-    resid = nd.sub(nd.constant(labels), nd.matmul(phi, head, tape), tape)
+    resid = nd.sub(nd.constant(labels), nd.matmul(phi, param_arrays[-1], tape),
+                   tape)
     return nd.scale(nd.sum(nd.hadamard(resid, resid, tape), tape=tape),
                     gamma / 2.0, tape)
 
@@ -124,14 +125,8 @@ class ModelPool:
     widths: tuple
     k: int
     seed: int
-    generations: list = field(default_factory=list)
-    opt_states: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.generations:
-            self.generations = [0] * len(self.nets)
-        if not self.opt_states:
-            self.opt_states = [None] * len(self.nets)
+    generations: list
+    opt_states: list
 
 
 def _slot_seed(seed, slot, generation):
@@ -144,7 +139,8 @@ def pool_new(p, widths, k, seed, period):
         raise ValueError("pool size must be >= 1")
     nets = [init_net(widths, k, _slot_seed(seed, i, 0)) for i in range(p)]
     return ModelPool(nets=nets, counters=[0] * p, period=period,
-                     widths=tuple(widths), k=k, seed=seed)
+                     widths=tuple(widths), k=k, seed=seed,
+                     generations=[0] * p, opt_states=[None] * p)
 
 
 def pool_sample(pool, rng):

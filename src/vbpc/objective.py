@@ -15,6 +15,7 @@ import numpy as np
 
 from . import ndiff as nd
 from . import network
+from .data import PseudoCoreset
 from .posterior import condition_lower_bound, solve_posterior, kl_to_prior
 from .predictive import predictive_moments, probit_log_softmax
 
@@ -29,39 +30,31 @@ class OuterLossBreakdown:
     cond_lb: float        # lower bound on cond of the factored Gram system
 
 
-def _loss_graph(images, labels, net, batch_phi, batch_onehot, n_total, hyper,
-                tape):
-    """Core assembly shared by the taped loss and the FD oracle; returns the
-    total, likelihood and KL nodes and the solved posterior."""
-    phi = network.features_graph(net, images, tape)
-    post = solve_posterior(phi, labels, hyper, tape=tape)
-    batch = predictive_moments(post, batch_phi)
-    log_probs = probit_log_softmax(batch.mean, batch.variance, tape=tape)
-    picked = nd.sum(nd.hadamard(nd.constant(batch_onehot), log_probs, tape),
-                    tape=tape)
-    batch_size = batch_onehot.shape[0]
-    likelihood = nd.scale(picked, -float(n_total) / batch_size, tape)
-    kl_term = nd.scale(kl_to_prior(post), hyper.beta_d, tape)
-    total = nd.add(likelihood, kl_term, tape)
-    return total, likelihood, kl_term, post
-
-
 def outer_loss(coreset, net, batch, n_total, hyper, tape):
     """Build the stochastic outer loss on `tape`.
 
     coreset supplies images (nhat x d) and labels (nhat x k); batch is
     (X_b, Y_b) with one-hot Y_b. Registers the coreset leaves under the
-    labels "images" / "labels" and returns (loss node, breakdown).
+    labels "images" / "labels" and returns (loss node, breakdown). With
+    tape=None the coreset enters as constants and nothing is recorded.
     """
     x_b, y_b = batch
     if y_b.shape[0] == 0:
         raise ValueError("empty batch")
-    images = tape.leaf(nd.Array(coreset.images), label="images")
-    labels = tape.leaf(nd.Array(coreset.labels), label="labels")
+    images = nd.Array(coreset.images)
+    labels = nd.Array(coreset.labels)
+    if tape is not None:
+        tape.leaf(images, label="images")
+        tape.leaf(labels, label="labels")
     batch_phi = nd.Array(network.features(net, x_b))
-    total, likelihood, kl_term, post = _loss_graph(
-        images, labels, net, batch_phi, np.asarray(y_b, dtype=np.float64),
-        n_total, hyper, tape)
+    phi = network.features_graph(net, images, tape)
+    post = solve_posterior(phi, labels, hyper, tape=tape)
+    moments = predictive_moments(post, batch_phi)
+    log_probs = probit_log_softmax(moments.mean, moments.variance, tape=tape)
+    picked = nd.sum(nd.hadamard(nd.constant(y_b), log_probs, tape), tape=tape)
+    likelihood = nd.scale(picked, -float(n_total) / y_b.shape[0], tape)
+    kl_term = nd.scale(kl_to_prior(post), hyper.beta_d, tape)
+    total = nd.add(likelihood, kl_term, tape)
     return total, OuterLossBreakdown(total.item(), likelihood.item(),
                                      kl_term.item(), condition_lower_bound(post))
 
@@ -75,13 +68,8 @@ def coreset_grad(loss, tape):
 
 def loss_value(images, labels, net, batch, n_total, hyper):
     """Un-taped forward evaluation of the same loss (used by the oracle)."""
-    x_b, y_b = batch
-    batch_phi = nd.Array(network.features(net, x_b))
-    total, _, _, _ = _loss_graph(nd.constant(images), nd.constant(labels),
-                                 net, batch_phi,
-                                 np.asarray(y_b, dtype=np.float64),
-                                 n_total, hyper, None)
-    return total.item()
+    coreset = PseudoCoreset(images, labels, ipc=0, hyper=hyper)
+    return outer_loss(coreset, net, batch, n_total, hyper, None)[0].item()
 
 
 def fd_grad_oracle(coreset, net, batch, n_total, hyper, eps=1e-5):

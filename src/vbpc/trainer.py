@@ -8,12 +8,13 @@ schedule, and then gives the sampled pool slot one Gaussian-likelihood
 update. Metrics records go to a sink callable and carry the number of
 Cholesky factorizations the run needed the jitter retry for and a lower
 bound on the condition number of the step's factored Gram system; a
-non-finite loss aborts with a diagnostic record and never returns a
-corrupted coreset.
+non-finite value anywhere in a step aborts with a diagnostic record and
+never returns a corrupted coreset.
 """
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .predictive import metrics, predictive_moments, probit_log_softmax
 
 
 class TrainAbort(Exception):
-    """Raised when a step produces a non-finite loss or gradient."""
+    """Raised when a step produces a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,20 @@ class TrainConfig:
     log_interval: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.steps < 1 or self.batch_size < 1 or self.ipc < 1:
             raise ValueError("steps, batch_size and ipc must be >= 1")
-        if self.rho <= 0 or self.gamma <= 0:
-            raise ValueError("rho and gamma must be > 0")
-        if self.beta_s is not None and self.beta_s <= 0:
-            raise ValueError("beta_s must be > 0 (or omitted for nhat)")
-        if self.beta_d < 0:
-            raise ValueError("beta_d must be >= 0")
+        if self.log_interval < 1:
+            raise ValueError("log_interval must be >= 1")
+        if any(w < 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        # an unset beta_s resolves to nhat later; 1.0 stands in for it here
+        Hyperparams(rho=self.rho, gamma=self.gamma,
+                    beta_s=1.0 if self.beta_s is None else self.beta_s,
+                    beta_d=self.beta_d)
         # coreset_lr = 0 is allowed as the do-nothing step used in tests
         if self.coreset_lr < 0 or self.pool_lr <= 0:
             raise ValueError("coreset lr must be >= 0, pool lr > 0")
@@ -155,15 +162,14 @@ def train(config, dataset, sink=None):
             loss, breakdown = outer_loss(coreset.with_arrays(loss_images, labels),
                                          net, batch, dataset.n, hyper, tape)
             grad_x, grad_y = coreset_grad(loss, tape)
+            state_x, (images,) = adam_step(state_x, [images], [grad_x], lr)
+            if config.learn_labels:
+                state_y, (labels,) = adam_step(state_y, [labels], [grad_y], lr)
+            pool_update(pool, idx, images, labels, hyper.gamma, config.pool_lr)
         except nd.NonFiniteError as err:
             emit({"step": step, "event": "abort", "error": str(err),
                   "jitter_retries": nd.jitter_retries - retries_before})
-            raise TrainAbort(f"non-finite loss at step {step}: {err}") from err
-
-        state_x, (images,) = adam_step(state_x, [images], [grad_x], lr)
-        if config.learn_labels:
-            state_y, (labels,) = adam_step(state_y, [labels], [grad_y], lr)
-        pool_update(pool, idx, images, labels, hyper.gamma, config.pool_lr)
+            raise TrainAbort(f"non-finite value at step {step}: {err}") from err
 
         if (step % config.log_interval == 0) or step == config.steps - 1:
             emit({"step": step,
@@ -178,21 +184,20 @@ def train(config, dataset, sink=None):
     return coreset.with_arrays(images, labels)
 
 
-def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500,
-                     seed=0, pool_lr=0.0003, net=None):
+def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     """Variational inference and single-pass model averaging with a coreset.
 
     Trains a fresh network on the coreset with the Gaussian likelihood for
-    `tprime` steps, solves the posterior, and predicts the test split with
-    one feature evaluation per input. Returns {"acc", "nll"}.
+    `tprime` steps at the default pool rate, solves the posterior, and
+    predicts the test split with one feature evaluation per input. Returns
+    {"acc", "nll"}.
     """
     hyper = coreset.hyper
-    if net is None:
-        net = init_net(widths, coreset.k, np.random.SeedSequence([seed, 0]))
+    net = init_net(widths, coreset.k, np.random.SeedSequence([seed, 0]))
     state = None
     for _ in range(tprime):
         net, state = gaussian_step(net, coreset.images, coreset.labels,
-                                   hyper.gamma, pool_lr, state=state)
+                                   hyper.gamma, TrainConfig.pool_lr, state=state)
     post = solve_posterior(features(net, coreset.images), coreset.labels, hyper)
     batch = predictive_moments(post, features(net, test_x))
     log_probs = probit_log_softmax(batch.mean, batch.variance)

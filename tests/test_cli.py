@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vbpc.cli import (ConfigError, main, parse_config, write_config,
                       load_data)
@@ -60,6 +61,56 @@ def test_config_values_parsed(tmp_path):
     config = parse_config(path)
     assert config.steps == 7 and config.hidden == (8, 4)
     assert config.learn_labels is False and config.gamma == 50.0
+
+
+def test_config_unset_beta_s_round_trips(tmp_path):
+    path = tmp_path / "out.cfg"
+    write_config(TrainConfig(), path)
+    assert "beta_s" not in path.read_text()
+    assert parse_config(path) == TrainConfig()
+
+
+_FUZZ = settings(max_examples=200, deadline=None, database=None)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_configs = st.builds(
+    TrainConfig,
+    steps=st.integers(1, 10**6), batch_size=st.integers(1, 4096),
+    ipc=st.integers(1, 100), hidden=st.lists(st.integers(1, 4096),
+                                             max_size=4).map(tuple),
+    rho=_positive, gamma=_positive, beta_s=st.none() | _positive,
+    beta_d=st.floats(0.0, 1.0), coreset_lr=st.floats(0.0, 1.0),
+    pool_lr=_positive, pool_size=st.integers(1, 50),
+    pool_period=st.integers(1, 1000), noise_sigma=st.floats(0.0, 10.0),
+    noise_aug=st.booleans(), learn_labels=st.booleans(),
+    init_mode=st.sampled_from(("sample", "uniform")),
+    seed_data=st.integers(0, 2**32), seed_pool=st.integers(0, 2**32),
+    seed_noise=st.integers(0, 2**32), seed_init=st.integers(0, 2**32),
+    log_interval=st.integers(1, 1000))
+
+
+@_FUZZ
+@given(config=_configs)
+def test_config_write_parse_inverse(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("cfg") / "c.cfg"
+    write_config(config, path)
+    assert parse_config(path) == config
+
+
+_keys = st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)]
+                        + ["init", "bogus"]) | st.text(max_size=8)
+_values = st.sampled_from(["0", "-1", "1e300", "nan", "inf", "true", "1,,2",
+                           "0,3", "uniform", ""]) | st.text(max_size=12)
+
+
+@_FUZZ
+@given(lines=st.lists(st.tuples(_keys, _values), max_size=6))
+def test_config_fuzz_raises_only_config_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("cfg") / "f.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+    try:
+        parse_config(path)
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +171,28 @@ def test_train_missing_config_exits_2(tmp_path, capsys):
                  "--data", MOONS, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "nope.cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["log_interval = 0", "hidden = 0", "rho = nan"])
+def test_train_bad_config_exits_2_before_output(tmp_path, capsys, bad):
+    cfg = write_cfg(tmp_path, TINY + bad + "\n")
+    out = tmp_path / "never"
+    assert main(["train", "--config", cfg, "--data", MOONS,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_train_non_finite_update_aborts_with_record(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY.replace("steps = 6", "steps = 3")
+                    + "coreset_lr = 1e300\n")
+    out = tmp_path / "blown"
+    assert main(["train", "--config", cfg, "--data", MOONS,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "train aborted" in err and "Traceback" not in err
+    lines = (out / "metrics.jsonl").read_text().splitlines()
+    assert json.loads(lines[-1])["event"] == "abort"
 
 
 def test_train_single_step_single_record(tmp_path):

@@ -244,16 +244,18 @@ def test_full_step_at_wide_features_avoids_hxh():
 # evaluation
 # ---------------------------------------------------------------------------
 
-def test_eval_uniform_for_zero_net():
+def test_eval_uniform_for_zero_net(monkeypatch):
+    import vbpc.trainer
     from vbpc.network import init_net
     ds = moons_dataset(n=200)
     coreset = init_coreset(ds, ipc=3, mode="sample", seed=0)
     net = init_net((2, 8), 2, seed=0)
     net = net.replace_params([np.zeros_like(p) for p in net.params])
+    monkeypatch.setattr(vbpc.trainer, "init_net", lambda *args: net)
     test = normalize_with(gen_synthetic("moons", n=100, k=2, noise=0.1, seed=9),
                           ds.mean, ds.std)
     out = evaluate_coreset(coreset, test.X, test.labels, widths=(2, 8),
-                           tprime=0, net=net)
+                           tprime=0)
     assert abs(out["nll"] - math.log(2.0)) <= 0.05
 
 
