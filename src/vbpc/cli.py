@@ -7,8 +7,8 @@ use a compact spec grammar:
     synthetic:<blobs|moons|circles>:n=<N>,k=<K>,noise=<F>
     idx:<images>,<labels>[;test=<images>,<labels>]
 
-Exit codes: 0 success, 1 runtime abort (non-finite value), 2 usage/config
-errors.
+Exit codes: 0 success, 1 runtime abort (non-finite value), 2 usage, config
+and input-file errors.
 """
 
 import argparse
@@ -61,11 +61,15 @@ def parse_config(path):
     """Read a config file into a TrainConfig; missing keys take defaults."""
     overrides = {}
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     for lineno, line in enumerate(lines, 1):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}:{lineno}: not UTF-8 text ({err})") from err
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

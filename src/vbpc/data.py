@@ -5,6 +5,7 @@ IDX loader ingests MNIST-format files. Coresets round-trip through a small
 versioned, checksummed little-endian binary format (magic "VBPC").
 """
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -121,34 +122,35 @@ def gen_synthetic(kind, n, k, noise, seed):
 # IDX ingestion
 # ---------------------------------------------------------------------------
 
-def _read_exact(fh, count, what):
-    data = fh.read(count)
-    if len(data) != count:
-        raise CoresetFileError(
-            f"truncated IDX {what}: expected {count} bytes, got {len(data)}")
-    return data
+def _read_idx(path, magic, ndim, what):
+    """Sizes and u8 payload of an IDX file with `ndim` sizes. The file is read
+    whole, so its header is checked against its length and never sizes a read."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    head = 4 + 4 * ndim
+    if len(blob) < head:
+        raise CoresetFileError(f"{path}: truncated IDX {what} header: expected "
+                               f"{head} bytes, got {len(blob)}")
+    found, *sizes = struct.unpack(f">{1 + ndim}i", blob[:head])
+    if found != magic:
+        raise CoresetFileError(f"{path}: bad {what} magic 0x{found:08x}, "
+                               f"expected 0x{magic:08x}")
+    count = math.prod(sizes)
+    if min(sizes) < 1 or len(blob) - head < count:
+        raise CoresetFileError(f"{path}: bad IDX {what} sizes {sizes}: expected "
+                               f"{count} bytes, got {len(blob) - head}")
+    return sizes, np.frombuffer(blob, dtype=np.uint8, count=count, offset=head)
 
 
 def load_idx(images_path, labels_path):
     """Parse big-endian IDX images (u8 pixels scaled to [0,1]) and labels."""
-    with open(images_path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, "image header"))
-        if magic != _IDX_IMAGES_MAGIC:
-            raise CoresetFileError(
-                f"bad images magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}")
-        raw = _read_exact(fh, n * rows * cols, "image payload")
-    X = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
-
-    with open(labels_path, "rb") as fh:
-        magic, n_labels = struct.unpack(">ii", _read_exact(fh, 8, "label header"))
-        if magic != _IDX_LABELS_MAGIC:
-            raise CoresetFileError(
-                f"bad labels magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}")
-        raw = _read_exact(fh, n_labels, "label payload")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (n, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3, "images")
+    (n_labels,), labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1, "labels")
     if n_labels != n:
-        raise CoresetFileError(f"count mismatch: {n} images vs {n_labels} labels")
-    return Dataset(X=X, labels=labels, k=int(labels.max()) + 1)
+        raise CoresetFileError(
+            f"{labels_path}: count mismatch: {n} images vs {n_labels} labels")
+    return Dataset(X=pixels.reshape(n, rows * cols) / 255.0,
+                   labels=labels.astype(np.int64), k=int(labels.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +230,33 @@ def save_coreset(coreset, path):
 
 
 def load_coreset(path):
+    """Read a coreset file; a malformed one raises CoresetFileError naming it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 + 20 + 32 + 4 or blob[:4] != MAGIC:
-        raise CoresetFileError("not a VBPC coreset file (bad magic or truncated)")
+        raise CoresetFileError(
+            f"{path}: not a VBPC coreset file (bad magic or truncated)")
     (crc,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(blob[:-4]) != crc:
-        raise CoresetFileError("checksum mismatch: file is corrupted")
+        raise CoresetFileError(f"{path}: checksum mismatch: file is corrupted")
     version, nhat, d, k, ipc = struct.unpack("<IIIII", blob[4:24])
     if version != FORMAT_VERSION:
-        raise CoresetFileError(
-            f"unsupported format version {version}, reader supports {FORMAT_VERSION}")
+        raise CoresetFileError(f"{path}: unsupported format version {version}, "
+                               f"reader supports {FORMAT_VERSION}")
     rho, gamma, beta_s, beta_d = struct.unpack("<dddd", blob[24:56])
     need = 56 + 8 * nhat * (d + k) + 4
-    if len(blob) != need:
-        raise CoresetFileError(f"payload size mismatch: expected {need} bytes, "
-                               f"got {len(blob)}")
+    if min(nhat, d, k) < 1 or len(blob) != need:
+        raise CoresetFileError(f"{path}: bad sizes nhat={nhat}, d={d}, k={k} for "
+                               f"{len(blob)} bytes (they need {need})")
     images = np.frombuffer(blob, dtype="<f8", count=nhat * d, offset=56)
     labels = np.frombuffer(blob, dtype="<f8", count=nhat * k,
                            offset=56 + 8 * nhat * d)
-    hyper = Hyperparams(rho=rho, gamma=gamma, beta_s=beta_s, beta_d=beta_d)
+    if not (np.isfinite(images).all() and np.isfinite(labels).all()):
+        raise CoresetFileError(f"{path}: non-finite value in images or labels")
+    try:
+        hyper = Hyperparams(rho=rho, gamma=gamma, beta_s=beta_s, beta_d=beta_d)
+    except ValueError as err:
+        raise CoresetFileError(f"{path}: bad hyperparameters: {err}") from err
     return PseudoCoreset(images=images.reshape(nhat, d).copy(),
                          labels=labels.reshape(nhat, k).copy(),
                          ipc=ipc, hyper=hyper)

@@ -6,6 +6,11 @@ suite in the tests certifies every downstream gradient. Arrays are immutable
 once built; a Tape records primitive applications and `backward` replays the
 adjoints in reverse topological order.
 
+Arrays carry their tape: a node refers weakly to it, and `apply` records on
+the tape of its operands, so only the code that registers leaves and runs
+`backward` names a tape. An op on constants alone records nothing, and a
+node whose tape was dropped acts as a constant.
+
 An allocation window (`track_allocations`) counts the float64 elements this
 layer allocates while it is open (array buffers, gradient buffers, cached
 Cholesky factors): live count, peak and largest single block. It is the
@@ -14,6 +19,7 @@ buffer" assertions. With no window open, nothing is counted and buffers
 carry no bookkeeping.
 """
 
+import itertools
 import math
 import weakref
 from contextlib import contextmanager
@@ -112,7 +118,11 @@ def _as_owned_matrix(values):
 
 
 class Array:
-    """Immutable 2-d float64 matrix, optionally attached to a tape node."""
+    """Immutable 2-d float64 matrix, optionally a node of a tape.
+
+    `_node` is None for a constant, else (weak reference to the tape, node
+    id on it).
+    """
 
     __slots__ = ("data", "_node", "_chol")
 
@@ -164,50 +174,36 @@ def eye(n):
     return Array._wrap(np.eye(n, dtype=np.float64))
 
 
-_tape_tokens = iter(range(1, 1 << 62))
-
-
-class _Record:
-    __slots__ = ("op", "out_id", "in_ids", "saved")
-
-    def __init__(self, op, out_id, in_ids, saved):
-        self.op = op
-        self.out_id = out_id
-        self.in_ids = in_ids
-        self.saved = saved
-
-
 class Tape:
-    """Ordered record of primitive applications on one logical thread."""
+    """Ordered record of primitive applications on one logical thread.
+
+    Each record is (op, output node id, input node ids with None for a
+    constant, what the forward saved for the adjoint).
+    """
 
     def __init__(self):
-        self.token = next(_tape_tokens)
         self.records = []
-        self._next_id = 0
+        self._ids = itertools.count()
         self._leaves = {}
         self._labels = {}
-
-    def _new_id(self):
-        i = self._next_id
-        self._next_id += 1
-        return i
+        self._ref = weakref.ref(self)   # shared by every node of this tape
 
     def leaf(self, array, label=None):
         """Register `array` as a differentiable leaf and return it."""
-        if array._node is not None and array._node[0] == self.token:
-            node_id = array._node[1]
-        else:
-            node_id = self._new_id()
-            array._node = (self.token, node_id)
+        node_id = self.node_id(array)
+        if node_id is None:
+            node_id = next(self._ids)
+            array._node = (self._ref, node_id)
         self._leaves[node_id] = array
         if label is not None:
             self._labels[label] = node_id
         return array
 
     def node_id(self, array):
-        if array._node is None or array._node[0] != self.token:
+        node = array._node
+        if node is None or node[0] is not self._ref:
             return None
-        return array._node[1]
+        return node[1]
 
     def leaf_id(self, label):
         return self._labels[label]
@@ -451,19 +447,24 @@ _REGISTRY = {
 }
 
 
-def apply(op, operands, tape=None, **params):
-    """Run one primitive, recording it on `tape` when given.
-
-    `operands` is a tuple of Arrays. Operands that are not nodes of `tape`
-    are treated as constants: no gradient is propagated into them.
+def apply(op, operands, **params):
+    """Run one primitive on a tuple of Arrays, recording it on the live tape
+    its operands are nodes of. The other operands are constants that get no
+    gradient; with no such tape the op records nothing and returns a
+    constant. Operands from two live tapes raise NdiffError.
     """
     if op not in _REGISTRY:
         raise NdiffError(f"unknown primitive {op!r}")
     fwd, _, arity = _REGISTRY[op]
-    if isinstance(operands, Array):
-        operands = (operands,)
     if len(operands) != arity:
         raise ShapeError(f"{op}: expected {arity} operands, got {len(operands)}")
+    tape = None
+    for o in operands:
+        owner = o._node[0]() if o._node is not None else None
+        if owner is not None and owner is not tape:
+            if tape is not None:
+                raise NdiffError(f"{op}: operands from two live tapes")
+            tape = owner
     datas = [o.data for o in operands]
     if op in ("cholesky_solve_spd", "logdet_spd", "inv_quad_spd"):
         params = dict(params)
@@ -475,9 +476,9 @@ def apply(op, operands, tape=None, **params):
     out = Array._wrap(out_data)
     if tape is not None:
         in_ids = tuple(tape.node_id(o) for o in operands)
-        out_id = tape._new_id()
-        out._node = (tape.token, out_id)
-        tape.records.append(_Record(op, out_id, in_ids, saved))
+        out_id = next(tape._ids)
+        out._node = (tape._ref, out_id)
+        tape.records.append((op, out_id, in_ids, saved))
     return out
 
 
@@ -493,16 +494,14 @@ def backward(tape, seed):
     if seed.shape != (1, 1):
         raise ShapeError("seed must be a 1x1 scalar")
     grads = {seed_id: Array._wrap(np.ones((1, 1)))}
-    for rec in reversed(tape.records):
-        g = grads.get(rec.out_id)
+    for op, out_id, in_ids, saved in reversed(tape.records):
+        g = grads.get(out_id)
         if g is None:
             continue
-        _, vjp, _ = _REGISTRY[rec.op]
-        needs = tuple(i is not None for i in rec.in_ids)
-        if not any(needs):
-            continue
-        parts = vjp(g.data, rec.saved, needs)
-        for in_id, part in zip(rec.in_ids, parts):
+        _, vjp, _ = _REGISTRY[op]
+        needs = tuple(i is not None for i in in_ids)
+        parts = vjp(g.data, saved, needs)
+        for in_id, part in zip(in_ids, parts):
             if in_id is None or part is None:
                 continue
             prev = grads.get(in_id)
@@ -519,54 +518,41 @@ def backward(tape, seed):
 
 # thin wrappers so call sites read like linear algebra
 
-def matmul(a, b, tape=None):
-    return apply("matmul", (a, b), tape)
+def matmul(a, b):
+    return apply("matmul", (a, b))
 
+def transpose(a):
+    return apply("transpose", (a,))
 
-def transpose(a, tape=None):
-    return apply("transpose", (a,), tape)
+def add(a, b):
+    return apply("add", (a, b))
 
+def sub(a, b):
+    return apply("sub", (a, b))
 
-def add(a, b, tape=None):
-    return apply("add", (a, b), tape)
+def scale(a, factor):
+    return apply("scale", (a,), factor=factor)
 
+def hadamard(a, b):
+    return apply("hadamard", (a, b))
 
-def sub(a, b, tape=None):
-    return apply("sub", (a, b), tape)
+def relu(a):
+    return apply("relu", (a,))
 
+def row_log_softmax(a):
+    return apply("row_log_softmax", (a,))
 
-def scale(a, factor, tape=None):
-    return apply("scale", (a,), tape, factor=factor)
+def rsqrt_shift(a, alpha):
+    return apply("rsqrt_shift", (a,), alpha=alpha)
 
+def cholesky_solve_spd(a, b):
+    return apply("cholesky_solve_spd", (a, b))
 
-def hadamard(a, b, tape=None):
-    return apply("hadamard", (a, b), tape)
+def logdet_spd(a):
+    return apply("logdet_spd", (a,))
 
+def inv_quad_spd(a, b):
+    return apply("inv_quad_spd", (a, b))
 
-def relu(a, tape=None):
-    return apply("relu", (a,), tape)
-
-
-def row_log_softmax(a, tape=None):
-    return apply("row_log_softmax", (a,), tape)
-
-
-def rsqrt_shift(a, alpha, tape=None):
-    return apply("rsqrt_shift", (a,), tape, alpha=alpha)
-
-
-def cholesky_solve_spd(a, b, tape=None):
-    return apply("cholesky_solve_spd", (a, b), tape)
-
-
-def logdet_spd(a, tape=None):
-    return apply("logdet_spd", (a,), tape)
-
-
-def inv_quad_spd(a, b, tape=None):
-    return apply("inv_quad_spd", (a, b), tape)
-
-
-def sum(a, axis=None, tape=None):  # noqa: A001 - mirrors np.sum naming
-    return apply("sum", (a,), tape, axis=axis)
-
+def sum(a, axis=None):  # noqa: A001 - mirrors np.sum naming
+    return apply("sum", (a,), axis=axis)

@@ -66,10 +66,10 @@ def features(net, x):
     return x
 
 
-def features_graph(net, x, tape, param_arrays=None):
-    """Taped forward pass. `x` is an Array (a leaf if the coreset is being
-    trained); param_arrays supplies leaf Arrays when the net itself is being
-    trained, otherwise parameters enter as constants."""
+def features_graph(net, x, param_arrays=None):
+    """Forward pass in tape primitives. `x` is an Array (a leaf if the
+    coreset is being trained); param_arrays supplies leaf Arrays when the
+    net itself is being trained, otherwise parameters enter as constants."""
     if param_arrays is None:
         ws = [nd.constant(w) for w in net.weights]
         bs = [nd.constant(b) for b in net.biases]
@@ -78,18 +78,16 @@ def features_graph(net, x, tape, param_arrays=None):
         ws, bs = param_arrays[:n], param_arrays[n:2 * n]
     out = x
     for w, b in zip(ws, bs):
-        out = nd.relu(nd.add(nd.matmul(out, w, tape), b, tape), tape)
+        out = nd.relu(nd.add(nd.matmul(out, w), b))
     return out
 
 
-def gaussian_likelihood_loss(net, images, labels, gamma, tape, param_arrays):
-    """(gamma/2) ||Y - features(X) @ W||_F^2 on the tape, over the leaves
-    `param_arrays` that stand for net.params."""
-    phi = features_graph(net, nd.constant(images), tape, param_arrays)
-    resid = nd.sub(nd.constant(labels), nd.matmul(phi, param_arrays[-1], tape),
-                   tape)
-    return nd.scale(nd.sum(nd.hadamard(resid, resid, tape), tape=tape),
-                    gamma / 2.0, tape)
+def gaussian_likelihood_loss(net, images, labels, gamma, param_arrays):
+    """(gamma/2) ||Y - features(X) @ W||_F^2 over the leaves `param_arrays`
+    that stand for net.params."""
+    phi = features_graph(net, nd.constant(images), param_arrays)
+    resid = nd.sub(nd.constant(labels), nd.matmul(phi, param_arrays[-1]))
+    return nd.scale(nd.sum(nd.hadamard(resid, resid)), gamma / 2.0)
 
 
 def gaussian_step(net, images, labels, gamma, lr, state=None):
@@ -100,7 +98,7 @@ def gaussian_step(net, images, labels, gamma, lr, state=None):
     """
     tape = nd.Tape()
     leaves = [tape.leaf(nd.Array(p)) for p in net.params]
-    loss = gaussian_likelihood_loss(net, images, labels, gamma, tape, leaves)
+    loss = gaussian_likelihood_loss(net, images, labels, gamma, leaves)
     grad_map = nd.backward(tape, loss)
     grads = [grad_map[tape.node_id(leaf)].data for leaf in leaves]
     params = net.params

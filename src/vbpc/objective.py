@@ -47,14 +47,14 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape):
         tape.leaf(images, label="images")
         tape.leaf(labels, label="labels")
     batch_phi = nd.Array(network.features(net, x_b))
-    phi = network.features_graph(net, images, tape)
-    post = solve_posterior(phi, labels, hyper, tape=tape)
+    phi = network.features_graph(net, images)
+    post = solve_posterior(phi, labels, hyper)
     moments = predictive_moments(post, batch_phi)
-    log_probs = probit_log_softmax(moments.mean, moments.variance, tape=tape)
-    picked = nd.sum(nd.hadamard(nd.constant(y_b), log_probs, tape), tape=tape)
-    likelihood = nd.scale(picked, -float(n_total) / y_b.shape[0], tape)
-    kl_term = nd.scale(kl_to_prior(post), hyper.beta_d, tape)
-    total = nd.add(likelihood, kl_term, tape)
+    log_probs = probit_log_softmax(moments.mean, moments.variance)
+    picked = nd.sum(nd.hadamard(nd.constant(y_b), log_probs))
+    likelihood = nd.scale(picked, -float(n_total) / y_b.shape[0])
+    kl_term = nd.scale(kl_to_prior(post), hyper.beta_d)
+    total = nd.add(likelihood, kl_term)
     return total, OuterLossBreakdown(total.item(), likelihood.item(),
                                      kl_term.item(), condition_lower_bound(post))
 

@@ -22,8 +22,10 @@ c Phi^T S^{-1} Y on the nhat side and the push-through form c S^{-1} Phi^T Y
 on the h side. No h x h matrix is materialized when h >= nhat;
 ``dense_variance`` builds one only as a test/benchmark oracle.
 
-All constructions optionally record on a gradient tape, which is what makes
-the coreset trainable by direct differentiation through the closed form.
+Every construction is built from tape primitives, so when the features or
+labels are nodes of a gradient tape the ops that depend on them record on
+it; that is what makes the coreset trainable by direct differentiation
+through the closed form. Nothing here names a tape.
 """
 
 import math
@@ -43,7 +45,8 @@ class Hyperparams:
     beta_s  coreset KL temperature (> 0); conventionally nhat
     beta_d  dataset KL temperature (>= 0)
 
-    The problem dimensions h and k come from the features and labels.
+    All four are finite. The problem dimensions h and k come from the
+    features and labels.
     """
 
     rho: float
@@ -52,6 +55,8 @@ class Hyperparams:
     beta_d: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.rho, self.gamma, self.beta_s, self.beta_d))):
+            raise ValueError("rho, gamma, beta_s and beta_d must be finite")
         if not (self.rho > 0 and self.gamma > 0 and self.beta_s > 0):
             raise ValueError("rho, gamma and beta_s must be > 0")
         if self.beta_d < 0:
@@ -68,6 +73,7 @@ class Hyperparams:
         return self.gamma / (self.rho ** 2 * self.beta_s)
 
 
+@dataclass(frozen=True)
 class CoresetPosterior:
     """Efficient representation of the solved coreset posterior.
 
@@ -76,37 +82,35 @@ class CoresetPosterior:
     reused by every solve), which side it is, and the h x k posterior means.
     `weight_space` is True when S is the h x h system (h < nhat). Storage is
     O(nhat*h + min(h, nhat)^2 + h*k); on the nhat side the shared h x h
-    covariance is represented implicitly. Immutable after construction.
+    covariance is represented implicitly.
     """
 
-    def __init__(self, phi, labels, gram, system, means, hyper, tape):
-        self.phi = phi
-        self.labels = labels
-        self.gram = gram              # G: Phi, or Phi^T on the h side
-        self.system = system          # S = I + c * G G^T
-        self.means = means            # columns m_j
-        self.hyper = hyper
-        self.tape = tape
+    phi: nd.Array
+    labels: nd.Array
+    gram: nd.Array          # G: Phi, or Phi^T on the h side
+    system: nd.Array        # S = I + c * G G^T
+    means: nd.Array         # columns m_j
+    hyper: Hyperparams
 
     @property
     def weight_space(self):
         return self.gram is not self.phi
 
 
-def solve_posterior(phi, labels, hyper, tape=None):
+def solve_posterior(phi, labels, hyper):
     """Solve the coreset variational problem in closed form.
 
     phi: nhat x h features, labels: nhat x k. Returns a CoresetPosterior
     whose means equal Phi^T ((rho*beta_s/gamma) I + Phi Phi^T)^{-1} y_j per
     class, computed through the min(h, nhat) square system. Differentiable
-    w.r.t. phi and labels when they are leaves of `tape`.
+    w.r.t. phi and labels when they are nodes of a tape.
     """
     phi = nd.constant(phi)
     nhat, h = phi.shape
-    return _solve(phi, labels, hyper, tape, weight_space=h < nhat)
+    return _solve(phi, labels, hyper, weight_space=h < nhat)
 
 
-def _solve(phi, labels, hyper, tape, weight_space):
+def _solve(phi, labels, hyper, weight_space):
     """`solve_posterior` with the factored side given, for tests that run
     one instance through both sides."""
     phi = nd.constant(phi)
@@ -116,16 +120,15 @@ def _solve(phi, labels, hyper, tape, weight_space):
         raise nd.ShapeError(f"labels rows {labels.shape[0]} != features rows {nhat}")
     c = hyper.kernel_scale
 
-    phi_t = nd.transpose(phi, tape)
+    phi_t = nd.transpose(phi)
     gram, gram_t = (phi_t, phi) if weight_space else (phi, phi_t)
-    system = nd.add(nd.eye(gram.shape[0]),
-                    nd.scale(nd.matmul(gram, gram_t, tape), c, tape), tape)
+    system = nd.add(nd.eye(gram.shape[0]), nd.scale(nd.matmul(gram, gram_t), c))
     if weight_space:
-        means = nd.cholesky_solve_spd(system, nd.matmul(phi_t, labels, tape), tape)
+        means = nd.cholesky_solve_spd(system, nd.matmul(phi_t, labels))
     else:
-        means = nd.matmul(phi_t, nd.cholesky_solve_spd(system, labels, tape), tape)
-    means = nd.scale(means, c, tape)
-    return CoresetPosterior(phi, labels, gram, system, means, hyper, tape)
+        means = nd.matmul(phi_t, nd.cholesky_solve_spd(system, labels))
+    means = nd.scale(means, c)
+    return CoresetPosterior(phi, labels, gram, system, means, hyper)
 
 
 def dense_variance(p, allow_large=False):
@@ -151,26 +154,23 @@ def dense_variance(p, allow_large=False):
 def logdet_v(p):
     """log det V* = -h log rho - log det S, via the cached Cholesky factor
     (det S is the same on either side by Weinstein-Aronszajn)."""
-    hyper = p.hyper
-    tape = p.tape
-    logdet_s = nd.logdet_spd(p.system, tape)
-    const = nd.constant([[-p.phi.shape[1] * math.log(hyper.rho)]])
-    return nd.sub(const, logdet_s, tape)
+    logdet_s = nd.logdet_spd(p.system)
+    const = nd.constant([[-p.phi.shape[1] * math.log(p.hyper.rho)]])
+    return nd.sub(const, logdet_s)
 
 
 def _trace_sinv_gram(p):
     """Tr(S^{-1} G G^T) = Tr(A^{-1} Phi Phi^T) on either side: the sum over
-    the columns g_j of G of g_j^T S^{-1} g_j, on the posterior's tape."""
-    return nd.sum(nd.inv_quad_spd(p.system, p.gram, p.tape), tape=p.tape)
+    the columns g_j of G of g_j^T S^{-1} g_j."""
+    return nd.sum(nd.inv_quad_spd(p.system, p.gram))
 
 
 def trace_v(p):
     """Tr V* = h/rho - gamma/(rho^2 beta_s) * Tr(S^{-1} G G^T)."""
     hyper = p.hyper
-    tape = p.tape
     t = _trace_sinv_gram(p)
     return nd.sub(nd.constant([[p.phi.shape[1] / hyper.rho]]),
-                  nd.scale(t, hyper.variance_scale, tape), tape)
+                  nd.scale(t, hyper.variance_scale))
 
 
 def kl_to_prior(p):
@@ -186,16 +186,14 @@ def kl_to_prior(p):
     empty coreset and never goes negative beyond round-off.
     """
     hyper = p.hyper
-    tape = p.tape
     k = p.labels.shape[1]
-    logdet_s = nd.logdet_spd(p.system, tape)
+    logdet_s = nd.logdet_spd(p.system)
     t = _trace_sinv_gram(p)
-    msq = nd.sum(nd.hadamard(p.means, p.means, tape), tape=tape)
+    msq = nd.sum(nd.hadamard(p.means, p.means))
     inner = nd.add(
-        nd.sub(nd.scale(logdet_s, float(k), tape),
-               nd.scale(t, k * hyper.kernel_scale, tape), tape),
-        nd.scale(msq, hyper.rho, tape), tape)
-    return nd.scale(inner, 0.5, tape)
+        nd.sub(nd.scale(logdet_s, float(k)), nd.scale(t, k * hyper.kernel_scale)),
+        nd.scale(msq, hyper.rho))
+    return nd.scale(inner, 0.5)
 
 
 def condition_lower_bound(p):

@@ -29,12 +29,12 @@ class PredictiveBatch:
         self.variance = variance
 
 
-def _clamp_variance(variance, tape):
+def _clamp_variance(variance):
     if float(variance.data.min()) < VARIANCE_CLAMP:
         raise ValueError(
             f"negative predictive variance {variance.data.min():.3e} beyond "
             f"round-off clamp; the posterior solve is broken")
-    return nd.relu(variance, tape)
+    return nd.relu(variance)
 
 
 def predictive_moments(p, phi_batch):
@@ -45,30 +45,30 @@ def predictive_moments(p, phi_batch):
     on the h side V* = rho^{-1} S^{-1}, so variance_i = ||L^{-1} phi_i^T||^2
     / rho, a sum of squares; on the nhat side variance_i = ||phi_i||^2 / rho
     - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2. No h x h buffer on the
-    nhat side; differentiable on the tape.
+    nhat side. Differentiable through the posterior; work on the batch
+    features alone is constant, so it records nothing.
     """
     hyper = p.hyper
-    tape = p.tape
     phi_batch = nd.constant(phi_batch)
     if phi_batch.shape[1] != p.phi.shape[1]:
         raise nd.ShapeError(
             f"feature dim {phi_batch.shape[1]} != posterior dim {p.phi.shape[1]}")
-    mean = nd.matmul(phi_batch, p.means, tape)
+    mean = nd.matmul(phi_batch, p.means)
 
-    phi_batch_t = nd.transpose(phi_batch, tape)                         # h x n
+    phi_batch_t = nd.transpose(phi_batch)                               # h x n
     if p.weight_space:
-        quad = nd.inv_quad_spd(p.system, phi_batch_t, tape)             # n x 1
-        variance = nd.scale(quad, 1.0 / hyper.rho, tape)
+        quad = nd.inv_quad_spd(p.system, phi_batch_t)                   # n x 1
+        variance = nd.scale(quad, 1.0 / hyper.rho)
     else:
-        cross = nd.matmul(p.phi, phi_batch_t, tape)                     # nhat x n
-        quad = nd.inv_quad_spd(p.system, cross, tape)
-        norms = nd.sum(nd.hadamard(phi_batch, phi_batch, tape), axis=1, tape=tape)
-        variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho, tape),
-                          nd.scale(quad, hyper.variance_scale, tape), tape)
-    return PredictiveBatch(mean, _clamp_variance(variance, tape))
+        cross = nd.matmul(p.phi, phi_batch_t)                           # nhat x n
+        quad = nd.inv_quad_spd(p.system, cross)
+        norms = nd.sum(nd.hadamard(phi_batch, phi_batch), axis=1)
+        variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho),
+                          nd.scale(quad, hyper.variance_scale))
+    return PredictiveBatch(mean, _clamp_variance(variance))
 
 
-def probit_log_softmax(mean, variance, tape=None):
+def probit_log_softmax(mean, variance):
     """Probit-scaled expected log-softmax, row-wise.
 
     mean: n x k, variance: n x 1 with entries >= 0 (round-off clamped).
@@ -78,9 +78,9 @@ def probit_log_softmax(mean, variance, tape=None):
     variance = nd.constant(variance)
     if variance.shape != (mean.shape[0], 1):
         raise nd.ShapeError(f"variance shape {variance.shape} for mean {mean.shape}")
-    variance = _clamp_variance(variance, tape)
-    scaling = nd.rsqrt_shift(variance, alpha=ALPHA_PROBIT, tape=tape)
-    return nd.row_log_softmax(nd.hadamard(mean, scaling, tape), tape)
+    variance = _clamp_variance(variance)
+    scaling = nd.rsqrt_shift(variance, alpha=ALPHA_PROBIT)
+    return nd.row_log_softmax(nd.hadamard(mean, scaling))
 
 
 def mc_log_softmax(mean, variance, samples, seed, return_stderr=False):
@@ -121,7 +121,7 @@ def bma_predict(p, phi_test):
     evaluation per input since the moments come from the stored posterior.
     """
     batch = predictive_moments(p, phi_test)
-    logp = probit_log_softmax(batch.mean, batch.variance, tape=p.tape)
+    logp = probit_log_softmax(batch.mean, batch.variance)
     return np.exp(logp.data)
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -103,14 +105,26 @@ _values = st.sampled_from(["0", "-1", "1e300", "nan", "inf", "true", "1,,2",
 
 
 @_FUZZ
-@given(lines=st.lists(st.tuples(_keys, _values), max_size=6))
-def test_config_fuzz_raises_only_config_error(tmp_path_factory, lines):
+@given(lines=st.lists(st.tuples(_keys, _values), max_size=6),
+       tail=st.binary(max_size=8))
+def test_config_fuzz_raises_only_config_error(tmp_path_factory, lines, tail):
     path = tmp_path_factory.mktemp("cfg") / "f.cfg"
-    path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    path.write_bytes(text.encode("utf-8") + tail)
     try:
         parse_config(path)
     except ConfigError:
         pass
+
+
+def test_config_undecodable_byte_names_path_and_line(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"steps = 3\nsteps = \xff\n")
+    with pytest.raises(ConfigError, match=f"{path}:2: not UTF-8"):
+        parse_config(path)
+    assert main(["train", "--config", str(path), "--data", MOONS,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}:2: not UTF-8" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +288,34 @@ def test_eval_corrupted_coreset_exits_2(tmp_path, capsys):
     assert main(["eval", "--coreset", str(bad_path), "--data", MOONS]) == 2
 
 
+def bad_value_coreset(tmp_path, offset, value):
+    """A CRC-valid coreset file whose f64 at `offset` is `value`."""
+    coreset = PseudoCoreset(images=np.array([[0.5, -1.0], [2.0, 3.0]]),
+                            labels=np.array([[1.0, 0.0], [0.0, 1.0]]), ipc=1,
+                            hyper=Hyperparams(rho=1.0, gamma=1.0, beta_s=1.0))
+    path = tmp_path / "bad.vbpc"
+    save_coreset(coreset, path)
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 8] = struct.pack("<d", value)
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+    path.write_bytes(bytes(blob))
+    return str(path)
+
+
+# a NaN pixel (the first image entry) and gamma = inf
+@pytest.mark.parametrize("offset,value", [(56, math.nan), (32, math.inf)])
+@pytest.mark.parametrize("command", ["eval", "export-images"])
+def test_non_finite_coreset_file_exits_2_naming_it(tmp_path, capsys, command,
+                                                   offset, value):
+    path = bad_value_coreset(tmp_path, offset, value)
+    out = tmp_path / "out"
+    args = ["--data", MOONS] if command == "eval" else []
+    assert main([command, "--coreset", path, "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench command
 # ---------------------------------------------------------------------------
@@ -363,6 +405,21 @@ def test_export_invalid_dimension_exits_2(tmp_path, capsys):
     assert main(["export-images", "--coreset", str(path),
                  "--out", str(tmp_path / "x")]) == 2
     assert "cannot export" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", [(2**31 - 1,) * 3, (1 << 20, 1 << 10, 1), (-1, 2, 2)])
+def test_idx_header_sizes_beyond_the_file_exit_2(tmp_path, capsys, sizes):
+    img = tmp_path / "img.idx"
+    lab = tmp_path / "lab.idx"
+    img.write_bytes(struct.pack(">iiii", 2051, *sizes) + bytes(8))
+    lab.write_bytes(struct.pack(">ii", 2049, 2) + bytes(2))
+    cfg = write_cfg(tmp_path, TINY)
+    out = tmp_path / "never"
+    assert main(["train", "--config", cfg, "--data", f"idx:{img},{lab}",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(img) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

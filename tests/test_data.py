@@ -2,9 +2,11 @@
 
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vbpc.data import (CoresetFileError, gen_synthetic, load_idx, normalize,
                        normalize_with, init_coreset, scaled_onehot_labels,
@@ -249,3 +251,111 @@ def test_coreset_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(100))
     with pytest.raises(CoresetFileError, match="magic"):
         load_coreset(path)
+
+
+def rechecksum(blob):
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+@pytest.mark.parametrize("offset,value,match", [
+    (56, math.nan, "non-finite"),             # first image entry
+    (56 + 8 * 24, math.inf, "non-finite"),    # first label entry
+    (24, -1.0, "hyperparameters"),            # rho
+    (32, math.inf, "hyperparameters"),        # gamma
+    (48, math.nan, "hyperparameters"),        # beta_d
+])
+def test_coreset_bad_values_rejected_naming_the_file(tmp_path, offset, value, match):
+    path = tmp_path / "c.vbpc"
+    save_coreset(roundtrip_coreset(), path)
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(rechecksum(bytes(blob)))
+    with pytest.raises(CoresetFileError, match=match) as err:
+        load_coreset(path)
+    assert str(path) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# parsers under fuzzing: a bad file raises CoresetFileError and nothing else
+# ---------------------------------------------------------------------------
+
+_FUZZ = settings(max_examples=200, deadline=None, database=None)
+_i32 = st.integers(-3, 6) | st.integers(-2**31, 2**31 - 1)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def coreset_blob(fuzz_dir):
+    save_coreset(roundtrip_coreset(), fuzz_dir / "valid.vbpc")
+    return (fuzz_dir / "valid.vbpc").read_bytes()
+
+
+def loads_or_file_error(load, *paths):
+    """True if `load` accepts the files, False if it raises CoresetFileError."""
+    try:
+        load(*paths)
+    except CoresetFileError:
+        return False
+    return True
+
+
+@_FUZZ
+@given(data=st.data())
+def test_load_coreset_truncations(fuzz_dir, coreset_blob, data):
+    cut = data.draw(st.integers(0, len(coreset_blob) - 1))
+    (fuzz_dir / "f.vbpc").write_bytes(coreset_blob[:cut])
+    assert not loads_or_file_error(load_coreset, fuzz_dir / "f.vbpc")
+
+
+@_FUZZ
+@given(data=st.data())
+def test_load_coreset_bit_flips(fuzz_dir, coreset_blob, data):
+    blob = bytearray(coreset_blob)
+    # CRC-32 detects every error of up to three bits at this length
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1,
+                                  max_size=3, unique=True)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+    (fuzz_dir / "f.vbpc").write_bytes(bytes(blob))
+    assert not loads_or_file_error(load_coreset, fuzz_dir / "f.vbpc")
+
+
+_u32 = st.integers(0, 12) | st.integers(0, 2**32 - 1)
+# nhat, d, k: arbitrary, or one of the splits that fit the 6 x (4 + 3) payload
+_sizes = st.tuples(_u32, _u32, _u32) | st.sampled_from(
+    [(6, 4, 3), (7, 3, 3), (3, 8, 6), (1, 41, 1), (42, 0, 1), (0, 4, 3)])
+
+
+@_FUZZ
+@given(sizes=_sizes, hyper=st.tuples(*[st.floats()] * 4))
+def test_load_coreset_rechecksummed_headers(fuzz_dir, coreset_blob, sizes, hyper):
+    blob = bytearray(coreset_blob)
+    blob[8:20] = struct.pack("<III", *sizes)
+    blob[24:56] = struct.pack("<dddd", *hyper)
+    (fuzz_dir / "f.vbpc").write_bytes(rechecksum(bytes(blob)))
+    loads_or_file_error(load_coreset, fuzz_dir / "f.vbpc")
+
+
+@_FUZZ
+@given(image_head=st.tuples(st.just(2051) | _i32, _i32, _i32, _i32),
+       label_head=st.tuples(st.just(2049) | _i32, _i32),
+       pixels=st.binary(max_size=64), labels=st.binary(max_size=8))
+def test_load_idx_arbitrary_headers(fuzz_dir, image_head, label_head, pixels, labels):
+    (fuzz_dir / "img.idx").write_bytes(struct.pack(">iiii", *image_head) + pixels)
+    (fuzz_dir / "lab.idx").write_bytes(struct.pack(">ii", *label_head) + labels)
+    loads_or_file_error(load_idx, fuzz_dir / "img.idx", fuzz_dir / "lab.idx")
+
+
+@_FUZZ
+@given(data=st.data())
+def test_load_idx_truncations(fuzz_dir, data):
+    images = struct.pack(">iiii", 2051, 3, 2, 2) + bytes(range(12))
+    labels = struct.pack(">ii", 2049, 3) + bytes([0, 1, 2])
+    cuts = (data.draw(st.integers(0, len(images))), data.draw(st.integers(0, len(labels))))
+    (fuzz_dir / "img.idx").write_bytes(images[:cuts[0]])
+    (fuzz_dir / "lab.idx").write_bytes(labels[:cuts[1]])
+    loaded = loads_or_file_error(load_idx, fuzz_dir / "img.idx", fuzz_dir / "lab.idx")
+    assert loaded == (cuts == (len(images), len(labels)))

@@ -88,7 +88,7 @@ def test_both_sides_match_the_50_digit_reference():
         exact = exact_reference(phi, labels, phi_test, hyper)
         picked = phi.shape[1] < phi.shape[0]
         for side in (False, True):
-            p = posterior._solve(phi, labels, hyper, None, weight_space=side)
+            p = posterior._solve(phi, labels, hyper, weight_space=side)
             program = {"means": p.means.data.ravel(),
                        "logdet": [logdet_v(p).item()],
                        "trace": [trace_v(p).item()],

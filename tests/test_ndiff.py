@@ -2,6 +2,7 @@
 Cholesky behavior, tape determinism, allocation tracking."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ def rel_err(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.abs(b), floor)
 
 
-def scalarize(out, probe, tape):
-    return nd.sum(nd.hadamard(out, nd.constant(probe), tape=tape), tape=tape)
+def scalarize(out, probe):
+    return nd.sum(nd.hadamard(out, nd.constant(probe)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +179,17 @@ def check_primitive_gradient(make_operands, build, n_points=20, tol=1e-5, seed=0
     rng = np.random.default_rng(seed)
     for _ in range(n_points):
         operands = make_operands(rng)
-        out_shape = build(*[nd.Array(o) for o in operands], tape=None).shape
+        out_shape = build(*[nd.Array(o) for o in operands]).shape
         probe = rng.standard_normal(out_shape)
 
         def value(k, vals, operands=operands):
             ops = [o if j != k else vals for j, o in enumerate(operands)]
-            out = build(*[nd.Array(o) for o in ops], tape=None)
+            out = build(*[nd.Array(o) for o in ops])
             return float((out.data * probe).sum())
 
         tape = nd.Tape()
         leaves = [tape.leaf(nd.Array(o)) for o in operands]
-        loss = scalarize(build(*leaves, tape=tape), probe, tape)
+        loss = scalarize(build(*leaves), probe)
         grads = nd.backward(tape, loss)
         for k, leaf in enumerate(leaves):
             ad = grads[tape.node_id(leaf)].data
@@ -199,55 +200,55 @@ def check_primitive_gradient(make_operands, build, n_points=20, tol=1e-5, seed=0
 def test_grad_matmul():
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((3, 4)), rng.standard_normal((4, 2))),
-        lambda a, b, tape: nd.matmul(a, b, tape=tape))
+        lambda a, b: nd.matmul(a, b))
 
 
 def test_grad_transpose():
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((3, 4)),),
-        lambda a, tape: nd.transpose(a, tape=tape))
+        lambda a: nd.transpose(a))
 
 
 def test_grad_add_sub_broadcast():
     for shape_b in [(3, 4), (1, 4), (3, 1), (1, 1)]:
         check_primitive_gradient(
             lambda rng, sb=shape_b: (rng.standard_normal((3, 4)), rng.standard_normal(sb)),
-            lambda a, b, tape: nd.add(a, b, tape=tape), n_points=5)
+            lambda a, b: nd.add(a, b), n_points=5)
         check_primitive_gradient(
             lambda rng, sb=shape_b: (rng.standard_normal((3, 4)), rng.standard_normal(sb)),
-            lambda a, b, tape: nd.sub(a, b, tape=tape), n_points=5)
+            lambda a, b: nd.sub(a, b), n_points=5)
 
 
 def test_grad_scale():
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((3, 4)),),
-        lambda a, tape: nd.scale(a, -2.5, tape=tape))
+        lambda a: nd.scale(a, -2.5))
 
 
 def test_grad_hadamard_broadcast():
     for shape_b in [(3, 4), (1, 4), (3, 1)]:
         check_primitive_gradient(
             lambda rng, sb=shape_b: (rng.standard_normal((3, 4)), rng.standard_normal(sb)),
-            lambda a, b, tape: nd.hadamard(a, b, tape=tape), n_points=7)
+            lambda a, b: nd.hadamard(a, b), n_points=7)
 
 
 def test_grad_relu():
     # keep samples away from the kink
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((3, 4)) + 0.2 * np.sign(rng.standard_normal((3, 4))),),
-        lambda a, tape: nd.relu(a, tape=tape))
+        lambda a: nd.relu(a))
 
 
 def test_grad_row_log_softmax():
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((3, 5)),),
-        lambda a, tape: nd.row_log_softmax(a, tape=tape))
+        lambda a: nd.row_log_softmax(a))
 
 
 def test_grad_rsqrt_shift():
     check_primitive_gradient(
         lambda rng: (rng.uniform(0.0, 4.0, (5, 1)),),
-        lambda a, tape: nd.rsqrt_shift(a, alpha=math.pi / 8, tape=tape))
+        lambda a: nd.rsqrt_shift(a, alpha=math.pi / 8))
 
 
 def test_grad_cholesky_solve():
@@ -256,7 +257,7 @@ def test_grad_cholesky_solve():
         return (q @ q.T + 4 * np.eye(4), rng.standard_normal((4, 3)))
 
     check_primitive_gradient(
-        operands, lambda a, b, tape: nd.cholesky_solve_spd(a, b, tape=tape), tol=1e-5)
+        operands, lambda a, b: nd.cholesky_solve_spd(a, b), tol=1e-5)
 
 
 def test_grad_logdet():
@@ -264,7 +265,7 @@ def test_grad_logdet():
         q = rng.standard_normal((4, 4))
         return (q @ q.T + 4 * np.eye(4),)
 
-    check_primitive_gradient(operands, lambda a, tape: nd.logdet_spd(a, tape=tape))
+    check_primitive_gradient(operands, lambda a: nd.logdet_spd(a))
 
 
 def test_grad_inv_quad():
@@ -273,14 +274,14 @@ def test_grad_inv_quad():
         return (q @ q.T + 4 * np.eye(4), rng.standard_normal((4, 3)))
 
     check_primitive_gradient(
-        operands, lambda a, b, tape: nd.inv_quad_spd(a, b, tape=tape))
+        operands, lambda a, b: nd.inv_quad_spd(a, b))
 
 
 def test_grad_sum_axes():
     for axis in [None, 0, 1]:
         check_primitive_gradient(
             lambda rng: (rng.standard_normal((3, 4)),),
-            lambda a, tape, ax=axis: nd.sum(a, axis=ax, tape=tape), n_points=7)
+            lambda a, ax=axis: nd.sum(a, axis=ax), n_points=7)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ def test_backward_matmul_vs_fd():
     tape = nd.Tape()
     a = tape.leaf(nd.Array(a_val))
     b = nd.Array(b_val)
-    loss = nd.sum(nd.matmul(a, b, tape=tape), tape=tape)
+    loss = nd.sum(nd.matmul(a, b))
     ad = nd.backward(tape, loss)[tape.node_id(a)].data
 
     def f(v):
@@ -317,7 +318,7 @@ def test_backward_logdet_is_symmetrized_inverse():
     a_val = q @ q.T + 3 * np.eye(3)
     tape = nd.Tape()
     a = tape.leaf(nd.Array(a_val))
-    out = nd.logdet_spd(a, tape=tape)
+    out = nd.logdet_spd(a)
     ad = nd.backward(tape, out)[tape.node_id(a)].data
     inv = np.linalg.inv(a_val)
     assert rel_err(ad, 0.5 * (inv + inv.T)).max() <= 1e-8
@@ -326,7 +327,7 @@ def test_backward_logdet_is_symmetrized_inverse():
 def test_backward_accumulates_fanout():
     tape = nd.Tape()
     x = tape.leaf(nd.Array([[1.0, 2.0]]))
-    loss = nd.sum(nd.add(x, x, tape=tape), tape=tape)
+    loss = nd.sum(nd.add(x, x))
     grads = nd.backward(tape, loss)
     np.testing.assert_array_equal(grads[tape.node_id(x)].data, [[2.0, 2.0]])
 
@@ -335,7 +336,7 @@ def test_backward_untouched_leaf_gets_zero():
     tape = nd.Tape()
     x = tape.leaf(nd.Array([[1.0]]))
     y = tape.leaf(nd.Array([[1.0, 1.0]]))
-    loss = nd.scale(x, 3.0, tape=tape)
+    loss = nd.scale(x, 3.0)
     grads = nd.backward(tape, loss)
     np.testing.assert_array_equal(grads[tape.node_id(y)].data, [[0.0, 0.0]])
 
@@ -353,7 +354,7 @@ def test_constants_get_no_gradient_work():
     tape = nd.Tape()
     x = tape.leaf(nd.Array([[1.0, 2.0]]))
     c = nd.Array([[3.0, 4.0]])  # constant: never watched
-    loss = nd.sum(nd.hadamard(x, c, tape=tape), tape=tape)
+    loss = nd.sum(nd.hadamard(x, c))
     grads = nd.backward(tape, loss)
     np.testing.assert_array_equal(grads[tape.node_id(x)].data, [[3.0, 4.0]])
     assert tape.node_id(c) is None
@@ -365,10 +366,10 @@ def test_tape_replay_deterministic():
         tape = nd.Tape()
         a = tape.leaf(nd.Array(rng.standard_normal((4, 4))))
         b = tape.leaf(nd.Array(rng.standard_normal((4, 2))))
-        spd = nd.add(nd.eye(4), nd.matmul(a, nd.transpose(a, tape=tape), tape=tape), tape=tape)
-        x = nd.cholesky_solve_spd(spd, b, tape=tape)
-        loss = nd.add(nd.sum(nd.relu(x, tape=tape), tape=tape),
-                      nd.logdet_spd(spd, tape=tape), tape=tape)
+        spd = nd.add(nd.eye(4), nd.matmul(a, nd.transpose(a)))
+        x = nd.cholesky_solve_spd(spd, b)
+        loss = nd.add(nd.sum(nd.relu(x)),
+                      nd.logdet_spd(spd))
         grads = nd.backward(tape, loss)
         return loss.item(), grads[tape.node_id(a)].data.copy(), grads[tape.node_id(b)].data.copy()
 
@@ -377,6 +378,45 @@ def test_tape_replay_deterministic():
     assert l1 == l2
     np.testing.assert_array_equal(ga1, ga2)
     np.testing.assert_array_equal(gb1, gb2)
+
+
+# ---------------------------------------------------------------------------
+# which tape an op records on
+# ---------------------------------------------------------------------------
+
+def test_op_on_constants_is_not_recorded():
+    tape = nd.Tape()
+    x = tape.leaf(nd.Array([[1.0, 2.0]]))
+    c = nd.Array([[3.0, 4.0]])
+    squared = nd.hadamard(c, c)
+    assert tape.records == [] and tape.node_id(squared) is None
+    loss = nd.sum(nd.hadamard(x, squared))
+    assert [op for op, *_ in tape.records] == ["hadamard", "sum"]
+    grads = nd.backward(tape, loss)
+    np.testing.assert_array_equal(grads[tape.node_id(x)].data, [[9.0, 16.0]])
+
+
+def test_operands_from_two_live_tapes_raise():
+    first, second = nd.Tape(), nd.Tape()
+    x = first.leaf(nd.Array([[1.0]]))
+    y = second.leaf(nd.Array([[2.0]]))
+    with pytest.raises(nd.NdiffError, match="two live tapes"):
+        nd.add(x, y)
+
+
+def test_nodes_of_a_dropped_tape_act_as_constants():
+    tape = nd.Tape()
+    y = nd.scale(tape.leaf(nd.Array([[2.0]])), 3.0)
+    dropped = weakref.ref(tape)
+    del tape
+    assert dropped() is None  # nodes hold their tape weakly: it is freed at once
+    other = nd.Tape()
+    z = other.leaf(nd.Array([[5.0]]))
+    out = nd.hadamard(y, z)  # y is a constant now, not a node of a second tape
+    assert other.node_id(y) is None and len(other.records) == 1
+    assert nd.backward(other, out)[other.node_id(z)].item() == 6.0
+    nd.scale(y, 2.0)
+    assert len(other.records) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Package surface: every tape primitive has a caller, the names the demos
-import resolve, and the BLAS thread pinning holds in any import order."""
+"""Package surface: every tape primitive has a caller, no layer above the
+tape names one, the names the demos import resolve, and the BLAS thread
+pinning holds in any import order."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import os
 import pathlib
@@ -16,7 +19,7 @@ from vbpc import ndiff as nd
 from vbpc import network
 from vbpc.data import PseudoCoreset
 from vbpc.objective import coreset_grad, outer_loss
-from vbpc.posterior import Hyperparams
+from vbpc.posterior import CoresetPosterior, Hyperparams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -43,6 +46,24 @@ def test_upper_layers_use_every_primitive(monkeypatch):
     coreset_grad(loss, tape)
     network.gaussian_step(net, coreset.images, coreset.labels, hyper.gamma, 1e-3)
     assert used == set(nd._REGISTRY)
+
+
+def test_no_tape_parameter_above_ndiff():
+    # arrays carry their tape, so only leaf registration and backward name one
+    named = []
+    for module in ("posterior", "predictive", "network"):
+        tree = ast.parse((ROOT / "src" / "vbpc" / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == "tape" for a in params):
+                    named.append(f"{module}.{getattr(node, 'name', '<lambda>')}")
+    ndiff_calls = [nd.apply] + [getattr(nd, op) for op in nd._REGISTRY]
+    named += [f"ndiff.{f.__name__}" for f in ndiff_calls
+              if "tape" in inspect.signature(f).parameters]
+    assert named == []
+    assert "tape" not in {f.name for f in dataclasses.fields(CoresetPosterior)}
 
 
 def test_demo_imports_resolve():

@@ -201,7 +201,7 @@ def test_fixed_point_detects_perturbation():
     phi, y, hyper = canonical_instance()
     p = solve_posterior(phi, y, hyper)
     bad = CoresetPosterior(p.phi, p.labels, p.gram, p.system,
-                           nd.Array(p.means.data + 0.1), p.hyper, None)
+                           nd.Array(p.means.data + 0.1), p.hyper)
     assert fixed_point_residual(bad) >= 0.01
 
 
@@ -215,9 +215,9 @@ def test_fixed_point_zero_for_prior():
 # both sides: the nhat x nhat and the h x h Gram system
 # ---------------------------------------------------------------------------
 
-def both_sides(phi, y, hyper, tape=None):
+def both_sides(phi, y, hyper):
     """The same instance solved through each side, nhat side first."""
-    return [posterior._solve(phi, y, hyper, tape, weight_space=side)
+    return [posterior._solve(phi, y, hyper, weight_space=side)
             for side in (False, True)]
 
 
@@ -273,8 +273,8 @@ def test_both_sides_give_the_same_coreset_gradients(monkeypatch, nhat, h):
     for side in (False, True):
         monkeypatch.setattr(
             objective, "solve_posterior",
-            lambda phi, labels, hyper, tape=None, side=side:
-                posterior._solve(phi, labels, hyper, tape, weight_space=side))
+            lambda phi, labels, hyper, side=side:
+                posterior._solve(phi, labels, hyper, weight_space=side))
         tape = nd.Tape()
         loss, _ = objective.outer_loss(coreset, net, data, 40, hyper, tape)
         results.append((loss.item(), *objective.coreset_grad(loss, tape)))
@@ -368,7 +368,7 @@ def test_kl_gradient_matches_finite_differences():
     tape = nd.Tape()
     phi = tape.leaf(nd.Array(phi_val))
     y = tape.leaf(nd.Array(y_val))
-    kl = kl_to_prior(solve_posterior(phi, y, hyper, tape=tape))
+    kl = kl_to_prior(solve_posterior(phi, y, hyper))
     grads = nd.backward(tape, kl)
 
     def kl_value(phi_v, y_v):

@@ -65,6 +65,23 @@ def test_variance_matches_dense_oracle_random():
         assert err <= 1e-10
 
 
+@pytest.mark.parametrize("nhat,h", [(3, 5), (6, 4)])
+def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
+    # nhat side: the batch transpose, row norms and their scaling are constant
+    # work (4 ops); h side: the batch transpose (1 op)
+    rng = np.random.default_rng(nhat * h)
+    tape = nd.Tape()
+    phi = tape.leaf(nd.Array(rng.standard_normal((nhat, h))))
+    labels = tape.leaf(nd.Array(rng.standard_normal((nhat, 2))))
+    post = solve_posterior(phi, labels, Hyperparams(rho=1.0, gamma=3.0, beta_s=2.0))
+    before = len(tape.records)
+    batch = predictive_moments(post, rng.standard_normal((7, h)))
+    added = tape.records[before:]
+    assert all(any(i is not None for i in in_ids) for _, _, in_ids, _ in added)
+    assert len(added) == (4 if post.weight_space else 6)
+    assert tape.node_id(batch.variance) is not None
+
+
 def test_moments_dimension_mismatch():
     p = canonical_posterior()
     with pytest.raises(nd.ShapeError):
