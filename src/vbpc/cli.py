@@ -7,6 +7,9 @@ use a compact spec grammar:
     synthetic:<blobs|moons|circles>:n=<N>,k=<K>,noise=<F>
     idx:<images>,<labels>[;test=<images>,<labels>]
 
+Each synthetic field is given once; n is at most 10^6 and noise finite and
+non-negative. Config and spec errors are reported before any output.
+
 Exit codes: 0 success, 1 runtime abort (non-finite value), 2 usage, config
 and input-file errors.
 """
@@ -83,11 +86,12 @@ def parse_config(path):
         try:
             overrides[name] = parse(raw)
         except ValueError as err:
-            raise ConfigError(f"bad value for {key!r}: {raw!r} ({err})") from err
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
+                              f"{raw!r} ({err})") from err
     try:
         return TrainConfig(**overrides)
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def write_config(config, path):
@@ -111,23 +115,47 @@ def write_config(config, path):
 # data specs
 # ---------------------------------------------------------------------------
 
+# synthetic spec field -> value parser; each field is required, once
+_SYNTHETIC_FIELDS = {"n": int, "k": int, "noise": float}
+
+
+def _parse_synthetic(spec):
+    """(kind, {field: value}) of `synthetic:<kind>:n=<N>,k=<K>,noise=<F>`."""
+    parts = spec.split(":", 2)
+    if len(parts) != 3:
+        raise ConfigError(f"bad synthetic spec {spec!r}: expected "
+                          f"synthetic:<kind>:n=<N>,k=<K>,noise=<F>")
+    _, kind, params = parts
+    fields = {}
+    for item in params.split(","):
+        key, sep, raw = item.partition("=")
+        if not sep or key not in _SYNTHETIC_FIELDS:
+            raise ConfigError(f"bad synthetic spec {spec!r}: unknown field "
+                              f"{item!r} (fields: n, k, noise)")
+        if key in fields:
+            raise ConfigError(f"bad synthetic spec {spec!r}: {key!r} given twice")
+        try:
+            fields[key] = _SYNTHETIC_FIELDS[key](raw)
+        except ValueError as err:
+            raise ConfigError(f"bad synthetic spec {spec!r}: bad value for "
+                              f"{key!r} ({err})") from err
+    missing = [key for key in _SYNTHETIC_FIELDS if key not in fields]
+    if missing:
+        raise ConfigError(f"bad synthetic spec {spec!r}: missing {missing}")
+    return kind, fields
+
+
 def load_data(spec, seed):
     """Returns (train, test) datasets, both normalized with train stats."""
     if spec.startswith("synthetic:"):
+        kind, fields = _parse_synthetic(spec)
         try:
-            _, kind, params = spec.split(":", 2)
-            fields = dict(item.split("=", 1) for item in params.split(","))
-            n = int(fields.pop("n"))
-            k = int(fields.pop("k"))
-            noise = float(fields.pop("noise"))
-        except (ValueError, KeyError) as err:
+            train_ds = gen_synthetic(kind, **fields,
+                                     seed=np.random.SeedSequence([seed, 0]))
+            test_ds = gen_synthetic(kind, **fields,
+                                    seed=np.random.SeedSequence([seed, 1]))
+        except ValueError as err:
             raise ConfigError(f"bad synthetic spec {spec!r}: {err}") from err
-        if fields:
-            raise ConfigError(f"unknown synthetic fields {sorted(fields)}")
-        train_ds = gen_synthetic(kind, n, k, noise,
-                                 seed=np.random.SeedSequence([seed, 0]))
-        test_ds = gen_synthetic(kind, n, k, noise,
-                                seed=np.random.SeedSequence([seed, 1]))
     elif spec.startswith("idx:"):
         body = spec[4:]
         test_part = None
@@ -148,9 +176,12 @@ def load_data(spec, seed):
     else:
         raise ConfigError(f"unknown data spec {spec!r} (synthetic:... or idx:...)")
 
-    train_ds = normalize(train_ds)
-    if test_ds is not None:
-        test_ds = normalize_with(test_ds, train_ds.mean, train_ds.std)
+    try:
+        train_ds = normalize(train_ds)
+        if test_ds is not None:
+            test_ds = normalize_with(test_ds, train_ds.mean, train_ds.std)
+    except ValueError as err:
+        raise ConfigError(f"data {spec!r}: {err}") from err
     return train_ds, test_ds
 
 

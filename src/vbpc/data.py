@@ -17,6 +17,8 @@ from .posterior import Hyperparams
 MAGIC = b"VBPC"
 FORMAT_VERSION = 1
 STD_FLOOR = 1e-8
+# Largest synthetic dataset: desk-scale shapes, a few tens of MB per split
+SYNTHETIC_MAX_N = 1_000_000
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
 
@@ -85,8 +87,10 @@ def gen_synthetic(kind, n, k, noise, seed):
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if kind in ("moons", "circles") and k != 2:
         raise ValueError(f"{kind} is a 2-class shape, got k={k}")
-    if not n >= k >= 2:
-        raise ValueError(f"need n >= k >= 2, got n={n}, k={k}")
+    if not SYNTHETIC_MAX_N >= n >= k >= 2:
+        raise ValueError(f"need {SYNTHETIC_MAX_N} >= n >= k >= 2, got n={n}, k={k}")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     counts = _balanced_counts(n, k)
 
@@ -161,8 +165,14 @@ def normalize(dataset):
     """Per-feature standardization; stats are stored for reuse on test data."""
     if dataset.n < 2:
         raise ValueError("need at least 2 rows to estimate statistics")
-    mean = dataset.X.mean(axis=0)
-    std = np.maximum(dataset.X.std(axis=0), STD_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = dataset.X.mean(axis=0)
+        std = np.maximum(dataset.X.std(axis=0), STD_FLOOR)
+    # A non-finite feature makes its mean non-finite; a finite std bounds
+    # every |x - mean|, so the standardized features are finite.
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise ValueError("features too large to standardize: non-finite "
+                         "mean or std")
     return replace(dataset, X=(dataset.X - mean) / std, mean=mean, std=std)
 
 

@@ -11,12 +11,20 @@ the tape of its operands, so only the code that registers leaves and runs
 `backward` names a tape. An op on constants alone records nothing, and a
 node whose tape was dropped acts as a constant.
 
+`Array(values)` adopts a read-only, owning, C-contiguous 2-d float64
+buffer without a copy, since nobody can write through it (parameters that
+`adam_step` returns, say); it copies anything else. `backward` passes a
+gradient that a vjp returns unchanged on as the same Array and wraps every
+other vjp result without a copy, so no gradient shares memory with a buffer
+the forward saved.
+
 An allocation window (`track_allocations`) counts the float64 elements this
 layer allocates while it is open (array buffers, gradient buffers, cached
-Cholesky factors): live count, peak and largest single block. It is the
-evidence used by the memory benchmarks and the "never materialize an h x h
-buffer" assertions. With no window open, nothing is counted and buffers
-carry no bookkeeping.
+Cholesky factors): live count, peak and largest single block. A buffer an
+Array adopts was allocated elsewhere and is not counted. It is the evidence
+used by the memory benchmarks and the "never materialize an h x h buffer"
+assertions. With no window open, nothing is counted and buffers carry no
+bookkeeping.
 """
 
 import itertools
@@ -57,8 +65,9 @@ class NonFiniteError(NdiffError):
 class AllocationWindow:
     """Float64 elements this layer allocates while the window is open.
 
-    A window counts the buffers born inside it: array buffers, gradient
-    buffers and cached Cholesky factors. ``live`` is how many of those
+    A window counts the buffers this layer allocates inside it: array
+    buffers, gradient buffers and cached Cholesky factors, but not a buffer
+    an Array adopts without a copy. ``live`` is how many of those
     elements are still alive, ``peak`` its high-water mark and
     ``largest_block`` the largest single buffer. A buffer born before the
     window opened is not counted, even when it is freed inside. ``base`` is
@@ -106,6 +115,14 @@ def _register_buffer(arr):
 # arrays and tapes
 # ---------------------------------------------------------------------------
 
+def _adoptable(values):
+    """A buffer nobody can write through: read-only, owning its memory,
+    C-contiguous, 2-d float64."""
+    return (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.ndim == 2 and values.flags.c_contiguous
+            and values.flags.owndata and not values.flags.writeable)
+
+
 def _as_owned_matrix(values):
     arr = np.array(values, dtype=np.float64, order="C", copy=True)
     if arr.ndim == 0:
@@ -120,6 +137,12 @@ def _as_owned_matrix(values):
 class Array:
     """Immutable 2-d float64 matrix, optionally a node of a tape.
 
+    `Array(values)` adopts `values` without a copy when it is a read-only,
+    owning, C-contiguous 2-d float64 ndarray (parameters and coreset arrays
+    from `adam_step`, say); any other input is copied. Either way a
+    non-finite entry raises NonFiniteError. An adopted buffer was not born
+    here, so no allocation window counts it.
+
     `_node` is None for a constant, else (weak reference to the tape, node
     id on it).
     """
@@ -127,11 +150,14 @@ class Array:
     __slots__ = ("data", "_node", "_chol")
 
     def __init__(self, values):
-        data = _as_owned_matrix(values)
+        if _adoptable(values):
+            data = values
+        else:
+            data = _as_owned_matrix(values)
+            data.flags.writeable = False
+            _register_buffer(data)
         if not np.isfinite(data).all():
             raise NonFiniteError("array contains non-finite entries")
-        data.flags.writeable = False
-        _register_buffer(data)
         self.data = data
         self._node = None
         self._chol = None
@@ -486,7 +512,10 @@ def backward(tape, seed):
     """Gradients of the scalar `seed` with respect to every leaf of `tape`.
 
     Returns a dict node-id -> Array. Leaves the seed does not depend on get
-    zero gradients. Fan-out accumulates by summation.
+    zero gradients. Fan-out accumulates by summation. A first partial that
+    is the incoming gradient itself keeps its Array; any other is a fresh
+    buffer from the vjp, wrapped without a copy. No gradient shares memory
+    with a buffer the forward saved.
     """
     seed_id = tape.node_id(seed)
     if seed_id is None:
@@ -506,7 +535,7 @@ def backward(tape, seed):
                 continue
             prev = grads.get(in_id)
             if prev is None:
-                grads[in_id] = Array._wrap(np.array(part, dtype=np.float64, order="C"))
+                grads[in_id] = g if part is g.data else Array._wrap(part)
             else:
                 grads[in_id] = Array._wrap(prev.data + part)
     out = {}

@@ -37,7 +37,8 @@ class FeatureNet:
 
 def init_net(widths, k, seed):
     """Fresh network per seed: weights ~ N(0, 1/fan_in), biases ~
-    U(+-1/sqrt(fan_in)).
+    U(+-1/sqrt(fan_in)). The parameters are read-only, so the tape adopts
+    them as leaves and constants without a copy.
 
     Non-zero biases keep the ReLU features from being positively homogeneous
     in the input. The biases are drawn after the head, so weights and head
@@ -53,6 +54,8 @@ def init_net(widths, k, seed):
     head = rng.standard_normal((widths[-1], k)) / np.sqrt(widths[-1])
     biases = [rng.uniform(-1.0, 1.0, (1, w_out)) / np.sqrt(w_in)
               for w_in, w_out in layers]
+    for p in (*weights, *biases, head):
+        p.flags.writeable = False
     return FeatureNet(widths, tuple(weights), tuple(biases), head)
 
 
@@ -69,7 +72,9 @@ def features(net, x):
 def features_graph(net, x, param_arrays=None):
     """Forward pass in tape primitives. `x` is an Array (a leaf if the
     coreset is being trained); param_arrays supplies leaf Arrays when the
-    net itself is being trained, otherwise parameters enter as constants."""
+    net itself is being trained, otherwise parameters enter as constants
+    (sharing memory with net.params, which init_net and adam_step make
+    read-only)."""
     if param_arrays is None:
         ws = [nd.constant(w) for w in net.weights]
         bs = [nd.constant(b) for b in net.biases]
@@ -93,8 +98,9 @@ def gaussian_likelihood_loss(net, images, labels, gamma, param_arrays):
 def gaussian_step(net, images, labels, gamma, lr, state=None):
     """One Adam step on the Gaussian likelihood over all parameters.
 
-    `state` carries the moments; pass None to start fresh. Returns
-    (new_net, new_state).
+    `state` carries the moments, updated in place; pass None to start
+    fresh. The leaves share memory with net.params. Returns (new_net,
+    new_state).
     """
     tape = nd.Tape()
     leaves = [tape.leaf(nd.Array(p)) for p in net.params]

@@ -1,4 +1,11 @@
-"""Adam with bias correction and the cosine schedule."""
+"""Adam with bias correction and the cosine schedule.
+
+`adam_step` updates the moment buffers of its state in place and returns
+the parameters as new read-only arrays; it never writes to the parameters
+or gradients it is given. It walks each block in cache-sized slices, so a
+step streams every buffer through memory once instead of once per
+elementwise operation.
+"""
 
 import math
 from dataclasses import dataclass
@@ -8,11 +15,15 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# Elements per slice of the blocked update: two float64 scratch buffers of
+# this size (128 KiB each) stay in a core's L2 cache.
+SLICE = 16384
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per parameter block."""
+    """First/second moment accumulators per parameter block; `adam_step`
+    updates them in place."""
 
     m: list
     v: list
@@ -20,27 +31,59 @@ class AdamState:
 
     @classmethod
     def init(cls, params):
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        return cls(m=[np.zeros_like(p, dtype=np.float64, order="C") for p in params],
+                   v=[np.zeros_like(p, dtype=np.float64, order="C") for p in params])
 
 
 def adam_step(state, params, grads, lr):
-    """One bias-corrected adaptive-moment update. Functional: returns
-    (new_state, new_params) and never mutates its inputs."""
+    """One bias-corrected adaptive-moment update.
+
+    Updates `state` in place and returns (state, new_params), the new
+    parameters as fresh read-only arrays. Per element, in this order:
+    m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g,
+    p - (lr*(m/c1)) / (sqrt(v/c2) + EPS).
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state block counts differ")
-    t = state.t + 1
-    new_m, new_v, new_p = [], [], []
-    c1 = 1.0 - BETA1 ** t
-    c2 = 1.0 - BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        step = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-        new_m.append(m)
-        new_v.append(v)
-        new_p.append(p - step)
-    return AdamState(new_m, new_v, t), new_p
+        if not np.shape(p) == np.shape(g) == m.shape == v.shape:
+            raise ValueError(f"block shapes differ: parameter {np.shape(p)}, "
+                             f"gradient {np.shape(g)}, state {m.shape}")
+        if not (m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError("moment buffers must be C-contiguous: they are "
+                             "updated in place through flat views")
+    state.t += 1
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
+    a = np.empty(SLICE)
+    b = np.empty(SLICE)
+    new_params = []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        out = np.empty(m.shape)
+        p_flat = np.ascontiguousarray(p, dtype=np.float64).reshape(-1)
+        g_flat = np.ascontiguousarray(g, dtype=np.float64).reshape(-1)
+        m_flat, v_flat, out_flat = m.reshape(-1), v.reshape(-1), out.reshape(-1)
+        for lo in range(0, m.size, SLICE):
+            hi = min(lo + SLICE, m.size)
+            gs, ms, vs = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+            sa, sb = a[:hi - lo], b[:hi - lo]
+            np.multiply(ms, BETA1, out=ms)
+            np.multiply(gs, 1.0 - BETA1, out=sa)
+            np.add(ms, sa, out=ms)
+            np.multiply(vs, BETA2, out=vs)
+            np.multiply(gs, 1.0 - BETA2, out=sa)
+            np.multiply(sa, gs, out=sa)
+            np.add(vs, sa, out=vs)
+            np.divide(ms, c1, out=sa)
+            np.multiply(sa, lr, out=sa)
+            np.divide(vs, c2, out=sb)
+            np.sqrt(sb, out=sb)
+            np.add(sb, EPS, out=sb)
+            np.divide(sa, sb, out=sa)
+            np.subtract(p_flat[lo:hi], sa, out=out_flat[lo:hi])
+        out.flags.writeable = False
+        new_params.append(out)
+    return state, new_params
 
 
 def cosine_lr(step, total, base):

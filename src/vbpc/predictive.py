@@ -22,19 +22,12 @@ VARIANCE_CLAMP = -1e-12
 
 
 class PredictiveBatch:
-    """Per-input logit means (n x k) and shared scalar variances (n x 1)."""
+    """Per-input logit means (n x k) and shared scalar variances (n x 1),
+    not yet clamped for round-off."""
 
     def __init__(self, mean, variance):
         self.mean = mean
         self.variance = variance
-
-
-def _clamp_variance(variance):
-    if float(variance.data.min()) < VARIANCE_CLAMP:
-        raise ValueError(
-            f"negative predictive variance {variance.data.min():.3e} beyond "
-            f"round-off clamp; the posterior solve is broken")
-    return nd.relu(variance)
 
 
 def predictive_moments(p, phi_batch):
@@ -46,7 +39,10 @@ def predictive_moments(p, phi_batch):
     / rho, a sum of squares; on the nhat side variance_i = ||phi_i||^2 / rho
     - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2. No h x h buffer on the
     nhat side. Differentiable through the posterior; work on the batch
-    features alone is constant, so it records nothing.
+    features alone is constant, so it records nothing. The variance is not
+    clamped here: round-off may leave it slightly negative, and
+    `probit_log_softmax`, which every consumer passes it through, checks
+    and clamps it once.
     """
     hyper = p.hyper
     phi_batch = nd.constant(phi_batch)
@@ -65,21 +61,25 @@ def predictive_moments(p, phi_batch):
         norms = nd.sum(nd.hadamard(phi_batch, phi_batch), axis=1)
         variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho),
                           nd.scale(quad, hyper.variance_scale))
-    return PredictiveBatch(mean, _clamp_variance(variance))
+    return PredictiveBatch(mean, variance)
 
 
 def probit_log_softmax(mean, variance):
     """Probit-scaled expected log-softmax, row-wise.
 
-    mean: n x k, variance: n x 1 with entries >= 0 (round-off clamped).
+    mean: n x k, variance: n x 1 with entries >= 0; round-off negativity
+    down to VARIANCE_CLAMP is clamped to zero, anything below raises.
     Row i is log softmax(mean_i / sqrt(1 + (pi/8) * variance_i)).
     """
     mean = nd.constant(mean)
     variance = nd.constant(variance)
     if variance.shape != (mean.shape[0], 1):
         raise nd.ShapeError(f"variance shape {variance.shape} for mean {mean.shape}")
-    variance = _clamp_variance(variance)
-    scaling = nd.rsqrt_shift(variance, alpha=ALPHA_PROBIT)
+    if float(variance.data.min()) < VARIANCE_CLAMP:
+        raise ValueError(
+            f"negative predictive variance {variance.data.min():.3e} beyond "
+            f"round-off clamp; the posterior solve is broken")
+    scaling = nd.rsqrt_shift(nd.relu(variance), alpha=ALPHA_PROBIT)
     return nd.row_log_softmax(nd.hadamard(mean, scaling))
 
 

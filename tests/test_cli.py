@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 import zlib
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from vbpc.cli import (ConfigError, main, parse_config, write_config,
                       load_data)
-from vbpc.data import PseudoCoreset, save_coreset
+from vbpc.data import CoresetFileError, PseudoCoreset, save_coreset
 from vbpc.posterior import Hyperparams
 from vbpc.trainer import TrainConfig
 
@@ -54,6 +55,25 @@ def test_config_bad_value(tmp_path):
     path.write_text("steps = soon\n")
     with pytest.raises(ConfigError, match="steps"):
         parse_config(path)
+
+
+def test_config_bad_value_names_path_and_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# header\nsteps = x\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value).startswith(f"{path}:2: bad value for 'steps': 'x'")
+
+
+def test_config_constraint_error_names_path(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text("steps = 0\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}: steps, batch_size and ipc must be >= 1"
+    assert main(["train", "--config", str(path), "--data", MOONS,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {path}: steps" in capsys.readouterr().err
 
 
 def test_config_values_parsed(tmp_path):
@@ -142,6 +162,63 @@ def test_bad_specs_rejected():
     for spec in ("synthetic:moons:n=50", "mnist:foo", "synthetic:moons:n=50,k=2,noise=0.1,zap=1"):
         with pytest.raises(ConfigError):
             load_data(spec, seed=0)
+
+
+@pytest.mark.parametrize("spec", [
+    "synthetic:moons:n=10,k=2,noise=nan",
+    "synthetic:moons:n=10,k=2,noise=-1",
+    "synthetic:moons:n=10,k=2,noise=0.1,n=3",
+    "synthetic:moons:n=10,k=2,noise=1e300",
+    "synthetic:moons:n=10000000000,k=2,noise=0.1",
+])
+def test_bad_synthetic_spec_exits_2_before_output(tmp_path, capsys, spec):
+    with pytest.raises(ConfigError, match=re.escape(repr(spec))):
+        load_data(spec, seed=0)
+    cfg = write_cfg(tmp_path, TINY)
+    out = tmp_path / "never"
+    assert main(["train", "--config", cfg, "--data", spec,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert repr(spec) in capsys.readouterr().err
+
+
+_spec_values = (st.sampled_from(["0", "1", "2", "3", "9", "50", "-1", "nan",
+                                 "inf", "-inf", "1e400", "1e300", "0.1",
+                                 "1_0", " 7 ", ""])
+                | st.integers(-10, 10**12).map(str) | st.text(max_size=6))
+
+_spec_counts = (st.integers(-3, 60).map(str) | st.integers(-3, 10**13).map(str)
+                | _spec_values)
+
+
+@st.composite
+def _synthetic_fields(draw):
+    """Some of n, k, noise in any order, then at most one arbitrary key."""
+    keys = draw(st.permutations(["n", "k", "noise"]))
+    keys = keys[:draw(st.sampled_from([3, 3, 3, 2, 1, 0]))]
+    keys += draw(st.lists(st.sampled_from(["n", "k", "noise", "zap", ""])
+                          | st.text(max_size=4), max_size=1))
+    values = {"n": _spec_counts, "k": _spec_counts,
+              "noise": st.floats().map(repr) | _spec_values}
+    return ",".join(f"{key}={draw(values.get(key, _spec_values))}"
+                    for key in keys)
+
+
+_specs = (st.builds("synthetic:{}:{}".format,
+                    st.sampled_from(["moons", "blobs", "circles"])
+                    | st.text(max_size=6), _synthetic_fields())
+          | st.text(max_size=40).map("synthetic:".__add__)
+          | st.text(max_size=40).map("idx:".__add__))
+
+
+@_FUZZ
+@given(spec=_specs)
+def test_data_spec_fuzz_raises_only_usage_errors(spec):
+    # the errors main reports with exit code 2
+    try:
+        load_data(spec, seed=0)
+    except (ConfigError, CoresetFileError, OSError, ValueError):
+        pass
 
 
 # ---------------------------------------------------------------------------

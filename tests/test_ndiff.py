@@ -419,6 +419,84 @@ def test_nodes_of_a_dropped_tape_act_as_constants():
     assert len(other.records) == 1
 
 
+def _saved_buffers(saved):
+    for item in saved:
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, tuple):
+            yield from _saved_buffers(item)
+
+
+def test_gradients_share_no_memory_with_saved_buffers():
+    # add and sub pass the incoming gradient through unchanged; every other
+    # vjp returns a fresh buffer that backward adopts without a copy
+    rng = np.random.default_rng(17)
+    tape = nd.Tape()
+    a = tape.leaf(nd.Array(rng.standard_normal((4, 3))))
+    b = tape.leaf(nd.Array(rng.standard_normal((3, 3))))
+    c = tape.leaf(nd.Array(rng.standard_normal((1, 3))))
+    spd = nd.add(nd.matmul(nd.transpose(b), b), nd.eye(3))
+    h = nd.relu(nd.add(nd.matmul(a, b), c))
+    h = nd.sub(nd.hadamard(h, a), nd.scale(a, 0.5))
+    h = nd.row_log_softmax(nd.cholesky_solve_spd(spd, nd.transpose(h)))
+    quad = nd.inv_quad_spd(spd, nd.transpose(a))
+    loss = nd.add(nd.add(nd.sum(h), nd.logdet_spd(spd)),
+                  nd.sum(nd.rsqrt_shift(quad, alpha=0.3)))
+    grads = nd.backward(tape, loss)
+    saved = [buf for record in tape.records for buf in _saved_buffers(record[3])]
+    assert saved
+    for grad in grads.values():
+        assert not grad.data.flags.writeable
+        assert not any(np.shares_memory(grad.data, buf) for buf in saved)
+
+
+# ---------------------------------------------------------------------------
+# adopting read-only buffers
+# ---------------------------------------------------------------------------
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def test_array_adopts_read_only_owned_c_contiguous_float64():
+    values = _read_only(np.random.default_rng(0).standard_normal((3, 4)))
+    assert np.shares_memory(nd.Array(values).data, values)
+    assert np.shares_memory(nd.constant(values).data, values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: x,                                        # writable
+    lambda x: _read_only(x)[:, :2],                     # view: owns nothing
+    lambda x: _read_only(np.asfortranarray(x)),         # not C-contiguous
+    lambda x: _read_only(x.astype(np.float32)),         # not float64
+    lambda x: _read_only(x.reshape(-1).copy()),         # not 2-d
+])
+def test_array_copies_anything_else(make):
+    values = make(np.random.default_rng(1).standard_normal((3, 4)))
+    arr = nd.Array(values)
+    assert not np.shares_memory(arr.data, values)
+    np.testing.assert_array_equal(arr.data.ravel(),
+                                  np.asarray(values, dtype=np.float64).ravel())
+    assert not arr.data.flags.writeable
+
+
+def test_adopted_non_finite_buffer_raises():
+    values = np.ones((2, 2))
+    values[1, 0] = np.nan
+    with pytest.raises(nd.NonFiniteError):
+        nd.Array(_read_only(values))
+
+
+def test_window_does_not_count_an_adopted_buffer():
+    values = _read_only(np.ones((10, 10)))
+    with nd.track_allocations() as window:
+        nd.Array(values)
+        assert window.peak == 0
+        nd.Array(np.ones((10, 10)))
+        assert window.peak == 100
+
+
 # ---------------------------------------------------------------------------
 # allocation tracking
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vbpc import ndiff as nd, optim
+from vbpc import ndiff as nd, network, optim
 from vbpc.network import (init_net, features, features_graph, gaussian_step,
                           gaussian_likelihood_loss, pool_new, pool_sample,
                           pool_update)
@@ -88,7 +88,7 @@ def test_feature_gradient_wrt_params_matches_fd():
     grad_map = nd.backward(tape, loss)
 
     eps = 1e-5
-    params = net.params
+    params = [p.copy() for p in net.params]     # writable copies to perturb
     for i in (0, 1, 2, 3):  # both weight layers and both biases
         ad = grad_map[tape.node_id(leaves[i])].data
         val = params[i]
@@ -120,6 +120,25 @@ def test_gaussian_step_scalar_hand_case():
     np.testing.assert_allclose(stepped.head, [[0.1 / (1.0 + optim.EPS)]],
                                rtol=1e-15)
     np.testing.assert_allclose(state.m[0], [[-0.1]], rtol=1e-15)
+
+
+def test_gaussian_step_leaves_share_memory_with_params(monkeypatch):
+    seen = []
+    real_loss = network.gaussian_likelihood_loss
+
+    def spy(net, images, labels, gamma, param_arrays):
+        seen.append([leaf.data for leaf in param_arrays])
+        return real_loss(net, images, labels, gamma, param_arrays)
+
+    monkeypatch.setattr(network, "gaussian_likelihood_loss", spy)
+    rng = np.random.default_rng(10)
+    net = init_net((3, 6, 4), k=2, seed=11)
+    images, labels = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+    assert not any(p.flags.writeable for p in net.params)
+    stepped, state = gaussian_step(net, images, labels, gamma=1.0, lr=1e-2)
+    gaussian_step(stepped, images, labels, gamma=1.0, lr=1e-2, state=state)
+    for leaves, params in zip(seen, (net.params, stepped.params)):
+        assert all(np.shares_memory(leaf, p) for leaf, p in zip(leaves, params))
 
 
 def test_gaussian_step_stationary_point():

@@ -239,3 +239,15 @@ def test_step_shares_one_factorization(monkeypatch):
         assert counts == {"cholesky": 1, "cho_solve": 3,
                           "solve_triangular": 4}, (nhat, h)
         assert factored == [(min(h, nhat), min(h, nhat))], (nhat, h)
+
+
+def test_outer_loss_clamps_the_variance_once():
+    # one relu per feature layer, one for the predictive variance
+    for nhat, h in ((4, 6), (8, 6)):
+        rng = np.random.default_rng(15)
+        coreset, net, batch, hyper = make_instance(rng, nhat=nhat, h=h)
+        tape = nd.Tape()
+        outer_loss(coreset, net, batch, 8, hyper, tape)
+        ops = [op for op, _, _, _ in tape.records]
+        assert ops.count("relu") == len(net.weights) + 1, (nhat, h)
+        assert ops.count("rsqrt_shift") == 1, (nhat, h)

@@ -68,7 +68,8 @@ def test_variance_matches_dense_oracle_random():
 @pytest.mark.parametrize("nhat,h", [(3, 5), (6, 4)])
 def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
     # nhat side: the batch transpose, row norms and their scaling are constant
-    # work (4 ops); h side: the batch transpose (1 op)
+    # work (4 ops); h side: the batch transpose (1 op). The variance is left
+    # unclamped: probit_log_softmax clamps it, once.
     rng = np.random.default_rng(nhat * h)
     tape = nd.Tape()
     phi = tape.leaf(nd.Array(rng.standard_normal((nhat, h))))
@@ -78,7 +79,8 @@ def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
     batch = predictive_moments(post, rng.standard_normal((7, h)))
     added = tape.records[before:]
     assert all(any(i is not None for i in in_ids) for _, _, in_ids, _ in added)
-    assert len(added) == (4 if post.weight_space else 6)
+    assert len(added) == (3 if post.weight_space else 5)
+    assert "relu" not in [op for op, _, _, _ in added]
     assert tape.node_id(batch.variance) is not None
 
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from vbpc.data import gen_synthetic, normalize, normalize_with, init_coreset
+from vbpc import optim
 from vbpc.optim import AdamState, adam_step, cosine_lr
 from vbpc.trainer import (BatchSampler, TrainAbort, TrainConfig,
                           augment_noise, evaluate_coreset, train)
@@ -45,6 +46,67 @@ def test_adam_deterministic():
         return params[0]
 
     np.testing.assert_array_equal(run(), run())
+
+
+def textbook_adam(params, grads, lr, steps):
+    """The Adam expression written out on whole arrays."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, steps + 1):
+        c1 = 1.0 - optim.BETA1 ** t
+        c2 = 1.0 - optim.BETA2 ** t
+        for i, (p, g) in enumerate(zip(params, grads[t - 1])):
+            m[i] = optim.BETA1 * m[i] + (1.0 - optim.BETA1) * g
+            v[i] = optim.BETA2 * v[i] + (1.0 - optim.BETA2) * g * g
+            step = lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + optim.EPS)
+            params[i] = p - step
+    return params, m, v
+
+
+def test_adam_matches_textbook_bit_for_bit():
+    # one block spans two full slices and a ragged tail, one is 1 x 1
+    rng = np.random.default_rng(8)
+    shapes = [(7, (2 * optim.SLICE + 2231) // 7 + 1), (1, 1)]
+    assert 2 * optim.SLICE < shapes[0][0] * shapes[0][1] < 3 * optim.SLICE
+    params = [rng.standard_normal(s) for s in shapes]
+    grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-3, 3) for s in shapes]
+             for _ in range(4)]
+    want, want_m, want_v = textbook_adam(list(params), grads, 0.003, 4)
+    state = AdamState.init(params)
+    got = params
+    for g in grads:
+        state, got = adam_step(state, got, g, lr=0.003)
+    assert state.t == 4
+    for a, b in zip(got + state.m + state.v, want + want_m + want_v):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_adam_updates_state_in_place_and_never_writes_its_inputs():
+    rng = np.random.default_rng(9)
+    params = [rng.standard_normal((40, 30)), rng.standard_normal((1, 30))]
+    grads = [rng.standard_normal((40, 30)), rng.standard_normal((1, 30))]
+    params_before = [p.copy() for p in params]
+    grads_before = [g.copy() for g in grads]
+    state = AdamState.init(params)
+    moments = state.m + state.v
+    state2, out = adam_step(state, params, grads, lr=0.01)
+    assert state2 is state
+    assert all(a is b for a, b in zip(state.m + state.v, moments))
+    assert all(np.abs(m).max() > 0 for m in state.m)
+    for p, before in zip(params, params_before):
+        np.testing.assert_array_equal(p, before)
+    for g, before in zip(grads, grads_before):
+        np.testing.assert_array_equal(g, before)
+    for p, new in zip(params, out):
+        assert not new.flags.writeable
+        assert new.flags.owndata and new.flags.c_contiguous
+        assert not np.shares_memory(new, p)
+
+
+def test_adam_rejects_mismatched_blocks():
+    p = [np.zeros((2, 3))]
+    with pytest.raises(ValueError):
+        adam_step(AdamState.init(p), p, [np.zeros((3, 2))], lr=0.1)
 
 
 def test_cosine_endpoints_and_midpoint():
