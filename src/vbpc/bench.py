@@ -51,11 +51,11 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
     g = hyper.gamma / hyper.beta_s
     phi = nd.Array(phi_hat)
     lab = nd.Array(labels)
-    phi_t = nd.transpose(phi)
     eye_h = nd.eye(h)
-    primal = nd.add(nd.scale(eye_h, hyper.rho), nd.scale(nd.matmul(phi_t, phi), g))
+    primal = nd.add(nd.scale(eye_h, hyper.rho),
+                    nd.scale(nd.matmul(phi, phi, trans_a=True), g))
     v_star = nd.cholesky_solve_spd(primal, eye_h)   # V* = primal^{-1}, h x h
-    means = nd.scale(nd.matmul(v_star, nd.matmul(phi_t, lab)), g)
+    means = nd.scale(nd.matmul(v_star, nd.matmul(phi, lab, trans_a=True)), g)
 
     logdet_v = nd.logdet_spd(v_star).item()
     trace_v = float(np.trace(v_star.data))

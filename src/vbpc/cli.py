@@ -8,7 +8,8 @@ use a compact spec grammar:
     idx:<images>,<labels>[;test=<images>,<labels>]
 
 Each synthetic field is given once; n is at most 10^6 and noise finite and
-non-negative. Config and spec errors are reported before any output.
+non-negative. Config, spec and dataset errors are reported before any
+output.
 
 Exit codes: 0 success, 1 runtime abort (non-finite value), 2 usage, config
 and input-file errors.
@@ -26,7 +27,8 @@ import numpy as np
 from .bench import run_bench
 from .data import (CoresetFileError, gen_synthetic, load_coreset, load_idx,
                    normalize, normalize_with, save_coreset)
-from .trainer import TrainAbort, TrainConfig, evaluate_coreset, train
+from .trainer import (TrainAbort, TrainConfig, _check_dataset,
+                      evaluate_coreset, train)
 
 EXIT_OK = 0
 EXIT_ABORT = 1
@@ -201,6 +203,7 @@ def cmd_train(args):
     config = _apply_seed_override(config, args.seed)
     train_ds, _ = load_data(args.data, config.seed_data)
     config = config.resolve_beta_s(train_ds.k)
+    _check_dataset(config, train_ds)
 
     os.makedirs(args.out, exist_ok=True)
     write_config(config, os.path.join(args.out, "resolved-config.txt"))

@@ -191,6 +191,14 @@ def scaled_onehot_labels(classes, k):
     return (eye[classes] - 1.0 / k) / np.sqrt(k / 10.0)
 
 
+def _check_class_sizes(dataset, ipc):
+    """Every class has the `ipc` examples a sampled initialization draws."""
+    for c in range(dataset.k):
+        count = np.count_nonzero(dataset.labels == c)
+        if count < ipc:
+            raise ValueError(f"class {c} has {count} examples, need {ipc}")
+
+
 def init_coreset(dataset, ipc, mode, seed, hyper=None):
     """ipc rows per class: class-stratified samples of the dataset, or
     uniform [0,1] pixels passed through the dataset's normalization."""
@@ -200,12 +208,9 @@ def init_coreset(dataset, ipc, mode, seed, hyper=None):
     k = dataset.k
     classes = np.repeat(np.arange(k), ipc)
     if mode == "sample":
-        rows = []
-        for c in range(k):
-            pool = np.flatnonzero(dataset.labels == c)
-            if pool.size < ipc:
-                raise ValueError(f"class {c} has {pool.size} examples, need {ipc}")
-            rows.append(rng.choice(pool, size=ipc, replace=False))
+        _check_class_sizes(dataset, ipc)
+        rows = [rng.choice(np.flatnonzero(dataset.labels == c), size=ipc, replace=False)
+                for c in range(k)]
         images = dataset.X[np.concatenate(rows)].copy()
     else:
         images = rng.uniform(0.0, 1.0, (ipc * k, dataset.d))

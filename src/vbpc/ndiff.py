@@ -6,6 +6,9 @@ suite in the tests certifies every downstream gradient. Arrays are immutable
 once built; a Tape records primitive applications and `backward` replays the
 adjoints in reverse topological order.
 
+There is no transpose primitive: `matmul` and `inv_quad_spd` take flags
+that say which way they read an operand, and read it through a view.
+
 Arrays carry their tape: a node refers weakly to it, and `apply` records on
 the tape of its operands, so only the code that registers leaves and runs
 `backward` names a tape. An op on constants alone records nothing, and a
@@ -291,25 +294,25 @@ def _check_broadcast(a, b, op):
             raise ShapeError(f"{op}: shape {b.shape} does not broadcast to {a.shape}")
 
 
-def _fwd_matmul(a, b):
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    return a @ b, (a, b)
+def _fwd_matmul(a, b, trans_a=False, trans_b=False):
+    """op(a) @ op(b) on views: BLAS gets a trans flag, and a @ a.T or
+    a.T @ a on one buffer is numpy's syrk."""
+    op_a = a.T if trans_a else a
+    op_b = b.T if trans_b else b
+    if op_a.shape[1] != op_b.shape[0]:
+        raise ShapeError(f"matmul: {op_a.shape} @ {op_b.shape}")
+    return op_a @ op_b, (op_a, op_b, trans_a, trans_b)
 
 
 def _vjp_matmul(g, saved, needs):
-    a, b = saved
-    ga = g @ b.T if needs[0] else None
-    gb = a.T @ g if needs[1] else None
+    # d op(a) = g op(b)^T, d op(b) = op(a)^T g; a flagged one is built transposed
+    op_a, op_b, trans_a, trans_b = saved
+    ga = gb = None
+    if needs[0]:
+        ga = op_b @ g.T if trans_a else g @ op_b.T
+    if needs[1]:
+        gb = g.T @ op_a if trans_b else op_a.T @ g
     return ga, gb
-
-
-def _fwd_transpose(a):
-    return a.T.copy(order="C"), ()
-
-
-def _vjp_transpose(g, saved, needs):
-    return (g.T.copy(order="C"),)
 
 
 def _fwd_add(a, b):
@@ -421,21 +424,24 @@ def _vjp_logdet_spd(g, saved, needs):
     return (float(g[0, 0]) * 0.5 * (inv + inv.T),)
 
 
-def _fwd_inv_quad_spd(a, b, _chol=None):
-    """Column j of the m x 1 result is b_j^T a^{-1} b_j = ||L^{-1} b_j||^2:
-    one triangular solve, and a sum of squares that cannot cancel."""
-    if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inv_quad_spd: {a.shape} vs {b.shape}")
-    z = scipy.linalg.solve_triangular(_chol, b, lower=True)
-    return (z * z).sum(axis=0).reshape(-1, 1), (_chol, z)
+def _fwd_inv_quad_spd(a, b, rows=False, _chol=None):
+    """Entry j of the result is b_j^T a^{-1} b_j = ||L^{-1} b_j||^2 over the
+    columns b_j of b, or over its rows with `rows`: one triangular solve,
+    and a sum of squares that cannot cancel. The rows are solved through
+    the view b.T, which is already the Fortran layout LAPACK reads."""
+    op_b = b.T if rows else b
+    if a.shape[0] != a.shape[1] or a.shape[1] != op_b.shape[0]:
+        raise ShapeError(f"inv_quad_spd: {a.shape} vs {op_b.shape}")
+    z = scipy.linalg.solve_triangular(_chol, op_b, lower=True)
+    return (z * z).sum(axis=0).reshape(-1, 1), (_chol, z, rows)
 
 
 def _vjp_inv_quad_spd(g, saved, needs):
-    chol, z = saved
-    x = scipy.linalg.solve_triangular(chol, z, lower=True, trans="T")  # a^{-1} b
+    chol, z, rows = saved
+    x = scipy.linalg.solve_triangular(chol, z, lower=True, trans="T")  # a^{-1} op(b)
     xg = x * g.T
     ga = -xg @ x.T if needs[0] else None
-    gb = 2.0 * xg if needs[1] else None
+    gb = 2.0 * (xg.T if rows else xg) if needs[1] else None
     return ga, gb
 
 
@@ -458,7 +464,6 @@ def _vjp_sum(g, saved, needs):
 
 _REGISTRY = {
     "matmul": (_fwd_matmul, _vjp_matmul, 2),
-    "transpose": (_fwd_transpose, _vjp_transpose, 1),
     "add": (_fwd_add, _vjp_add, 2),
     "sub": (_fwd_sub, _vjp_sub, 2),
     "scale": (_fwd_scale, _vjp_scale, 1),
@@ -547,11 +552,8 @@ def backward(tape, seed):
 
 # thin wrappers so call sites read like linear algebra
 
-def matmul(a, b):
-    return apply("matmul", (a, b))
-
-def transpose(a):
-    return apply("transpose", (a,))
+def matmul(a, b, trans_a=False, trans_b=False):
+    return apply("matmul", (a, b), trans_a=trans_a, trans_b=trans_b)
 
 def add(a, b):
     return apply("add", (a, b))
@@ -580,8 +582,8 @@ def cholesky_solve_spd(a, b):
 def logdet_spd(a):
     return apply("logdet_spd", (a,))
 
-def inv_quad_spd(a, b):
-    return apply("inv_quad_spd", (a, b))
+def inv_quad_spd(a, b, rows=False):
+    return apply("inv_quad_spd", (a, b), rows=rows)
 
 def sum(a, axis=None):  # noqa: A001 - mirrors np.sum naming
     return apply("sum", (a,), axis=axis)

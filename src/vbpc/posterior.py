@@ -19,7 +19,9 @@ A = I + c Phi Phi^T, which equals Tr(S^{-1} G G^T) on either side, is the
 squared Frobenius norm ||L^{-1} G||^2 of one triangular solve with
 S = L L^T. The means take the kernel-trick form
 c Phi^T S^{-1} Y on the nhat side and the push-through form c S^{-1} Phi^T Y
-on the h side. No h x h matrix is materialized when h >= nhat;
+on the h side. Phi^T is never copied: the products and the triangular
+solves read Phi through transposed views (`matmul`'s trans flags,
+`inv_quad_spd`'s rows). No h x h matrix is materialized when h >= nhat;
 ``dense_variance`` builds one only as a test/benchmark oracle.
 
 Every construction is built from tape primitives, so when the features or
@@ -77,24 +79,20 @@ class Hyperparams:
 class CoresetPosterior:
     """Efficient representation of the solved coreset posterior.
 
-    Stores the feature matrix, labels, the factored Gram side G (Phi or
-    Phi^T), the system S = I + c G G^T (whose Cholesky factor is cached and
-    reused by every solve), which side it is, and the h x k posterior means.
-    `weight_space` is True when S is the h x h system (h < nhat). Storage is
-    O(nhat*h + min(h, nhat)^2 + h*k); on the nhat side the shared h x h
-    covariance is represented implicitly.
+    Stores the feature matrix, labels, the system S = I + c G G^T (whose
+    Cholesky factor is cached and reused by every solve), which side it is,
+    and the h x k posterior means. `weight_space` is True when S is the
+    h x h system (h < nhat), where G = Phi^T is read as a view of Phi and
+    never stored. Storage is O(nhat*h + min(h, nhat)^2 + h*k); on the nhat
+    side the shared h x h covariance is represented implicitly.
     """
 
     phi: nd.Array
     labels: nd.Array
-    gram: nd.Array          # G: Phi, or Phi^T on the h side
     system: nd.Array        # S = I + c * G G^T
+    weight_space: bool      # G = Phi^T (S is h x h) rather than Phi
     means: nd.Array         # columns m_j
     hyper: Hyperparams
-
-    @property
-    def weight_space(self):
-        return self.gram is not self.phi
 
 
 def solve_posterior(phi, labels, hyper):
@@ -115,20 +113,19 @@ def _solve(phi, labels, hyper, weight_space):
     one instance through both sides."""
     phi = nd.constant(phi)
     labels = nd.constant(labels)
-    nhat = phi.shape[0]
+    nhat, h = phi.shape
     if labels.shape[0] != nhat:
         raise nd.ShapeError(f"labels rows {labels.shape[0]} != features rows {nhat}")
     c = hyper.kernel_scale
 
-    phi_t = nd.transpose(phi)
-    gram, gram_t = (phi_t, phi) if weight_space else (phi, phi_t)
-    system = nd.add(nd.eye(gram.shape[0]), nd.scale(nd.matmul(gram, gram_t), c))
+    system = nd.add(nd.eye(h if weight_space else nhat), nd.scale(
+        nd.matmul(phi, phi, trans_a=weight_space, trans_b=not weight_space), c))
     if weight_space:
-        means = nd.cholesky_solve_spd(system, nd.matmul(phi_t, labels))
+        means = nd.cholesky_solve_spd(system, nd.matmul(phi, labels, trans_a=True))
     else:
-        means = nd.matmul(phi_t, nd.cholesky_solve_spd(system, labels))
+        means = nd.matmul(phi, nd.cholesky_solve_spd(system, labels), trans_a=True)
     means = nd.scale(means, c)
-    return CoresetPosterior(phi, labels, gram, system, means, hyper)
+    return CoresetPosterior(phi, labels, system, weight_space, means, hyper)
 
 
 def dense_variance(p, allow_large=False):
@@ -146,7 +143,7 @@ def dense_variance(p, allow_large=False):
         return nd.scale(nd.cholesky_solve_spd(p.system, nd.eye(h)),
                         1.0 / hyper.rho)
     solved = nd.cholesky_solve_spd(p.system, p.phi)
-    outer = nd.matmul(nd.transpose(p.phi), solved)
+    outer = nd.matmul(p.phi, solved, trans_a=True)
     return nd.sub(nd.scale(nd.eye(h), 1.0 / hyper.rho),
                   nd.scale(outer, hyper.variance_scale))
 
@@ -161,8 +158,8 @@ def logdet_v(p):
 
 def _trace_sinv_gram(p):
     """Tr(S^{-1} G G^T) = Tr(A^{-1} Phi Phi^T) on either side: the sum over
-    the columns g_j of G of g_j^T S^{-1} g_j."""
-    return nd.sum(nd.inv_quad_spd(p.system, p.gram))
+    the columns g_j of G (rows of Phi on the h side) of g_j^T S^{-1} g_j."""
+    return nd.sum(nd.inv_quad_spd(p.system, p.phi, rows=p.weight_space))
 
 
 def trace_v(p):

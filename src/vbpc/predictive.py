@@ -37,12 +37,12 @@ def predictive_moments(p, phi_batch):
     S = L L^T with one triangular solve for the batch:
     on the h side V* = rho^{-1} S^{-1}, so variance_i = ||L^{-1} phi_i^T||^2
     / rho, a sum of squares; on the nhat side variance_i = ||phi_i||^2 / rho
-    - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2. No h x h buffer on the
-    nhat side. Differentiable through the posterior; work on the batch
-    features alone is constant, so it records nothing. The variance is not
-    clamped here: round-off may leave it slightly negative, and
-    `probit_log_softmax`, which every consumer passes it through, checks
-    and clamps it once.
+    - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2. The batch is read
+    transposed through a view, and no h x h buffer appears on the nhat side.
+    Differentiable through the posterior; work on the batch features alone
+    is constant, so it records nothing. The variance is not clamped here:
+    round-off may leave it slightly negative, and `probit_log_softmax`,
+    which every consumer passes it through, checks and clamps it once.
     """
     hyper = p.hyper
     phi_batch = nd.constant(phi_batch)
@@ -51,12 +51,11 @@ def predictive_moments(p, phi_batch):
             f"feature dim {phi_batch.shape[1]} != posterior dim {p.phi.shape[1]}")
     mean = nd.matmul(phi_batch, p.means)
 
-    phi_batch_t = nd.transpose(phi_batch)                               # h x n
     if p.weight_space:
-        quad = nd.inv_quad_spd(p.system, phi_batch_t)                   # n x 1
+        quad = nd.inv_quad_spd(p.system, phi_batch, rows=True)          # n x 1
         variance = nd.scale(quad, 1.0 / hyper.rho)
     else:
-        cross = nd.matmul(p.phi, phi_batch_t)                           # nhat x n
+        cross = nd.matmul(p.phi, phi_batch, trans_b=True)               # nhat x n
         quad = nd.inv_quad_spd(p.system, cross)
         norms = nd.sum(nd.hadamard(phi_batch, phi_batch), axis=1)
         variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho),

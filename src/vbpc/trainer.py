@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import ndiff as nd
-from .data import init_coreset
+from .data import _check_class_sizes, init_coreset
 from .network import (features, gaussian_step, init_net, pool_new,
                       pool_sample, pool_update)
 from .objective import coreset_grad, outer_loss
@@ -93,12 +93,21 @@ class TrainConfig:
                            beta_d=self.beta_d)
 
 
+def _check_dataset(config, dataset):
+    """Raise ValueError when `dataset` cannot feed a run of `config`. `train`
+    and `vbpc train` both call it, the command before it writes anything."""
+    if config.init_mode == "sample":
+        _check_class_sizes(dataset, config.ipc)
+    if config.batch_size > dataset.n:
+        raise ValueError(f"batch size {config.batch_size} exceeds dataset "
+                         f"size {dataset.n}")
+
+
 class BatchSampler:
-    """Without-replacement batches within an epoch, reshuffled between epochs."""
+    """Without-replacement batches within an epoch, reshuffled between
+    epochs; `size` is at most `dataset.n` (`_check_dataset`)."""
 
     def __init__(self, dataset, size, seed):
-        if size > dataset.n:
-            raise ValueError(f"batch size {size} exceeds dataset size {dataset.n}")
         self.dataset = dataset
         self.size = size
         self.rng = np.random.default_rng(seed)
@@ -131,6 +140,7 @@ def train(config, dataset, sink=None):
     hyperparameters so evaluation reuses them.
     """
     emit = sink if sink is not None else (lambda record: None)
+    _check_dataset(config, dataset)
     config = config.resolve_beta_s(dataset.k)
     hyper = config.hyperparams()
     coreset = init_coreset(dataset, config.ipc, config.init_mode,

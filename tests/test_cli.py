@@ -274,6 +274,19 @@ def test_train_bad_config_exits_2_before_output(tmp_path, capsys, bad):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("steps = 3\n", "class 0 has 5 examples, need 10"),
+    ("steps = 3\nipc = 2\n", "batch size 256 exceeds dataset size 10"),
+])
+def test_dataset_too_small_exits_2_before_output(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "never"
+    assert main(["train", "--config", cfg, "--data",
+                 "synthetic:moons:n=10,k=2,noise=0.1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: {message}\n" == capsys.readouterr().err
+
+
 def test_train_non_finite_update_aborts_with_record(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY.replace("steps = 6", "steps = 3")
                     + "coreset_lr = 1e300\n")

@@ -2,6 +2,7 @@
 Cholesky behavior, tape determinism, allocation tracking."""
 
 import math
+import re
 import weakref
 
 import numpy as np
@@ -203,10 +204,55 @@ def test_grad_matmul():
         lambda a, b: nd.matmul(a, b))
 
 
-def test_grad_transpose():
+@pytest.mark.parametrize("trans_a,trans_b", [(True, False), (False, True),
+                                             (True, True)])
+def test_grad_matmul_transposed_operands(trans_a, trans_b):
+    shape_a = (4, 3) if trans_a else (3, 4)
+    shape_b = (2, 4) if trans_b else (4, 2)
+    check_primitive_gradient(
+        lambda rng: (rng.standard_normal(shape_a), rng.standard_normal(shape_b)),
+        lambda a, b: nd.matmul(a, b, trans_a=trans_a, trans_b=trans_b))
+
+
+@pytest.mark.parametrize("flag", ["trans_a", "trans_b"])
+def test_grad_gram_of_one_leaf(flag):
+    # the leaf sits in both slots, as Phi does in the posterior's Gram
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((3, 4)),),
-        lambda a: nd.transpose(a))
+        lambda a: nd.matmul(a, a, **{flag: True}))
+
+
+def test_inv_quad_over_rows_is_the_columns_of_the_transpose():
+    # rows=True reads b.T as a view; a C-contiguous copy of b.T as the
+    # columns gives the same bits in the value and in both gradients
+    rng = np.random.default_rng(13)
+    q = rng.standard_normal((4, 4))
+    a_val = q @ q.T + 4 * np.eye(4)
+    b_val = rng.standard_normal((6, 4))
+    probe = nd.Array(rng.standard_normal((6, 1)))
+    results = []
+    for rows, b_in in ((True, b_val), (False, np.ascontiguousarray(b_val.T))):
+        tape = nd.Tape()
+        a = tape.leaf(nd.Array(a_val))
+        b = tape.leaf(nd.Array(b_in))
+        quad = nd.inv_quad_spd(a, b, rows=rows)
+        grads = nd.backward(tape, nd.sum(nd.hadamard(quad, probe)))
+        results.append((quad.data, grads[tape.node_id(a)].data,
+                        grads[tape.node_id(b)].data))
+    (q_rows, ga_rows, gb_rows), (q_cols, ga_cols, gb_cols) = results
+    np.testing.assert_array_equal(q_rows, q_cols)
+    np.testing.assert_array_equal(ga_rows, ga_cols)
+    np.testing.assert_array_equal(gb_rows, gb_cols.T)
+
+
+def test_shape_error_names_the_oriented_shapes():
+    with pytest.raises(nd.ShapeError, match=re.escape("matmul: (3, 2) @ (3, 2)")):
+        nd.matmul(nd.zeros((2, 3)), nd.zeros((3, 2)), trans_a=True)
+    with pytest.raises(nd.ShapeError, match=re.escape("matmul: (2, 3) @ (2, 3)")):
+        nd.matmul(nd.zeros((2, 3)), nd.zeros((3, 2)), trans_b=True)
+    with pytest.raises(nd.ShapeError,
+                       match=re.escape("inv_quad_spd: (3, 3) vs (4, 3)")):
+        nd.inv_quad_spd(nd.eye(3), nd.zeros((3, 4)), rows=True)
 
 
 def test_grad_add_sub_broadcast():
@@ -366,7 +412,7 @@ def test_tape_replay_deterministic():
         tape = nd.Tape()
         a = tape.leaf(nd.Array(rng.standard_normal((4, 4))))
         b = tape.leaf(nd.Array(rng.standard_normal((4, 2))))
-        spd = nd.add(nd.eye(4), nd.matmul(a, nd.transpose(a)))
+        spd = nd.add(nd.eye(4), nd.matmul(a, a, trans_b=True))
         x = nd.cholesky_solve_spd(spd, b)
         loss = nd.add(nd.sum(nd.relu(x)),
                       nd.logdet_spd(spd))
@@ -435,11 +481,11 @@ def test_gradients_share_no_memory_with_saved_buffers():
     a = tape.leaf(nd.Array(rng.standard_normal((4, 3))))
     b = tape.leaf(nd.Array(rng.standard_normal((3, 3))))
     c = tape.leaf(nd.Array(rng.standard_normal((1, 3))))
-    spd = nd.add(nd.matmul(nd.transpose(b), b), nd.eye(3))
+    spd = nd.add(nd.matmul(b, b, trans_a=True), nd.eye(3))
     h = nd.relu(nd.add(nd.matmul(a, b), c))
     h = nd.sub(nd.hadamard(h, a), nd.scale(a, 0.5))
-    h = nd.row_log_softmax(nd.cholesky_solve_spd(spd, nd.transpose(h)))
-    quad = nd.inv_quad_spd(spd, nd.transpose(a))
+    h = nd.row_log_softmax(nd.matmul(nd.cholesky_solve_spd(spd, b), h, trans_b=True))
+    quad = nd.inv_quad_spd(spd, a, rows=True)
     loss = nd.add(nd.add(nd.sum(h), nd.logdet_spd(spd)),
                   nd.sum(nd.rsqrt_shift(quad, alpha=0.3)))
     grads = nd.backward(tape, loss)

@@ -48,6 +48,21 @@ def test_upper_layers_use_every_primitive(monkeypatch):
     assert used == set(nd._REGISTRY)
 
 
+def test_ndiff_wrappers_are_the_registry():
+    # each module-level function that calls apply names its own op, and
+    # every op has one, so no wrapper outlives its primitive
+    tree = ast.parse((ROOT / "src" / "vbpc" / "ndiff.py").read_text())
+    wrapped = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            ops = [call.args[0].value for call in ast.walk(node)
+                   if isinstance(call, ast.Call)
+                   and getattr(call.func, "id", None) == "apply"]
+            if ops:
+                wrapped[node.name] = ops
+    assert wrapped == {op: [op] for op in nd._REGISTRY}
+
+
 def test_no_tape_parameter_above_ndiff():
     # arrays carry their tape, so only leaf registration and backward name one
     named = []

@@ -67,9 +67,9 @@ def test_variance_matches_dense_oracle_random():
 
 @pytest.mark.parametrize("nhat,h", [(3, 5), (6, 4)])
 def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
-    # nhat side: the batch transpose, row norms and their scaling are constant
-    # work (4 ops); h side: the batch transpose (1 op). The variance is left
-    # unclamped: probit_log_softmax clamps it, once.
+    # nhat side: the batch row norms and their scaling are constant work (3
+    # ops); h side: none. The variance is left unclamped: probit_log_softmax
+    # clamps it, once.
     rng = np.random.default_rng(nhat * h)
     tape = nd.Tape()
     phi = tape.leaf(nd.Array(rng.standard_normal((nhat, h))))
@@ -82,6 +82,21 @@ def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
     assert len(added) == (3 if post.weight_space else 5)
     assert "relu" not in [op for op, _, _, _ in added]
     assert tape.node_id(batch.variance) is not None
+
+
+@pytest.mark.parametrize("nhat,h", [(8, 512), (512, 8)])
+def test_solve_and_moments_make_no_transposed_copy(nhat, h):
+    # every transposed operand is read as a view, so no buffer the size of
+    # Phi is born; the batch stays smaller than nhat, since its row norms
+    # form an n x h product
+    rng = np.random.default_rng(nhat + h)
+    phi = nd.Array(rng.standard_normal((nhat, h)))
+    labels = nd.Array(rng.standard_normal((nhat, 2)))
+    batch = nd.Array(rng.standard_normal((4, h)))
+    hyper = Hyperparams(rho=1.0, gamma=3.0, beta_s=float(nhat))
+    with nd.track_allocations() as window:
+        predictive_moments(solve_posterior(phi, labels, hyper), batch)
+    assert 0 < window.largest_block < h * nhat
 
 
 def test_moments_dimension_mismatch():
