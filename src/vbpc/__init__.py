@@ -6,15 +6,26 @@ import glob
 import os
 
 # The workload is many small dense solves; multi-threaded BLAS loses badly
-# to sync overhead there (measured ~45x on 2 cores). Unless the user chose a
-# thread count, pin to 1: the variables reach every OpenBLAS not yet loaded,
-# and the bundled OpenBLAS builds already loaded (numpy imported first) are
-# set through their own call below.
+# to sync overhead there (measured ~45x on 2 cores), and its results change
+# with the thread count. Unless the user chose a thread count, pin to 1: the
+# variables reach every OpenBLAS not yet loaded, and the bundled OpenBLAS
+# builds already loaded (numpy imported first) are set through their own
+# call below. BLAS stays at one thread; the second core takes half of each
+# large product, Adam step and wide solve instead (`ndiff._halves`), cut
+# where the shapes alone say, so the results do not depend on the core
+# count. A user who sets a thread count gets no halves.
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _PIN_THREADS = not any(var in os.environ for var in _THREAD_VARS)
 if _PIN_THREADS:
     for _var in _THREAD_VARS:
         os.environ.setdefault(_var, "1")
+
+
+def _bundled_openblas(package):
+    """Paths of the OpenBLAS builds bundled in the wheel of `package`."""
+    libs = os.path.dirname(os.path.dirname(package.__file__))
+    return glob.glob(os.path.join(libs, package.__name__ + ".libs", "*openblas*.so*"))
+
 
 from .posterior import (Hyperparams, solve_posterior, dense_variance,
                         logdet_v, trace_v, kl_to_prior, fixed_point_residual)
@@ -32,9 +43,7 @@ def _pin_bundled_openblas():
     import scipy
 
     for package in (numpy, scipy):
-        libs = os.path.dirname(os.path.dirname(package.__file__))
-        pattern = os.path.join(libs, package.__name__ + ".libs", "*openblas*.so*")
-        for path in glob.glob(pattern):
+        for path in _bundled_openblas(package):
             lib = ctypes.CDLL(path)
             for symbol in ("scipy_openblas_set_num_threads64_",
                            "scipy_openblas_set_num_threads"):

@@ -28,17 +28,44 @@ Array adopts was allocated elsewhere and is not counted. It is the evidence
 used by the memory benchmarks and the "never materialize an h x h buffer"
 assertions. With no window open, nothing is counted and buffers carry no
 bookkeeping.
+
+BLAS stays at one thread. Large products (and the wide triangular solves)
+are cut instead into two halves at a point fixed by their shapes, and the
+second half runs on a worker thread while the caller computes the first,
+so an idle second core does half the work. A product is cut only where
+each output element takes the same instructions as in the whole, so the
+result is bit-equal to the uncut product, and so it does not depend on the
+number of cores: with one CPU in the process's affinity, or a BLAS thread
+count the user set, the halves run one after the other on the caller.
 """
 
+import contextvars
+import ctypes
+import functools
 import itertools
 import math
+import os
+import queue
+import threading
 import weakref
 from contextlib import contextmanager
 
 import numpy as np
 import scipy.linalg
 
+from . import _PIN_THREADS, _bundled_openblas
+
 JITTER = 1e-10
+# Multiply-adds from which a product or a triangular solve is cut in two;
+# handing a half to the worker costs about 20 us, a product this size 0.2 ms.
+# A half gets at least 8/31 of it, so it stays above 10^6, under which
+# OpenBLAS switches to small-matrix kernels that compute differently.
+SPLIT_WORK = 1 << 22
+# Doubles in one AVX-512 register. BLAS computes an element of a partial
+# register differently according to where its call's blocking puts it, so a
+# cut is made only where the dimension BLAS vectorizes is whole registers,
+# and at a multiple of LANES, each half at least LANES wide.
+LANES = 8
 
 # Factorizations in this process whose first attempt failed and went to the
 # jitter retry; callers that report it take differences over their own work.
@@ -112,6 +139,195 @@ def _register_buffer(arr):
     for window in _open_windows:
         window._add(arr.size)
         weakref.finalize(arr, window._remove, arr.size)
+
+
+# ---------------------------------------------------------------------------
+# two halves on two cores
+# ---------------------------------------------------------------------------
+
+# None until first use, then False (run halves serially) or the job queue
+# of the worker thread
+_worker = None
+_worker_start = threading.Lock()
+
+
+class _Half:
+    """The second half of a `_halves` call, with a copy of its caller's
+    context (so numpy's errstate holds wherever it runs). Whichever thread
+    claims it first runs it: the worker, or the caller once done with its
+    own half, so a half the worker has not begun never waits for it."""
+
+    __slots__ = ("claim", "finished", "context", "fn", "error")
+
+    def __init__(self, fn):
+        self.claim = threading.Lock()
+        self.finished = threading.Lock()
+        self.finished.acquire()
+        self.context = contextvars.copy_context()
+        self.fn = fn
+        self.error = None
+
+    def run(self):
+        """Run the half unless another thread has claimed it; say whether
+        this thread ran it."""
+        if not self.claim.acquire(blocking=False):
+            return False
+        context, fn = self.context, self.fn
+        self.context = self.fn = None
+        try:
+            context.run(fn)
+        except BaseException as err:  # raised by the caller of `_halves`
+            self.error = err
+        del context, fn     # hold none of the caller's buffers once it resumes
+        self.finished.release()
+        return True
+
+
+def _serve(jobs):
+    while True:
+        half = jobs.get()
+        half.run()
+        del half
+
+
+def _start_worker():
+    global _worker
+    with _worker_start:
+        if _worker is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            if _PIN_THREADS and cpus > 1:
+                _worker = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(_worker,), daemon=True,
+                                 name="vbpc-half").start()
+            else:
+                _worker = False
+    return _worker
+
+
+def _reset_after_fork():
+    global _worker, _worker_start
+    _worker = None
+    _worker_start = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+def _halves(first, second):
+    """Run `first()` here while the worker thread runs `second()`, and
+    return once both are done; an exception from either is raised here.
+    The two must write to disjoint memory. When the worker has not begun
+    `second` by the time `first` is done (the other core is busy), this
+    thread runs it. With one CPU in the process's affinity, or a BLAS
+    thread count the user set, both run here, one after the other."""
+    jobs = _start_worker()
+    if jobs is False:
+        first()
+        second()
+        return
+    half = _Half(second)
+    jobs.put(half)
+    try:
+        first()
+    finally:
+        if not half.run():
+            half.finished.acquire()
+    if half.error is not None:
+        raise half.error
+
+
+def _cut(size):
+    """Where a dimension of `size` is cut: a multiple of LANES near the
+    middle, or 0 when a half would be narrower than LANES."""
+    return size // (2 * LANES) * LANES
+
+
+def _product(a, b):
+    """a @ b in a fresh C-order buffer, written as two halves when it holds
+    at least SPLIT_WORK multiply-adds: the output's rows or columns,
+    whichever are more, cut at `_cut`. Bit-equal to a @ b. The output's
+    columns are the dimension BLAS vectorizes, so a product is cut only when
+    they are whole registers; a product of a buffer with itself (a Gram,
+    which numpy computes with syrk) is never cut."""
+    (m, k), n = a.shape, b.shape[1]
+    out = np.empty((m, n))
+    mid = _cut(max(m, n))
+    if m * n * k < SPLIT_WORK or n % LANES or not mid or np.may_share_memory(a, b):
+        np.matmul(a, b, out=out)
+    elif m >= n:
+        _halves(lambda: np.matmul(a[:mid], b, out=out[:mid]),
+                lambda: np.matmul(a[mid:], b, out=out[mid:]))
+    else:
+        _halves(lambda: np.matmul(a, b[:, :mid], out=out[:, :mid]),
+                lambda: np.matmul(a, b[:, mid:], out=out[:, mid:]))
+    return out
+
+
+@functools.cache
+def _lapack():
+    """(dtrtrs, dpotrs) of the OpenBLAS that scipy bundles, bound through
+    ctypes, or None where scipy bundles none. They are the routines scipy's
+    wrappers call, so they give the same bits; but those wrappers hold the
+    interpreter lock while LAPACK runs, and a ctypes call releases it, so
+    only through these can two halves of a solve run at once."""
+    for path in _bundled_openblas(scipy):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_dtrtrs_") and hasattr(lib, "scipy_dpotrs_"):
+            char, ptr, size = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+            num = ctypes.POINTER(ctypes.c_int)
+            trtrs, potrs = lib.scipy_dtrtrs_, lib.scipy_dpotrs_
+            # Fortran arguments by reference, then the hidden lengths of the
+            # character arguments
+            trtrs.argtypes = [char, char, char, num, num, ptr, num, ptr, num, num,
+                              size, size, size]
+            potrs.argtypes = [char, num, num, ptr, num, ptr, num, num, size]
+            trtrs.restype = potrs.restype = None
+            return trtrs, potrs
+    return None
+
+
+def _lapack_solve(lapack, chol, x, op):
+    """Overwrite the columns of `x` with op(chol)^{-1} x, by the routines of
+    `_lapack()`. chol is a lower factor in Fortran order; x is a block of
+    a Fortran-order buffer; op is "N" (chol), "T" (chol^T) or "S" (chol
+    chol^T)."""
+    m, n = x.shape
+    if not (chol.dtype == x.dtype == np.float64 and chol.shape == (m, m)
+            and chol.flags.f_contiguous and x.strides[0] == 8
+            and x.strides[1] >= 8 * m and op in ("N", "T", "S")):
+        raise NdiffError(f"LAPACK solve: bad operands {chol.shape}, {x.shape}, {op!r}")
+    trtrs, potrs = lapack
+    info = ctypes.c_int(0)
+    dims = [ctypes.byref(ctypes.c_int(v)) for v in (m, n, x.strides[1] // 8)]
+    if op == "S":
+        potrs(b"L", dims[0], dims[1], chol.ctypes.data, dims[0], x.ctypes.data,
+              dims[2], ctypes.byref(info), 1)
+    else:
+        trtrs(b"L", op.encode(), b"N", dims[0], dims[1], chol.ctypes.data, dims[0],
+              x.ctypes.data, dims[2], ctypes.byref(info), 1, 1, 1)
+    if info.value:
+        raise NdiffError(f"LAPACK solve failed with info {info.value}")
+
+
+def _solve(chol, b, op="N"):
+    """op(chol)^{-1} b for a lower Cholesky factor: op "N" is chol, "T" is
+    chol^T and "S" is chol chol^T. The result is in Fortran order, the
+    layout LAPACK writes. At least SPLIT_WORK multiply-adds are cut into
+    two halves of columns at `_cut`, each solved alone, when m is whole
+    registers (LAPACK vectorizes over it) and `_lapack()` can release the
+    interpreter lock; any other solve is scipy's, whole."""
+    m, n = b.shape
+    mid = _cut(n)
+    lapack = _lapack()
+    if m * m * n < SPLIT_WORK or m % LANES or not mid or lapack is None:
+        if op == "S":
+            return scipy.linalg.cho_solve((chol, True), b)
+        return scipy.linalg.solve_triangular(chol, b, lower=True, trans=op)
+    x = np.array(b, order="F")
+    _halves(lambda: _lapack_solve(lapack, chol, x[:, :mid], op),
+            lambda: _lapack_solve(lapack, chol, x[:, mid:], op))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +517,7 @@ def _fwd_matmul(a, b, trans_a=False, trans_b=False):
     op_b = b.T if trans_b else b
     if op_a.shape[1] != op_b.shape[0]:
         raise ShapeError(f"matmul: {op_a.shape} @ {op_b.shape}")
-    return op_a @ op_b, (op_a, op_b, trans_a, trans_b)
+    return _product(op_a, op_b), (op_a, op_b, trans_a, trans_b)
 
 
 def _vjp_matmul(g, saved, needs):
@@ -309,9 +525,9 @@ def _vjp_matmul(g, saved, needs):
     op_a, op_b, trans_a, trans_b = saved
     ga = gb = None
     if needs[0]:
-        ga = op_b @ g.T if trans_a else g @ op_b.T
+        ga = _product(op_b, g.T) if trans_a else _product(g, op_b.T)
     if needs[1]:
-        gb = g.T @ op_a if trans_b else op_a.T @ g
+        gb = _product(g.T, op_a) if trans_b else _product(op_a.T, g)
     return ga, gb
 
 
@@ -398,13 +614,13 @@ def _vjp_rsqrt_shift(g, saved, needs):
 def _fwd_cholesky_solve_spd(a, b, _chol=None):
     if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
         raise ShapeError(f"cholesky_solve_spd: {a.shape} vs {b.shape}")
-    x = scipy.linalg.cho_solve((_chol, True), b)
+    x = _solve(_chol, b, "S")
     return x, (_chol, x)
 
 
 def _vjp_cholesky_solve_spd(g, saved, needs):
     chol, x = saved
-    gb = scipy.linalg.cho_solve((chol, True), g)
+    gb = _solve(chol, g, "S")
     if needs[0]:
         gs = -gb @ x.T
         ga = 0.5 * (gs + gs.T)
@@ -432,16 +648,20 @@ def _fwd_inv_quad_spd(a, b, rows=False, _chol=None):
     op_b = b.T if rows else b
     if a.shape[0] != a.shape[1] or a.shape[1] != op_b.shape[0]:
         raise ShapeError(f"inv_quad_spd: {a.shape} vs {op_b.shape}")
-    z = scipy.linalg.solve_triangular(_chol, op_b, lower=True)
+    z = _solve(_chol, op_b)
     return (z * z).sum(axis=0).reshape(-1, 1), (_chol, z, rows)
 
 
 def _vjp_inv_quad_spd(g, saved, needs):
     chol, z, rows = saved
-    x = scipy.linalg.solve_triangular(chol, z, lower=True, trans="T")  # a^{-1} op(b)
+    x = _solve(chol, z, "T")  # a^{-1} op(b), Fortran order
     xg = x * g.T
-    ga = -xg @ x.T if needs[0] else None
-    gb = 2.0 * (xg.T if rows else xg) if needs[1] else None
+    ga = None
+    if needs[0]:
+        ga = _product(xg, x.T)
+        np.negative(ga, out=ga)     # -(xg x^T), bit-equal to (-xg) x^T
+    # in C order, so backward adopts it without a copy
+    gb = np.multiply(xg.T if rows else xg, 2.0, order="C") if needs[1] else None
     return ga, gb
 
 

@@ -60,12 +60,18 @@ def init_net(widths, k, seed):
 
 
 def features(net, x):
-    """Plain numpy forward pass through the feature layers (head excluded)."""
+    """Plain numpy forward pass through the feature layers (head excluded).
+
+    Each layer is one buffer: the product (cut in two halves on two cores
+    when large, see `ndiff._product`), then the bias and the ReLU in place.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != net.widths[0]:
         raise nd.ShapeError(f"input dim {x.shape[1]} != net input {net.widths[0]}")
     for w, b in zip(net.weights, net.biases):
-        x = np.maximum(x @ w + b, 0.0)
+        y = nd._product(x, w)
+        y += b
+        x = np.maximum(y, 0.0, out=y)
     return x
 
 

@@ -4,7 +4,11 @@
 the parameters as new read-only arrays; it never writes to the parameters
 or gradients it is given. It walks each block in cache-sized slices, so a
 step streams every buffer through memory once instead of once per
-elementwise operation.
+elementwise operation. A block of two slices or more is cut at a slice
+boundary into two halves, and the second half runs on a second core
+(`ndiff._halves`) with its own scratch buffers. Every element goes through
+the same operations in any case, so the result does not depend on the
+number of cores.
 """
 
 import math
@@ -12,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ndiff import _halves
+
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 # Elements per slice of the blocked update: two float64 scratch buffers of
-# this size (128 KiB each) stay in a core's L2 cache.
+# this size (128 KiB each) stay in a core's L2 cache, one pair per half.
 SLICE = 16384
 
 
@@ -55,35 +61,47 @@ def adam_step(state, params, grads, lr):
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
-    a = np.empty(SLICE)
-    b = np.empty(SLICE)
+    scratch = [(np.empty(SLICE), np.empty(SLICE)) for _ in range(2)]
     new_params = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         out = np.empty(m.shape)
-        p_flat = np.ascontiguousarray(p, dtype=np.float64).reshape(-1)
-        g_flat = np.ascontiguousarray(g, dtype=np.float64).reshape(-1)
-        m_flat, v_flat, out_flat = m.reshape(-1), v.reshape(-1), out.reshape(-1)
-        for lo in range(0, m.size, SLICE):
-            hi = min(lo + SLICE, m.size)
-            gs, ms, vs = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
-            sa, sb = a[:hi - lo], b[:hi - lo]
-            np.multiply(ms, BETA1, out=ms)
-            np.multiply(gs, 1.0 - BETA1, out=sa)
-            np.add(ms, sa, out=ms)
-            np.multiply(vs, BETA2, out=vs)
-            np.multiply(gs, 1.0 - BETA2, out=sa)
-            np.multiply(sa, gs, out=sa)
-            np.add(vs, sa, out=vs)
-            np.divide(ms, c1, out=sa)
-            np.multiply(sa, lr, out=sa)
-            np.divide(vs, c2, out=sb)
-            np.sqrt(sb, out=sb)
-            np.add(sb, EPS, out=sb)
-            np.divide(sa, sb, out=sa)
-            np.subtract(p_flat[lo:hi], sa, out=out_flat[lo:hi])
+        flats = (np.ascontiguousarray(p, dtype=np.float64).reshape(-1),
+                 np.ascontiguousarray(g, dtype=np.float64).reshape(-1),
+                 m.reshape(-1), v.reshape(-1), out.reshape(-1))
+        mid = m.size // (2 * SLICE) * SLICE
+        if mid:
+            _halves(lambda: _update(flats, 0, mid, scratch[0], c1, c2, lr),
+                    lambda: _update(flats, mid, m.size, scratch[1], c1, c2, lr))
+        else:
+            _update(flats, 0, m.size, scratch[0], c1, c2, lr)
         out.flags.writeable = False
         new_params.append(out)
     return state, new_params
+
+
+def _update(flats, lo, hi, scratch, c1, c2, lr):
+    """Adam on elements [lo, hi) of the flat (p, g, m, v, out) buffers,
+    slice by slice, in the two slice-sized `scratch` buffers."""
+    p_flat, g_flat, m_flat, v_flat, out_flat = flats
+    a, b = scratch
+    for start in range(lo, hi, SLICE):
+        end = min(start + SLICE, hi)
+        gs, ms, vs = g_flat[start:end], m_flat[start:end], v_flat[start:end]
+        sa, sb = a[:end - start], b[:end - start]
+        np.multiply(ms, BETA1, out=ms)
+        np.multiply(gs, 1.0 - BETA1, out=sa)
+        np.add(ms, sa, out=ms)
+        np.multiply(vs, BETA2, out=vs)
+        np.multiply(gs, 1.0 - BETA2, out=sa)
+        np.multiply(sa, gs, out=sa)
+        np.add(vs, sa, out=vs)
+        np.divide(ms, c1, out=sa)
+        np.multiply(sa, lr, out=sa)
+        np.divide(vs, c2, out=sb)
+        np.sqrt(sb, out=sb)
+        np.add(sb, EPS, out=sb)
+        np.divide(sa, sb, out=sa)
+        np.subtract(p_flat[start:end], sa, out=out_flat[start:end])
 
 
 def cosine_lr(step, total, base):

@@ -16,9 +16,12 @@ import math
 import numpy as np
 
 from . import ndiff as nd
+from .ndiff import _halves
 
 ALPHA_PROBIT = math.pi / 8
 VARIANCE_CLAMP = -1e-12
+# Samples per chunk of the Monte Carlo oracle
+MC_CHUNK = 100_000
 
 
 class PredictiveBatch:
@@ -87,7 +90,10 @@ def mc_log_softmax(mean, variance, samples, seed, return_stderr=False):
 
     mean is a k-vector, variance a scalar. Deterministic for a fixed seed;
     chunked so 1e6-sample runs stay cheap on memory. This is the oracle the
-    probit approximation is validated against.
+    probit approximation is validated against. Chunk i+1 is drawn here
+    while the worker of `ndiff._halves` reduces chunk i, into buffers
+    reused from chunk to chunk; the draws keep their order, so the estimate
+    does not depend on the number of cores.
     """
     mean = np.asarray(mean, dtype=np.float64).ravel()
     if samples < 1:
@@ -97,15 +103,35 @@ def mc_log_softmax(mean, variance, samples, seed, return_stderr=False):
     k = mean.size
     total = np.zeros(k)
     total_sq = np.zeros(k)
-    done = 0
+    rows = min(MC_CHUNK, samples)
+    draws = (np.empty((rows, k)), np.empty((rows, k)))
+    work, row, col = np.empty((rows, k)), np.empty((rows, 1)), np.empty(k)
+
+    def reduce(z):
+        """Add the log-softmax of mean + sd * z, and its square, to the
+        running sums; z is overwritten."""
+        n = z.shape[0]
+        e, s = work[:n], row[:n]
+        np.multiply(z, sd, out=z)
+        np.add(z, mean, out=z)
+        np.max(z, axis=1, keepdims=True, out=s)
+        np.subtract(z, s, out=z)
+        np.exp(z, out=e)
+        np.sum(e, axis=1, keepdims=True, out=s)
+        np.log(s, out=s)
+        np.subtract(z, s, out=z)
+        np.add(total, np.sum(z, axis=0, out=col), out=total)
+        np.square(z, out=e)
+        np.add(total_sq, np.sum(e, axis=0, out=col), out=total_sq)
+
+    z = rng.standard_normal(out=draws[0])
+    done, chunk = rows, 1
     while done < samples:
-        m = min(100_000, samples - done)
-        z = mean + sd * rng.standard_normal((m, k))
-        z -= z.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        total += logp.sum(axis=0)
-        total_sq += (logp ** 2).sum(axis=0)
-        done += m
+        n = min(MC_CHUNK, samples - done)
+        nxt = draws[chunk % 2][:n]
+        _halves(lambda: rng.standard_normal(out=nxt), lambda: reduce(z))
+        z, done, chunk = nxt, done + n, chunk + 1
+    reduce(z)
     est = total / samples
     if not return_stderr:
         return est

@@ -3,8 +3,12 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
 import re
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -323,6 +327,50 @@ def test_train_deterministic_across_runs(tmp_path):
     lines_b = (out_b / "metrics.jsonl").read_text().splitlines()
     assert [strip_ms(a) for a in lines_a] == [strip_ms(b) for b in lines_b]
     assert (out_a / "coreset.vbpc").read_bytes() == (out_b / "coreset.vbpc").read_bytes()
+
+
+# Runs `vbpc train` with the arguments after the first, which is the CPU to
+# pin the process to, or "all"; reports on stderr whether a worker took
+# the second halves.
+_PINNED_TRAIN = """
+import os, sys
+if sys.argv[1] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from vbpc import ndiff
+from vbpc.cli import main
+code = main(sys.argv[2:])
+print("worker", ndiff._start_worker() is not False, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pins a process to one CPU")
+def test_train_on_one_cpu_is_bit_identical_to_two(tmp_path):
+    # hidden widths and coreset size that cut products, Adam blocks and the
+    # KL's triangular solves in halves; pinned to one CPU they run serially
+    cfg = write_cfg(tmp_path, "steps = 4\nbatch_size = 64\nipc = 32\n"
+                              "hidden = 256,1024\npool_size = 2\nlog_interval = 1\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    workers = {}
+    for cpus in (str(min(os.sched_getaffinity(0))), "all"):
+        out = tmp_path / cpus
+        child = subprocess.run(
+            [sys.executable, "-c", _PINNED_TRAIN, cpus, "train", "--config", cfg,
+             "--data", "synthetic:moons:n=400,k=2,noise=0.1", "--out", str(out),
+             "--seed", "4"], env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        workers[cpus] = child.stderr.split()[-1]
+    assert workers == {str(min(os.sched_getaffinity(0))): "False",
+                       "all": str(len(os.sched_getaffinity(0)) > 1)}
+    pinned, free = (tmp_path / cpus for cpus in workers)
+    lines_p = (pinned / "metrics.jsonl").read_text().splitlines()
+    lines_f = (free / "metrics.jsonl").read_text().splitlines()
+    assert len(lines_p) == 4
+    assert [strip_ms(a) for a in lines_p] == [strip_ms(b) for b in lines_f]
+    assert (pinned / "coreset.vbpc").read_bytes() == (free / "coreset.vbpc").read_bytes()
 
 
 # ---------------------------------------------------------------------------

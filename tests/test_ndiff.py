@@ -1,12 +1,18 @@
 """Gradient-tape layer: primitive semantics, adjoints vs finite differences,
-Cholesky behavior, tape determinism, allocation tracking."""
+Cholesky behavior, tape determinism, work cut in two halves, allocation
+tracking."""
 
 import math
+import os
 import re
+import threading
+import time
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vbpc import ndiff as nd, network
 from vbpc.data import PseudoCoreset
@@ -494,6 +500,236 @@ def test_gradients_share_no_memory_with_saved_buffers():
     for grad in grads.values():
         assert not grad.data.flags.writeable
         assert not any(np.shares_memory(grad.data, buf) for buf in saved)
+
+
+# ---------------------------------------------------------------------------
+# two halves
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def halves_calls(monkeypatch):
+    """Count the products and solves that ndiff cuts in two."""
+    calls = []
+    real = nd._halves
+
+    def counting(first, second):
+        calls.append(1)
+        real(first, second)
+
+    monkeypatch.setattr(nd, "_halves", counting)
+    return calls
+
+
+# (m, n, k) of op(a) @ op(b), each at most 10% above SPLIT_WORK: odd rows
+# cut through the rows, one into halves of 8 and 23 rows (the smallest
+# share a half can get), odd inner and row sizes cut through the columns,
+# and two whose output columns are no whole number of LANES, never cut
+PRODUCTS = [((129, 64, 509), 1), ((1001, 512, 9), 1), ((31, 8, 16913), 1),
+            ((40, 264, 401), 1), ((17, 2056, 121), 1), ((129, 65, 509), 0),
+            ((1001, 511, 9), 0)]
+
+
+@pytest.mark.parametrize("trans_a", [False, True])
+@pytest.mark.parametrize("trans_b", [False, True])
+@pytest.mark.parametrize("shape,cuts", PRODUCTS)
+def test_cut_product_is_bit_equal_to_matmul(halves_calls, trans_a, trans_b, shape, cuts):
+    m, n, k = shape
+    assert nd.SPLIT_WORK <= m * n * k <= 1.1 * nd.SPLIT_WORK
+    rng = np.random.default_rng(m + n + k)
+    a = rng.standard_normal((k, m) if trans_a else (m, k))
+    b = rng.standard_normal((n, k) if trans_b else (k, n))
+    op_a, op_b = (a.T if trans_a else a), (b.T if trans_b else b)
+    got = nd._product(op_a, op_b)
+    assert len(halves_calls) == cuts
+    assert got.flags.c_contiguous and got.tobytes() == (op_a @ op_b).tobytes()
+    # the primitive and its adjoint: every product in them takes the cut
+    tape = nd.Tape()
+    la, lb = tape.leaf(nd.Array(a)), tape.leaf(nd.Array(b))
+    out = nd.matmul(la, lb, trans_a=trans_a, trans_b=trans_b)
+    g = rng.standard_normal((m, n))
+    grads = nd.backward(tape, nd.sum(nd.hadamard(out, nd.Array(g))))
+    ga = op_b @ g.T if trans_a else g @ op_b.T
+    gb = g.T @ op_a if trans_b else op_a.T @ g
+    assert out.data.tobytes() == got.tobytes()
+    assert grads[tape.node_id(la)].data.tobytes() == ga.tobytes()
+    assert grads[tape.node_id(lb)].data.tobytes() == gb.tobytes()
+
+
+@pytest.mark.parametrize("flag", ["trans_a", "trans_b"])
+def test_product_of_a_buffer_with_itself_is_never_cut(halves_calls, flag):
+    a = np.random.default_rng(3).standard_normal((512, 200))
+    one = nd.Array(a)
+    gram = nd.matmul(one, one, **{flag: True}).data
+    assert halves_calls == []
+    want = a.T @ a if flag == "trans_a" else a @ a.T
+    assert gram.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(gram, gram.T)    # numpy's syrk, exactly symmetric
+
+
+# (m, n) of the m x m factor and the right-hand sides, at most 10% above
+# SPLIT_WORK; m = 100 is no whole number of LANES, so it is never cut
+SOLVES = [((64, 1031), 1), ((136, 229), 1), ((256, 65), 1), ((100, 420), 0)]
+
+
+@pytest.mark.parametrize("op", ["N", "T", "S"])
+@pytest.mark.parametrize("shape,cuts", SOLVES)
+def test_cut_solve_is_bit_equal_to_scipy(halves_calls, op, shape, cuts):
+    if nd._lapack() is None:
+        pytest.skip("scipy bundles no OpenBLAS here, so no solve is cut")
+    m, n = shape
+    assert nd.SPLIT_WORK <= m * m * n <= 1.1 * nd.SPLIT_WORK
+    rng = np.random.default_rng(m + n)
+    q = rng.standard_normal((m, m))
+    chol = nd._chol_of(nd.Array(q @ q.T / m + np.eye(m)))
+    for b in (rng.standard_normal((m, n)), rng.standard_normal((n, m)).T):
+        if op == "S":
+            want = scipy.linalg.cho_solve((chol, True), b)
+        else:
+            want = scipy.linalg.solve_triangular(chol, b, lower=True, trans=op)
+        got = nd._solve(chol, b, op)
+        assert got.flags.f_contiguous and np.array_equal(got, want)
+    assert len(halves_calls) == 2 * cuts
+
+
+def test_inv_quad_and_cholesky_solve_cut_their_solves(halves_calls):
+    # the forward and adjoint solves of both primitives at a cut size
+    if nd._lapack() is None:
+        pytest.skip("scipy bundles no OpenBLAS here, so no solve is cut")
+    rng = np.random.default_rng(21)
+    q = rng.standard_normal((64, 64))
+    a_val = q @ q.T / 64 + np.eye(64)
+    b_val = rng.standard_normal((64, 1031))
+    tape = nd.Tape()
+    a, b = tape.leaf(nd.Array(a_val)), tape.leaf(nd.Array(b_val))
+    loss = nd.add(nd.sum(nd.inv_quad_spd(a, b)),
+                  nd.sum(nd.cholesky_solve_spd(a, b)))
+    nd.backward(tape, loss)
+    assert len(halves_calls) == 5     # four solves and the inv-quad adjoint's X X^T
+    chol = nd._chol_of(a)
+    z = scipy.linalg.solve_triangular(chol, b_val, lower=True)
+    np.testing.assert_array_equal(nd.inv_quad_spd(nd.Array(a_val), b).data,
+                                  (z * z).sum(axis=0).reshape(-1, 1))
+
+
+def test_inv_quad_gradient_of_b_is_adopted_without_a_copy(monkeypatch):
+    # in the columns form the adjoint builds 2 X diag(g) in C order, so the
+    # gradient backward hands out is that very buffer, the only one of its
+    # size the window sees (a Fortran-order one was copied, and its copy
+    # counted instead)
+    made = []
+    fwd, vjp, arity = nd._REGISTRY["inv_quad_spd"]
+
+    def recording_vjp(g, saved, needs):
+        parts = vjp(g, saved, needs)
+        made.append(parts[1])
+        return parts
+
+    monkeypatch.setitem(nd._REGISTRY, "inv_quad_spd", (fwd, recording_vjp, arity))
+    rng = np.random.default_rng(22)
+    q = rng.standard_normal((50, 50))
+    a = nd.Array(q @ q.T + 50 * np.eye(50))
+    for rows, shape in ((False, (50, 200)), (True, (200, 50))):
+        tape = nd.Tape()
+        b = tape.leaf(nd.Array(rng.standard_normal(shape)))
+        loss = nd.sum(nd.inv_quad_spd(a, b, rows=rows))
+        with nd.track_allocations() as window:
+            grad = nd.backward(tape, loss)[tape.node_id(b)]
+        assert grad.data is made[-1] and grad.data.flags.c_contiguous
+        assert window.largest_block == 50 * 200
+
+
+def test_worker_half_runs_under_the_callers_errstate():
+    # the first half waits for the second to begin, so that the worker,
+    # where there is one, runs it rather than the caller
+    big = np.full((4, 4), 1e200)
+    out = np.empty((4, 4))
+    begun = threading.Event()
+    where = []
+
+    def second():
+        where.append(threading.get_ident())
+        begun.set()
+        np.multiply(big, big, out=out)
+
+    def first():
+        begun.wait(timeout=30.0)
+        begun.clear()
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        nd._halves(first, second)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nd._halves(first, second)
+    assert np.isinf(out).all()
+    on_worker = nd._start_worker() is not False
+    assert [w != threading.get_ident() for w in where] == [on_worker] * 2
+
+
+def test_caller_runs_the_half_the_worker_has_not_begun():
+    # the worker is held inside one half; a second call's half waits in its
+    # queue, so that call's caller runs it itself instead of waiting
+    if nd._start_worker() is False:
+        pytest.skip("one CPU: no worker")
+    release = threading.Event()
+    begun = threading.Event()
+    runs = []
+
+    def held():
+        begun.set()
+        release.wait(timeout=30.0)
+
+    def outer_first():
+        begun.wait(timeout=30.0)
+        nd._halves(lambda: runs.append("first"),
+                   lambda: runs.append(threading.get_ident()))
+        release.set()
+
+    nd._halves(outer_first, held)
+    assert runs == ["first", threading.get_ident()]
+
+
+def test_worker_keeps_no_buffer_of_a_finished_half():
+    rng = np.random.default_rng(24)
+    a, b = rng.standard_normal((300, 200)), rng.standard_normal((200, 256))
+    out = nd._product(a, b)
+    refs = [weakref.ref(x) for x in (a, b, out)]
+    del a, b, out
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_halves_raise_the_exception_of_either():
+    def fail():
+        raise KeyError("half")
+
+    for first, second in ((fail, lambda: None), (lambda: None, fail)):
+        with pytest.raises(KeyError, match="half"):
+            nd._halves(first, second)
+    nd._halves(lambda: None, lambda: None)      # the worker is free again
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_computes_a_cut_product():
+    rng = np.random.default_rng(23)
+    a, b = rng.standard_normal((300, 200)), rng.standard_normal((200, 256))
+    want = (a @ b).tobytes()
+    assert nd._product(a, b).tobytes() == want     # the worker now runs here
+    pid = os.fork()
+    if pid == 0:    # the child: exit 0 only if the cut product comes back right
+        try:
+            os._exit(0 if nd._product(a, b).tobytes() == want else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung on a cut product")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ---------------------------------------------------------------------------

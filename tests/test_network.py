@@ -69,6 +69,18 @@ def test_identity_layer_passthrough():
     np.testing.assert_array_equal(features(net, x), x)
 
 
+def test_features_equal_the_plain_expression_bit_for_bit():
+    # widths whose products are cut in halves, and one whose product is not
+    rng = np.random.default_rng(6)
+    net = init_net((300, 512, 72), 3, seed=2)
+    x = rng.standard_normal((40, 300))
+    want = x
+    for w, b in zip(net.weights, net.biases):
+        want = np.maximum(want @ w + b, 0.0)
+    got = features(net, x)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
 def test_zero_depth_net_is_identity_feature_map():
     net = init_net((3,), k=2, seed=0)
     x = np.random.default_rng(1).standard_normal((4, 3))

@@ -1,6 +1,6 @@
 """Package surface: every tape primitive has a caller, no layer above the
-tape names one, the names the demos import resolve, and the BLAS thread
-pinning holds in any import order."""
+tape names one, the names the demos import resolve, the BLAS thread
+pinning holds in any import order, and importing starts no thread."""
 
 import ast
 import dataclasses
@@ -144,3 +144,36 @@ def test_blas_thread_choice_of_user_is_kept():
     assert result["env"] == {"OMP_NUM_THREADS": None,
                              "OPENBLAS_NUM_THREADS": "2",
                              "MKL_NUM_THREADS": None}
+
+
+# Counts the threads of the process after `import vbpc`, and again after a
+# product large enough to be cut in two halves.
+_THREADS = """
+import json, os, threading
+import vbpc
+import numpy as np
+
+def threads():
+    task = "/proc/self/task"
+    native = len(os.listdir(task)) if os.path.isdir(task) else None
+    return [threading.active_count(), native]
+
+after_import = threads()
+a = np.ones((256, 256))
+vbpc.ndiff._product(a, np.ones((256, 256)))
+print(json.dumps({"import": after_import, "product": threads(),
+                  "worker": vbpc.ndiff._start_worker() is not False}))
+"""
+
+
+def test_import_starts_no_thread():
+    # the worker that takes the second half of a cut product starts lazily
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    out = subprocess.run([sys.executable, "-c", _THREADS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    result = json.loads(out)
+    assert result["import"] in ([1, 1], [1, None])
+    assert result["product"][0] == (2 if result["worker"] else 1)
+    if hasattr(os, "sched_getaffinity"):
+        assert result["worker"] == (len(os.sched_getaffinity(0)) > 1)

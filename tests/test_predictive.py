@@ -199,6 +199,35 @@ def test_mc_deterministic_per_seed():
     np.testing.assert_array_equal(a, b)
 
 
+def mc_reference(mean, variance, samples, seed):
+    """The estimator as one loop over fresh chunks, nothing overlapped."""
+    rng = np.random.default_rng(seed)
+    sd = np.sqrt(variance)
+    total, total_sq, done = np.zeros(mean.size), np.zeros(mean.size), 0
+    while done < samples:
+        m = min(100_000, samples - done)
+        z = mean + sd * rng.standard_normal((m, mean.size))
+        z -= z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        total += logp.sum(axis=0)
+        total_sq += (logp ** 2).sum(axis=0)
+        done += m
+    est = total / samples
+    return est, np.sqrt(np.maximum(total_sq / samples - est ** 2, 0.0) / samples)
+
+
+@pytest.mark.parametrize("samples", [1, 99_999, 100_000, 100_001, 250_000])
+def test_mc_overlapped_chunks_are_bit_equal_to_one_loop(samples):
+    # chunk i + 1 is drawn while chunk i is reduced on the worker, into
+    # buffers reused from chunk to chunk; every bit is the plain loop's
+    mean = np.random.default_rng(samples).uniform(-3, 3, 5)
+    est, stderr = mc_log_softmax(mean, 1.7, samples, seed=samples,
+                                 return_stderr=True)
+    want_est, want_stderr = mc_reference(mean, 1.7, samples, seed=samples)
+    assert est.tobytes() == want_est.tobytes()
+    assert stderr.tobytes() == want_stderr.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # BMA and metrics
 # ---------------------------------------------------------------------------

@@ -63,10 +63,21 @@ def textbook_adam(params, grads, lr, steps):
     return params, m, v
 
 
-def test_adam_matches_textbook_bit_for_bit():
-    # one block spans two full slices and a ragged tail, one is 1 x 1
+def test_adam_matches_textbook_bit_for_bit(monkeypatch):
+    # one block spans two full slices and a ragged tail, cut in halves after
+    # the first slice; one spans five and a tail, cut after the second; one
+    # is a single slice and one 1 x 1, neither cut
+    cuts = []
+    real_halves = optim._halves
+
+    def counting(first, second):
+        cuts.append(1)
+        real_halves(first, second)
+
+    monkeypatch.setattr(optim, "_halves", counting)
     rng = np.random.default_rng(8)
-    shapes = [(7, (2 * optim.SLICE + 2231) // 7 + 1), (1, 1)]
+    shapes = [(7, (2 * optim.SLICE + 2231) // 7 + 1), (5 * optim.SLICE + 77, 1),
+              (1, optim.SLICE), (1, 1)]
     assert 2 * optim.SLICE < shapes[0][0] * shapes[0][1] < 3 * optim.SLICE
     params = [rng.standard_normal(s) for s in shapes]
     grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-3, 3) for s in shapes]
@@ -76,7 +87,7 @@ def test_adam_matches_textbook_bit_for_bit():
     got = params
     for g in grads:
         state, got = adam_step(state, got, g, lr=0.003)
-    assert state.t == 4
+    assert state.t == 4 and len(cuts) == 2 * 4
     for a, b in zip(got + state.m + state.v, want + want_m + want_v):
         assert a.tobytes() == b.tobytes()
 
