@@ -37,15 +37,18 @@ each output element takes the same instructions as in the whole, so the
 result is bit-equal to the uncut product, and so it does not depend on the
 number of cores: with one CPU in the process's affinity, or a BLAS thread
 count the user set, the halves run one after the other on the caller.
+Halves may cut their own work in halves again (the trainer runs a whole
+coreset step as one), and a thread waiting for a half runs the halves
+queued meanwhile, so neither core idles while the other has work cut.
 """
 
+import collections
 import contextvars
 import ctypes
 import functools
 import itertools
 import math
 import os
-import queue
 import threading
 import weakref
 from contextlib import contextmanager
@@ -109,16 +112,21 @@ class AllocationWindow:
         self.live = 0
         self.peak = 0
         self.largest_block = 0
+        # both threads of a training step allocate, and a finalizer can run
+        # on either
+        self._lock = threading.RLock()
 
     def _add(self, block):
-        self.live += block
-        if self.live > self.peak:
-            self.peak = self.live
-        if block > self.largest_block:
-            self.largest_block = block
+        with self._lock:
+            self.live += block
+            if self.live > self.peak:
+                self.peak = self.live
+            if block > self.largest_block:
+                self.largest_block = block
 
     def _remove(self, block):
-        self.live -= block
+        with self._lock:
+            self.live -= block
 
 
 # Windows currently open; with none open a new buffer costs nothing here.
@@ -145,33 +153,32 @@ def _register_buffer(arr):
 # two halves on two cores
 # ---------------------------------------------------------------------------
 
-# None until first use, then False (run halves serially) or the job queue
-# of the worker thread
+# None until first use, then False (run halves serially) or True (a worker
+# thread serves `_queue`)
 _worker = None
 _worker_start = threading.Lock()
+# Second halves that no thread has claimed yet, oldest first. `_ready`
+# guards it and each half's `done`, and is notified when either changes.
+_ready = threading.Condition()
+_queue = collections.deque()
 
 
 class _Half:
     """The second half of a `_halves` call, with a copy of its caller's
-    context (so numpy's errstate holds wherever it runs). Whichever thread
-    claims it first runs it: the worker, or the caller once done with its
-    own half, so a half the worker has not begun never waits for it."""
+    context (so numpy's errstate holds wherever it runs). The thread that
+    takes it off `_queue` runs it: the worker, the caller once done with
+    its own half, or a thread waiting for another half."""
 
-    __slots__ = ("claim", "finished", "context", "fn", "error")
+    __slots__ = ("context", "fn", "error", "done")
 
     def __init__(self, fn):
-        self.claim = threading.Lock()
-        self.finished = threading.Lock()
-        self.finished.acquire()
         self.context = contextvars.copy_context()
         self.fn = fn
         self.error = None
+        self.done = False
 
     def run(self):
-        """Run the half unless another thread has claimed it; say whether
-        this thread ran it."""
-        if not self.claim.acquire(blocking=False):
-            return False
+        """Run the half; the calling thread has taken it off `_queue`."""
         context, fn = self.context, self.fn
         self.context = self.fn = None
         try:
@@ -179,13 +186,17 @@ class _Half:
         except BaseException as err:  # raised by the caller of `_halves`
             self.error = err
         del context, fn     # hold none of the caller's buffers once it resumes
-        self.finished.release()
-        return True
+        with _ready:
+            self.done = True
+            _ready.notify_all()
 
 
-def _serve(jobs):
+def _serve():
     while True:
-        half = jobs.get()
+        with _ready:
+            while not _queue:
+                _ready.wait()
+            half = _queue.popleft()
         half.run()
         del half
 
@@ -196,19 +207,18 @@ def _start_worker():
         if _worker is None:
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
-            if _PIN_THREADS and cpus > 1:
-                _worker = queue.SimpleQueue()
-                threading.Thread(target=_serve, args=(_worker,), daemon=True,
-                                 name="vbpc-half").start()
-            else:
-                _worker = False
+            _worker = _PIN_THREADS and cpus > 1
+            if _worker:
+                threading.Thread(target=_serve, daemon=True, name="vbpc-half").start()
     return _worker
 
 
 def _reset_after_fork():
-    global _worker, _worker_start
+    global _worker, _worker_start, _ready, _queue
     _worker = None
     _worker_start = threading.Lock()
+    _ready = threading.Condition()
+    _queue = collections.deque()
 
 
 os.register_at_fork(after_in_child=_reset_after_fork)
@@ -217,24 +227,46 @@ os.register_at_fork(after_in_child=_reset_after_fork)
 def _halves(first, second):
     """Run `first()` here while the worker thread runs `second()`, and
     return once both are done; an exception from either is raised here.
-    The two must write to disjoint memory. When the worker has not begun
-    `second` by the time `first` is done (the other core is busy), this
-    thread runs it. With one CPU in the process's affinity, or a BLAS
-    thread count the user set, both run here, one after the other."""
-    jobs = _start_worker()
-    if jobs is False:
+    The two must write to disjoint memory, and either may call `_halves`
+    itself. When no thread has begun `second` by the time `first` is done
+    (the other core is busy), this thread runs it. While another thread
+    runs it, this one runs the halves queued meanwhile (those that
+    `second` cuts), so a long `second` still gets both cores; it sleeps
+    on `_ready` when there are none. With one CPU in the process's
+    affinity, or a BLAS thread count the user set, both run here, one
+    after the other."""
+    if not _start_worker():
         first()
         second()
         return
     half = _Half(second)
-    jobs.put(half)
+    with _ready:
+        _queue.append(half)
+        _ready.notify_all()
     try:
         first()
     finally:
-        if not half.run():
-            half.finished.acquire()
+        _join(half)
     if half.error is not None:
         raise half.error
+
+
+def _join(half):
+    """Return once `half` is done, running it here if it is still queued,
+    and while another thread runs it, the halves queued meanwhile."""
+    while True:
+        with _ready:
+            while not half.done and not _queue:
+                _ready.wait()
+            if half.done:
+                return
+            if half in _queue:
+                _queue.remove(half)
+                job = half
+            else:
+                job = _queue.popleft()
+        job.run()
+        del job
 
 
 def _cut(size):
@@ -409,6 +441,22 @@ class Array:
 
 def constant(values):
     return values if isinstance(values, Array) else Array(values)
+
+
+def _adopt_checked(values):
+    """Array(values) without the finiteness pass, for the parameter buffers
+    of a network: `init_net` draws them finite and `adam_step` checks the
+    ones it makes, and being read-only they stay finite. Anything `Array`
+    would copy goes through it. A
+    non-finite buffer made read-only elsewhere is not caught here, but
+    makes the first op that reads it raise NonFiniteError."""
+    if not _adoptable(values):
+        return Array(values)
+    obj = Array.__new__(Array)
+    obj.data = values
+    obj._node = None
+    obj._chol = None
+    return obj
 
 
 def zeros(shape):

@@ -37,8 +37,9 @@ class FeatureNet:
 
 def init_net(widths, k, seed):
     """Fresh network per seed: weights ~ N(0, 1/fan_in), biases ~
-    U(+-1/sqrt(fan_in)). The parameters are read-only, so the tape adopts
-    them as leaves and constants without a copy.
+    U(+-1/sqrt(fan_in)). The parameters are read-only and finite by
+    construction, so the tape adopts them as leaves and constants without
+    a copy or a finiteness pass (`ndiff._adopt_checked`).
 
     Non-zero biases keep the ReLU features from being positively homogeneous
     in the input. The biases are drawn after the head, so weights and head
@@ -80,10 +81,10 @@ def features_graph(net, x, param_arrays=None):
     coreset is being trained); param_arrays supplies leaf Arrays when the
     net itself is being trained, otherwise parameters enter as constants
     (sharing memory with net.params, which init_net and adam_step make
-    read-only)."""
+    read-only and finite)."""
     if param_arrays is None:
-        ws = [nd.constant(w) for w in net.weights]
-        bs = [nd.constant(b) for b in net.biases]
+        ws = [nd._adopt_checked(w) for w in net.weights]
+        bs = [nd._adopt_checked(b) for b in net.biases]
     else:
         n = len(net.weights)
         ws, bs = param_arrays[:n], param_arrays[n:2 * n]
@@ -106,10 +107,10 @@ def gaussian_step(net, images, labels, gamma, lr, state=None):
 
     `state` carries the moments, updated in place; pass None to start
     fresh. The leaves share memory with net.params. Returns (new_net,
-    new_state).
+    new_state); a non-finite new parameter raises NonFiniteError.
     """
     tape = nd.Tape()
-    leaves = [tape.leaf(nd.Array(p)) for p in net.params]
+    leaves = [tape.leaf(nd._adopt_checked(p)) for p in net.params]
     loss = gaussian_likelihood_loss(net, images, labels, gamma, leaves)
     grad_map = nd.backward(tape, loss)
     grads = [grad_map[tape.node_id(leaf)].data for leaf in leaves]

@@ -8,7 +8,9 @@ elementwise operation. A block of two slices or more is cut at a slice
 boundary into two halves, and the second half runs on a second core
 (`ndiff._halves`) with its own scratch buffers. Every element goes through
 the same operations in any case, so the result does not depend on the
-number of cores.
+number of cores. Each slice of the result is checked finite while it is
+in cache, so the parameters `adam_step` returns need no further check:
+they are read-only and stay finite (`ndiff._adopt_checked`).
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndiff import _halves
+from .ndiff import NonFiniteError, _halves
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -47,7 +49,8 @@ def adam_step(state, params, grads, lr):
     Updates `state` in place and returns (state, new_params), the new
     parameters as fresh read-only arrays. Per element, in this order:
     m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g,
-    p - (lr*(m/c1)) / (sqrt(v/c2) + EPS).
+    p - (lr*(m/c1)) / (sqrt(v/c2) + EPS). A non-finite new parameter
+    raises NonFiniteError.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter/gradient/state block counts differ")
@@ -102,6 +105,8 @@ def _update(flats, lo, hi, scratch, c1, c2, lr):
         np.add(sb, EPS, out=sb)
         np.divide(sa, sb, out=sa)
         np.subtract(p_flat[start:end], sa, out=out_flat[start:end])
+        if not np.isfinite(out_flat[start:end]).all():
+            raise NonFiniteError("adam_step: non-finite parameter update")
 
 
 def cosine_lr(step, total, base):

@@ -5,6 +5,7 @@ tracking."""
 import math
 import os
 import re
+import sys
 import threading
 import time
 import warnings
@@ -688,6 +689,87 @@ def test_caller_runs_the_half_the_worker_has_not_begun():
     assert runs == ["first", threading.get_ident()]
 
 
+def test_waiting_caller_runs_the_halves_the_worker_cuts():
+    # the worker's half cuts its own work; the cut's first part waits until
+    # its second part has begun, which only the caller, idle after its own
+    # half, can begin
+    if nd._start_worker() is False:
+        pytest.skip("one CPU: no worker")
+    outer_begun, inner_begun = threading.Event(), threading.Event()
+    where = []
+
+    def inner_second():
+        where.append(threading.get_ident())
+        inner_begun.set()
+
+    def outer_second():
+        outer_begun.set()
+        nd._halves(lambda: inner_begun.wait(timeout=30.0), inner_second)
+
+    nd._halves(lambda: outer_begun.wait(timeout=30.0), outer_second)
+    assert where == [threading.get_ident()]
+
+
+def _nested_halves(depth, leaves):
+    """A binary tree of `_halves` calls, each leaf sleeping a little so that
+    the two threads interleave; leaf i writes slot i of `leaves`."""
+    def node(lo, hi, level):
+        if level == depth:
+            time.sleep(0.0005 * (lo % 3))
+            leaves[lo] = lo
+            return
+        mid = (lo + hi) // 2
+        nd._halves(lambda: node(lo, mid, level + 1), lambda: node(mid, hi, level + 1))
+    node(0, len(leaves), 0)
+
+
+@pytest.mark.parametrize("worker", [True, False])
+def test_nested_halves_from_both_threads_finish(monkeypatch, worker):
+    if not worker:
+        monkeypatch.setattr(nd, "_worker", False)
+    elif nd._start_worker() is False:
+        pytest.skip("one CPU: no worker")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            # two callers and the worker: more threads than cores
+            trees = [[None] * 32 for _ in range(2)]
+            runners = [threading.Thread(target=_nested_halves, args=(5, leaves),
+                                        daemon=True) for leaves in trees]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=60.0)
+                assert not runner.is_alive(), "nested halves deadlocked"
+            assert trees == [list(range(32))] * 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert not nd._queue
+
+
+def test_window_counts_exactly_under_two_threads():
+    # buffers made and freed on several threads at once, finalizers on
+    # either: no update of the window's counts may be lost
+    def churn():
+        for _ in range(2000):
+            nd.zeros((1, 3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with nd.track_allocations() as window:
+            threads = [threading.Thread(target=churn, daemon=True) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert window.live == 0 and window.largest_block == 3
+
+
 def test_worker_keeps_no_buffer_of_a_finished_half():
     rng = np.random.default_rng(24)
     a, b = rng.standard_normal((300, 200)), rng.standard_normal((200, 256))
@@ -768,6 +850,38 @@ def test_adopted_non_finite_buffer_raises():
     values[1, 0] = np.nan
     with pytest.raises(nd.NonFiniteError):
         nd.Array(_read_only(values))
+
+
+def test_adopt_checked_makes_no_copy_and_no_finiteness_pass(monkeypatch):
+    values = _read_only(np.random.default_rng(2).standard_normal((3, 4)))
+    passes = []
+    real = np.isfinite
+    monkeypatch.setattr(nd.np, "isfinite", lambda x: passes.append(x) or real(x))
+    arr = nd._adopt_checked(values)
+    assert arr.data is values and arr._node is None and passes == []
+    writable = np.ones((2, 2))      # anything else goes through Array
+    copied = nd._adopt_checked(writable)
+    assert not np.shares_memory(copied.data, writable) and len(passes) == 1
+
+
+def test_network_wraps_parameters_without_a_finiteness_pass(monkeypatch):
+    # init_net and adam_step check the buffers they make; the tape adopts
+    # them later with no second pass
+    rng = np.random.default_rng(3)
+    net = network.init_net((5, 16, 8), 3, seed=4)
+    images, labels = rng.standard_normal((6, 5)), rng.standard_normal((6, 3))
+    net, state = network.gaussian_step(net, images, labels, 10.0, 1e-3)
+    wrapped = []
+    real_init = nd.Array.__init__
+
+    def recording(self, values):
+        wrapped.append(id(values))
+        real_init(self, values)
+
+    monkeypatch.setattr(nd.Array, "__init__", recording)
+    network.features_graph(net, nd.Array(images))
+    network.gaussian_step(net, images, labels, 10.0, 1e-3, state=state)
+    assert not {id(p) for p in net.params} & set(wrapped)
 
 
 def test_window_does_not_count_an_adopted_buffer():

@@ -1,13 +1,16 @@
 """Optimizer steps, schedules, sampling, the training loop, evaluation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from vbpc.data import gen_synthetic, normalize, normalize_with, init_coreset
-from vbpc import optim
+from vbpc import ndiff as nd, network, optim, trainer
+from vbpc.network import pool_new, pool_sample, pool_update
+from vbpc.objective import coreset_grad, outer_loss
 from vbpc.optim import AdamState, adam_step, cosine_lr
 from vbpc.trainer import (BatchSampler, TrainAbort, TrainConfig,
                           augment_noise, evaluate_coreset, train)
@@ -114,6 +117,15 @@ def test_adam_updates_state_in_place_and_never_writes_its_inputs():
         assert not np.shares_memory(new, p)
 
 
+def test_adam_non_finite_update_raises():
+    p = [np.full((3, 40000), 1.7e308)]    # two slices and a tail: cut in halves
+    p[0][2, -1] = -1.7e308
+    g = [np.full((3, 40000), -1.0)]
+    g[0][2, -1] = 1.0
+    with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError, match="adam_step"):
+        adam_step(AdamState.init(p), p, g, lr=1e308)
+
+
 def test_adam_rejects_mismatched_blocks():
     p = [np.zeros((2, 3))]
     with pytest.raises(ValueError):
@@ -136,6 +148,13 @@ def test_noise_sigma_zero_is_identity():
     images = np.ones((4, 3))
     out = augment_noise(images, 0.0, np.random.default_rng(0))
     assert out is images
+
+
+def test_noise_is_the_expression_bit_for_bit():
+    images = np.random.default_rng(2).standard_normal((7, 9))
+    want = images + 0.1 * np.random.default_rng(3).standard_normal(images.shape)
+    got = augment_noise(images, 0.1, np.random.default_rng(3))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_noise_sample_variance():
@@ -362,3 +381,169 @@ def test_eval_counts_one_feature_pass_per_input():
     finally:
         trainer_mod.features = original
     assert calls.count(40) == 1
+
+
+# ---------------------------------------------------------------------------
+# the pipelined loop against the serial one
+# ---------------------------------------------------------------------------
+
+def serial_train(config, dataset, sink):
+    """The training loop one step at a time: outer loss, backward, Adam,
+    then the pool update, before the next step begins. `train` overlaps
+    each pool update with the next coreset step and must match this bit
+    for bit, bar the records' `ms`."""
+    config = config.resolve_beta_s(dataset.k)
+    hyper = config.hyperparams()
+    coreset = init_coreset(dataset, config.ipc, config.init_mode,
+                           config.seed_init, hyper=hyper)
+    pool = pool_new(config.pool_size, (dataset.d, *config.hidden), dataset.k,
+                    config.seed_pool, config.pool_period)
+    sample_rng = np.random.default_rng(np.random.SeedSequence([config.seed_pool, 1]))
+    noise_rng = np.random.default_rng(config.seed_noise)
+    sampler = BatchSampler(dataset, config.batch_size, config.seed_data)
+    images, labels = np.array(coreset.images), np.array(coreset.labels)
+    state_x, state_y = AdamState.init([images]), AdamState.init([labels])
+    retries_before = nd.jitter_retries
+    for step in range(config.steps):
+        lr = cosine_lr(step, config.steps, config.coreset_lr)
+        batch = sampler.next()
+        idx, net = pool_sample(pool, sample_rng)
+        loss_images = images
+        if config.noise_aug and config.noise_sigma != 0.0:
+            loss_images = images + config.noise_sigma * noise_rng.standard_normal(images.shape)
+        try:
+            tape = nd.Tape()
+            loss, breakdown = outer_loss(coreset.with_arrays(loss_images, labels),
+                                         net, batch, dataset.n, hyper, tape)
+            grad_x, grad_y = coreset_grad(loss, tape)
+            state_x, (images,) = adam_step(state_x, [images], [grad_x], lr)
+            if config.learn_labels:
+                state_y, (labels,) = adam_step(state_y, [labels], [grad_y], lr)
+            pool_update(pool, idx, images, labels, hyper.gamma, config.pool_lr)
+        except nd.NonFiniteError as err:
+            sink({"step": step, "event": "abort", "error": str(err),
+                  "jitter_retries": nd.jitter_retries - retries_before})
+            raise TrainAbort(f"non-finite value at step {step}: {err}") from err
+        if step % config.log_interval == 0 or step == config.steps - 1:
+            sink({"step": step, "loss": breakdown.total,
+                  "lik": breakdown.likelihood_term, "kl": breakdown.kl_term,
+                  "lr": lr, "jitter_retries": nd.jitter_retries - retries_before,
+                  "cond_lb": breakdown.cond_lb})
+    return coreset.with_arrays(images, labels)
+
+
+def run_loop(loop, config, dataset):
+    """(records without `ms`, the coreset's bytes or the abort's message)."""
+    records = []
+    try:
+        out = loop(config, dataset, records.append)
+        result = (out.images.tobytes(), out.labels.tobytes())
+    except TrainAbort as err:
+        result = str(err)
+    for record in records:
+        record.pop("ms", None)
+    return records, result
+
+
+def fail_gaussian_step_at(monkeypatch, call):
+    """Make the pool's Gaussian step raise NonFiniteError at its `call`-th
+    call in each run; returns the reset for the next run."""
+    real = network.gaussian_step
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise nd.NonFiniteError("forced in the pool step")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "gaussian_step", failing)
+    return calls.clear
+
+
+# widths whose products, Adam blocks and coreset features are cut in halves
+PIPELINE = dict(steps=12, batch_size=64, ipc=32, hidden=(256, 1024),
+                pool_period=3, log_interval=1)
+
+
+@pytest.mark.parametrize("worker", ["on", "off"])
+@pytest.mark.parametrize("case", [
+    dict(pool_size=1),                      # every step reads the pending slot
+    dict(pool_size=2),
+    dict(pool_size=10, log_interval=5),
+    dict(pool_size=3, noise_aug=False),
+    dict(pool_size=3, noise_sigma=0.0),
+    dict(pool_size=3, learn_labels=False),
+    dict(pool_size=3, coreset_lr=1e300),    # aborts in step 0's pool update
+    dict(pool_size=3, abort_in_pool_call=5),
+], ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()))
+def test_train_matches_the_serial_loop_bit_for_bit(monkeypatch, case, worker):
+    if worker == "off":
+        monkeypatch.setattr(nd, "_worker", False)
+    case = dict(case)
+    reset = None
+    if "abort_in_pool_call" in case:
+        reset = fail_gaussian_step_at(monkeypatch, case.pop("abort_in_pool_call"))
+    config = TrainConfig(**{**PIPELINE, **case})
+    ds = moons_dataset(n=400)
+    want = run_loop(serial_train, config, ds)
+    if reset is not None:
+        reset()
+    got = run_loop(train, config, ds)
+    assert got == want
+    aborts = [r for r in want[0] if r.get("event") == "abort"]
+    assert len(aborts) == ("coreset_lr" in case or reset is not None)
+
+
+def test_pool_step_and_rotation_run_on_the_calling_thread(monkeypatch):
+    where = {"gaussian_step": [], "init_net": []}
+    for name in where:
+        real = getattr(network, name)
+
+        def recording(*args, _real=real, _name=name, **kwargs):
+            where[_name].append(threading.get_ident())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(network, name, recording)
+    config = TrainConfig(**{**PIPELINE, "pool_size": 2, "pool_period": 2})
+    train(config, moons_dataset(n=400))
+    assert len(where["gaussian_step"]) == config.steps
+    assert len(where["init_net"]) > config.pool_size        # rotations happened
+    assert set(where["gaussian_step"]) | set(where["init_net"]) == {threading.get_ident()}
+
+
+class TrackedHalf(nd._Half):
+    made = []
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        TrackedHalf.made.append(self)
+
+
+@pytest.mark.parametrize("ending", ["returns", "pool abort", "coreset abort"])
+def test_train_leaves_no_half_queued_or_running(monkeypatch, ending):
+    if nd._start_worker() is False:
+        pytest.skip("one CPU: no worker")
+    TrackedHalf.made = []
+    monkeypatch.setattr(nd, "_Half", TrackedHalf)
+    config = TrainConfig(**{**PIPELINE, "pool_size": 3})
+    if ending == "pool abort":
+        fail_gaussian_step_at(monkeypatch, 6)
+    elif ending == "coreset abort":
+        real = trainer.outer_loss
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 7:
+                raise nd.NonFiniteError("forced in a coreset step")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "outer_loss", failing)
+    if ending == "returns":
+        train(config, moons_dataset(n=400))
+    else:
+        with pytest.raises(TrainAbort):
+            train(config, moons_dataset(n=400))
+    assert TrackedHalf.made and all(half.done for half in TrackedHalf.made)
+    assert not nd._queue
