@@ -11,20 +11,15 @@ import os
 # variables reach every OpenBLAS not yet loaded, and the bundled OpenBLAS
 # builds already loaded (numpy imported first) are set through their own
 # call below. BLAS stays at one thread; the second core takes half of each
-# large product, Adam step and wide solve instead (`ndiff._halves`), cut
-# where the shapes alone say, so the results do not depend on the core
-# count. A user who sets a thread count gets no halves.
+# large product (every solve is a product with an inverse factor) and Adam
+# step instead (`ndiff._halves`), cut where the shapes alone say, so the
+# results do not depend on the core count. A user who sets a thread count
+# gets no halves.
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _PIN_THREADS = not any(var in os.environ for var in _THREAD_VARS)
 if _PIN_THREADS:
     for _var in _THREAD_VARS:
         os.environ.setdefault(_var, "1")
-
-
-def _bundled_openblas(package):
-    """Paths of the OpenBLAS builds bundled in the wheel of `package`."""
-    libs = os.path.dirname(os.path.dirname(package.__file__))
-    return glob.glob(os.path.join(libs, package.__name__ + ".libs", "*openblas*.so*"))
 
 
 from .posterior import (Hyperparams, solve_posterior, dense_variance,
@@ -43,7 +38,9 @@ def _pin_bundled_openblas():
     import scipy
 
     for package in (numpy, scipy):
-        for path in _bundled_openblas(package):
+        libs = os.path.dirname(os.path.dirname(package.__file__))
+        pattern = os.path.join(libs, package.__name__ + ".libs", "*openblas*.so*")
+        for path in glob.glob(pattern):
             lib = ctypes.CDLL(path)
             for symbol in ("scipy_openblas_set_num_threads64_",
                            "scipy_openblas_set_num_threads"):

@@ -21,16 +21,20 @@ gradient that a vjp returns unchanged on as the same Array and wraps every
 other vjp result without a copy, so no gradient shares memory with a buffer
 the forward saved.
 
+The SPD primitives share one factorization per system: `a = L L^T`, of
+which the cache keeps `W = L^{-1}`, so every solve is a product with W or
+W^T and the log-determinant reads diag W.
+
 An allocation window (`track_allocations`) counts the float64 elements this
 layer allocates while it is open (array buffers, gradient buffers, cached
-Cholesky factors): live count, peak and largest single block. A buffer an
+inverse factors): live count, peak and largest single block. A buffer an
 Array adopts was allocated elsewhere and is not counted. It is the evidence
 used by the memory benchmarks and the "never materialize an h x h buffer"
 assertions. With no window open, nothing is counted and buffers carry no
 bookkeeping.
 
-BLAS stays at one thread. Large products (and the wide triangular solves)
-are cut instead into two halves at a point fixed by their shapes, and the
+BLAS stays at one thread. Large products, solves included, are cut
+instead into two halves at a point fixed by their shapes, and the
 second half runs on a worker thread while the caller computes the first,
 so an idle second core does half the work. A product is cut only where
 each output element takes the same instructions as in the whole, so the
@@ -44,8 +48,6 @@ queued meanwhile, so neither core idles while the other has work cut.
 
 import collections
 import contextvars
-import ctypes
-import functools
 import itertools
 import math
 import os
@@ -56,11 +58,11 @@ from contextlib import contextmanager
 import numpy as np
 import scipy.linalg
 
-from . import _PIN_THREADS, _bundled_openblas
+from . import _PIN_THREADS
 
 JITTER = 1e-10
-# Multiply-adds from which a product or a triangular solve is cut in two;
-# handing a half to the worker costs about 20 us, a product this size 0.2 ms.
+# Multiply-adds from which a product is cut in two; handing a half to the
+# worker costs about 20 us, a product this size 0.2 ms.
 # A half gets at least 8/31 of it, so it stays above 10^6, under which
 # OpenBLAS switches to small-matrix kernels that compute differently.
 SPLIT_WORK = 1 << 22
@@ -99,7 +101,7 @@ class AllocationWindow:
     """Float64 elements this layer allocates while the window is open.
 
     A window counts the buffers this layer allocates inside it: array
-    buffers, gradient buffers and cached Cholesky factors, but not a buffer
+    buffers, gradient buffers and cached inverse factors, but not a buffer
     an Array adopts without a copy. ``live`` is how many of those
     elements are still alive, ``peak`` its high-water mark and
     ``largest_block`` the largest single buffer. A buffer born before the
@@ -296,70 +298,15 @@ def _product(a, b):
     return out
 
 
-@functools.cache
-def _lapack():
-    """(dtrtrs, dpotrs) of the OpenBLAS that scipy bundles, bound through
-    ctypes, or None where scipy bundles none. They are the routines scipy's
-    wrappers call, so they give the same bits; but those wrappers hold the
-    interpreter lock while LAPACK runs, and a ctypes call releases it, so
-    only through these can two halves of a solve run at once."""
-    for path in _bundled_openblas(scipy):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_dtrtrs_") and hasattr(lib, "scipy_dpotrs_"):
-            char, ptr, size = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
-            num = ctypes.POINTER(ctypes.c_int)
-            trtrs, potrs = lib.scipy_dtrtrs_, lib.scipy_dpotrs_
-            # Fortran arguments by reference, then the hidden lengths of the
-            # character arguments
-            trtrs.argtypes = [char, char, char, num, num, ptr, num, ptr, num, num,
-                              size, size, size]
-            potrs.argtypes = [char, num, num, ptr, num, ptr, num, num, size]
-            trtrs.restype = potrs.restype = None
-            return trtrs, potrs
-    return None
-
-
-def _lapack_solve(lapack, chol, x, op):
-    """Overwrite the columns of `x` with op(chol)^{-1} x, by the routines of
-    `_lapack()`. chol is a lower factor in Fortran order; x is a block of
-    a Fortran-order buffer; op is "N" (chol), "T" (chol^T) or "S" (chol
-    chol^T)."""
-    m, n = x.shape
-    if not (chol.dtype == x.dtype == np.float64 and chol.shape == (m, m)
-            and chol.flags.f_contiguous and x.strides[0] == 8
-            and x.strides[1] >= 8 * m and op in ("N", "T", "S")):
-        raise NdiffError(f"LAPACK solve: bad operands {chol.shape}, {x.shape}, {op!r}")
-    trtrs, potrs = lapack
-    info = ctypes.c_int(0)
-    dims = [ctypes.byref(ctypes.c_int(v)) for v in (m, n, x.strides[1] // 8)]
-    if op == "S":
-        potrs(b"L", dims[0], dims[1], chol.ctypes.data, dims[0], x.ctypes.data,
-              dims[2], ctypes.byref(info), 1)
-    else:
-        trtrs(b"L", op.encode(), b"N", dims[0], dims[1], chol.ctypes.data, dims[0],
-              x.ctypes.data, dims[2], ctypes.byref(info), 1, 1, 1)
-    if info.value:
-        raise NdiffError(f"LAPACK solve failed with info {info.value}")
-
-
-def _solve(chol, b, op="N"):
-    """op(chol)^{-1} b for a lower Cholesky factor: op "N" is chol, "T" is
-    chol^T and "S" is chol chol^T. The result is in Fortran order, the
-    layout LAPACK writes. At least SPLIT_WORK multiply-adds are cut into
-    two halves of columns at `_cut`, each solved alone, when m is whole
-    registers (LAPACK vectorizes over it) and `_lapack()` can release the
-    interpreter lock; any other solve is scipy's, whole."""
-    m, n = b.shape
-    mid = _cut(n)
-    lapack = _lapack()
-    if m * m * n < SPLIT_WORK or m % LANES or not mid or lapack is None:
-        if op == "S":
-            return scipy.linalg.cho_solve((chol, True), b)
-        return scipy.linalg.solve_triangular(chol, b, lower=True, trans=op)
-    x = np.array(b, order="F")
-    _halves(lambda: _lapack_solve(lapack, chol, x[:, :mid], op),
-            lambda: _lapack_solve(lapack, chol, x[:, mid:], op))
-    return x
+def _solve(inv_chol, b, op="N"):
+    """A solve against S = L L^T as products with W = L^{-1}: op "N" is
+    L^{-1} b = W b, "T" is L^{-T} b = W^T b and "S" is S^{-1} b = W^T (W b).
+    In C order, cut as `_product` cuts."""
+    if op == "N":
+        return _product(inv_chol, b)
+    if op == "T":
+        return _product(inv_chol.T, b)
+    return _product(inv_chol.T, _product(inv_chol, b))
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +471,21 @@ def _raw_cholesky(sym):
 
 
 def _chol_of(array):
-    """Lower factor of sym(array), cached so one factorization is shared."""
+    """W = L^{-1} for the lower Cholesky factor L of sym(array), cached so
+    one factorization is shared. LAPACK's trtri inverts L in place, so W is
+    the one m x m buffer the factorization leaves."""
     if array._chol is None:
         a = array.data
         if a.shape[0] != a.shape[1]:
             raise ShapeError(f"expected square matrix, got {a.shape}")
         sym = 0.5 * (a + a.T)
-        chol = _raw_cholesky(sym)
-        chol.flags.writeable = False
-        _register_buffer(chol)
-        array._chol = chol
+        inv_chol, info = scipy.linalg.lapack.dtrtri(_raw_cholesky(sym), lower=1,
+                                                    overwrite_c=1)
+        if info:
+            raise NonSPDError(f"Cholesky factor is singular (trtri info {info})")
+        inv_chol.flags.writeable = False
+        _register_buffer(inv_chol)
+        array._chol = inv_chol
     return array._chol
 
 
@@ -667,8 +619,8 @@ def _fwd_cholesky_solve_spd(a, b, _chol=None):
 
 
 def _vjp_cholesky_solve_spd(g, saved, needs):
-    chol, x = saved
-    gb = _solve(chol, g, "S")
+    inv_chol, x = saved
+    gb = _solve(inv_chol, g, "S")
     if needs[0]:
         gs = -gb @ x.T
         ga = 0.5 * (gs + gs.T)
@@ -678,21 +630,23 @@ def _vjp_cholesky_solve_spd(g, saved, needs):
 
 
 def _fwd_logdet_spd(a, _chol=None):
-    out = 2.0 * float(np.log(np.diag(_chol)).sum())
+    """log det a = -2 sum log diag W, W = L^{-1}."""
+    out = -2.0 * float(np.log(np.diag(_chol)).sum())
     return np.array([[out]]), (_chol,)
 
 
 def _vjp_logdet_spd(g, saved, needs):
-    (chol,) = saved
-    inv = scipy.linalg.cho_solve((chol, True), np.eye(chol.shape[0]))
-    return (float(g[0, 0]) * 0.5 * (inv + inv.T),)
+    """g a^{-1} = g W^T W: numpy's syrk, exactly symmetric."""
+    (inv_chol,) = saved
+    inv = np.matmul(inv_chol.T, inv_chol)
+    return (np.multiply(inv, float(g[0, 0]), out=inv),)
 
 
 def _fwd_inv_quad_spd(a, b, rows=False, _chol=None):
     """Entry j of the result is b_j^T a^{-1} b_j = ||L^{-1} b_j||^2 over the
-    columns b_j of b, or over its rows with `rows`: one triangular solve,
-    and a sum of squares that cannot cancel. The rows are solved through
-    the view b.T, which is already the Fortran layout LAPACK reads."""
+    columns b_j of b, or over its rows with `rows`: one product with
+    L^{-1}, and a sum of squares that cannot cancel. The rows are read
+    through the view b.T."""
     op_b = b.T if rows else b
     if a.shape[0] != a.shape[1] or a.shape[1] != op_b.shape[0]:
         raise ShapeError(f"inv_quad_spd: {a.shape} vs {op_b.shape}")
@@ -701,8 +655,8 @@ def _fwd_inv_quad_spd(a, b, rows=False, _chol=None):
 
 
 def _vjp_inv_quad_spd(g, saved, needs):
-    chol, z, rows = saved
-    x = _solve(chol, z, "T")  # a^{-1} op(b), Fortran order
+    inv_chol, z, rows = saved
+    x = _solve(inv_chol, z, "T")  # a^{-1} op(b)
     xg = x * g.T
     ga = None
     if needs[0]:

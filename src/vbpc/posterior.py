@@ -16,13 +16,13 @@ condition number can only be larger. Both sides share the same
 formulas wherever they can: the log-determinant is log det S by the
 Weinstein-Aronszajn identity, and the trace Tr(A^{-1} Phi Phi^T) with
 A = I + c Phi Phi^T, which equals Tr(S^{-1} G G^T) on either side, is the
-squared Frobenius norm ||L^{-1} G||^2 of one triangular solve with
-S = L L^T. The means take the kernel-trick form
-c Phi^T S^{-1} Y on the nhat side and the push-through form c S^{-1} Phi^T Y
-on the h side. Phi^T is never copied: the products and the triangular
-solves read Phi through transposed views (`matmul`'s trans flags,
-`inv_quad_spd`'s rows). No h x h matrix is materialized when h >= nhat;
-``dense_variance`` builds one only as a test/benchmark oracle.
+squared Frobenius norm ||L^{-1} G||^2 of one product with L^{-1}, where
+S = L L^T and the factorization keeps L^{-1}. The means take the
+kernel-trick form c Phi^T S^{-1} Y on the nhat side and the push-through
+form c S^{-1} Phi^T Y on the h side. Phi^T is never copied: the products,
+those with L^{-1} included, read Phi through transposed views (`matmul`'s
+trans flags, `inv_quad_spd`'s rows). No h x h matrix is materialized when
+h >= nhat; ``dense_variance`` builds one only as a test/benchmark oracle.
 
 Every construction is built from tape primitives, so when the features or
 labels are nodes of a gradient tape the ops that depend on them record on
@@ -80,11 +80,12 @@ class CoresetPosterior:
     """Efficient representation of the solved coreset posterior.
 
     Stores the feature matrix, labels, the system S = I + c G G^T (whose
-    Cholesky factor is cached and reused by every solve), which side it is,
-    and the h x k posterior means. `weight_space` is True when S is the
-    h x h system (h < nhat), where G = Phi^T is read as a view of Phi and
-    never stored. Storage is O(nhat*h + min(h, nhat)^2 + h*k); on the nhat
-    side the shared h x h covariance is represented implicitly.
+    inverse Cholesky factor L^{-1} is cached and reused by every solve),
+    which side it is, and the h x k posterior means. `weight_space` is True
+    when S is the h x h system (h < nhat), where G = Phi^T is read as a
+    view of Phi and never stored. Storage is O(nhat*h + min(h, nhat)^2 +
+    h*k); on the nhat side the shared h x h covariance is represented
+    implicitly.
     """
 
     phi: nd.Array
@@ -149,7 +150,7 @@ def dense_variance(p, allow_large=False):
 
 
 def logdet_v(p):
-    """log det V* = -h log rho - log det S, via the cached Cholesky factor
+    """log det V* = -h log rho - log det S, via the cached factor L^{-1}
     (det S is the same on either side by Weinstein-Aronszajn)."""
     logdet_s = nd.logdet_spd(p.system)
     const = nd.constant([[-p.phi.shape[1] * math.log(p.hyper.rho)]])
@@ -194,10 +195,12 @@ def kl_to_prior(p):
 
 
 def condition_lower_bound(p):
-    """(max diag L / min diag L)^2 for the cached factor S = L L^T.
+    """(max diag W / min diag W)^2 for the cached factor W = L^{-1} of
+    S = L L^T.
 
-    The diagonal of L holds its eigenvalues, so this is a lower bound on
-    cond(S) = cond(L)^2; it reads the factor the solve already made.
+    The diagonal of W holds its eigenvalues, the reciprocals of L's, so
+    this is a lower bound on cond(S) = cond(W)^2; it reads the factor the
+    solve already made.
     """
     diag = np.diag(nd._chol_of(p.system))
     return float((diag.max() / diag.min()) ** 2)

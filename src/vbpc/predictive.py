@@ -37,7 +37,7 @@ def predictive_moments(p, phi_batch):
     """Gaussian predictive moments for a feature batch (n x h).
 
     mean = Phi_b @ M. The variance reads the posterior's factored system
-    S = L L^T with one triangular solve for the batch:
+    S = L L^T with one product with L^{-1} for the batch:
     on the h side V* = rho^{-1} S^{-1}, so variance_i = ||L^{-1} phi_i^T||^2
     / rho, a sum of squares; on the nhat side variance_i = ||phi_i||^2 / rho
     - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2. The batch is read

@@ -47,7 +47,7 @@ from .network import (features, gaussian_step, init_net, pool_new,
                       pool_sample, pool_update)
 from .objective import coreset_grad, outer_loss
 from .optim import AdamState, adam_step, cosine_lr
-from .posterior import Hyperparams, solve_posterior
+from .posterior import Hyperparams, condition_lower_bound, solve_posterior
 from .predictive import metrics, predictive_moments, probit_log_softmax
 
 
@@ -302,7 +302,8 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     Trains a fresh network on the coreset with the Gaussian likelihood for
     `tprime` steps at the default pool rate, solves the posterior, and
     predicts the test split with one feature evaluation per input. Returns
-    {"acc", "nll"}.
+    {"acc", "nll", "cond_lb", "jitter_retries"}: the last two report the
+    health of the posterior's factored system, as the training records do.
     """
     hyper = coreset.hyper
     net = init_net(widths, coreset.k, np.random.SeedSequence([seed, 0]))
@@ -310,8 +311,10 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     for _ in range(tprime):
         net, state = gaussian_step(net, coreset.images, coreset.labels,
                                    hyper.gamma, TrainConfig.pool_lr, state=state)
+    retries_before = nd.jitter_retries
     post = solve_posterior(features(net, coreset.images), coreset.labels, hyper)
     batch = predictive_moments(post, features(net, test_x))
     log_probs = probit_log_softmax(batch.mean, batch.variance)
     acc, nll = metrics(log_probs, test_labels)
-    return {"acc": acc, "nll": nll}
+    return {"acc": acc, "nll": nll, "cond_lb": condition_lower_bound(post),
+            "jitter_retries": nd.jitter_retries - retries_before}

@@ -13,6 +13,7 @@ import zlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from vbpc.cli import (ConfigError, main, parse_config, write_config,
@@ -348,7 +349,7 @@ sys.exit(code)
                     reason="pins a process to one CPU")
 def test_train_on_one_cpu_is_bit_identical_to_two(tmp_path):
     # hidden widths and coreset size that cut products, Adam blocks and the
-    # KL's triangular solves in halves; pinned to one CPU they run serially
+    # KL's products with L^{-1} in halves; pinned to one CPU they run serially
     cfg = write_cfg(tmp_path, "steps = 4\nbatch_size = 64\nipc = 32\n"
                               "hidden = 256,1024\npool_size = 2\nlog_interval = 1\n")
     env = {k: v for k, v in os.environ.items()
@@ -393,7 +394,33 @@ def test_eval_writes_json(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     on_disk = json.loads((out / "eval.json").read_text())
     assert printed == on_disk
-    assert set(on_disk) == {"acc", "nll"} and 0.0 <= on_disk["acc"] <= 1.0
+    assert set(on_disk) == {"acc", "nll", "cond_lb", "jitter_retries"}
+    assert 0.0 <= on_disk["acc"] <= 1.0
+
+
+def test_eval_reports_the_factor_health(tmp_path, capsys, monkeypatch):
+    # the posterior's factorization fails once and takes the jitter retry;
+    # the record says so, with the conditioning bound of the factor it made
+    coreset = trained_coreset(tmp_path)
+    real = scipy.linalg.cholesky
+    calls = []
+
+    def fail_first_try(a, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise scipy.linalg.LinAlgError("forced")
+        return real(a, *args, **kwargs)
+
+    args = ["eval", "--coreset", coreset, "--data", MOONS, "--tprime", "5",
+            "--hidden", "8", "--out", str(tmp_path / "ev")]
+    assert main(args) == 0
+    healthy = json.loads(capsys.readouterr().out)
+    assert healthy["jitter_retries"] == 0 and healthy["cond_lb"] >= 1.0
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail_first_try)
+    assert main(args) == 0
+    retried = json.loads(capsys.readouterr().out)
+    assert retried["jitter_retries"] == 1 and retried["cond_lb"] >= 1.0
+    assert len(calls) == 2
 
 
 def test_eval_deterministic(tmp_path, capsys):

@@ -107,7 +107,8 @@ def test_non_finite_result_is_error():
 
 
 # ---------------------------------------------------------------------------
-# cholesky (the cached factor shared by the solve and log-det primitives)
+# cholesky (the cached inverse factor W = L^{-1} shared by the solve and
+# log-det primitives)
 # ---------------------------------------------------------------------------
 
 def test_cholesky_identity():
@@ -115,9 +116,11 @@ def test_cholesky_identity():
 
 
 def test_cholesky_hand_recurrence():
-    # hand recurrence on [[4,2],[2,3]]: l11=2, l21=1, l22=sqrt(2)
+    # hand recurrence on [[4,2],[2,3]]: l11=2, l21=1, l22=sqrt(2), so
+    # W = L^{-1} has w11=1/2, w21=-1/(2 sqrt 2), w22=1/sqrt 2
     out = nd._chol_of(nd.Array([[4.0, 2.0], [2.0, 3.0]]))
-    expect = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
+    expect = np.array([[0.5, 0.0],
+                       [-1.0 / (2.0 * math.sqrt(2.0)), 1.0 / math.sqrt(2.0)]])
     np.testing.assert_allclose(out, expect, rtol=1e-15)
 
 
@@ -140,9 +143,8 @@ def test_cholesky_reconstruction_tolerance():
     for _ in range(5):
         q = rng.standard_normal((6, 6))
         a = q @ q.T + 6 * np.eye(6)
-        chol = nd._chol_of(nd.Array(a))
-        err = np.linalg.norm(chol @ chol.T - a) / np.linalg.norm(a)
-        assert err <= 1e-12
+        w = nd._chol_of(nd.Array(a))
+        assert np.linalg.norm(w @ a @ w.T - np.eye(6)) <= 1e-12
 
 
 def test_cholesky_solve_residual_well_conditioned():
@@ -366,15 +368,19 @@ def test_backward_matmul_vs_fd():
 
 
 def test_backward_logdet_is_symmetrized_inverse():
+    # a^{-1} = W^T W is exactly symmetric, with no symmetrizing pass
     rng = np.random.default_rng(4)
-    q = rng.standard_normal((3, 3))
-    a_val = q @ q.T + 3 * np.eye(3)
-    tape = nd.Tape()
-    a = tape.leaf(nd.Array(a_val))
-    out = nd.logdet_spd(a)
-    ad = nd.backward(tape, out)[tape.node_id(a)].data
-    inv = np.linalg.inv(a_val)
-    assert rel_err(ad, 0.5 * (inv + inv.T)).max() <= 1e-8
+    for m in (3, 40):
+        q = rng.standard_normal((m, m))
+        a_val = q @ q.T + m * np.eye(m)
+        tape = nd.Tape()
+        a = tape.leaf(nd.Array(a_val))
+        out = nd.logdet_spd(a)
+        ad = nd.backward(tape, out)[tape.node_id(a)].data
+        inv = np.linalg.inv(a_val)
+        assert rel_err(ad, 0.5 * (inv + inv.T)).max() <= 1e-8
+        assert ad.tobytes() == ad.T.tobytes()
+        assert np.linalg.norm(ad - inv) <= 1e-12 * np.linalg.norm(inv)
 
 
 def test_backward_accumulates_fanout():
@@ -509,7 +515,7 @@ def test_gradients_share_no_memory_with_saved_buffers():
 
 @pytest.fixture
 def halves_calls(monkeypatch):
-    """Count the products and solves that ndiff cuts in two."""
+    """Count the products (solves included) that ndiff cuts in two."""
     calls = []
     real = nd._halves
 
@@ -567,75 +573,90 @@ def test_product_of_a_buffer_with_itself_is_never_cut(halves_calls, flag):
     np.testing.assert_array_equal(gram, gram.T)    # numpy's syrk, exactly symmetric
 
 
-# (m, n) of the m x m factor and the right-hand sides, at most 10% above
-# SPLIT_WORK; m = 100 is no whole number of LANES, so it is never cut
-SOLVES = [((64, 1031), 1), ((136, 229), 1), ((256, 65), 1), ((100, 420), 0)]
+# (m, n) of the m x m factor and the m x n right-hand sides, at most 10%
+# above SPLIT_WORK; n = 420 is no whole number of LANES, so it is never cut
+SOLVES = [((64, 1024), 1), ((136, 232), 1), ((256, 64), 1), ((100, 420), 0)]
 
 
-@pytest.mark.parametrize("op", ["N", "T", "S"])
-@pytest.mark.parametrize("shape,cuts", SOLVES)
-def test_cut_solve_is_bit_equal_to_scipy(halves_calls, op, shape, cuts):
-    if nd._lapack() is None:
-        pytest.skip("scipy bundles no OpenBLAS here, so no solve is cut")
-    m, n = shape
-    assert nd.SPLIT_WORK <= m * m * n <= 1.1 * nd.SPLIT_WORK
-    rng = np.random.default_rng(m + n)
-    q = rng.standard_normal((m, m))
-    chol = nd._chol_of(nd.Array(q @ q.T / m + np.eye(m)))
-    for b in (rng.standard_normal((m, n)), rng.standard_normal((n, m)).T):
-        if op == "S":
-            want = scipy.linalg.cho_solve((chol, True), b)
-        else:
-            want = scipy.linalg.solve_triangular(chol, b, lower=True, trans=op)
-        got = nd._solve(chol, b, op)
-        assert got.flags.f_contiguous and np.array_equal(got, want)
-    assert len(halves_calls) == 2 * cuts
-
-
-def test_inv_quad_and_cholesky_solve_cut_their_solves(halves_calls):
-    # the forward and adjoint solves of both primitives at a cut size
-    if nd._lapack() is None:
-        pytest.skip("scipy bundles no OpenBLAS here, so no solve is cut")
-    rng = np.random.default_rng(21)
-    q = rng.standard_normal((64, 64))
-    a_val = q @ q.T / 64 + np.eye(64)
-    b_val = rng.standard_normal((64, 1031))
+def _spd_primitives(a_val, b_val):
+    """inv_quad_spd and cholesky_solve_spd, forward and adjoint: the loss
+    and the gradients of both operands, as bytes."""
     tape = nd.Tape()
     a, b = tape.leaf(nd.Array(a_val)), tape.leaf(nd.Array(b_val))
     loss = nd.add(nd.sum(nd.inv_quad_spd(a, b)),
                   nd.sum(nd.cholesky_solve_spd(a, b)))
-    nd.backward(tape, loss)
-    assert len(halves_calls) == 5     # four solves and the inv-quad adjoint's X X^T
-    chol = nd._chol_of(a)
-    z = scipy.linalg.solve_triangular(chol, b_val, lower=True)
-    np.testing.assert_array_equal(nd.inv_quad_spd(nd.Array(a_val), b).data,
-                                  (z * z).sum(axis=0).reshape(-1, 1))
+    grads = nd.backward(tape, loss)
+    return [loss.data.tobytes()] + [grads[tape.node_id(x)].data.tobytes()
+                                    for x in (a, b)]
+
+
+@pytest.mark.parametrize("shape,cuts", SOLVES)
+def test_cut_solves_are_bit_equal_to_the_serial_result(halves_calls, monkeypatch,
+                                                       shape, cuts):
+    # every solve is a product with W = L^{-1}, so it is cut as `_product`
+    # cuts, on the second core or not, and equals the whole product
+    m, n = shape
+    assert nd.SPLIT_WORK <= m * m * n <= 1.1 * nd.SPLIT_WORK
+    rng = np.random.default_rng(m + n)
+    q = rng.standard_normal((m, m))
+    a_val = q @ q.T / m + np.eye(m)
+    w = nd._chol_of(nd.Array(a_val))
+    rhs = (rng.standard_normal((m, n)), rng.standard_normal((n, m)).T)
+    whole = {"N": lambda b: w @ b, "T": lambda b: w.T @ b,
+             "S": lambda b: w.T @ (w @ b)}
+    got = {(op, i): nd._solve(w, b, op) for op in whole for i, b in enumerate(rhs)}
+    # one cut per product: one for "N" and "T", two for "S"
+    assert len(halves_calls) == 2 * 4 * cuts
+    for (op, i), x in got.items():
+        assert x.flags.c_contiguous and x.tobytes() == whole[op](rhs[i]).tobytes()
+    # the primitives: three products forward and four in the adjoints, and
+    # inv_quad_spd's X diag(g) X^T is cut with them
+    halves_calls.clear()
+    two = _spd_primitives(a_val, rhs[0])
+    assert len(halves_calls) == 7 * cuts
+    monkeypatch.setattr(nd, "_worker", False)
+    for (op, i), x in got.items():
+        assert nd._solve(w, rhs[i], op).tobytes() == x.tobytes()
+    assert _spd_primitives(a_val, rhs[0]) == two
 
 
 def test_inv_quad_gradient_of_b_is_adopted_without_a_copy(monkeypatch):
-    # in the columns form the adjoint builds 2 X diag(g) in C order, so the
-    # gradient backward hands out is that very buffer, the only one of its
-    # size the window sees (a Fortran-order one was copied, and its copy
-    # counted instead)
-    made = []
-    fwd, vjp, arity = nd._REGISTRY["inv_quad_spd"]
+    # the solves are products, which write C order, and in the columns form
+    # the adjoint builds 2 X diag(g) in C order, so the gradient of b (and
+    # the solve's result) is that very buffer; the gradient is the only one
+    # of its size the window sees (a Fortran-order one was copied, and its
+    # copy counted instead)
+    made = {}
+    for op in ("inv_quad_spd", "cholesky_solve_spd"):
+        fwd, vjp, arity = nd._REGISTRY[op]
 
-    def recording_vjp(g, saved, needs):
-        parts = vjp(g, saved, needs)
-        made.append(parts[1])
-        return parts
+        def recording_fwd(*args, _op=op, _fwd=fwd, **params):
+            out, saved = _fwd(*args, **params)
+            made[_op, "fwd"] = out
+            return out, saved
 
-    monkeypatch.setitem(nd._REGISTRY, "inv_quad_spd", (fwd, recording_vjp, arity))
+        def recording_vjp(g, saved, needs, _op=op, _vjp=vjp):
+            parts = _vjp(g, saved, needs)
+            made[_op, "vjp"] = parts[1]
+            return parts
+
+        monkeypatch.setitem(nd._REGISTRY, op, (recording_fwd, recording_vjp, arity))
     rng = np.random.default_rng(22)
     q = rng.standard_normal((50, 50))
     a = nd.Array(q @ q.T + 50 * np.eye(50))
-    for rows, shape in ((False, (50, 200)), (True, (200, 50))):
+    cases = (("inv_quad_spd", lambda b: nd.inv_quad_spd(a, b), (50, 200)),
+             ("inv_quad_spd", lambda b: nd.inv_quad_spd(a, b, rows=True), (200, 50)),
+             ("cholesky_solve_spd", lambda b: nd.cholesky_solve_spd(a, b), (50, 200)))
+    for op, primitive, shape in cases:
         tape = nd.Tape()
         b = tape.leaf(nd.Array(rng.standard_normal(shape)))
-        loss = nd.sum(nd.inv_quad_spd(a, b, rows=rows))
+        out = primitive(b)
+        if op == "cholesky_solve_spd":
+            assert out.data is made[op, "fwd"] and out.data.flags.c_contiguous
+        loss = nd.sum(out)
         with nd.track_allocations() as window:
             grad = nd.backward(tape, loss)[tape.node_id(b)]
-        assert grad.data is made[-1] and grad.data.flags.c_contiguous
+        assert grad.data is made[op, "vjp"] and grad.data.flags.c_contiguous
         assert window.largest_block == 50 * 200
 
 
