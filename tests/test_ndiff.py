@@ -590,34 +590,57 @@ def _spd_primitives(a_val, b_val):
                                     for x in (a, b)]
 
 
+@pytest.mark.parametrize("op", ["N", "T", "S"])
 @pytest.mark.parametrize("shape,cuts", SOLVES)
-def test_cut_solves_are_bit_equal_to_the_serial_result(halves_calls, monkeypatch,
-                                                       shape, cuts):
-    # every solve is a product with W = L^{-1}, so it is cut as `_product`
-    # cuts, on the second core or not, and equals the whole product
+def test_cut_solve_is_bit_equal_to_scipy(halves_calls, monkeypatch, op, shape, cuts):
+    # every solve is a product with W = L^{-1}, which scipy's dtrtri makes:
+    # the cut solve is bit for bit the whole product with that W, on the
+    # second core or not, and agrees with scipy's triangular and Cholesky
+    # solves to rounding
     m, n = shape
     assert nd.SPLIT_WORK <= m * m * n <= 1.1 * nd.SPLIT_WORK
     rng = np.random.default_rng(m + n)
     q = rng.standard_normal((m, m))
     a_val = q @ q.T / m + np.eye(m)
     w = nd._chol_of(nd.Array(a_val))
-    rhs = (rng.standard_normal((m, n)), rng.standard_normal((n, m)).T)
+    chol = scipy.linalg.cholesky(a_val, lower=True)
     whole = {"N": lambda b: w @ b, "T": lambda b: w.T @ b,
-             "S": lambda b: w.T @ (w @ b)}
-    got = {(op, i): nd._solve(w, b, op) for op in whole for i, b in enumerate(rhs)}
+             "S": lambda b: w.T @ (w @ b)}[op]
+    rhs = (rng.standard_normal((m, n)), rng.standard_normal((n, m)).T)
+    got = [nd._solve(w, b, op) for b in rhs]
     # one cut per product: one for "N" and "T", two for "S"
-    assert len(halves_calls) == 2 * 4 * cuts
-    for (op, i), x in got.items():
-        assert x.flags.c_contiguous and x.tobytes() == whole[op](rhs[i]).tobytes()
-    # the primitives: three products forward and four in the adjoints, and
-    # inv_quad_spd's X diag(g) X^T is cut with them
-    halves_calls.clear()
-    two = _spd_primitives(a_val, rhs[0])
-    assert len(halves_calls) == 7 * cuts
+    assert len(halves_calls) == len(rhs) * (2 if op == "S" else 1) * cuts
+    for b, x in zip(rhs, got):
+        if op == "S":
+            want = scipy.linalg.cho_solve((chol, True), b)
+        else:
+            want = scipy.linalg.solve_triangular(chol, b, lower=True, trans=op)
+        assert x.flags.c_contiguous and x.tobytes() == whole(b).tobytes()
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     monkeypatch.setattr(nd, "_worker", False)
-    for (op, i), x in got.items():
-        assert nd._solve(w, rhs[i], op).tobytes() == x.tobytes()
-    assert _spd_primitives(a_val, rhs[0]) == two
+    for b, x in zip(rhs, got):
+        assert nd._solve(w, b, op).tobytes() == x.tobytes()
+
+
+def test_inv_quad_and_cholesky_solve_cut_their_solves(halves_calls, monkeypatch):
+    # the forward and adjoint solves of both primitives at a cut size: three
+    # products forward and four in the adjoints, inv_quad_spd's X diag(g) X^T
+    # among them, each bit-equal to the serial run
+    rng = np.random.default_rng(21)
+    q = rng.standard_normal((64, 64))
+    a_val = q @ q.T / 64 + np.eye(64)
+    b_val = rng.standard_normal((64, 1024))
+    two = _spd_primitives(a_val, b_val)
+    assert len(halves_calls) == 7
+    w = nd._chol_of(nd.Array(a_val))
+    z = w @ b_val
+    quad = nd.inv_quad_spd(nd.Array(a_val), nd.Array(b_val)).data
+    assert quad.tobytes() == (z * z).sum(axis=0).reshape(-1, 1).tobytes()
+    z_ref = scipy.linalg.solve_triangular(np.linalg.cholesky(a_val), b_val, lower=True)
+    np.testing.assert_allclose(quad, (z_ref * z_ref).sum(axis=0).reshape(-1, 1),
+                               rtol=1e-12)
+    monkeypatch.setattr(nd, "_worker", False)
+    assert _spd_primitives(a_val, b_val) == two
 
 
 def test_inv_quad_gradient_of_b_is_adopted_without_a_copy(monkeypatch):
