@@ -54,10 +54,12 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
     eye_h = nd.eye(h)
     primal = nd.add(nd.scale(eye_h, hyper.rho),
                     nd.scale(nd.matmul(phi, phi, trans_a=True), g))
-    v_star = nd.cholesky_solve_spd(primal, eye_h)   # V* = primal^{-1}, h x h
+    # V* = primal^{-1} = W^T W for the cached W = L^{-1} (one syrk), h x h
+    inv_chol = nd._chol_of(primal)
+    v_star = nd.Array._wrap(np.matmul(inv_chol.T, inv_chol))
     means = nd.scale(nd.matmul(v_star, nd.matmul(phi, lab, trans_a=True)), g)
 
-    logdet_v = nd.logdet_spd(v_star).item()
+    logdet_v = -nd.logdet_spd(primal).item()
     trace_v = float(np.trace(v_star.data))
     msq = nd.sum(nd.hadamard(means, means)).item()
     kl = 0.5 * (k * (-h * math.log(hyper.rho) - logdet_v) - k * h

@@ -162,23 +162,35 @@ def load_idx(images_path, labels_path):
 # ---------------------------------------------------------------------------
 
 def normalize(dataset):
-    """Per-feature standardization; stats are stored for reuse on test data."""
+    """Per-feature standardization; stats are stored for reuse on test data.
+
+    The result is the one n x d buffer this makes: it holds the squared
+    deviations while the variance is summed, then the standardized features.
+    The steps are those of `X.mean(0)` and `X.std(0)`, so the statistics
+    are theirs bit for bit."""
     if dataset.n < 2:
         raise ValueError("need at least 2 rows to estimate statistics")
+    X, n = dataset.X, dataset.n
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = dataset.X.mean(axis=0)
-        std = np.maximum(dataset.X.std(axis=0), STD_FLOOR)
+        mean = np.add.reduce(X, 0) / n
+        out = np.subtract(X, mean)
+        np.square(out, out=out)
+        std = np.maximum(np.sqrt(np.add.reduce(out, 0) / n), STD_FLOOR)
     # A non-finite feature makes its mean non-finite; a finite std bounds
     # every |x - mean|, so the standardized features are finite.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise ValueError("features too large to standardize: non-finite "
                          "mean or std")
-    return replace(dataset, X=(dataset.X - mean) / std, mean=mean, std=std)
+    np.subtract(X, mean, out=out)
+    out /= std
+    return replace(dataset, X=out, mean=mean, std=std)
 
 
 def normalize_with(dataset, mean, std):
     """Apply previously estimated (train) statistics, e.g. to a test split."""
-    return replace(dataset, X=(dataset.X - mean) / std, mean=mean, std=std)
+    out = dataset.X - mean
+    out /= std
+    return replace(dataset, X=out, mean=mean, std=std)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vbpc.data import (CoresetFileError, gen_synthetic, load_idx, normalize,
-                       normalize_with, init_coreset, scaled_onehot_labels,
-                       save_coreset, load_coreset, PseudoCoreset)
+from vbpc.data import (STD_FLOOR, CoresetFileError, Dataset, gen_synthetic,
+                       load_idx, normalize, normalize_with, init_coreset,
+                       scaled_onehot_labels, save_coreset, load_coreset,
+                       PseudoCoreset)
 from vbpc.posterior import Hyperparams
 
 
@@ -122,6 +124,41 @@ def test_normalize_constant_feature_floored():
     flat = Dataset(X=np.ones((10, 3)), labels=np.zeros(10, dtype=np.int64), k=2)
     out = normalize(flat)
     np.testing.assert_array_equal(out.X, 0.0)
+
+
+def wide_features():
+    """Columns over twelve orders of magnitude, offsets, one constant column."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((300, 1024)) * np.logspace(-6, 6, 1024)
+    X += rng.standard_normal(1024) * 1e3
+    X[:, 100] = 3.25
+    return Dataset(X=X, labels=np.zeros(300, dtype=np.int64), k=2)
+
+
+def test_normalize_is_bit_equal_to_the_textbook_expression():
+    ds = wide_features()
+    X = ds.X
+    std = np.maximum(X.std(0), STD_FLOOR)
+    out = normalize(ds)
+    np.testing.assert_array_equal(out.mean, X.mean(0))
+    np.testing.assert_array_equal(out.std, std)
+    np.testing.assert_array_equal(out.X, (X - X.mean(0)) / std)
+    np.testing.assert_array_equal(out.X[:, 100], 0.0)
+    again = normalize_with(ds, out.mean, out.std)
+    np.testing.assert_array_equal(again.X, out.X)
+
+
+def test_normalize_allocates_one_feature_buffer():
+    ds = wide_features()
+    tracemalloc.start()
+    try:
+        normalize(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, a few d-vectors of statistics, and the ufunc machinery's
+    # own buffer; a second n x d buffer would double the peak
+    assert peak <= ds.X.nbytes + (8 * ds.d + np.getbufsize()) * ds.X.itemsize
 
 
 def test_test_split_uses_train_stats():

@@ -513,20 +513,6 @@ def test_gradients_share_no_memory_with_saved_buffers():
 # two halves
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def halves_calls(monkeypatch):
-    """Count the products (solves included) that ndiff cuts in two."""
-    calls = []
-    real = nd._halves
-
-    def counting(first, second):
-        calls.append(1)
-        real(first, second)
-
-    monkeypatch.setattr(nd, "_halves", counting)
-    return calls
-
-
 # (m, n, k) of op(a) @ op(b), each at most 10% above SPLIT_WORK: odd rows
 # cut through the rows, one into halves of 8 and 23 rows (the smallest
 # share a half can get), odd inner and row sizes cut through the columns,

@@ -244,6 +244,28 @@ def test_pool_slots_distinct_and_deterministic():
     assert not np.array_equal(pool_a.nets[0].weights[0], pool_a.nets[1].weights[0])
 
 
+# (pool size, widths, whether the draw is cut): a pool of one and a pool
+# too small to pay for the handoff are drawn whole; an odd pool and an even
+# one with at least 2 * SLICE parameters in all are cut into two halves
+POOL_DRAWS = [(1, (64, 256, 128), False), (2, (2, 3), False),
+              (3, (64, 256, 128), True), (4, (2, 256, 1024), True)]
+
+
+@pytest.mark.parametrize("p, widths, cut", POOL_DRAWS)
+def test_pool_draw_is_bit_identical_on_one_thread_or_two(halves_calls, monkeypatch,
+                                                         p, widths, cut):
+    two = pool_new(p, widths, k=3, seed=21, period=5)
+    assert len(halves_calls) == int(cut)
+    monkeypatch.setattr(nd, "_start_worker", lambda: False)
+    one = pool_new(p, widths, k=3, seed=21, period=5)
+    for i in range(p):
+        alone = init_net(widths, 3, network._slot_seed(21, i, 0))
+        for a, b, c in zip(two.nets[i].params, one.nets[i].params, alone.params):
+            assert not a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
+            np.testing.assert_array_equal(a, c)
+            np.testing.assert_array_equal(b, c)
+
+
 def test_pool_sample_uniformity_chi2():
     pool = pool_new(10, (2, 2), k=2, seed=2, period=5)
     rng = np.random.default_rng(3)
