@@ -11,10 +11,8 @@ import os
 # variables reach every OpenBLAS not yet loaded, and the bundled OpenBLAS
 # builds already loaded (numpy imported first) are set through their own
 # call below. BLAS stays at one thread; the second core takes half of each
-# large product (every solve is a product with an inverse factor) and Adam
-# step instead (`ndiff._halves`), cut where the shapes alone say, so the
-# results do not depend on the core count. A user who sets a thread count
-# gets no halves.
+# large product and Adam step instead (`vbpc._twocore`), bit for bit. A user
+# who sets a thread count gets no halves.
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _PIN_THREADS = not any(var in os.environ for var in _THREAD_VARS)
 if _PIN_THREADS:

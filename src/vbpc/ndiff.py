@@ -23,58 +23,24 @@ the forward saved.
 
 The SPD primitives share one factorization per system: `a = L L^T`, of
 which the cache keeps `W = L^{-1}`, so every solve is a product with W or
-W^T and the log-determinant reads diag W.
+W^T and the log-determinant reads diag W. The cache also records whether
+the factorization took the jitter retry, so each system reports its own.
 
-An allocation window (`track_allocations`) counts the float64 elements this
-layer allocates while it is open (array buffers, gradient buffers, cached
-inverse factors): live count, peak and largest single block. A buffer an
-Array adopts was allocated elsewhere and is not counted. It is the evidence
-used by the memory benchmarks and the "never materialize an h x h buffer"
-assertions. With no window open, nothing is counted and buffers carry no
-bookkeeping.
-
-BLAS stays at one thread. Large products, solves included, are cut
-instead into two halves at a point fixed by their shapes, and the
-second half runs on a worker thread while the caller computes the first,
-so an idle second core does half the work. A product is cut only where
-each output element takes the same instructions as in the whole, so the
-result is bit-equal to the uncut product, and so it does not depend on the
-number of cores: with one CPU in the process's affinity, or a BLAS thread
-count the user set, the halves run one after the other on the caller.
-Halves may cut their own work in halves again (the trainer runs a whole
-coreset step as one), and a thread waiting for a half runs the halves
-queued meanwhile, so neither core idles while the other has work cut.
+Allocation windows (`vbpc._allocations`) count the buffers this layer
+allocates; large products are cut in two halves by `vbpc._twocore`.
 """
 
-import collections
-import contextvars
 import itertools
 import math
-import os
-import threading
 import weakref
-from contextlib import contextmanager
 
 import numpy as np
 import scipy.linalg
 
-from . import _PIN_THREADS
+from . import _twocore
+from ._allocations import _register_buffer, track_allocations  # noqa: F401
 
 JITTER = 1e-10
-# Multiply-adds from which a product is cut in two; handing a half to the
-# worker costs about 20 us, a product this size 0.2 ms.
-# A half gets at least 8/31 of it, so it stays above 10^6, under which
-# OpenBLAS switches to small-matrix kernels that compute differently.
-SPLIT_WORK = 1 << 22
-# Doubles in one AVX-512 register. BLAS computes an element of a partial
-# register differently according to where its call's blocking puts it, so a
-# cut is made only where the dimension BLAS vectorizes is whole registers,
-# and at a multiple of LANES, each half at least LANES wide.
-LANES = 8
-
-# Factorizations in this process whose first attempt failed and went to the
-# jitter retry; callers that report it take differences over their own work.
-jitter_retries = 0
 
 
 class NdiffError(Exception):
@@ -90,223 +56,7 @@ class NonSPDError(NdiffError):
 
 
 class NonFiniteError(NdiffError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# allocation tracking
-# ---------------------------------------------------------------------------
-
-class AllocationWindow:
-    """Float64 elements this layer allocates while the window is open.
-
-    A window counts the buffers this layer allocates inside it: array
-    buffers, gradient buffers and cached inverse factors, but not a buffer
-    an Array adopts without a copy. ``live`` is how many of those
-    elements are still alive, ``peak`` its high-water mark and
-    ``largest_block`` the largest single buffer. A buffer born before the
-    window opened is not counted, even when it is freed inside. ``base`` is
-    always 0, so ``peak - base`` is the window's own peak.
-    """
-
-    def __init__(self):
-        self.base = 0
-        self.live = 0
-        self.peak = 0
-        self.largest_block = 0
-        # both threads of a training step allocate, and a finalizer can run
-        # on either
-        self._lock = threading.RLock()
-
-    def _add(self, block):
-        with self._lock:
-            self.live += block
-            if self.live > self.peak:
-                self.peak = self.live
-            if block > self.largest_block:
-                self.largest_block = block
-
-    def _remove(self, block):
-        with self._lock:
-            self.live -= block
-
-
-# Windows currently open; with none open a new buffer costs nothing here.
-_open_windows = []
-
-
-@contextmanager
-def track_allocations():
-    window = AllocationWindow()
-    _open_windows.append(window)
-    try:
-        yield window
-    finally:
-        _open_windows.remove(window)
-
-
-def _register_buffer(arr):
-    for window in _open_windows:
-        window._add(arr.size)
-        weakref.finalize(arr, window._remove, arr.size)
-
-
-# ---------------------------------------------------------------------------
-# two halves on two cores
-# ---------------------------------------------------------------------------
-
-# None until first use, then False (run halves serially) or True (a worker
-# thread serves `_queue`)
-_worker = None
-_worker_start = threading.Lock()
-# Second halves that no thread has claimed yet, oldest first. `_ready`
-# guards it and each half's `done`, and is notified when either changes.
-_ready = threading.Condition()
-_queue = collections.deque()
-
-
-class _Half:
-    """The second half of a `_halves` call, with a copy of its caller's
-    context (so numpy's errstate holds wherever it runs). The thread that
-    takes it off `_queue` runs it: the worker, the caller once done with
-    its own half, or a thread waiting for another half."""
-
-    __slots__ = ("context", "fn", "error", "done")
-
-    def __init__(self, fn):
-        self.context = contextvars.copy_context()
-        self.fn = fn
-        self.error = None
-        self.done = False
-
-    def run(self):
-        """Run the half; the calling thread has taken it off `_queue`."""
-        context, fn = self.context, self.fn
-        self.context = self.fn = None
-        try:
-            context.run(fn)
-        except BaseException as err:  # raised by the caller of `_halves`
-            self.error = err
-        del context, fn     # hold none of the caller's buffers once it resumes
-        with _ready:
-            self.done = True
-            _ready.notify_all()
-
-
-def _serve():
-    while True:
-        with _ready:
-            while not _queue:
-                _ready.wait()
-            half = _queue.popleft()
-        half.run()
-        del half
-
-
-def _start_worker():
-    global _worker
-    with _worker_start:
-        if _worker is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            _worker = _PIN_THREADS and cpus > 1
-            if _worker:
-                threading.Thread(target=_serve, daemon=True, name="vbpc-half").start()
-    return _worker
-
-
-def _reset_after_fork():
-    global _worker, _worker_start, _ready, _queue
-    _worker = None
-    _worker_start = threading.Lock()
-    _ready = threading.Condition()
-    _queue = collections.deque()
-
-
-os.register_at_fork(after_in_child=_reset_after_fork)
-
-
-def _halves(first, second):
-    """Run `first()` here while the worker thread runs `second()`, and
-    return once both are done; an exception from either is raised here.
-    The two must write to disjoint memory, and either may call `_halves`
-    itself. When no thread has begun `second` by the time `first` is done
-    (the other core is busy), this thread runs it. While another thread
-    runs it, this one runs the halves queued meanwhile (those that
-    `second` cuts), so a long `second` still gets both cores; it sleeps
-    on `_ready` when there are none. With one CPU in the process's
-    affinity, or a BLAS thread count the user set, both run here, one
-    after the other."""
-    if not _start_worker():
-        first()
-        second()
-        return
-    half = _Half(second)
-    with _ready:
-        _queue.append(half)
-        _ready.notify_all()
-    try:
-        first()
-    finally:
-        _join(half)
-    if half.error is not None:
-        raise half.error
-
-
-def _join(half):
-    """Return once `half` is done, running it here if it is still queued,
-    and while another thread runs it, the halves queued meanwhile."""
-    while True:
-        with _ready:
-            while not half.done and not _queue:
-                _ready.wait()
-            if half.done:
-                return
-            if half in _queue:
-                _queue.remove(half)
-                job = half
-            else:
-                job = _queue.popleft()
-        job.run()
-        del job
-
-
-def _cut(size):
-    """Where a dimension of `size` is cut: a multiple of LANES near the
-    middle, or 0 when a half would be narrower than LANES."""
-    return size // (2 * LANES) * LANES
-
-
-def _product(a, b):
-    """a @ b in a fresh C-order buffer, written as two halves when it holds
-    at least SPLIT_WORK multiply-adds: the output's rows or columns,
-    whichever are more, cut at `_cut`. Bit-equal to a @ b. The output's
-    columns are the dimension BLAS vectorizes, so a product is cut only when
-    they are whole registers; a product of a buffer with itself (a Gram,
-    which numpy computes with syrk) is never cut."""
-    (m, k), n = a.shape, b.shape[1]
-    out = np.empty((m, n))
-    mid = _cut(max(m, n))
-    if m * n * k < SPLIT_WORK or n % LANES or not mid or np.may_share_memory(a, b):
-        np.matmul(a, b, out=out)
-    elif m >= n:
-        _halves(lambda: np.matmul(a[:mid], b, out=out[:mid]),
-                lambda: np.matmul(a[mid:], b, out=out[mid:]))
-    else:
-        _halves(lambda: np.matmul(a, b[:, :mid], out=out[:, :mid]),
-                lambda: np.matmul(a, b[:, mid:], out=out[:, mid:]))
-    return out
-
-
-def _solve(inv_chol, b, op="N"):
-    """A solve against S = L L^T as products with W = L^{-1}: op "N" is
-    L^{-1} b = W b, "T" is L^{-T} b = W^T b and "S" is S^{-1} b = W^T (W b).
-    In C order, cut as `_product` cuts."""
-    if op == "N":
-        return _product(inv_chol, b)
-    if op == "T":
-        return _product(inv_chol.T, b)
-    return _product(inv_chol.T, _product(inv_chol, b))
+    retries = 0     # jitter retries of the factorization an outer loss made first
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +204,16 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 def _raw_cholesky(sym):
-    """Lower Cholesky factor with the one-shot jitter retry, counted in
-    `jitter_retries`."""
-    global jitter_retries
+    """(L, retried): the lower Cholesky factor, and 1 if the first attempt
+    failed and the one-shot jitter retry made it, else 0."""
     try:
-        return scipy.linalg.cholesky(sym, lower=True)
+        return scipy.linalg.cholesky(sym, lower=True), 0
     except scipy.linalg.LinAlgError:
         pass
-    jitter_retries += 1
     bump = JITTER * float(np.mean(np.diag(sym)))
     jittered = sym + bump * np.eye(sym.shape[0])
     try:
-        return scipy.linalg.cholesky(jittered, lower=True)
+        return scipy.linalg.cholesky(jittered, lower=True), 1
     except scipy.linalg.LinAlgError:
         raise NonSPDError("matrix is not positive definite (jitter retry failed)")
 
@@ -473,20 +221,37 @@ def _raw_cholesky(sym):
 def _chol_of(array):
     """W = L^{-1} for the lower Cholesky factor L of sym(array), cached so
     one factorization is shared. LAPACK's trtri inverts L in place, so W is
-    the one m x m buffer the factorization leaves."""
+    the one m x m buffer the factorization leaves. The cache keeps, beside
+    W, whether the factorization took the jitter retry (`_retries_of`)."""
     if array._chol is None:
         a = array.data
         if a.shape[0] != a.shape[1]:
             raise ShapeError(f"expected square matrix, got {a.shape}")
         sym = 0.5 * (a + a.T)
-        inv_chol, info = scipy.linalg.lapack.dtrtri(_raw_cholesky(sym), lower=1,
-                                                    overwrite_c=1)
+        chol, retried = _raw_cholesky(sym)
+        inv_chol, info = scipy.linalg.lapack.dtrtri(chol, lower=1, overwrite_c=1)
         if info:
             raise NonSPDError(f"Cholesky factor is singular (trtri info {info})")
         inv_chol.flags.writeable = False
         _register_buffer(inv_chol)
-        array._chol = inv_chol
-    return array._chol
+        array._chol = (inv_chol, retried)
+    return array._chol[0]
+
+
+def _retries_of(array):
+    """1 if a factorization cached on `array` took the jitter retry, else 0."""
+    return 0 if array._chol is None else array._chol[1]
+
+
+def _solve(inv_chol, b, op="N"):
+    """A solve against S = L L^T as products with W = L^{-1}: op "N" is
+    L^{-1} b = W b, "T" is L^{-T} b = W^T b and "S" is S^{-1} b = W^T (W b).
+    In C order, cut as `_product` cuts."""
+    if op == "N":
+        return _twocore._product(inv_chol, b)
+    if op == "T":
+        return _twocore._product(inv_chol.T, b)
+    return _twocore._product(inv_chol.T, _twocore._product(inv_chol, b))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +282,7 @@ def _fwd_matmul(a, b, trans_a=False, trans_b=False):
     op_b = b.T if trans_b else b
     if op_a.shape[1] != op_b.shape[0]:
         raise ShapeError(f"matmul: {op_a.shape} @ {op_b.shape}")
-    return _product(op_a, op_b), (op_a, op_b, trans_a, trans_b)
+    return _twocore._product(op_a, op_b), (op_a, op_b, trans_a, trans_b)
 
 
 def _vjp_matmul(g, saved, needs):
@@ -525,9 +290,9 @@ def _vjp_matmul(g, saved, needs):
     op_a, op_b, trans_a, trans_b = saved
     ga = gb = None
     if needs[0]:
-        ga = _product(op_b, g.T) if trans_a else _product(g, op_b.T)
+        ga = _twocore._product(op_b, g.T) if trans_a else _twocore._product(g, op_b.T)
     if needs[1]:
-        gb = _product(g.T, op_a) if trans_b else _product(op_a.T, g)
+        gb = _twocore._product(g.T, op_a) if trans_b else _twocore._product(op_a.T, g)
     return ga, gb
 
 
@@ -660,7 +425,7 @@ def _vjp_inv_quad_spd(g, saved, needs):
     xg = x * g.T
     ga = None
     if needs[0]:
-        ga = _product(xg, x.T)
+        ga = _twocore._product(xg, x.T)
         np.negative(ga, out=ga)     # -(xg x^T), bit-equal to (-xg) x^T
     # in C order, so backward adopts it without a copy
     gb = np.multiply(xg.T if rows else xg, 2.0, order="C") if needs[1] else None
@@ -720,8 +485,7 @@ def apply(op, operands, **params):
             tape = owner
     datas = [o.data for o in operands]
     if op in ("cholesky_solve_spd", "logdet_spd", "inv_quad_spd"):
-        params = dict(params)
-        params["_chol"] = _chol_of(operands[0])
+        params["_chol"] = _chol_of(operands[0])     # `params` is this call's own
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out_data, saved = fwd(*datas, **params)
     if not np.isfinite(out_data).all():

@@ -8,7 +8,7 @@ reborn from a deterministic seed stream, so the coreset never overfits one
 feature map.
 
 A pool is drawn on both cores: each slot has its own seed stream, so the
-worker of `ndiff._halves` draws the later half of the slots while the
+worker of `_twocore._halves` draws the later half of the slots while the
 calling thread draws the first, with the same bits as one after the other.
 Every buffer is made on the calling thread and the worker only fills it.
 glibc keeps a buffer in the arena of the thread that allocated it, and a
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ndiff as nd
+from . import _twocore, ndiff as nd
 from .optim import SLICE, AdamState, adam_step
 
 
@@ -62,8 +62,8 @@ def _draw_nets(widths, k, seeds):
     and an in-place division give the bits of `standard_normal(shape) /
     sqrt(fan_in)`. When there are two seeds or more and the nets hold at
     least 2 * SLICE parameters in all, the later half of the seeds is
-    filled on the second core (`ndiff._halves`); numpy's fill releases the
-    interpreter lock."""
+    filled on the second core (`_twocore._halves`); numpy's fill releases
+    the interpreter lock."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 1 or any(w < 1 for w in widths) or k < 1:
         raise ValueError(f"invalid widths {widths} / classes {k}")
@@ -84,7 +84,7 @@ def _draw_nets(widths, k, seeds):
     mid = len(seeds) // 2
     size = sum(b.size for blocks in buffers[0] for b in blocks)
     if mid and len(seeds) * size >= 2 * SLICE:
-        nd._halves(lambda: fill(0, mid), lambda: fill(mid, len(seeds)))
+        _twocore._halves(lambda: fill(0, mid), lambda: fill(mid, len(seeds)))
     else:
         fill(0, len(seeds))
     nets = []
@@ -99,13 +99,13 @@ def features(net, x):
     """Plain numpy forward pass through the feature layers (head excluded).
 
     Each layer is one buffer: the product (cut in two halves on two cores
-    when large, see `ndiff._product`), then the bias and the ReLU in place.
+    when large, see `_twocore._product`), then the bias and the ReLU in place.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != net.widths[0]:
         raise nd.ShapeError(f"input dim {x.shape[1]} != net input {net.widths[0]}")
     for w, b in zip(net.weights, net.biases):
-        y = nd._product(x, w)
+        y = _twocore._product(x, w)
         y += b
         x = np.maximum(y, 0.0, out=y)
     return x
@@ -183,10 +183,7 @@ def pool_new(p, widths, k, seed, period):
     """P independently seeded networks, counters at zero. Slot i is
     `init_net(widths, k, _slot_seed(seed, i, 0))` bit for bit; slots
     [P/2, P) are drawn on the second core when the pool is large enough
-    (`_draw_nets`). All their buffers are made on the calling thread, and
-    the worker only fills them: with the worker allocating its own slots,
-    the peak resident memory of a CIFAR-shaped run read 763-786 MB,
-    against 716-720 MB."""
+    (`_draw_nets`), into buffers made on the calling thread."""
     if p < 1:
         raise ValueError("pool size must be >= 1")
     nets = _draw_nets(widths, k, [_slot_seed(seed, i, 0) for i in range(p)])

@@ -28,6 +28,7 @@ class OuterLossBreakdown:
     likelihood_term: float
     kl_term: float
     cond_lb: float        # lower bound on cond of the factored Gram system
+    jitter_retries: int   # 1 if factoring that system took the jitter retry
 
 
 def outer_loss(coreset, net, batch, n_total, hyper, tape):
@@ -49,14 +50,19 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape):
     batch_phi = nd.Array(network.features(net, x_b))
     phi = network.features_graph(net, images)
     post = solve_posterior(phi, labels, hyper)
-    moments = predictive_moments(post, batch_phi)
-    log_probs = probit_log_softmax(moments.mean, moments.variance)
-    picked = nd.sum(nd.hadamard(nd.constant(y_b), log_probs))
-    likelihood = nd.scale(picked, -float(n_total) / y_b.shape[0])
-    kl_term = nd.scale(kl_to_prior(post), hyper.beta_d)
-    total = nd.add(likelihood, kl_term)
+    try:
+        moments = predictive_moments(post, batch_phi)
+        log_probs = probit_log_softmax(moments.mean, moments.variance)
+        picked = nd.sum(nd.hadamard(nd.constant(y_b), log_probs))
+        likelihood = nd.scale(picked, -float(n_total) / y_b.shape[0])
+        kl_term = nd.scale(kl_to_prior(post), hyper.beta_d)
+        total = nd.add(likelihood, kl_term)
+    except nd.NonFiniteError as err:
+        err.retries = nd._retries_of(post.system)
+        raise
     return total, OuterLossBreakdown(total.item(), likelihood.item(),
-                                     kl_term.item(), condition_lower_bound(post))
+                                     kl_term.item(), condition_lower_bound(post),
+                                     nd._retries_of(post.system))
 
 
 def coreset_grad(loss, tape):

@@ -6,9 +6,9 @@ or gradients it is given. It walks each block in cache-sized slices, so a
 step streams every buffer through memory once instead of once per
 elementwise operation. A block of two slices or more is cut at a slice
 boundary into two halves, and the second half runs on a second core
-(`ndiff._halves`) with its own scratch buffers. Every element goes through
-the same operations in any case, so the result does not depend on the
-number of cores. Each slice of the result is checked finite while it is
+(`_twocore._halves`) with its own scratch buffers. Every element goes
+through the same operations in any case, so the result does not depend on
+the number of cores. Each slice of the result is checked finite while it is
 in cache, so the parameters `adam_step` returns need no further check:
 they are read-only and stay finite (`ndiff._adopt_checked`).
 """
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndiff import NonFiniteError, _halves
+from . import _twocore
+from .ndiff import NonFiniteError
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -73,8 +74,8 @@ def adam_step(state, params, grads, lr):
                  m.reshape(-1), v.reshape(-1), out.reshape(-1))
         mid = m.size // (2 * SLICE) * SLICE
         if mid:
-            _halves(lambda: _update(flats, 0, mid, scratch[0], c1, c2, lr),
-                    lambda: _update(flats, mid, m.size, scratch[1], c1, c2, lr))
+            _twocore._halves(lambda: _update(flats, 0, mid, scratch[0], c1, c2, lr),
+                             lambda: _update(flats, mid, m.size, scratch[1], c1, c2, lr))
         else:
             _update(flats, 0, m.size, scratch[0], c1, c2, lr)
         out.flags.writeable = False

@@ -121,11 +121,15 @@ def _solve(phi, labels, hyper, weight_space):
 
     system = nd.add(nd.eye(h if weight_space else nhat), nd.scale(
         nd.matmul(phi, phi, trans_a=weight_space, trans_b=not weight_space), c))
-    if weight_space:
-        means = nd.cholesky_solve_spd(system, nd.matmul(phi, labels, trans_a=True))
-    else:
-        means = nd.matmul(phi, nd.cholesky_solve_spd(system, labels), trans_a=True)
-    means = nd.scale(means, c)
+    try:
+        if weight_space:
+            means = nd.cholesky_solve_spd(system, nd.matmul(phi, labels, trans_a=True))
+        else:
+            means = nd.matmul(phi, nd.cholesky_solve_spd(system, labels), trans_a=True)
+        means = nd.scale(means, c)
+    except nd.NonFiniteError as err:
+        err.retries = nd._retries_of(system)
+        raise
     return CoresetPosterior(phi, labels, system, weight_space, means, hyper)
 
 

@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from . import ndiff as nd
-from .ndiff import _halves
+from . import _twocore, ndiff as nd
 
 ALPHA_PROBIT = math.pi / 8
 VARIANCE_CLAMP = -1e-12
@@ -91,7 +90,7 @@ def mc_log_softmax(mean, variance, samples, seed, return_stderr=False):
     mean is a k-vector, variance a scalar. Deterministic for a fixed seed;
     chunked so 1e6-sample runs stay cheap on memory. This is the oracle the
     probit approximation is validated against. Chunk i+1 is drawn here
-    while the worker of `ndiff._halves` reduces chunk i, into buffers
+    while the worker of `_twocore._halves` reduces chunk i, into buffers
     reused from chunk to chunk; the draws keep their order, so the estimate
     does not depend on the number of cores.
     """
@@ -129,7 +128,7 @@ def mc_log_softmax(mean, variance, samples, seed, return_stderr=False):
     while done < samples:
         n = min(MC_CHUNK, samples - done)
         nxt = draws[chunk % 2][:n]
-        _halves(lambda: rng.standard_normal(out=nxt), lambda: reduce(z))
+        _twocore._halves(lambda: rng.standard_normal(out=nxt), lambda: reduce(z))
         z, done, chunk = nxt, done + n, chunk + 1
     reduce(z)
     est = total / samples

@@ -6,16 +6,16 @@ coreset images; the pixels' only consumer is the loss, so augmentation
 lives here), takes an Adam step on the coreset with a single-cycle cosine
 schedule, and then gives the sampled pool slot one Gaussian-likelihood
 update. Metrics records go to a sink callable and carry the number of
-Cholesky factorizations the run needed the jitter retry for and a lower
-bound on the condition number of the step's factored Gram system; a
-non-finite value anywhere in a step aborts with a diagnostic record and
-never returns a corrupted coreset.
+the run's own Cholesky factorizations, up to this step, that needed the
+jitter retry, and a lower bound on the condition number of the step's
+factored Gram system; a non-finite value anywhere in a step aborts with a
+diagnostic record and never returns a corrupted coreset.
 
 The loop is a two-stage pipeline. Step t's pool update needs the coreset
 that step t's Adam made, and step t+1's coreset step (outer loss, backward,
 the coreset's Adam steps) needs that coreset and the network of the slot it
 samples. So, unless step t+1 samples the slot step t updates, the two are
-independent, and iteration t+1 runs them at once through `ndiff._halves`:
+independent, and iteration t+1 runs them at once through `_twocore._halves`:
 the pool update on the calling thread, then the standard-normal draw for
 step t+2's noise, while the worker runs the coreset step. When the slots
 are the same, the update runs first, alone; the last step's update runs
@@ -23,10 +23,10 @@ after the loop. Every op gets the inputs it gets in the serial order, and
 each random stream (batches, slots, noise) is drawn in its own order, so
 the records (bar `ms`) and the coreset are bit-identical to the serial
 loop's on any number of cores. A step's record is emitted once its pool
-update is done, with the jitter-retry count as it stood after the step's
-own coreset step; a failure in step t's pool update aborts at step t even
-when step t+1's coreset step failed too. `ms` is the wall time from the
-previous step's record to this one's.
+update is done, with the retries of the steps up to it, summed in step
+order; a failure in step t's pool update aborts at step t even when step
+t+1's coreset step failed too. `ms` is the wall time from the previous
+step's record to this one's.
 
 The pool update stays on the calling thread because it allocates the
 parameter-sized buffers: glibc keeps the buffers a thread frees in that
@@ -40,9 +40,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import ndiff as nd
+from . import _twocore, ndiff as nd
 from .data import _check_class_sizes, init_coreset
-from .ndiff import _halves
 from .network import (features, gaussian_step, init_net, pool_new,
                       pool_sample, pool_update)
 from .objective import coreset_grad, outer_loss
@@ -171,7 +170,6 @@ class _Step:
         self.number, self.lr, self.idx = number, lr, idx
         self.images, self.labels = images, labels
         self.breakdown = None
-        self.retries = 0
         self.error = None
 
 
@@ -200,7 +198,7 @@ def train(config, dataset, sink=None):
     labels = np.array(coreset.labels)
     state_x = AdamState.init([images])
     state_y = AdamState.init([labels])
-    retries_before = nd.jitter_retries
+    retries = 0         # of the steps settled so far
     noisy = config.noise_aug and config.noise_sigma != 0.0
     ahead = []          # the noise of the next step, drawn ahead
     last = time.perf_counter()
@@ -226,7 +224,6 @@ def train(config, dataset, sink=None):
                                                     [grad_y], step.lr)
         except Exception as err:    # raised by `settle`, in step order
             step.error = err
-        step.retries = nd.jitter_retries - retries_before
 
     def pool_step(step):
         """The pool update of `step`, from the coreset its Adam steps made."""
@@ -244,12 +241,15 @@ def train(config, dataset, sink=None):
     def settle(step):
         """Report `step`, whose pool update is done, or raise its error: a
         non-finite value aborts with a record."""
-        nonlocal last
+        nonlocal last, retries
+        if step.error is not None and not isinstance(step.error, nd.NonFiniteError):
+            raise step.error
+        # with no breakdown, the error is outer_loss's and counts its retries
+        retries += (step.error.retries if step.breakdown is None
+                    else step.breakdown.jitter_retries)
         if step.error is not None:
-            if not isinstance(step.error, nd.NonFiniteError):
-                raise step.error
             emit({"step": step.number, "event": "abort", "error": str(step.error),
-                  "jitter_retries": step.retries})
+                  "jitter_retries": retries})
             raise TrainAbort(f"non-finite value at step {step.number}: "
                              f"{step.error}") from step.error
         now = time.perf_counter()
@@ -259,7 +259,7 @@ def train(config, dataset, sink=None):
                   "lik": step.breakdown.likelihood_term,
                   "kl": step.breakdown.kl_term,
                   "lr": step.lr,
-                  "jitter_retries": step.retries,
+                  "jitter_retries": retries,
                   "cond_lb": step.breakdown.cond_lb,
                   "ms": (now - last) * 1e3})
         last = now
@@ -285,7 +285,7 @@ def train(config, dataset, sink=None):
                 pool_step(pending)
                 draw(number + 1)
 
-            _halves(caller_side, lambda: coreset_step(step, net, batch, noise))
+            _twocore._halves(caller_side, lambda: coreset_step(step, net, batch, noise))
             settle(pending)
         if step.error is not None:
             settle(step)
@@ -311,10 +311,9 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     for _ in range(tprime):
         net, state = gaussian_step(net, coreset.images, coreset.labels,
                                    hyper.gamma, TrainConfig.pool_lr, state=state)
-    retries_before = nd.jitter_retries
     post = solve_posterior(features(net, coreset.images), coreset.labels, hyper)
     batch = predictive_moments(post, features(net, test_x))
     log_probs = probit_log_softmax(batch.mean, batch.variance)
     acc, nll = metrics(log_probs, test_labels)
     return {"acc": acc, "nll": nll, "cond_lb": condition_lower_bound(post),
-            "jitter_retries": nd.jitter_retries - retries_before}
+            "jitter_retries": nd._retries_of(post.system)}

@@ -2,19 +2,19 @@
 
 import pytest
 
-from vbpc import ndiff as nd
+from vbpc import _twocore
 
 
 @pytest.fixture
 def halves_calls(monkeypatch):
-    """Count the calls that ndiff cuts in two: products (solves included),
-    Adam blocks and pool draws."""
+    """Count the calls that the scheduler cuts in two: products (solves
+    included), Adam blocks, pool draws and Monte Carlo chunks."""
     calls = []
-    real = nd._halves
+    real = _twocore._halves
 
     def counting(first, second):
         calls.append(1)
         real(first, second)
 
-    monkeypatch.setattr(nd, "_halves", counting)
+    monkeypatch.setattr(_twocore, "_halves", counting)
     return calls

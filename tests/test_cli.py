@@ -337,10 +337,10 @@ _PINNED_TRAIN = """
 import os, sys
 if sys.argv[1] != "all":
     os.sched_setaffinity(0, {int(sys.argv[1])})
-from vbpc import ndiff
+from vbpc import _twocore
 from vbpc.cli import main
 code = main(sys.argv[2:])
-print("worker", ndiff._start_worker() is not False, file=sys.stderr)
+print("worker", _twocore._start_worker() is not False, file=sys.stderr)
 sys.exit(code)
 """
 

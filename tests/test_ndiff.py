@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vbpc import ndiff as nd, network
+from vbpc import _twocore, ndiff as nd, network
 from vbpc.data import PseudoCoreset
 from vbpc.objective import coreset_grad, outer_loss
 from vbpc.posterior import Hyperparams
@@ -130,12 +130,16 @@ def test_cholesky_indefinite_raises():
 
 
 def test_cholesky_jitter_rescues_singular_psd():
-    before = nd.jitter_retries
-    out = nd._chol_of(nd.Array([[1.0, 1.0], [1.0, 1.0]]))
+    # each factored array records its own retry; a healthy one records none
+    singular = nd.Array([[1.0, 1.0], [1.0, 1.0]])
+    assert nd._retries_of(singular) == 0        # not factored yet
+    out = nd._chol_of(singular)
     assert np.all(np.diag(out) > 0)
-    assert nd.jitter_retries == before + 1
-    nd._chol_of(nd.Array([[2.0, 1.0], [1.0, 2.0]]))
-    assert nd.jitter_retries == before + 1
+    assert nd._retries_of(singular) == 1
+    healthy = nd.Array([[2.0, 1.0], [1.0, 2.0]])
+    nd._chol_of(healthy)
+    assert nd._retries_of(healthy) == 0
+    assert nd._chol_of(singular) is out and nd._retries_of(singular) == 1
 
 
 def test_cholesky_reconstruction_tolerance():
@@ -527,12 +531,12 @@ PRODUCTS = [((129, 64, 509), 1), ((1001, 512, 9), 1), ((31, 8, 16913), 1),
 @pytest.mark.parametrize("shape,cuts", PRODUCTS)
 def test_cut_product_is_bit_equal_to_matmul(halves_calls, trans_a, trans_b, shape, cuts):
     m, n, k = shape
-    assert nd.SPLIT_WORK <= m * n * k <= 1.1 * nd.SPLIT_WORK
+    assert _twocore.SPLIT_WORK <= m * n * k <= 1.1 * _twocore.SPLIT_WORK
     rng = np.random.default_rng(m + n + k)
     a = rng.standard_normal((k, m) if trans_a else (m, k))
     b = rng.standard_normal((n, k) if trans_b else (k, n))
     op_a, op_b = (a.T if trans_a else a), (b.T if trans_b else b)
-    got = nd._product(op_a, op_b)
+    got = _twocore._product(op_a, op_b)
     assert len(halves_calls) == cuts
     assert got.flags.c_contiguous and got.tobytes() == (op_a @ op_b).tobytes()
     # the primitive and its adjoint: every product in them takes the cut
@@ -584,7 +588,7 @@ def test_cut_solve_is_bit_equal_to_scipy(halves_calls, monkeypatch, op, shape, c
     # second core or not, and agrees with scipy's triangular and Cholesky
     # solves to rounding
     m, n = shape
-    assert nd.SPLIT_WORK <= m * m * n <= 1.1 * nd.SPLIT_WORK
+    assert _twocore.SPLIT_WORK <= m * m * n <= 1.1 * _twocore.SPLIT_WORK
     rng = np.random.default_rng(m + n)
     q = rng.standard_normal((m, m))
     a_val = q @ q.T / m + np.eye(m)
@@ -603,7 +607,7 @@ def test_cut_solve_is_bit_equal_to_scipy(halves_calls, monkeypatch, op, shape, c
             want = scipy.linalg.solve_triangular(chol, b, lower=True, trans=op)
         assert x.flags.c_contiguous and x.tobytes() == whole(b).tobytes()
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-    monkeypatch.setattr(nd, "_worker", False)
+    monkeypatch.setattr(_twocore, "_worker", False)
     for b, x in zip(rhs, got):
         assert nd._solve(w, b, op).tobytes() == x.tobytes()
 
@@ -625,7 +629,7 @@ def test_inv_quad_and_cholesky_solve_cut_their_solves(halves_calls, monkeypatch)
     z_ref = scipy.linalg.solve_triangular(np.linalg.cholesky(a_val), b_val, lower=True)
     np.testing.assert_allclose(quad, (z_ref * z_ref).sum(axis=0).reshape(-1, 1),
                                rtol=1e-12)
-    monkeypatch.setattr(nd, "_worker", False)
+    monkeypatch.setattr(_twocore, "_worker", False)
     assert _spd_primitives(a_val, b_val) == two
 
 
@@ -687,19 +691,19 @@ def test_worker_half_runs_under_the_callers_errstate():
         begun.clear()
 
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        nd._halves(first, second)
+        _twocore._halves(first, second)
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        nd._halves(first, second)
+        _twocore._halves(first, second)
     assert np.isinf(out).all()
-    on_worker = nd._start_worker() is not False
+    on_worker = _twocore._start_worker() is not False
     assert [w != threading.get_ident() for w in where] == [on_worker] * 2
 
 
 def test_caller_runs_the_half_the_worker_has_not_begun():
     # the worker is held inside one half; a second call's half waits in its
     # queue, so that call's caller runs it itself instead of waiting
-    if nd._start_worker() is False:
+    if _twocore._start_worker() is False:
         pytest.skip("one CPU: no worker")
     release = threading.Event()
     begun = threading.Event()
@@ -711,11 +715,11 @@ def test_caller_runs_the_half_the_worker_has_not_begun():
 
     def outer_first():
         begun.wait(timeout=30.0)
-        nd._halves(lambda: runs.append("first"),
+        _twocore._halves(lambda: runs.append("first"),
                    lambda: runs.append(threading.get_ident()))
         release.set()
 
-    nd._halves(outer_first, held)
+    _twocore._halves(outer_first, held)
     assert runs == ["first", threading.get_ident()]
 
 
@@ -723,7 +727,7 @@ def test_waiting_caller_runs_the_halves_the_worker_cuts():
     # the worker's half cuts its own work; the cut's first part waits until
     # its second part has begun, which only the caller, idle after its own
     # half, can begin
-    if nd._start_worker() is False:
+    if _twocore._start_worker() is False:
         pytest.skip("one CPU: no worker")
     outer_begun, inner_begun = threading.Event(), threading.Event()
     where = []
@@ -734,9 +738,9 @@ def test_waiting_caller_runs_the_halves_the_worker_cuts():
 
     def outer_second():
         outer_begun.set()
-        nd._halves(lambda: inner_begun.wait(timeout=30.0), inner_second)
+        _twocore._halves(lambda: inner_begun.wait(timeout=30.0), inner_second)
 
-    nd._halves(lambda: outer_begun.wait(timeout=30.0), outer_second)
+    _twocore._halves(lambda: outer_begun.wait(timeout=30.0), outer_second)
     assert where == [threading.get_ident()]
 
 
@@ -749,15 +753,16 @@ def _nested_halves(depth, leaves):
             leaves[lo] = lo
             return
         mid = (lo + hi) // 2
-        nd._halves(lambda: node(lo, mid, level + 1), lambda: node(mid, hi, level + 1))
+        _twocore._halves(lambda: node(lo, mid, level + 1),
+                         lambda: node(mid, hi, level + 1))
     node(0, len(leaves), 0)
 
 
 @pytest.mark.parametrize("worker", [True, False])
 def test_nested_halves_from_both_threads_finish(monkeypatch, worker):
     if not worker:
-        monkeypatch.setattr(nd, "_worker", False)
-    elif nd._start_worker() is False:
+        monkeypatch.setattr(_twocore, "_worker", False)
+    elif _twocore._start_worker() is False:
         pytest.skip("one CPU: no worker")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -775,7 +780,7 @@ def test_nested_halves_from_both_threads_finish(monkeypatch, worker):
             assert trees == [list(range(32))] * 2
     finally:
         sys.setswitchinterval(interval)
-    assert not nd._queue
+    assert not _twocore._queue
 
 
 def test_window_counts_exactly_under_two_threads():
@@ -803,7 +808,7 @@ def test_window_counts_exactly_under_two_threads():
 def test_worker_keeps_no_buffer_of_a_finished_half():
     rng = np.random.default_rng(24)
     a, b = rng.standard_normal((300, 200)), rng.standard_normal((200, 256))
-    out = nd._product(a, b)
+    out = _twocore._product(a, b)
     refs = [weakref.ref(x) for x in (a, b, out)]
     del a, b, out
     assert [r() for r in refs] == [None, None, None]
@@ -815,8 +820,8 @@ def test_halves_raise_the_exception_of_either():
 
     for first, second in ((fail, lambda: None), (lambda: None, fail)):
         with pytest.raises(KeyError, match="half"):
-            nd._halves(first, second)
-    nd._halves(lambda: None, lambda: None)      # the worker is free again
+            _twocore._halves(first, second)
+    _twocore._halves(lambda: None, lambda: None)      # the worker is free again
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -824,11 +829,13 @@ def test_forked_child_computes_a_cut_product():
     rng = np.random.default_rng(23)
     a, b = rng.standard_normal((300, 200)), rng.standard_normal((200, 256))
     want = (a @ b).tobytes()
-    assert nd._product(a, b).tobytes() == want     # the worker now runs here
+    assert _twocore._product(a, b).tobytes() == want     # the worker now runs here
     pid = os.fork()
     if pid == 0:    # the child: exit 0 only if the cut product comes back right
-        try:
-            os._exit(0 if nd._product(a, b).tobytes() == want else 1)
+        try:        # and, where a worker serves it, one the child started itself
+            right = _twocore._product(a, b).tobytes() == want
+            threads = 1 + bool(_twocore._worker)
+            os._exit(0 if right and threading.active_count() == threads else 1)
         finally:
             os._exit(2)
     deadline = time.monotonic() + 60.0

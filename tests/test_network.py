@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vbpc import ndiff as nd, network, optim
+from vbpc import _twocore, ndiff as nd, network, optim
 from vbpc.network import (init_net, features, features_graph, gaussian_step,
                           gaussian_likelihood_loss, pool_new, pool_sample,
                           pool_update)
@@ -256,7 +256,7 @@ def test_pool_draw_is_bit_identical_on_one_thread_or_two(halves_calls, monkeypat
                                                          p, widths, cut):
     two = pool_new(p, widths, k=3, seed=21, period=5)
     assert len(halves_calls) == int(cut)
-    monkeypatch.setattr(nd, "_start_worker", lambda: False)
+    monkeypatch.setattr(_twocore, "_start_worker", lambda: False)
     one = pool_new(p, widths, k=3, seed=21, period=5)
     for i in range(p):
         alone = init_net(widths, 3, network._slot_seed(21, i, 0))

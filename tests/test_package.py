@@ -1,6 +1,7 @@
 """Package surface: every tape primitive has a caller, no layer above the
-tape names one, the names the demos import resolve, the BLAS thread
-pinning holds in any import order, and importing starts no thread."""
+tape names one, the tape module holds no thread or global state, the
+names the demos import resolve, the BLAS thread pinning holds in any
+import order, and importing starts no thread."""
 
 import ast
 import dataclasses
@@ -61,6 +62,18 @@ def test_ndiff_wrappers_are_the_registry():
             if ops:
                 wrapped[node.name] = ops
     assert wrapped == {op: [op] for op in nd._REGISTRY}
+
+
+def test_ndiff_writes_no_global_and_starts_no_thread():
+    # the scheduler and the allocation windows live in modules of their own
+    tree = ast.parse((ROOT / "src" / "vbpc" / "ndiff.py").read_text())
+    nodes = list(ast.walk(tree))
+    assert not any(isinstance(node, ast.Global) for node in nodes)
+    imported = {alias.name.split(".")[0] for node in nodes
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in nodes
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not imported & {"threading", "contextvars"}
 
 
 def test_no_tape_parameter_above_ndiff():
@@ -160,9 +173,9 @@ def threads():
 
 after_import = threads()
 a = np.ones((256, 256))
-vbpc.ndiff._product(a, np.ones((256, 256)))
+vbpc._twocore._product(a, np.ones((256, 256)))
 print(json.dumps({"import": after_import, "product": threads(),
-                  "worker": vbpc.ndiff._start_worker() is not False}))
+                  "worker": vbpc._twocore._start_worker() is not False}))
 """
 
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from vbpc.data import gen_synthetic, normalize, normalize_with, init_coreset
-from vbpc import ndiff as nd, network, optim, trainer
+from vbpc import _twocore, ndiff as nd, network, objective, optim, trainer
 from vbpc.network import pool_new, pool_sample, pool_update
 from vbpc.objective import coreset_grad, outer_loss
 from vbpc.optim import AdamState, adam_step, cosine_lr
@@ -66,18 +66,10 @@ def textbook_adam(params, grads, lr, steps):
     return params, m, v
 
 
-def test_adam_matches_textbook_bit_for_bit(monkeypatch):
+def test_adam_matches_textbook_bit_for_bit(halves_calls):
     # one block spans two full slices and a ragged tail, cut in halves after
     # the first slice; one spans five and a tail, cut after the second; one
     # is a single slice and one 1 x 1, neither cut
-    cuts = []
-    real_halves = optim._halves
-
-    def counting(first, second):
-        cuts.append(1)
-        real_halves(first, second)
-
-    monkeypatch.setattr(optim, "_halves", counting)
     rng = np.random.default_rng(8)
     shapes = [(7, (2 * optim.SLICE + 2231) // 7 + 1), (5 * optim.SLICE + 77, 1),
               (1, optim.SLICE), (1, 1)]
@@ -90,7 +82,7 @@ def test_adam_matches_textbook_bit_for_bit(monkeypatch):
     got = params
     for g in grads:
         state, got = adam_step(state, got, g, lr=0.003)
-    assert state.t == 4 and len(cuts) == 2 * 4
+    assert state.t == 4 and len(halves_calls) == 2 * 4
     for a, b in zip(got + state.m + state.v, want + want_m + want_v):
         assert a.tobytes() == b.tobytes()
 
@@ -270,6 +262,41 @@ def test_jitter_retries_counted_per_run(monkeypatch):
         records = []
         train(tiny_config(steps=4), ds, sink=records.append)
         assert [r["jitter_retries"] for r in records] == [1, 2, 3, 4]
+    # step 2's loss raises after its factorization took the retry, inside the
+    # posterior solve or after it: the abort record counts that retry too
+    solve_fwd, solve_vjp, arity = nd._REGISTRY["cholesky_solve_spd"]
+    for module, name, real_fn in ((nd._REGISTRY, "cholesky_solve_spd", solve_fwd),
+                                  (objective, "kl_to_prior", objective.kl_to_prior)):
+        def failing(*args, _real=real_fn, **kwargs):
+            hits.append(None)
+            if len(hits) == 3:
+                raise nd.NonFiniteError("forced after the factorization")
+            return _real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            if module is nd._REGISTRY:
+                patch.setitem(module, name, (failing, solve_vjp, arity))
+            else:
+                patch.setattr(module, name, failing)
+            runs = []
+            for loop in (train, serial_train):
+                hits = []
+                runs.append(run_loop(loop, tiny_config(steps=4), ds))
+        assert [r["jitter_retries"] for r in runs[0][0]] == [1, 2, 3]
+        assert runs[0][0][-1]["event"] == "abort" and runs[0] == runs[1]
+
+
+def test_jitter_retries_count_only_the_runs_own_factorizations():
+    # the sink factors a singular matrix, which takes the retry, after each
+    # record; none of the run's own factorizations does
+    records = []
+
+    def sink(record):
+        records.append(record)
+        nd._chol_of(nd.Array([[1.0, 1.0], [1.0, 1.0]]))
+
+    train(tiny_config(steps=6, pool_size=3), moons_dataset(), sink=sink)
+    assert [r["jitter_retries"] for r in records] == [0] * 6
 
 
 def test_training_reduces_loss_on_moons():
@@ -391,7 +418,25 @@ def serial_train(config, dataset, sink):
     """The training loop one step at a time: outer loss, backward, Adam,
     then the pool update, before the next step begins. `train` overlaps
     each pool update with the next coreset step and must match this bit
-    for bit, bar the records' `ms`."""
+    for bit, bar the records' `ms`. Its `jitter_retries` counts the calls
+    of `scipy.linalg.cholesky` that raised during the run, through a
+    wrapper of its own, and reads nothing the library counts."""
+    real_cholesky = scipy.linalg.cholesky
+    failed = []
+
+    def counting_cholesky(*args, **kwargs):
+        try:
+            return real_cholesky(*args, **kwargs)
+        except scipy.linalg.LinAlgError:
+            failed.append(None)
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+        return _serial_loop(config, dataset, sink, failed)
+
+
+def _serial_loop(config, dataset, sink, failed):
     config = config.resolve_beta_s(dataset.k)
     hyper = config.hyperparams()
     coreset = init_coreset(dataset, config.ipc, config.init_mode,
@@ -403,7 +448,6 @@ def serial_train(config, dataset, sink):
     sampler = BatchSampler(dataset, config.batch_size, config.seed_data)
     images, labels = np.array(coreset.images), np.array(coreset.labels)
     state_x, state_y = AdamState.init([images]), AdamState.init([labels])
-    retries_before = nd.jitter_retries
     for step in range(config.steps):
         lr = cosine_lr(step, config.steps, config.coreset_lr)
         batch = sampler.next()
@@ -422,12 +466,12 @@ def serial_train(config, dataset, sink):
             pool_update(pool, idx, images, labels, hyper.gamma, config.pool_lr)
         except nd.NonFiniteError as err:
             sink({"step": step, "event": "abort", "error": str(err),
-                  "jitter_retries": nd.jitter_retries - retries_before})
+                  "jitter_retries": len(failed)})
             raise TrainAbort(f"non-finite value at step {step}: {err}") from err
         if step % config.log_interval == 0 or step == config.steps - 1:
             sink({"step": step, "loss": breakdown.total,
                   "lik": breakdown.likelihood_term, "kl": breakdown.kl_term,
-                  "lr": lr, "jitter_retries": nd.jitter_retries - retries_before,
+                  "lr": lr, "jitter_retries": len(failed),
                   "cond_lb": breakdown.cond_lb})
     return coreset.with_arrays(images, labels)
 
@@ -479,7 +523,7 @@ PIPELINE = dict(steps=12, batch_size=64, ipc=32, hidden=(256, 1024),
 ], ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()))
 def test_train_matches_the_serial_loop_bit_for_bit(monkeypatch, case, worker):
     if worker == "off":
-        monkeypatch.setattr(nd, "_worker", False)
+        monkeypatch.setattr(_twocore, "_worker", False)
     case = dict(case)
     reset = None
     if "abort_in_pool_call" in case:
@@ -512,7 +556,7 @@ def test_pool_step_and_rotation_run_on_the_calling_thread(monkeypatch):
     assert set(where["gaussian_step"]) | set(where["init_net"]) == {threading.get_ident()}
 
 
-class TrackedHalf(nd._Half):
+class TrackedHalf(_twocore._Half):
     made = []
 
     def __init__(self, fn):
@@ -522,10 +566,10 @@ class TrackedHalf(nd._Half):
 
 @pytest.mark.parametrize("ending", ["returns", "pool abort", "coreset abort"])
 def test_train_leaves_no_half_queued_or_running(monkeypatch, ending):
-    if nd._start_worker() is False:
+    if _twocore._start_worker() is False:
         pytest.skip("one CPU: no worker")
     TrackedHalf.made = []
-    monkeypatch.setattr(nd, "_Half", TrackedHalf)
+    monkeypatch.setattr(_twocore, "_Half", TrackedHalf)
     config = TrainConfig(**{**PIPELINE, "pool_size": 3})
     if ending == "pool abort":
         fail_gaussian_step_at(monkeypatch, 6)
@@ -546,4 +590,4 @@ def test_train_leaves_no_half_queued_or_running(monkeypatch, ending):
         with pytest.raises(TrainAbort):
             train(config, moons_dataset(n=400))
     assert TrackedHalf.made and all(half.done for half in TrackedHalf.made)
-    assert not nd._queue
+    assert not _twocore._queue
