@@ -16,6 +16,18 @@ FORCED_RTOL; each bound is ten times the worst error measured on these
 instances when the gate was set, rounded up: 9.4e-13 (the KL of the
 near-prior instance, nhat side) and 7.2e-12 (the means of the
 worst-conditioned instance solved through its rank-deficient h x h side).
+
+The KL's gradients with respect to Phi and Y are checked on the same
+instances and sides, each along one seeded direction, against central
+differences of the 50-digit KL at a step of 1e-20, where the truncation
+error is near 1e-40 and rounding costs 30 of the 50 digits. The KL is
+evaluated through the smaller Gram system, in the form
+1/2 (k (log det S - c Tr(S^{-1} G G^T)) + rho ||M||^2), which keeps the
+reference fast. GRAD_PICKED_RTOL and GRAD_FORCED_RTOL are ten times the
+worst errors measured when the gate was set, rounded up: 2.2e-14 (the
+Phi direction of the near-prior instance) and 9.4e-12 (the Phi direction
+of a worst-conditioned h >= nhat instance through its rank-deficient
+h x h side).
 """
 
 import math
@@ -24,13 +36,16 @@ import mpmath
 import numpy as np
 
 from test_acceptance import identity_suite_instances
-from vbpc import posterior
+from vbpc import ndiff as nd, posterior
 from vbpc.posterior import kl_to_prior, logdet_v, trace_v
 from vbpc.predictive import predictive_moments
 
 DIGITS = 50
 PICKED_RTOL = 1e-11
 FORCED_RTOL = 7.5e-11
+GRAD_PICKED_RTOL = 2.2e-13
+GRAD_FORCED_RTOL = 9.5e-11
+STEP = "1e-20"
 
 
 def selected_instances():
@@ -103,3 +118,56 @@ def test_both_sides_match_the_50_digit_reference():
               f"forced side worst {worst[False][0]:.2e} ({worst[False][1]})")
     assert worst[True][0] <= PICKED_RTOL, detail
     assert worst[False][0] <= FORCED_RTOL, detail
+
+
+def exact_kl(phi, labels, hyper):
+    """The KL at the working precision, through the min(h, nhat) Gram
+    system S = I + c G G^T; phi and labels are mpmath matrices."""
+    k = labels.cols
+    rho = mpmath.mpf(hyper.rho)
+    c = mpmath.mpf(hyper.gamma) / (rho * mpmath.mpf(hyper.beta_s))
+    weight_space = phi.cols < phi.rows
+    g = phi.T if weight_space else phi
+    w = mpmath.inverse(mpmath.cholesky(mpmath.eye(g.rows) + c * (g * g.T)))
+    s_inv = w.T * w
+    if weight_space:
+        means = c * (s_inv * (phi.T * labels))
+    else:
+        means = c * (phi.T * (s_inv * labels))
+    logdet = -2 * mpmath.fsum(mpmath.log(w[i, i]) for i in range(g.rows))
+    trace = c * mpmath.fsum(x ** 2 for x in w * g)
+    return (k * (logdet - trace) + rho * mpmath.fsum(x ** 2 for x in means)) / 2
+
+
+def test_kl_gradients_match_the_50_digit_reference():
+    worst = {True: (0.0, None), False: (0.0, None)}
+    for seed, (phi, labels, _, hyper) in enumerate(selected_instances()):
+        rng = np.random.default_rng(seed)
+        d_phi = rng.standard_normal(phi.shape)
+        d_labels = rng.standard_normal(labels.shape)
+        with mpmath.workdps(DIGITS):
+            step = mpmath.mpf(STEP)
+            f, y = mpmath.matrix(phi.tolist()), mpmath.matrix(labels.tolist())
+            df, dy = mpmath.matrix(d_phi.tolist()), mpmath.matrix(d_labels.tolist())
+            exact = {"Phi": (exact_kl(f + step * df, y, hyper)
+                             - exact_kl(f - step * df, y, hyper)) / (2 * step),
+                     "Y": (exact_kl(f, y + step * dy, hyper)
+                           - exact_kl(f, y - step * dy, hyper)) / (2 * step)}
+        picked = phi.shape[1] < phi.shape[0]
+        for side in (False, True):
+            tape = nd.Tape()
+            leaf_phi = tape.leaf(nd.Array(phi))
+            leaf_labels = tape.leaf(nd.Array(labels))
+            p = posterior._solve(leaf_phi, leaf_labels, hyper, weight_space=side)
+            grads = nd.backward(tape, kl_to_prior(p))
+            program = {"Phi": (grads[tape.node_id(leaf_phi)].data * d_phi).sum(),
+                       "Y": (grads[tape.node_id(leaf_labels)].data * d_labels).sum()}
+            for key, value in program.items():
+                err = relative_error([value], [exact[key]])
+                assert math.isfinite(err)
+                if err > worst[side == picked][0]:
+                    worst[side == picked] = (err, f"d{key} at {phi.shape}")
+    detail = (f"picked side worst {worst[True][0]:.2e} ({worst[True][1]}), "
+              f"forced side worst {worst[False][0]:.2e} ({worst[False][1]})")
+    assert worst[True][0] <= GRAD_PICKED_RTOL, detail
+    assert worst[False][0] <= GRAD_FORCED_RTOL, detail
