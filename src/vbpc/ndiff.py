@@ -23,8 +23,9 @@ the forward saved.
 
 The SPD primitives share one factorization per system: `a = L L^T`, of
 which the cache keeps `W = L^{-1}`, so every solve is a product with W or
-W^T and the log-determinant reads diag W. The cache also records whether
-the factorization took the jitter retry, so each system reports its own.
+W^T, and log det a and Tr a^{-1} read W alone: -2 sum log diag W and
+||W||_F^2. The cache also records whether the factorization took the
+jitter retry, so each system reports its own.
 
 Allocation windows (`vbpc._allocations`) count the buffers this layer
 allocates; large products are cut in two halves by `vbpc._twocore`.
@@ -394,17 +395,23 @@ def _vjp_cholesky_solve_spd(g, saved, needs):
     return ga, (gb if needs[1] else None)
 
 
-def _fwd_logdet_spd(a, _chol=None):
-    """log det a = -2 sum log diag W, W = L^{-1}."""
-    out = -2.0 * float(np.log(np.diag(_chol)).sum())
-    return np.array([[out]]), (_chol,)
+def _inverse(inv_chol):
+    """a^{-1} = W^T W for the cached W = L^{-1}: syrk, exactly symmetric."""
+    return np.matmul(inv_chol.T, inv_chol)
 
 
-def _vjp_logdet_spd(g, saved, needs):
-    """g a^{-1} = g W^T W: numpy's syrk, exactly symmetric."""
-    (inv_chol,) = saved
-    inv = np.matmul(inv_chol.T, inv_chol)
-    return (np.multiply(inv, float(g[0, 0]), out=inv),)
+def _fwd_logdet_trinv_spd(a, _chol=None):
+    """The row [log det a, Tr a^{-1}] = [-2 sum log diag W, ||W||_F^2]; the
+    squares are summed pairwise."""
+    logdet = -2.0 * float(np.log(np.diag(_chol)).sum())
+    return np.array([[logdet, float(np.square(_chol).sum())]]), (_chol,)
+
+
+def _vjp_logdet_trinv_spd(g, saved, needs):
+    """g_0 a^{-1} - g_1 a^{-2}, where a^{-2} = a^{-1} a^{-1}^T is a second
+    syrk: both terms, and so the adjoint, are exactly symmetric."""
+    inv = _inverse(saved[0])
+    return (float(g[0, 0]) * inv - float(g[0, 1]) * np.matmul(inv, inv.T),)
 
 
 def _fwd_inv_quad_spd(a, b, rows=False, _chol=None):
@@ -459,7 +466,7 @@ _REGISTRY = {
     "row_log_softmax": (_fwd_row_log_softmax, _vjp_row_log_softmax, 1),
     "rsqrt_shift": (_fwd_rsqrt_shift, _vjp_rsqrt_shift, 1),
     "cholesky_solve_spd": (_fwd_cholesky_solve_spd, _vjp_cholesky_solve_spd, 2),
-    "logdet_spd": (_fwd_logdet_spd, _vjp_logdet_spd, 1),
+    "logdet_trinv_spd": (_fwd_logdet_trinv_spd, _vjp_logdet_trinv_spd, 1),
     "inv_quad_spd": (_fwd_inv_quad_spd, _vjp_inv_quad_spd, 2),
     "sum": (_fwd_sum, _vjp_sum, 1),
 }
@@ -484,7 +491,7 @@ def apply(op, operands, **params):
                 raise NdiffError(f"{op}: operands from two live tapes")
             tape = owner
     datas = [o.data for o in operands]
-    if op in ("cholesky_solve_spd", "logdet_spd", "inv_quad_spd"):
+    if op in ("cholesky_solve_spd", "logdet_trinv_spd", "inv_quad_spd"):
         params["_chol"] = _chol_of(operands[0])     # `params` is this call's own
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out_data, saved = fwd(*datas, **params)
@@ -565,8 +572,8 @@ def rsqrt_shift(a, alpha):
 def cholesky_solve_spd(a, b):
     return apply("cholesky_solve_spd", (a, b))
 
-def logdet_spd(a):
-    return apply("logdet_spd", (a,))
+def logdet_trinv_spd(a):
+    return apply("logdet_trinv_spd", (a,))
 
 def inv_quad_spd(a, b, rows=False):
     return apply("inv_quad_spd", (a, b), rows=rows)

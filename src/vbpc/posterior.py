@@ -13,11 +13,11 @@ picks the side; a tie goes to the nhat side. The smaller side is also the
 better conditioned: the larger system has the same eigenvalues 1 + c s_i^2
 (s_i the singular values of Phi) plus |h - nhat| unit ones, so its
 condition number can only be larger. Both sides share the same
-formulas wherever they can: the log-determinant is log det S by the
-Weinstein-Aronszajn identity, and the trace Tr(A^{-1} Phi Phi^T) with
-A = I + c Phi Phi^T, which equals Tr(S^{-1} G G^T) on either side, is the
-squared Frobenius norm ||L^{-1} G||^2 of one product with L^{-1}, where
-S = L L^T and the factorization keeps L^{-1}. The means take the
+formulas wherever they can. Since c G G^T = S - I, the log-determinant
+(log det S by the Weinstein-Aronszajn identity) and the KL are functions
+of S alone: they read log det S and Tr S^{-1} from the factorization
+S = L L^T, which keeps W = L^{-1}, as -2 sum log diag W and ||W||_F^2.
+The trace of V* reads Tr(S^{-1} G G^T) as ||W G||_F^2. The means take the
 kernel-trick form c Phi^T S^{-1} Y on the nhat side and the push-through
 form c S^{-1} Phi^T Y on the h side. Phi^T is never copied: the products,
 those with L^{-1} included, read Phi through transposed views (`matmul`'s
@@ -154,23 +154,20 @@ def dense_variance(p, allow_large=False):
 
 
 def logdet_v(p):
-    """log det V* = -h log rho - log det S, via the cached factor L^{-1}
-    (det S is the same on either side by Weinstein-Aronszajn)."""
-    logdet_s = nd.logdet_spd(p.system)
+    """log det V* = -h log rho - log det S (det S is the same on either
+    side by Weinstein-Aronszajn)."""
+    logdet_s = nd.matmul(nd.logdet_trinv_spd(p.system), nd.constant([[1.0], [0.0]]))
     const = nd.constant([[-p.phi.shape[1] * math.log(p.hyper.rho)]])
     return nd.sub(const, logdet_s)
 
 
-def _trace_sinv_gram(p):
-    """Tr(S^{-1} G G^T) = Tr(A^{-1} Phi Phi^T) on either side: the sum over
-    the columns g_j of G (rows of Phi on the h side) of g_j^T S^{-1} g_j."""
-    return nd.sum(nd.inv_quad_spd(p.system, p.phi, rows=p.weight_space))
-
-
 def trace_v(p):
-    """Tr V* = h/rho - gamma/(rho^2 beta_s) * Tr(S^{-1} G G^T)."""
+    """Tr V* = h/rho - gamma/(rho^2 beta_s) * Tr(S^{-1} G G^T), the trace
+    read as ||W G||_F^2. Not (h - m + Tr S^{-1}) / rho, as the KL reads it:
+    where m > h, that cancels m - h unit eigenvalues of S^{-1}, each off by
+    rounding of order eps ||S||."""
     hyper = p.hyper
-    t = _trace_sinv_gram(p)
+    t = nd.sum(nd.inv_quad_spd(p.system, p.phi, rows=p.weight_space))
     return nd.sub(nd.constant([[p.phi.shape[1] / hyper.rho]]),
                   nd.scale(t, hyper.variance_scale))
 
@@ -179,23 +176,19 @@ def kl_to_prior(p):
     """Exact KL(q || prior), constants included, differentiable on the tape.
 
     Equals 1/2 (k (-h log rho - log det V*) - k h + k rho Tr V* + rho ||M||^2).
-    Evaluated in the algebraically cancelled form
+    With c G G^T = S - I this is, on either side,
 
-        1/2 (k log det S - k (gamma/(rho beta_s)) Tr(S^{-1} G G^T)
-             + rho ||M||^2)
+        1/2 (k (log det S + Tr S^{-1} - m) + rho ||M||^2)
 
-    which is the same quantity on either side but is exactly zero for an
-    empty coreset and never goes negative beyond round-off.
+    for the m x m system S, whose two spectral terms one primitive reads
+    from the cached factor. It is exactly zero for an empty coreset and
+    never negative beyond round-off.
     """
-    hyper = p.hyper
     k = p.labels.shape[1]
-    logdet_s = nd.logdet_spd(p.system)
-    t = _trace_sinv_gram(p)
+    both = nd.matmul(nd.logdet_trinv_spd(p.system), nd.constant([[k], [k]]))
+    spectral = nd.sub(both, nd.constant([[k * p.system.shape[0]]]))
     msq = nd.sum(nd.hadamard(p.means, p.means))
-    inner = nd.add(
-        nd.sub(nd.scale(logdet_s, float(k)), nd.scale(t, k * hyper.kernel_scale)),
-        nd.scale(msq, hyper.rho))
-    return nd.scale(inner, 0.5)
+    return nd.scale(nd.add(spectral, nd.scale(msq, p.hyper.rho)), 0.5)
 
 
 def condition_lower_bound(p):

@@ -62,8 +62,10 @@ def test_relu_definition():
 
 
 def test_logdet_diagonal():
-    out = nd.logdet_spd(nd.Array([[2.0, 0.0], [0.0, 2.0]]))
-    assert math.isclose(out.item(), 2.0 * math.log(2.0), rel_tol=1e-14)
+    out = nd.logdet_trinv_spd(nd.Array([[2.0, 0.0], [0.0, 2.0]]))
+    assert out.shape == (1, 2)
+    assert math.isclose(out.data[0, 0], 2.0 * math.log(2.0), rel_tol=1e-14)
+    assert math.isclose(out.data[0, 1], 1.0, rel_tol=1e-14)
 
 
 def test_row_log_softmax_rows_normalize():
@@ -324,7 +326,8 @@ def test_grad_logdet():
         q = rng.standard_normal((4, 4))
         return (q @ q.T + 4 * np.eye(4),)
 
-    check_primitive_gradient(operands, lambda a: nd.logdet_spd(a))
+    # the random probe weights both columns, log det and the trace of a^{-1}
+    check_primitive_gradient(operands, lambda a: nd.logdet_trinv_spd(a))
 
 
 def test_grad_inv_quad():
@@ -372,19 +375,22 @@ def test_backward_matmul_vs_fd():
 
 
 def test_backward_logdet_is_symmetrized_inverse():
-    # a^{-1} = W^T W is exactly symmetric, with no symmetrizing pass
+    # the adjoint of log det a is a^{-1} = W^T W, and that of Tr a^{-1} is
+    # -a^{-2} = -a^{-1} a^{-1}^T: both exactly symmetric, with no
+    # symmetrizing pass
     rng = np.random.default_rng(4)
     for m in (3, 40):
         q = rng.standard_normal((m, m))
         a_val = q @ q.T + m * np.eye(m)
-        tape = nd.Tape()
-        a = tape.leaf(nd.Array(a_val))
-        out = nd.logdet_spd(a)
-        ad = nd.backward(tape, out)[tape.node_id(a)].data
         inv = np.linalg.inv(a_val)
-        assert rel_err(ad, 0.5 * (inv + inv.T)).max() <= 1e-8
-        assert ad.tobytes() == ad.T.tobytes()
-        assert np.linalg.norm(ad - inv) <= 1e-12 * np.linalg.norm(inv)
+        for weights, want in (([[1.0], [0.0]], inv), ([[0.0], [1.0]], -inv @ inv)):
+            tape = nd.Tape()
+            a = tape.leaf(nd.Array(a_val))
+            out = nd.matmul(nd.logdet_trinv_spd(a), nd.Array(weights))
+            ad = nd.backward(tape, out)[tape.node_id(a)].data
+            assert rel_err(ad, 0.5 * (want + want.T)).max() <= 1e-8
+            assert ad.tobytes() == ad.T.tobytes()
+            assert np.linalg.norm(ad - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_backward_accumulates_fanout():
@@ -432,7 +438,7 @@ def test_tape_replay_deterministic():
         spd = nd.add(nd.eye(4), nd.matmul(a, a, trans_b=True))
         x = nd.cholesky_solve_spd(spd, b)
         loss = nd.add(nd.sum(nd.relu(x)),
-                      nd.logdet_spd(spd))
+                      nd.sum(nd.logdet_trinv_spd(spd)))
         grads = nd.backward(tape, loss)
         return loss.item(), grads[tape.node_id(a)].data.copy(), grads[tape.node_id(b)].data.copy()
 
@@ -503,7 +509,7 @@ def test_gradients_share_no_memory_with_saved_buffers():
     h = nd.sub(nd.hadamard(h, a), nd.scale(a, 0.5))
     h = nd.row_log_softmax(nd.matmul(nd.cholesky_solve_spd(spd, b), h, trans_b=True))
     quad = nd.inv_quad_spd(spd, a, rows=True)
-    loss = nd.add(nd.add(nd.sum(h), nd.logdet_spd(spd)),
+    loss = nd.add(nd.add(nd.sum(h), nd.sum(nd.logdet_trinv_spd(spd))),
                   nd.sum(nd.rsqrt_shift(quad, alpha=0.3)))
     grads = nd.backward(tape, loss)
     saved = [buf for record in tape.records for buf in _saved_buffers(record[3])]

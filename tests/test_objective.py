@@ -211,11 +211,11 @@ def test_loss_path_avoids_hxh_buffers():
 
 def test_step_shares_one_factorization(monkeypatch):
     # one Cholesky of the min(h, nhat) square Gram system and one trtri of
-    # its factor; the label solve, the KL trace, the predictive variance and
-    # their adjoints are products with that inverse, and so is the log-det
-    # adjoint, so scipy solves nothing. The same counts hold on the nhat
-    # side (nhat=4 < h=6) and on the h side (nhat=8 > h=6); one test id
-    # covers both.
+    # its factor; the label solve, the predictive variance and their
+    # adjoints are products with that inverse, and the KL's log det, trace
+    # and adjoint read it too, so scipy solves nothing. The same counts hold
+    # on the nhat side (nhat=4 < h=6) and on the h side (nhat=8 > h=6); one
+    # test id covers both.
     counts = {"cholesky": 0, "dtrtri": 0, "cho_solve": 0, "solve_triangular": 0}
     factored = []
     for name in counts:
@@ -253,3 +253,16 @@ def test_outer_loss_clamps_the_variance_once():
         ops = [op for op, _, _, _ in tape.records]
         assert ops.count("relu") == len(net.weights) + 1, (nhat, h)
         assert ops.count("rsqrt_shift") == 1, (nhat, h)
+
+
+def test_kl_reads_the_system_alone():
+    # the KL's log det S and Tr S^{-1} are one record; the one quadratic-form
+    # record left is the predictive variance's
+    for nhat, h in ((4, 6), (8, 6)):
+        rng = np.random.default_rng(16)
+        coreset, net, batch, hyper = make_instance(rng, nhat=nhat, h=h, beta_d=0.5)
+        tape = nd.Tape()
+        outer_loss(coreset, net, batch, 8, hyper, tape)
+        ops = [op for op, _, _, _ in tape.records]
+        assert ops.count("logdet_trinv_spd") == 1, (nhat, h)
+        assert ops.count("inv_quad_spd") == 1, (nhat, h)
