@@ -11,7 +11,7 @@ Each synthetic field is given once; n is at most 10^6 and noise finite and
 non-negative. Config, spec and dataset errors are reported before any
 output.
 
-Exit codes: 0 success, 1 runtime abort (non-finite value), 2 usage, config
+Exit codes: 0 success, 1 numerical failure (train or eval), 2 usage, config
 and input-file errors.
 """
 
@@ -24,6 +24,7 @@ import sys
 
 import numpy as np
 
+from . import ndiff as nd
 from .bench import run_bench
 from .data import (CoresetFileError, gen_synthetic, load_coreset, load_idx,
                    normalize, normalize_with, save_coreset)
@@ -349,6 +350,9 @@ def main(argv=None):
     except (ConfigError, CoresetFileError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (nd.NonFiniteError, nd.NonSPDError) as err:     # numerical failure
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_ABORT
 
 
 def entry():

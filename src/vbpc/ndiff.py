@@ -7,7 +7,10 @@ once built; a Tape records primitive applications and `backward` replays the
 adjoints in reverse topological order.
 
 There is no transpose primitive: `matmul` and `inv_quad_spd` take flags
-that say which way they read an operand, and read it through a view.
+that say which way they read an operand, and read it through a view. Nor
+is there a subtraction: `add` takes equal shapes, and a - b adds -b. The
+layer max(x W + b, 0) is one primitive, `affine_relu`, and the probit
+shift `rsqrt_shift` is 1/sqrt(1 + alpha max(x, 0)): it clamps round-off.
 
 Arrays carry their tape: a node refers weakly to it, and `apply` records on
 the tape of its operands, so only the code that registers leaves and runs
@@ -297,26 +300,33 @@ def _vjp_matmul(g, saved, needs):
     return ga, gb
 
 
+def _fwd_affine_relu(x, w, b):
+    """max(x w + b, 0) in one buffer: the product (cut as `_product` cuts),
+    then the bias and the ReLU in place. `network.features` runs it too."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(f"affine_relu: {x.shape} @ {w.shape} + {b.shape}")
+    y = _twocore._product(x, w)
+    y += b
+    np.maximum(y, 0.0, out=y)
+    return y, (x, w, y)
+
+
+def _vjp_affine_relu(g, saved, needs):
+    x, w, y = saved
+    gz = g * (y > 0.0)
+    return (_twocore._product(gz, w.T) if needs[0] else None,
+            _twocore._product(x.T, gz) if needs[1] else None,
+            gz.sum(axis=0, keepdims=True) if needs[2] else None)
+
+
 def _fwd_add(a, b):
-    _check_broadcast(a, b, "add")
-    return a + b, (a.shape, b.shape)
+    if a.shape != b.shape:
+        raise ShapeError(f"add: {a.shape} vs {b.shape}")
+    return a + b, ()
 
 
 def _vjp_add(g, saved, needs):
-    sa, sb = saved
-    return (g if needs[0] else None,
-            _unbroadcast(g, sb) if needs[1] else None)
-
-
-def _fwd_sub(a, b):
-    _check_broadcast(a, b, "sub")
-    return a - b, (a.shape, b.shape)
-
-
-def _vjp_sub(g, saved, needs):
-    sa, sb = saved
-    return (g if needs[0] else None,
-            -_unbroadcast(g, sb) if needs[1] else None)
+    return (g if needs[0] else None, g if needs[1] else None)
 
 
 def _fwd_scale(a, factor):
@@ -342,15 +352,6 @@ def _vjp_hadamard(g, saved, needs):
     return ga, gb
 
 
-def _fwd_relu(a):
-    return np.maximum(a, 0.0), (a,)
-
-
-def _vjp_relu(g, saved, needs):
-    (a,) = saved
-    return (g * (a > 0.0),)
-
-
 def _fwd_row_log_softmax(a):
     shifted = a - a.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -365,16 +366,16 @@ def _vjp_row_log_softmax(g, saved, needs):
 
 
 def _fwd_rsqrt_shift(a, alpha):
-    shifted = 1.0 + alpha * a
+    shifted = 1.0 + alpha * np.maximum(a, 0.0)
     if shifted.min() <= 0.0:
         raise NonFiniteError("rsqrt_shift: 1 + alpha*x must be positive")
     out = 1.0 / np.sqrt(shifted)
-    return out, (out, alpha)
+    return out, (a, out, alpha)
 
 
 def _vjp_rsqrt_shift(g, saved, needs):
-    out, alpha = saved
-    return (-0.5 * alpha * out ** 3 * g,)
+    a, out, alpha = saved
+    return (-0.5 * alpha * out ** 3 * g * (a > 0.0),)
 
 
 def _fwd_cholesky_solve_spd(a, b, _chol=None):
@@ -458,11 +459,10 @@ def _vjp_sum(g, saved, needs):
 
 _REGISTRY = {
     "matmul": (_fwd_matmul, _vjp_matmul, 2),
+    "affine_relu": (_fwd_affine_relu, _vjp_affine_relu, 3),
     "add": (_fwd_add, _vjp_add, 2),
-    "sub": (_fwd_sub, _vjp_sub, 2),
     "scale": (_fwd_scale, _vjp_scale, 1),
     "hadamard": (_fwd_hadamard, _vjp_hadamard, 2),
-    "relu": (_fwd_relu, _vjp_relu, 1),
     "row_log_softmax": (_fwd_row_log_softmax, _vjp_row_log_softmax, 1),
     "rsqrt_shift": (_fwd_rsqrt_shift, _vjp_rsqrt_shift, 1),
     "cholesky_solve_spd": (_fwd_cholesky_solve_spd, _vjp_cholesky_solve_spd, 2),
@@ -548,20 +548,17 @@ def backward(tape, seed):
 def matmul(a, b, trans_a=False, trans_b=False):
     return apply("matmul", (a, b), trans_a=trans_a, trans_b=trans_b)
 
+def affine_relu(x, w, b):
+    return apply("affine_relu", (x, w, b))
+
 def add(a, b):
     return apply("add", (a, b))
-
-def sub(a, b):
-    return apply("sub", (a, b))
 
 def scale(a, factor):
     return apply("scale", (a,), factor=factor)
 
 def hadamard(a, b):
     return apply("hadamard", (a, b))
-
-def relu(a):
-    return apply("relu", (a,))
 
 def row_log_softmax(a):
     return apply("row_log_softmax", (a,))

@@ -98,25 +98,22 @@ def _draw_nets(widths, k, seeds):
 def features(net, x):
     """Plain numpy forward pass through the feature layers (head excluded).
 
-    Each layer is one buffer: the product (cut in two halves on two cores
-    when large, see `_twocore._product`), then the bias and the ReLU in place.
+    Each layer is the forward of `affine_relu`, the primitive that
+    `features_graph` records, on plain arrays: one buffer per layer, and no
+    copy of the input. The primitive checks the shapes.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != net.widths[0]:
-        raise nd.ShapeError(f"input dim {x.shape[1]} != net input {net.widths[0]}")
     for w, b in zip(net.weights, net.biases):
-        y = _twocore._product(x, w)
-        y += b
-        x = np.maximum(y, 0.0, out=y)
+        x, _ = nd._fwd_affine_relu(x, w, b)
     return x
 
 
 def features_graph(net, x, param_arrays=None):
-    """Forward pass in tape primitives. `x` is an Array (a leaf if the
-    coreset is being trained); param_arrays supplies leaf Arrays when the
-    net itself is being trained, otherwise parameters enter as constants
-    (sharing memory with net.params, which init_net and adam_step make
-    read-only and finite)."""
+    """Forward pass on the tape, one `affine_relu` per layer. `x` is an
+    Array (a leaf if the coreset is being trained); param_arrays supplies
+    leaf Arrays when the net itself is being trained, otherwise parameters
+    enter as constants (sharing memory with net.params, which init_net and
+    adam_step make read-only and finite)."""
     if param_arrays is None:
         ws = [nd._adopt_checked(w) for w in net.weights]
         bs = [nd._adopt_checked(b) for b in net.biases]
@@ -125,7 +122,7 @@ def features_graph(net, x, param_arrays=None):
         ws, bs = param_arrays[:n], param_arrays[n:2 * n]
     out = x
     for w, b in zip(ws, bs):
-        out = nd.relu(nd.add(nd.matmul(out, w), b))
+        out = nd.affine_relu(out, w, b)
     return out
 
 
@@ -133,7 +130,8 @@ def gaussian_likelihood_loss(net, images, labels, gamma, param_arrays):
     """(gamma/2) ||Y - features(X) @ W||_F^2 over the leaves `param_arrays`
     that stand for net.params."""
     phi = features_graph(net, nd.constant(images), param_arrays)
-    resid = nd.sub(nd.constant(labels), nd.matmul(phi, param_arrays[-1]))
+    # the residual taken as features(X) @ W - Y, the same squares
+    resid = nd.add(nd.matmul(phi, param_arrays[-1]), nd.constant(-labels))
     return nd.scale(nd.sum(nd.hadamard(resid, resid)), gamma / 2.0)
 
 

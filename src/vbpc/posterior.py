@@ -149,16 +149,16 @@ def dense_variance(p, allow_large=False):
                         1.0 / hyper.rho)
     solved = nd.cholesky_solve_spd(p.system, p.phi)
     outer = nd.matmul(p.phi, solved, trans_a=True)
-    return nd.sub(nd.scale(nd.eye(h), 1.0 / hyper.rho),
-                  nd.scale(outer, hyper.variance_scale))
+    return nd.add(nd.scale(nd.eye(h), 1.0 / hyper.rho),
+                  nd.scale(outer, -hyper.variance_scale))
 
 
 def logdet_v(p):
     """log det V* = -h log rho - log det S (det S is the same on either
     side by Weinstein-Aronszajn)."""
-    logdet_s = nd.matmul(nd.logdet_trinv_spd(p.system), nd.constant([[1.0], [0.0]]))
+    minus = nd.matmul(nd.logdet_trinv_spd(p.system), nd.constant([[-1.0], [0.0]]))
     const = nd.constant([[-p.phi.shape[1] * math.log(p.hyper.rho)]])
-    return nd.sub(const, logdet_s)
+    return nd.add(const, minus)
 
 
 def trace_v(p):
@@ -168,8 +168,8 @@ def trace_v(p):
     rounding of order eps ||S||."""
     hyper = p.hyper
     t = nd.sum(nd.inv_quad_spd(p.system, p.phi, rows=p.weight_space))
-    return nd.sub(nd.constant([[p.phi.shape[1] / hyper.rho]]),
-                  nd.scale(t, hyper.variance_scale))
+    return nd.add(nd.constant([[p.phi.shape[1] / hyper.rho]]),
+                  nd.scale(t, -hyper.variance_scale))
 
 
 def kl_to_prior(p):
@@ -186,7 +186,7 @@ def kl_to_prior(p):
     """
     k = p.labels.shape[1]
     both = nd.matmul(nd.logdet_trinv_spd(p.system), nd.constant([[k], [k]]))
-    spectral = nd.sub(both, nd.constant([[k * p.system.shape[0]]]))
+    spectral = nd.add(both, nd.constant([[-k * p.system.shape[0]]]))
     msq = nd.sum(nd.hadamard(p.means, p.means))
     return nd.scale(nd.add(spectral, nd.scale(msq, p.hyper.rho)), 0.5)
 

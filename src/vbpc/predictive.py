@@ -60,16 +60,16 @@ def predictive_moments(p, phi_batch):
         cross = nd.matmul(p.phi, phi_batch, trans_b=True)               # nhat x n
         quad = nd.inv_quad_spd(p.system, cross)
         norms = nd.sum(nd.hadamard(phi_batch, phi_batch), axis=1)
-        variance = nd.sub(nd.scale(norms, 1.0 / hyper.rho),
-                          nd.scale(quad, hyper.variance_scale))
+        variance = nd.add(nd.scale(norms, 1.0 / hyper.rho),
+                          nd.scale(quad, -hyper.variance_scale))
     return PredictiveBatch(mean, variance)
 
 
 def probit_log_softmax(mean, variance):
     """Probit-scaled expected log-softmax, row-wise.
 
-    mean: n x k, variance: n x 1 with entries >= 0; round-off negativity
-    down to VARIANCE_CLAMP is clamped to zero, anything below raises.
+    mean: n x k, variance: n x 1, >= 0 up to round-off down to VARIANCE_CLAMP,
+    which `rsqrt_shift` clamps to zero; below it raises NonFiniteError.
     Row i is log softmax(mean_i / sqrt(1 + (pi/8) * variance_i)).
     """
     mean = nd.constant(mean)
@@ -77,10 +77,10 @@ def probit_log_softmax(mean, variance):
     if variance.shape != (mean.shape[0], 1):
         raise nd.ShapeError(f"variance shape {variance.shape} for mean {mean.shape}")
     if float(variance.data.min()) < VARIANCE_CLAMP:
-        raise ValueError(
+        raise nd.NonFiniteError(
             f"negative predictive variance {variance.data.min():.3e} beyond "
             f"round-off clamp; the posterior solve is broken")
-    scaling = nd.rsqrt_shift(nd.relu(variance), alpha=ALPHA_PROBIT)
+    scaling = nd.rsqrt_shift(variance, alpha=ALPHA_PROBIT)
     return nd.row_log_softmax(nd.hadamard(mean, scaling))
 
 

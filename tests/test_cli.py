@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from vbpc import predictive
 from vbpc.cli import (ConfigError, main, parse_config, write_config,
                       load_data)
 from vbpc.data import CoresetFileError, PseudoCoreset, save_coreset
@@ -304,6 +305,22 @@ def test_train_non_finite_update_aborts_with_record(tmp_path, capsys):
     assert json.loads(lines[-1])["event"] == "abort"
 
 
+def test_train_negative_variance_aborts_with_record(tmp_path, capsys, monkeypatch):
+    # a variance below the round-off clamp is a numerical failure, not a
+    # usage error; a clamp above every variance forces one at step 0
+    monkeypatch.setattr(predictive, "VARIANCE_CLAMP", math.inf)
+    cfg = write_cfg(tmp_path, TINY)
+    out = tmp_path / "negative"
+    assert main(["train", "--config", cfg, "--data", MOONS, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "train aborted" in err and "negative predictive variance" in err
+    assert "Traceback" not in err
+    (record,) = [json.loads(line) for line in
+                 (out / "metrics.jsonl").read_text().splitlines()]
+    assert record["event"] == "abort" and record["jitter_retries"] == 0
+    assert not (out / "coreset.vbpc").exists()
+
+
 def test_train_single_step_single_record(tmp_path):
     cfg = write_cfg(tmp_path, TINY.replace("steps = 6", "steps = 1"))
     out = tmp_path / "one"
@@ -479,6 +496,18 @@ def test_non_finite_coreset_file_exits_2_naming_it(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert path in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_eval_numerical_failure_exits_1(tmp_path, capsys):
+    # gamma = 1e308 is finite, so the file loads, but the Gaussian step's
+    # loss overflows: a numerical failure, reported on one line
+    path = bad_value_coreset(tmp_path, 32, 1e308)
+    out = tmp_path / "out"
+    assert main(["eval", "--coreset", path, "--data", MOONS, "--tprime", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite" in err and not out.exists()
 
 
 # ---------------------------------------------------------------------------

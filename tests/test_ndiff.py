@@ -19,6 +19,7 @@ from vbpc import _twocore, ndiff as nd, network
 from vbpc.data import PseudoCoreset
 from vbpc.objective import coreset_grad, outer_loss
 from vbpc.posterior import Hyperparams
+from vbpc.predictive import VARIANCE_CLAMP
 
 
 def fd_gradient(fn, values, eps=1e-5):
@@ -57,8 +58,12 @@ def test_matmul_identity():
 
 
 def test_relu_definition():
-    out = nd.relu(nd.Array([[-1.0, 2.0]]))
-    np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
+    # the layer max(x w + b, 0): pre-activations [[-1.5, 3.5], [3.5, -2.5]]
+    x = nd.Array([[1.0, 2.0], [3.0, -1.0]])
+    w = nd.Array([[1.0, 0.0], [-1.0, 2.0]])
+    b = nd.Array([[-0.5, -0.5]])
+    out = nd.affine_relu(x, w, b)
+    np.testing.assert_array_equal(out.data, [[0.0, 3.5], [3.5, 0.0]])
 
 
 def test_logdet_diagonal():
@@ -80,6 +85,21 @@ def test_rsqrt_shift_values():
     x = np.array([[0.0, 1.0, 4.0]])
     out = nd.rsqrt_shift(nd.Array(x), alpha=alpha)
     np.testing.assert_allclose(out.data, 1.0 / np.sqrt(1.0 + alpha * x), rtol=1e-15)
+
+
+def test_rsqrt_shift_clamps_round_off_negativity():
+    # a variance in [VARIANCE_CLAMP, 0) reads as zero: the shift is exactly
+    # 1 and its gradient exactly 0; positive entries keep the plain formula
+    alpha = math.pi / 8
+    x = np.array([[VARIANCE_CLAMP, -1e-15, 0.5, 3.0]])
+    tape = nd.Tape()
+    leaf = tape.leaf(nd.Array(x))
+    out = nd.rsqrt_shift(leaf, alpha=alpha)
+    grad = nd.backward(tape, nd.sum(out))[tape.node_id(leaf)].data
+    want = 1.0 / np.sqrt(1.0 + alpha * x[:, 2:])
+    assert out.data[0, :2].tolist() == [1.0, 1.0] and grad[0, :2].tolist() == [0.0, 0.0]
+    assert out.data[:, 2:].tobytes() == want.tobytes()
+    assert grad[:, 2:].tobytes() == (-0.5 * alpha * want ** 3).tobytes()
 
 
 def test_row_gather_and_sum_axes():
@@ -271,13 +291,16 @@ def test_shape_error_names_the_oriented_shapes():
 
 
 def test_grad_add_sub_broadcast():
-    for shape_b in [(3, 4), (1, 4), (3, 1), (1, 1)]:
-        check_primitive_gradient(
-            lambda rng, sb=shape_b: (rng.standard_normal((3, 4)), rng.standard_normal(sb)),
-            lambda a, b: nd.add(a, b), n_points=5)
-        check_primitive_gradient(
-            lambda rng, sb=shape_b: (rng.standard_normal((3, 4)), rng.standard_normal(sb)),
-            lambda a, b: nd.sub(a, b), n_points=5)
+    # a - b is add(a, scale(b, -1)); add does not broadcast
+    check_primitive_gradient(
+        lambda rng: (rng.standard_normal((3, 4)), rng.standard_normal((3, 4))),
+        lambda a, b: nd.add(a, b), n_points=5)
+    check_primitive_gradient(
+        lambda rng: (rng.standard_normal((3, 4)), rng.standard_normal((3, 4))),
+        lambda a, b: nd.add(a, nd.scale(b, -1.0)), n_points=5)
+    for shape_b in [(1, 4), (3, 1), (1, 1)]:
+        with pytest.raises(nd.ShapeError, match="add"):
+            nd.add(nd.zeros((3, 4)), nd.zeros(shape_b))
 
 
 def test_grad_scale():
@@ -294,10 +317,15 @@ def test_grad_hadamard_broadcast():
 
 
 def test_grad_relu():
-    # keep samples away from the kink
-    check_primitive_gradient(
-        lambda rng: (rng.standard_normal((3, 4)) + 0.2 * np.sign(rng.standard_normal((3, 4))),),
-        lambda a: nd.relu(a))
+    # the layer's three operands, at samples whose pre-activations keep
+    # away from the kink
+    def operands(rng):
+        while True:
+            x, w, b = (rng.standard_normal(shape) for shape in ((3, 4), (4, 5), (1, 5)))
+            if np.abs(x @ w + b).min() > 0.2:
+                return x, w, b
+
+    check_primitive_gradient(operands, lambda x, w, b: nd.affine_relu(x, w, b))
 
 
 def test_grad_row_log_softmax():
@@ -437,7 +465,7 @@ def test_tape_replay_deterministic():
         b = tape.leaf(nd.Array(rng.standard_normal((4, 2))))
         spd = nd.add(nd.eye(4), nd.matmul(a, a, trans_b=True))
         x = nd.cholesky_solve_spd(spd, b)
-        loss = nd.add(nd.sum(nd.relu(x)),
+        loss = nd.add(nd.sum(nd.affine_relu(x, nd.eye(2), nd.zeros((1, 2)))),
                       nd.sum(nd.logdet_trinv_spd(spd)))
         grads = nd.backward(tape, loss)
         return loss.item(), grads[tape.node_id(a)].data.copy(), grads[tape.node_id(b)].data.copy()
@@ -497,7 +525,7 @@ def _saved_buffers(saved):
 
 
 def test_gradients_share_no_memory_with_saved_buffers():
-    # add and sub pass the incoming gradient through unchanged; every other
+    # add passes the incoming gradient through unchanged; every other
     # vjp returns a fresh buffer that backward adopts without a copy
     rng = np.random.default_rng(17)
     tape = nd.Tape()
@@ -505,8 +533,8 @@ def test_gradients_share_no_memory_with_saved_buffers():
     b = tape.leaf(nd.Array(rng.standard_normal((3, 3))))
     c = tape.leaf(nd.Array(rng.standard_normal((1, 3))))
     spd = nd.add(nd.matmul(b, b, trans_a=True), nd.eye(3))
-    h = nd.relu(nd.add(nd.matmul(a, b), c))
-    h = nd.sub(nd.hadamard(h, a), nd.scale(a, 0.5))
+    h = nd.affine_relu(a, b, c)
+    h = nd.add(nd.hadamard(h, a), nd.scale(a, -0.5))
     h = nd.row_log_softmax(nd.matmul(nd.cholesky_solve_spd(spd, b), h, trans_b=True))
     quad = nd.inv_quad_spd(spd, a, rows=True)
     loss = nd.add(nd.add(nd.sum(h), nd.sum(nd.logdet_trinv_spd(spd))),

@@ -69,8 +69,10 @@ def test_identity_layer_passthrough():
     np.testing.assert_array_equal(features(net, x), x)
 
 
-def test_features_equal_the_plain_expression_bit_for_bit():
-    # widths whose products are cut in halves, and one whose product is not
+def test_features_equal_the_plain_expression_bit_for_bit(halves_calls):
+    # one layer formula: the plain pass, the taped pass and the expression
+    # agree bit for bit at widths whose first product is cut in halves and
+    # whose second is not
     rng = np.random.default_rng(6)
     net = init_net((300, 512, 72), 3, seed=2)
     x = rng.standard_normal((40, 300))
@@ -78,7 +80,10 @@ def test_features_equal_the_plain_expression_bit_for_bit():
     for w, b in zip(net.weights, net.biases):
         want = np.maximum(want @ w + b, 0.0)
     got = features(net, x)
+    assert len(halves_calls) == 1
     assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    taped = features_graph(net, nd.constant(x)).data
+    assert len(halves_calls) == 2 and taped.tobytes() == want.tobytes()
 
 
 def test_zero_depth_net_is_identity_feature_map():

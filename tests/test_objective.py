@@ -244,15 +244,17 @@ def test_step_shares_one_factorization(monkeypatch):
 
 
 def test_outer_loss_clamps_the_variance_once():
-    # one relu per feature layer, one for the predictive variance
+    # one record per feature layer, and the variance clamped inside the
+    # probit shift, once
     for nhat, h in ((4, 6), (8, 6)):
         rng = np.random.default_rng(15)
         coreset, net, batch, hyper = make_instance(rng, nhat=nhat, h=h)
         tape = nd.Tape()
         outer_loss(coreset, net, batch, 8, hyper, tape)
         ops = [op for op, _, _, _ in tape.records]
-        assert ops.count("relu") == len(net.weights) + 1, (nhat, h)
+        assert ops.count("affine_relu") == len(net.weights), (nhat, h)
         assert ops.count("rsqrt_shift") == 1, (nhat, h)
+        assert "relu" not in ops and "sub" not in ops, (nhat, h)
 
 
 def test_kl_reads_the_system_alone():

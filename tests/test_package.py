@@ -1,7 +1,7 @@
 """Package surface: every tape primitive has a caller, no layer above the
-tape names one, the tape module holds no thread or global state, the
-names the demos import resolve, the BLAS thread pinning holds in any
-import order, and importing starts no thread."""
+tape names one, README lists them all, the tape module holds no thread or
+global state, the names the demos import resolve, the BLAS thread pinning
+holds in any import order, and importing starts no thread."""
 
 import ast
 import dataclasses
@@ -62,6 +62,17 @@ def test_ndiff_wrappers_are_the_registry():
             if ops:
                 wrapped[node.name] = ops
     assert wrapped == {op: [op] for op in nd._REGISTRY}
+
+
+def test_readme_lists_the_primitives():
+    # README's vbpc.ndiff bullet names every primitive in code font and
+    # gives their count, so the hand-kept list cannot drift from the registry
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("- **`vbpc.ndiff`**")
+    bullet = readme[start:readme.index("\n- **", start)]
+    assert f"{len(nd._REGISTRY)} primitives" in bullet
+    missing = [op for op in nd._REGISTRY if f"`{op}`" not in bullet]
+    assert not missing, missing
 
 
 def test_ndiff_writes_no_global_and_starts_no_thread():

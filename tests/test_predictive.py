@@ -68,8 +68,8 @@ def test_variance_matches_dense_oracle_random():
 @pytest.mark.parametrize("nhat,h", [(3, 5), (6, 4)])
 def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
     # nhat side: the batch row norms and their scaling are constant work (3
-    # ops); h side: none. The variance is left unclamped: probit_log_softmax
-    # clamps it, once.
+    # ops); h side: none. The variance is left unclamped: the probit shift
+    # in probit_log_softmax clamps it, once.
     rng = np.random.default_rng(nhat * h)
     tape = nd.Tape()
     phi = tape.leaf(nd.Array(rng.standard_normal((nhat, h))))
@@ -80,7 +80,7 @@ def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
     added = tape.records[before:]
     assert all(any(i is not None for i in in_ids) for _, _, in_ids, _ in added)
     assert len(added) == (3 if post.weight_space else 5)
-    assert "relu" not in [op for op, _, _, _ in added]
+    assert "rsqrt_shift" not in [op for op, _, _, _ in added]
     assert tape.node_id(batch.variance) is not None
 
 
@@ -150,7 +150,8 @@ def test_probit_bias_at_unit_variance_matches_quadrature():
 
 
 def test_probit_rejects_bad_variance():
-    with pytest.raises(ValueError):
+    # a numerical failure, which training aborts on, not a usage error
+    with pytest.raises(nd.NonFiniteError, match="negative predictive variance"):
         probit_log_softmax(np.zeros((1, 2)), np.array([[-1e-6]]))
     # round-off negativity is clamped to zero
     out = probit_log_softmax(np.array([[1.0, 0.0]]), np.array([[-1e-13]]))
