@@ -12,8 +12,8 @@ worker of `_twocore._halves` draws the later half of the slots while the
 calling thread draws the first, with the same bits as one after the other.
 Every buffer is made on the calling thread and the worker only fills it.
 glibc keeps a buffer in the arena of the thread that allocated it, and a
-CIFAR-shaped pool allocated on the worker raised peak resident memory from
-716-720 MB to 763-786 MB.
+CIFAR-shaped pool allocated on the worker raised a run's peak resident
+memory from 571-580 MB to 634-646 MB (perfbench `wide`, three runs each).
 """
 
 from dataclasses import dataclass
@@ -139,8 +139,10 @@ def gaussian_step(net, images, labels, gamma, lr, state=None):
     """One Adam step on the Gaussian likelihood over all parameters.
 
     `state` carries the moments, updated in place; pass None to start
-    fresh. The leaves share memory with net.params. Returns (new_net,
-    new_state); a non-finite new parameter raises NonFiniteError.
+    fresh, with float32 moments: a network's optimizer state then takes as
+    many bytes as its parameters, not twice as many. The leaves share
+    memory with net.params. Returns (new_net, new_state); a non-finite
+    moment or new parameter raises NonFiniteError.
     """
     tape = nd.Tape()
     leaves = [tape.leaf(nd._adopt_checked(p)) for p in net.params]
@@ -149,7 +151,7 @@ def gaussian_step(net, images, labels, gamma, lr, state=None):
     grads = [grad_map[tape.node_id(leaf)].data for leaf in leaves]
     params = net.params
     if state is None:
-        state = AdamState.init(params)
+        state = AdamState.init(params, np.float32)
     state, params = adam_step(state, params, grads, lr)
     return net.replace_params(params), state
 

@@ -8,9 +8,23 @@ elementwise operation. A block of two slices or more is cut at a slice
 boundary into two halves, and the second half runs on a second core
 (`_twocore._halves`) with its own scratch buffers. Every element goes
 through the same operations in any case, so the result does not depend on
-the number of cores. Each slice of the result is checked finite while it is
-in cache, so the parameters `adam_step` returns need no further check:
-they are read-only and stay finite (`ndiff._adopt_checked`).
+the number of cores.
+
+The moment and step arithmetic runs in the dtype of the moment buffers.
+The parameters and gradients are float64 whatever that dtype is: with
+float32 moments each gradient slice is cast once into a float32 scratch
+buffer, and only the last op, p - step, writes a float64 parameter. The
+scalar constants are Python floats, which take the dtype of the buffer
+they meet, so the same ops run in either dtype, and each gives the
+textbook expression's bits in that dtype. The coreset keeps float64
+moments. A network's Gaussian step keeps float32 moments
+(`network.gaussian_step`), which halves the memory of its optimizer state.
+
+Each slice of sqrt(v/c2) + EPS and of the result is checked finite while
+it is in cache. So an overflowing second moment, which would give the
+parameter a step of zero for good, raises instead, and the parameters
+`adam_step` returns need no further check: they are read-only and stay
+finite (`ndiff._adopt_checked`).
 """
 
 import math
@@ -24,37 +38,39 @@ from .ndiff import NonFiniteError
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-# Elements per slice of the blocked update: two float64 scratch buffers of
-# this size (128 KiB each) stay in a core's L2 cache, one pair per half.
+# Elements per slice of the blocked update: two scratch buffers of this
+# size (128 KiB each in float64) stay in a core's L2 cache, one pair per half.
 SLICE = 16384
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per parameter block; `adam_step`
-    updates them in place."""
+    """First/second moment accumulators per parameter block, all of one
+    dtype (float64 or float32); `adam_step` updates them in place."""
 
     m: list
     v: list
     t: int = 0
 
     @classmethod
-    def init(cls, params):
-        return cls(m=[np.zeros_like(p, dtype=np.float64, order="C") for p in params],
-                   v=[np.zeros_like(p, dtype=np.float64, order="C") for p in params])
+    def init(cls, params, dtype=np.float64):
+        return cls(m=[np.zeros_like(p, dtype=dtype, order="C") for p in params],
+                   v=[np.zeros_like(p, dtype=dtype, order="C") for p in params])
 
 
 def adam_step(state, params, grads, lr):
     """One bias-corrected adaptive-moment update.
 
     Updates `state` in place and returns (state, new_params), the new
-    parameters as fresh read-only arrays. Per element, in this order:
+    parameters as fresh read-only float64 arrays. Per element, in this
+    order and in the moments' dtype (g cast to it first):
     m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g,
-    p - (lr*(m/c1)) / (sqrt(v/c2) + EPS). A non-finite new parameter
-    raises NonFiniteError.
+    step = (lr*(m/c1)) / (sqrt(v/c2) + EPS); then p - step in float64.
+    A non-finite sqrt(v/c2) + EPS or new parameter raises NonFiniteError.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("parameter/gradient/state block counts differ")
+    dtype = state.m[0].dtype if state.m else np.dtype(np.float64)
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if not np.shape(p) == np.shape(g) == m.shape == v.shape:
             raise ValueError(f"block shapes differ: parameter {np.shape(p)}, "
@@ -62,10 +78,14 @@ def adam_step(state, params, grads, lr):
         if not (m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError("moment buffers must be C-contiguous: they are "
                              "updated in place through flat views")
+        if not m.dtype == v.dtype == dtype:
+            raise ValueError(f"moment dtypes differ: {m.dtype}, {v.dtype}, {dtype}")
     state.t += 1
+    # Python floats, which numpy 2 casts to the moments' dtype in each op
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
-    scratch = [(np.empty(SLICE), np.empty(SLICE)) for _ in range(2)]
+    lr = float(lr)
+    scratch = [(np.empty(SLICE, dtype), np.empty(SLICE, dtype)) for _ in range(2)]
     new_params = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         out = np.empty(m.shape)
@@ -85,13 +105,18 @@ def adam_step(state, params, grads, lr):
 
 def _update(flats, lo, hi, scratch, c1, c2, lr):
     """Adam on elements [lo, hi) of the flat (p, g, m, v, out) buffers,
-    slice by slice, in the two slice-sized `scratch` buffers."""
+    slice by slice, in the two slice-sized `scratch` buffers of the
+    moments' dtype. The second holds the gradient cast to that dtype, if
+    it is not float64, until it has entered both moments."""
     p_flat, g_flat, m_flat, v_flat, out_flat = flats
     a, b = scratch
     for start in range(lo, hi, SLICE):
         end = min(start + SLICE, hi)
         gs, ms, vs = g_flat[start:end], m_flat[start:end], v_flat[start:end]
         sa, sb = a[:end - start], b[:end - start]
+        if gs.dtype != sb.dtype:
+            np.copyto(sb, gs)
+            gs = sb
         np.multiply(ms, BETA1, out=ms)
         np.multiply(gs, 1.0 - BETA1, out=sa)
         np.add(ms, sa, out=ms)
@@ -104,6 +129,8 @@ def _update(flats, lo, hi, scratch, c1, c2, lr):
         np.divide(vs, c2, out=sb)
         np.sqrt(sb, out=sb)
         np.add(sb, EPS, out=sb)
+        if not np.isfinite(sb).all():
+            raise NonFiniteError("adam_step: non-finite second moment")
         np.divide(sa, sb, out=sa)
         np.subtract(p_flat[start:end], sa, out=out_flat[start:end])
         if not np.isfinite(out_flat[start:end]).all():

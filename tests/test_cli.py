@@ -362,33 +362,61 @@ sys.exit(code)
 """
 
 
+# hidden widths and coreset size that cut products, Adam blocks and the
+# KL's products with L^{-1} in halves; pinned to one CPU they run serially
+_CUT_CFG = ("steps = 4\nbatch_size = 64\nipc = 32\n"
+            "hidden = 256,1024\npool_size = 2\nlog_interval = 1\n")
+
+
+def run_train_child(tmp_path, name, cpus, **blas):
+    """`vbpc train` of `_CUT_CFG` in a child pinned to `cpus` (or "all"),
+    with the BLAS thread variables `blas` only; returns (out dir, whether a
+    worker took the second halves)."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(blas)
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    out = tmp_path / name
+    child = subprocess.run(
+        [sys.executable, "-c", _PINNED_TRAIN, cpus, "train",
+         "--config", write_cfg(tmp_path, _CUT_CFG),
+         "--data", "synthetic:moons:n=400,k=2,noise=0.1", "--out", str(out),
+         "--seed", "4"], env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return out, child.stderr.split()[-1] == "True"
+
+
+def assert_same_run(a, b):
+    """Equal records (bar `ms`) and equal coreset bytes."""
+    lines_a = (a / "metrics.jsonl").read_text().splitlines()
+    lines_b = (b / "metrics.jsonl").read_text().splitlines()
+    assert len(lines_a) == 4
+    assert [strip_ms(x) for x in lines_a] == [strip_ms(y) for y in lines_b]
+    assert (a / "coreset.vbpc").read_bytes() == (b / "coreset.vbpc").read_bytes()
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="pins a process to one CPU")
 def test_train_on_one_cpu_is_bit_identical_to_two(tmp_path):
-    # hidden widths and coreset size that cut products, Adam blocks and the
-    # KL's products with L^{-1} in halves; pinned to one CPU they run serially
-    cfg = write_cfg(tmp_path, "steps = 4\nbatch_size = 64\nipc = 32\n"
-                              "hidden = 256,1024\npool_size = 2\nlog_interval = 1\n")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    workers = {}
-    for cpus in (str(min(os.sched_getaffinity(0))), "all"):
-        out = tmp_path / cpus
-        child = subprocess.run(
-            [sys.executable, "-c", _PINNED_TRAIN, cpus, "train", "--config", cfg,
-             "--data", "synthetic:moons:n=400,k=2,noise=0.1", "--out", str(out),
-             "--seed", "4"], env=env, capture_output=True, text=True, timeout=300)
-        assert child.returncode == 0, child.stderr
-        workers[cpus] = child.stderr.split()[-1]
-    assert workers == {str(min(os.sched_getaffinity(0))): "False",
-                       "all": str(len(os.sched_getaffinity(0)) > 1)}
-    pinned, free = (tmp_path / cpus for cpus in workers)
-    lines_p = (pinned / "metrics.jsonl").read_text().splitlines()
-    lines_f = (free / "metrics.jsonl").read_text().splitlines()
-    assert len(lines_p) == 4
-    assert [strip_ms(a) for a in lines_p] == [strip_ms(b) for b in lines_f]
-    assert (pinned / "coreset.vbpc").read_bytes() == (free / "coreset.vbpc").read_bytes()
+    one_cpu = str(min(os.sched_getaffinity(0)))
+    pinned, pinned_worker = run_train_child(tmp_path, "pinned", one_cpu)
+    free, free_worker = run_train_child(tmp_path, "free", "all")
+    assert not pinned_worker
+    assert free_worker == (len(os.sched_getaffinity(0)) > 1)
+    assert_same_run(pinned, free)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pins a process to one CPU")
+def test_train_with_two_blas_threads_is_bit_identical_to_pinned(tmp_path):
+    # a user's thread count switches off both vbpc's pinning and its worker,
+    # and OpenBLAS may then split each product over two threads
+    one_cpu = str(min(os.sched_getaffinity(0)))
+    pinned, _ = run_train_child(tmp_path, "pinned", one_cpu)
+    threaded, worker = run_train_child(tmp_path, "blas2", "all",
+                                       OPENBLAS_NUM_THREADS="2")
+    assert not worker
+    assert_same_run(pinned, threaded)
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,16 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(run(), run())
 
 
-def textbook_adam(params, grads, lr, steps):
-    """The Adam expression written out on whole arrays."""
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+def textbook_adam(params, grads, lr, steps, dtype=np.float64):
+    """The Adam expression written out on whole arrays, in the moments'
+    `dtype`; only p - step is taken in the parameters' float64."""
+    m = [np.zeros_like(p, dtype=dtype) for p in params]
+    v = [np.zeros_like(p, dtype=dtype) for p in params]
     for t in range(1, steps + 1):
         c1 = 1.0 - optim.BETA1 ** t
         c2 = 1.0 - optim.BETA2 ** t
         for i, (p, g) in enumerate(zip(params, grads[t - 1])):
+            g = g.astype(dtype)
             m[i] = optim.BETA1 * m[i] + (1.0 - optim.BETA1) * g
             v[i] = optim.BETA2 * v[i] + (1.0 - optim.BETA2) * g * g
             step = lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + optim.EPS)
@@ -85,6 +87,50 @@ def test_adam_matches_textbook_bit_for_bit(halves_calls):
     assert state.t == 4 and len(halves_calls) == 2 * 4
     for a, b in zip(got + state.m + state.v, want + want_m + want_v):
         assert a.tobytes() == b.tobytes()
+
+
+def test_adam_float32_moments_match_textbook_bit_for_bit(halves_calls):
+    # the float64 test's blocks, cuts and gradients, with float32 moments:
+    # the moment and step ops run in float32, and p - step in float64
+    rng = np.random.default_rng(8)
+    shapes = [(7, (2 * optim.SLICE + 2231) // 7 + 1), (5 * optim.SLICE + 77, 1),
+              (1, optim.SLICE), (1, 1)]
+    params = [rng.standard_normal(s) for s in shapes]
+    grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-3, 3) for s in shapes]
+             for _ in range(4)]
+    want, want_m, want_v = textbook_adam(list(params), grads, 0.003, 4, np.float32)
+    state = AdamState.init(params, np.float32)
+    got = params
+    for g in grads:
+        state, got = adam_step(state, got, g, lr=0.003)
+    assert state.t == 4 and len(halves_calls) == 2 * 4
+    assert all(p.dtype == np.float64 for p in got + want)
+    assert all(m.dtype == np.float32 for m in state.m + state.v + want_m + want_v)
+    for a, b in zip(got + state.m + state.v, want + want_m + want_v):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype, g", [(np.float64, 1e160), (np.float32, 1e21)])
+def test_adam_overflowing_second_moment_raises(dtype, g):
+    # v = (1 - BETA2) g^2 overflows to inf while m and p stay finite: the
+    # step would be m / inf = 0, and the parameter would never move again
+    p = [np.zeros((2, 3))]
+    grad = np.full((2, 3), 1.0)
+    grad[1, 2] = g
+    state = AdamState.init(p, dtype)
+    with np.errstate(over="ignore"), pytest.raises(nd.NonFiniteError,
+                                                   match="second moment"):
+        adam_step(state, p, [grad], lr=0.1)
+    assert np.isfinite(state.m[0]).all()
+
+
+def test_adam_rejects_mixed_moment_dtypes():
+    # the scratch buffers take one dtype, which a mixed state does not have
+    p = [np.zeros((2, 3))]
+    state = AdamState.init(p)
+    state.v = [np.zeros((2, 3), np.float32)]
+    with pytest.raises(ValueError, match="dtype"):
+        adam_step(state, p, [np.zeros((2, 3))], lr=0.1)
 
 
 def test_adam_updates_state_in_place_and_never_writes_its_inputs():
@@ -319,6 +365,17 @@ def test_abort_on_non_finite_diagnostic():
     with pytest.raises(TrainAbort):
         train(tiny_config(batch_size=120), bad, sink=records.append)
     assert records and records[-1]["event"] == "abort"
+
+
+def test_abort_on_overflowing_pool_moment():
+    # step 0's Adam moves the coreset by about coreset_lr, so the pool's
+    # gradients outgrow float32 moments (|g| > 6e20): the run aborts in step
+    # 0's pool update with a record, not with v = inf and a step of zero
+    records = []
+    with np.errstate(over="ignore"), pytest.raises(TrainAbort, match="second moment"):
+        train(tiny_config(coreset_lr=1e12), moons_dataset(), sink=records.append)
+    assert records == [{"step": 0, "event": "abort", "jitter_retries": 0,
+                        "error": "adam_step: non-finite second moment"}]
 
 
 def test_noise_toggle_changes_loss_stream():
