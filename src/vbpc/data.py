@@ -1,14 +1,19 @@
 """Datasets, coreset initialization, and the coreset file format.
 
 Synthetic generators stand in for the image benchmarks at desk scale; the
-IDX loader ingests MNIST-format files. Coresets round-trip through a small
-versioned, checksummed little-endian binary format (magic "VBPC").
+IDX loader ingests MNIST-format files and keeps their u8 pixels. A split
+holds its features as loaded, with the statistics `normalize` estimated,
+and standardizes rows as they are read: a training run reads only its
+batches, so it never builds a float64 copy of the split. Coresets
+round-trip through a small versioned, checksummed little-endian binary
+format (magic "VBPC").
 """
 
 import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +34,11 @@ class CoresetFileError(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, integer class labels, and normalization stats."""
+    """Features as loaded (u8 pixels or float64 rows, n x d), integer class
+    labels, and the normalization stats, if any. `rows` and `X` read the
+    features standardized."""
 
-    X: np.ndarray
+    raw: np.ndarray
     labels: np.ndarray
     k: int
     mean: np.ndarray | None = None
@@ -39,11 +46,34 @@ class Dataset:
 
     @property
     def n(self):
-        return self.X.shape[0]
+        return self.raw.shape[0]
 
     @property
     def d(self):
-        return self.X.shape[1]
+        return self.raw.shape[1]
+
+    def _loaded(self, idx=slice(None)):
+        """A fresh C-ordered float64 block of the loaded rows at `idx`:
+        pixels scaled to [0, 1], float rows copied."""
+        block = self.raw[idx]
+        if block.dtype == np.uint8:
+            return np.divide(block, 255.0, order="C")
+        return np.array(block, dtype=np.float64, order="C")
+
+    def rows(self, idx):
+        """The rows at `idx` (an index array or a slice), standardized by the
+        split's statistics, in a fresh C-ordered float64 block. Every reader
+        of the features goes through here."""
+        block = self._loaded(idx)
+        if self.mean is not None:
+            block -= self.mean
+            block /= self.std
+        return block
+
+    @cached_property
+    def X(self):
+        """The whole standardized n x d matrix, built on first read."""
+        return self.rows(slice(None))
 
     def onehot(self, idx=None):
         which = self.labels if idx is None else self.labels[idx]
@@ -119,7 +149,7 @@ def gen_synthetic(kind, n, k, noise, seed):
         inner = 0.5 * np.column_stack([np.cos(t1), np.sin(t1)])
         X = np.concatenate([outer, inner]) + noise * rng.standard_normal((n, 2))
         labels = np.concatenate([np.zeros(n0), np.ones(n1)]).astype(np.int64)
-    return Dataset(X=X, labels=labels, k=k)
+    return Dataset(raw=X, labels=labels, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +177,14 @@ def _read_idx(path, magic, ndim, what):
 
 
 def load_idx(images_path, labels_path):
-    """Parse big-endian IDX images (u8 pixels scaled to [0,1]) and labels."""
+    """Parse big-endian IDX images and labels. The split keeps the file's u8
+    pixels, read-only and n x d; its rows read them scaled to [0, 1]."""
     (n, rows, cols), pixels = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3, "images")
     (n_labels,), labels = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1, "labels")
     if n_labels != n:
         raise CoresetFileError(
             f"{labels_path}: count mismatch: {n} images vs {n_labels} labels")
-    return Dataset(X=pixels.reshape(n, rows * cols) / 255.0,
+    return Dataset(raw=pixels.reshape(n, rows * cols),
                    labels=labels.astype(np.int64), k=int(labels.max()) + 1)
 
 
@@ -162,35 +193,35 @@ def load_idx(images_path, labels_path):
 # ---------------------------------------------------------------------------
 
 def normalize(dataset):
-    """Per-feature standardization; stats are stored for reuse on test data.
+    """Per-feature standardization: the split with the mean and std of its
+    loaded features attached, for its rows and for reuse on test data.
 
-    The result is the one n x d buffer this makes: it holds the squared
-    deviations while the variance is summed, then the standardized features.
-    The steps are those of `X.mean(0)` and `X.std(0)`, so the statistics
-    are theirs bit for bit."""
+    The statistics take one transient n x d buffer, which holds the loaded
+    features, then their squared deviations while the variance is summed.
+    The steps are those of `X.mean(0)` and `X.std(0)` on the loaded
+    features, so the statistics are theirs bit for bit."""
     if dataset.n < 2:
         raise ValueError("need at least 2 rows to estimate statistics")
-    X, n = dataset.X, dataset.n
+    buf, n = dataset._loaded(), dataset.n
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add.reduce(X, 0) / n
-        out = np.subtract(X, mean)
-        np.square(out, out=out)
-        std = np.maximum(np.sqrt(np.add.reduce(out, 0) / n), STD_FLOOR)
+        mean = np.add.reduce(buf, 0) / n
+        np.subtract(buf, mean, out=buf)
+        np.square(buf, out=buf)
+        std = np.maximum(np.sqrt(np.add.reduce(buf, 0) / n), STD_FLOOR)
     # A non-finite feature makes its mean non-finite; a finite std bounds
     # every |x - mean|, so the standardized features are finite.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise ValueError("features too large to standardize: non-finite "
                          "mean or std")
-    np.subtract(X, mean, out=out)
-    out /= std
-    return replace(dataset, X=out, mean=mean, std=std)
+    return replace(dataset, mean=mean, std=std)
 
 
 def normalize_with(dataset, mean, std):
-    """Apply previously estimated (train) statistics, e.g. to a test split."""
-    out = dataset.X - mean
-    out /= std
-    return replace(dataset, X=out, mean=mean, std=std)
+    """Attach previously estimated (train) statistics, e.g. to a test split."""
+    if np.shape(mean) != (dataset.d,) or np.shape(std) != (dataset.d,):
+        raise ValueError(f"split has {dataset.d} features, the training "
+                         f"statistics {np.size(mean)}")
+    return replace(dataset, mean=mean, std=std)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +254,7 @@ def init_coreset(dataset, ipc, mode, seed, hyper=None):
         _check_class_sizes(dataset, ipc)
         rows = [rng.choice(np.flatnonzero(dataset.labels == c), size=ipc, replace=False)
                 for c in range(k)]
-        images = dataset.X[np.concatenate(rows)].copy()
+        images = dataset.rows(np.concatenate(rows))
     else:
         images = rng.uniform(0.0, 1.0, (ipc * k, dataset.d))
         if dataset.mean is not None:

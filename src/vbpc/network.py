@@ -12,8 +12,8 @@ worker of `_twocore._halves` draws the later half of the slots while the
 calling thread draws the first, with the same bits as one after the other.
 Every buffer is made on the calling thread and the worker only fills it.
 glibc keeps a buffer in the arena of the thread that allocated it, and a
-CIFAR-shaped pool allocated on the worker raised a run's peak resident
-memory from 571-580 MB to 634-646 MB (perfbench `wide`, three runs each).
+CIFAR-shaped pool allocated on the worker raised the peak resident memory
+of every run measured (perfbench `wide`).
 """
 
 from dataclasses import dataclass

@@ -16,26 +16,27 @@ that step t's Adam made, and step t+1's coreset step (outer loss, backward,
 the coreset's Adam steps) needs that coreset and the network of the slot it
 samples. So, unless step t+1 samples the slot step t updates, the two are
 independent, and iteration t+1 runs them at once through `_twocore._halves`:
-the pool update on the calling thread, then the standard-normal draw for
-step t+2's noise, while the worker runs the coreset step. When the slots
-are the same, the update runs first, alone; the last step's update runs
-after the loop. Every op gets the inputs it gets in the serial order, and
-each random stream (batches, slots, noise) is drawn in its own order, so
-the records (bar `ms`) and the coreset are bit-identical to the serial
-loop's on any number of cores. A step's record is emitted once its pool
-update is done, with the retries of the steps up to it, summed in step
-order; a failure in step t's pool update aborts at step t even when step
-t+1's coreset step failed too. `ms` is the wall time from the previous
-step's record to this one's.
+the pool update on the calling thread, then step t+2's batch (its rows
+read and standardized) and the standard-normal draw for its noise, while
+the worker runs the coreset step. When the slots are the same, the update
+runs first, alone; the last step's update runs after the loop. Every op
+gets the inputs it gets in the serial order, and each random stream
+(batches, slots, noise) is drawn in its own order, so the records (bar
+`ms`) and the coreset are bit-identical to the serial loop's on any number
+of cores. A step's record is emitted once its pool update is done, with
+the retries of the steps up to it, summed in step order; a failure in step
+t's pool update aborts at step t even when step t+1's coreset step failed
+too. `ms` is the wall time from the previous step's record to this one's.
 
 The pool update stays on the calling thread because it allocates the
 parameter-sized buffers: glibc keeps the buffers a thread frees in that
 thread's own arena, and a second arena of those sizes raised the peak
-resident memory of a CIFAR-shaped run from 567-578 MB to 682-699 MB
-(perfbench `wide`, three runs each).
+resident memory of every CIFAR-shaped run measured (perfbench `wide`).
 """
 
+import ctypes
 import math
+import os
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -143,7 +144,7 @@ class BatchSampler:
             self._cursor = 0
         idx = self._order[self._cursor:self._cursor + self.size]
         self._cursor += len(idx)
-        return self.dataset.X[idx], self.dataset.onehot(idx)
+        return self.dataset.rows(idx), self.dataset.onehot(idx)
 
 
 def _scaled_noise(shape, sigma, rng):
@@ -174,14 +175,37 @@ class _Step:
         self.error = None
 
 
+def _release_freed_memory():
+    """Hand the heap pages freed so far back to the operating system. glibc
+    keeps them resident until `malloc_trim`; other C libraries lack the call,
+    and this does nothing there."""
+    if os.name != "posix":
+        return
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes = [ctypes.c_size_t]
+        trim.restype = ctypes.c_int
+        trim(0)
+
+
 def train(config, dataset, sink=None):
     """Run the full training loop and return the learned coreset.
 
     `sink` receives one dict per log interval (and on step 0, the final
     step, and on abort), each once that step's pool update is done. The
     returned coreset carries the resolved hyperparameters so evaluation
-    reuses them.
+    reuses them. The pool and the loop's buffers are freed on return, and
+    their heap pages go back to the operating system: glibc would keep them
+    resident, under whatever the caller allocates next.
     """
+    try:
+        return _train(config, dataset, sink)
+    finally:
+        _release_freed_memory()
+
+
+def _train(config, dataset, sink):
+    """The loop of `train`; its pool and buffers die when it returns."""
     emit = sink if sink is not None else (lambda record: None)
     _check_dataset(config, dataset)
     config = config.resolve_beta_s(dataset.k)
@@ -201,7 +225,7 @@ def train(config, dataset, sink=None):
     state_y = AdamState.init([labels])
     retries = 0         # of the steps settled so far
     noisy = config.noise_aug and config.noise_sigma != 0.0
-    ahead = []          # the noise of the next step, drawn ahead
+    ahead = []          # the batch and noise of the next step, drawn ahead
     last = time.perf_counter()
 
     def coreset_step(step, net, batch, noise):
@@ -235,9 +259,12 @@ def train(config, dataset, sink=None):
             step.error = err
 
     def draw(number):
-        """The noise of step `number`, if the run has such a step."""
-        if noisy and number < config.steps:
-            ahead.append(_scaled_noise(images.shape, config.noise_sigma, noise_rng))
+        """The batch and the noise of step `number`, if the run has such a
+        step; the noise is None when the run adds none."""
+        if number < config.steps:
+            noise = (_scaled_noise(images.shape, config.noise_sigma, noise_rng)
+                     if noisy else None)
+            ahead.append((sampler.next(), noise))
 
     def settle(step):
         """Report `step`, whose pool update is done, or raise its error: a
@@ -269,14 +296,13 @@ def train(config, dataset, sink=None):
     pending = None      # the step whose pool update has not run yet
     for number in range(config.steps):
         lr = cosine_lr(number, config.steps, config.coreset_lr)
-        batch = sampler.next()
+        batch, noise = ahead.pop()
         idx, net = pool_sample(pool, sample_rng)
         if pending is not None and pending.idx == idx:
             pool_step(pending)      # this slot's update first, alone
             settle(pending)
             pending = None
             net = pool.nets[idx]
-        noise = ahead.pop() if ahead else None
         step = _Step(number, lr, idx, images, labels)
         if pending is None:
             coreset_step(step, net, batch, noise)

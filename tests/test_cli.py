@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from vbpc import predictive
+from vbpc import predictive, trainer
 from vbpc.cli import (ConfigError, main, parse_config, write_config,
                       load_data)
 from vbpc.data import CoresetFileError, PseudoCoreset, save_coreset
@@ -642,6 +642,37 @@ def test_idx_header_sizes_beyond_the_file_exit_2(tmp_path, capsys, sizes):
     err = capsys.readouterr().err
     assert str(img) in err and "Traceback" not in err
     assert not out.exists()
+
+
+def write_idx_split(tmp_path, name, n, side):
+    """IDX files of n random side x side images in two classes; their spec."""
+    rng = np.random.default_rng(n + side)
+    img = tmp_path / f"{name}-img.idx"
+    lab = tmp_path / f"{name}-lab.idx"
+    img.write_bytes(struct.pack(">iiii", 2051, n, side, side)
+                    + rng.integers(0, 256, n * side * side, dtype=np.uint8).tobytes())
+    lab.write_bytes(struct.pack(">ii", 2049, n) + bytes(c % 2 for c in range(n)))
+    return f"{img},{lab}"
+
+
+def test_test_split_of_another_width_exits_2(tmp_path, capsys):
+    spec = (f"idx:{write_idx_split(tmp_path, 'train', 40, 2)}"
+            f";test={write_idx_split(tmp_path, 'test', 10, 3)}")
+    out = tmp_path / "never"
+    assert main(["train", "--config", write_cfg(tmp_path, TINY), "--data", spec,
+                 "--out", str(out)]) == 2
+    assert "split has 9 features, the training statistics 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_data_and_train_leave_the_matrix_unbuilt(tmp_path):
+    spec = (f"idx:{write_idx_split(tmp_path, 'train', 40, 3)}"
+            f";test={write_idx_split(tmp_path, 'test', 10, 3)}")
+    train_ds, test_ds = load_data(spec, seed=0)
+    trainer.train(parse_config(write_cfg(tmp_path, TINY)), train_ds)
+    # X is a cached property: once read, it sits in the instance's __dict__
+    assert "X" not in train_ds.__dict__ and "X" not in test_ds.__dict__
+    assert train_ds.raw.dtype == np.uint8
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_normalize_constant_feature_floored():
     # blobs at zero noise give constant columns per class; build a fully
     # constant column by stacking one class only
     from vbpc.data import Dataset
-    flat = Dataset(X=np.ones((10, 3)), labels=np.zeros(10, dtype=np.int64), k=2)
+    flat = Dataset(raw=np.ones((10, 3)), labels=np.zeros(10, dtype=np.int64), k=2)
     out = normalize(flat)
     np.testing.assert_array_equal(out.X, 0.0)
 
@@ -132,7 +132,7 @@ def wide_features():
     X = rng.standard_normal((300, 1024)) * np.logspace(-6, 6, 1024)
     X += rng.standard_normal(1024) * 1e3
     X[:, 100] = 3.25
-    return Dataset(X=X, labels=np.zeros(300, dtype=np.int64), k=2)
+    return Dataset(raw=X, labels=np.zeros(300, dtype=np.int64), k=2)
 
 
 def test_normalize_is_bit_equal_to_the_textbook_expression():
@@ -161,6 +161,26 @@ def test_normalize_allocates_one_feature_buffer():
     assert peak <= ds.X.nbytes + (8 * ds.d + np.getbufsize()) * ds.X.itemsize
 
 
+def test_normalize_leaves_no_feature_buffer_alive():
+    ds = wide_features()
+    tracemalloc.start()
+    try:
+        out = normalize(ds)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the statistics outlive the call; the n x d buffer they took does not
+    assert current <= (8 * ds.d + np.getbufsize()) * ds.raw.itemsize
+    assert "X" not in out.__dict__
+
+
+def test_normalize_with_names_both_widths():
+    train = normalize(gen_synthetic("moons", n=100, k=2, noise=0.1, seed=4))
+    with pytest.raises(ValueError,
+                       match="split has 1024 features, the training statistics 2"):
+        normalize_with(wide_features(), train.mean, train.std)
+
+
 def test_test_split_uses_train_stats():
     train = normalize(gen_synthetic("moons", n=100, k=2, noise=0.1, seed=4))
     test = gen_synthetic("moons", n=60, k=2, noise=0.1, seed=5)
@@ -168,6 +188,34 @@ def test_test_split_uses_train_stats():
     np.testing.assert_array_equal(out.mean, train.mean)
     expect = (test.X - train.mean) / train.std
     np.testing.assert_array_equal(out.X, expect)
+
+
+def pixel_split(tmp_path, n=30):
+    """An IDX split of n random 2 x 2 images in three classes, and its pixels."""
+    pixels = np.random.default_rng(n).integers(0, 256, (n, 4), dtype=np.uint8)
+    img, lab = write_idx_pair(tmp_path, pixels.tobytes(), [c % 3 for c in range(n)])
+    return load_idx(img, lab), pixels
+
+
+@pytest.mark.parametrize("kind", ["pixels", "floats"])
+def test_rows_are_the_matrix_rows_bit_for_bit(tmp_path, kind):
+    loaded = pixel_split(tmp_path)[0] if kind == "pixels" else wide_features()
+    for ds in (loaded, normalize(loaded)):
+        for idx in (np.array([5, 0, 5, 17]), slice(3, 25, 4)):
+            block = ds.rows(idx)
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            assert not np.shares_memory(block, ds.raw)
+            assert not np.shares_memory(block, ds.X)
+            assert block.tobytes() == ds.X[idx].tobytes()
+
+
+def test_idx_rows_are_the_eager_expression(tmp_path):
+    loaded, pixels = pixel_split(tmp_path)
+    assert loaded.raw.dtype == np.uint8 and not loaded.raw.flags.writeable
+    ds = normalize(loaded)
+    np.testing.assert_array_equal(ds.mean, (pixels / 255.0).mean(0))
+    expect = (pixels / 255.0 - ds.mean) / ds.std
+    assert ds.rows(slice(None)).tobytes() == expect.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Package surface: every tape primitive has a caller, no layer above the
 tape names one, README lists them all, the tape module holds no thread or
-global state, the names the demos import resolve, the BLAS thread pinning
-holds in any import order, and importing starts no thread."""
+global state, the names the demos import resolve, the options and
+environment variables are the listed ones, a short benchmark run passes its
+checks, the BLAS thread pinning holds in any import order, and importing
+starts no thread."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -16,11 +19,12 @@ import numpy as np
 import pytest
 
 import vbpc
-from vbpc import ndiff as nd
+from vbpc import cli, ndiff as nd
 from vbpc import network
 from vbpc.data import PseudoCoreset
 from vbpc.objective import coreset_grad, outer_loss
 from vbpc.posterior import CoresetPosterior, Hyperparams
+from vbpc.trainer import TrainConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -114,6 +118,43 @@ def test_demo_imports_resolve():
     assert names
     missing = sorted(name for name in names if not hasattr(vbpc, name))
     assert not missing, f"demos import names vbpc does not export: {missing}"
+
+
+def test_options_and_environment_variables_are_the_listed_ones():
+    # each setting doubles the configurations to cover: adding one is a
+    # decision this list records
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "steps", "batch_size", "ipc", "hidden", "rho", "gamma", "beta_s",
+        "beta_d", "coreset_lr", "pool_lr", "pool_size", "pool_period",
+        "noise_sigma", "noise_aug", "learn_labels", "init_mode", "seed_data",
+        "seed_pool", "seed_noise", "seed_init", "log_interval"]
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = {name: sorted(flag for action in parser._actions
+                          for flag in action.option_strings
+                          if flag not in ("-h", "--help"))
+             for name, parser in commands.items()}
+    assert flags == {
+        "train": ["--config", "--data", "--out", "--seed"],
+        "eval": ["--coreset", "--data", "--hidden", "--out", "--seed", "--tprime"],
+        "bench": ["--h", "--mode", "--nhat", "--out", "--reps"],
+        "export-images": ["--coreset", "--data", "--out", "--seed"]}
+    readers = sorted(path.name for path in (ROOT / "src" / "vbpc").glob("*.py")
+                     if "environ" in path.read_text() or "getenv" in path.read_text())
+    assert readers == ["__init__.py"] and vbpc._THREAD_VARS == THREAD_VARS
+
+
+def test_benchmark_run_reads_correct():
+    # perfbench drives load_data, Dataset.X, onehot and the rest of the
+    # library as its gated workloads do; a one-second run of its smallest
+    # workload fails here when the library surface it reads breaks
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         "desk-moons", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
 
 
 # Imports numpy before vbpc, then reports the thread count of every

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vbpc.data import gen_synthetic, normalize, normalize_with, init_coreset
+from vbpc.data import (Dataset, gen_synthetic, normalize, normalize_with,
+                       init_coreset)
 from vbpc import _twocore, ndiff as nd, network, objective, optim, trainer
 from vbpc.network import pool_new, pool_sample, pool_update
 from vbpc.objective import coreset_grad, outer_loss
@@ -238,6 +239,23 @@ def test_batches_reproducible():
         np.testing.assert_array_equal(xa, xb)
 
 
+def test_every_reader_of_the_features_goes_through_rows(monkeypatch):
+    calls = []
+    real = Dataset.rows
+
+    def spy(self, idx):
+        calls.append(idx)
+        return real(self, idx)
+
+    monkeypatch.setattr(Dataset, "rows", spy)
+    ds = normalize(gen_synthetic("blobs", n=60, k=3, noise=0.5, seed=8))
+    init_coreset(ds, 2, "sample", seed=1)
+    BatchSampler(ds, size=16, seed=2).next()
+    assert len(calls) == 2
+    assert ds.X is ds.X
+    assert len(calls) == 3 and calls[-1] == slice(None)
+
+
 # ---------------------------------------------------------------------------
 # train loop
 # ---------------------------------------------------------------------------
@@ -360,11 +378,21 @@ def test_abort_on_non_finite_diagnostic():
     bad_x = ds.X.copy()
     bad_x[0, 0] = 1e308  # overflows inside the feature matmul
     from vbpc.data import Dataset
-    bad = Dataset(X=bad_x, labels=ds.labels, k=ds.k, mean=ds.mean, std=ds.std)
+    bad = Dataset(raw=bad_x, labels=ds.labels, k=ds.k)
     records = []
     with pytest.raises(TrainAbort):
         train(tiny_config(batch_size=120), bad, sink=records.append)
     assert records and records[-1]["event"] == "abort"
+
+
+def test_train_hands_freed_memory_back_on_return_and_on_abort(monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "_release_freed_memory", lambda: calls.append(1))
+    train(tiny_config(steps=2), moons_dataset())
+    assert calls == [1]
+    with np.errstate(over="ignore"), pytest.raises(TrainAbort):
+        train(tiny_config(coreset_lr=1e12), moons_dataset())
+    assert calls == [1, 1]
 
 
 def test_abort_on_overflowing_pool_moment():
