@@ -21,7 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _twocore, ndiff as nd
-from .optim import SLICE, AdamState, adam_step
+from .optim import AdamState, adam_step
+
+# Parameters in all from which a pool of two nets or more is drawn on two
+# cores (`_draw_nets`); smaller pools do not pay for the handoff.
+DRAW_SPLIT = 32768
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ def _draw_nets(widths, k, seeds):
     are made here with `np.empty` and then filled: `standard_normal(out=)`
     and an in-place division give the bits of `standard_normal(shape) /
     sqrt(fan_in)`. When there are two seeds or more and the nets hold at
-    least 2 * SLICE parameters in all, the later half of the seeds is
+    least DRAW_SPLIT parameters in all, the later half of the seeds is
     filled on the second core (`_twocore._halves`); numpy's fill releases
     the interpreter lock."""
     widths = tuple(int(w) for w in widths)
@@ -83,7 +87,7 @@ def _draw_nets(widths, k, seeds):
 
     mid = len(seeds) // 2
     size = sum(b.size for blocks in buffers[0] for b in blocks)
-    if mid and len(seeds) * size >= 2 * SLICE:
+    if mid and len(seeds) * size >= DRAW_SPLIT:
         _twocore._halves(lambda: fill(0, mid), lambda: fill(mid, len(seeds)))
     else:
         fill(0, len(seeds))

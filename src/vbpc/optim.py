@@ -2,10 +2,11 @@
 
 `adam_step` updates the moment buffers of its state in place and returns
 the parameters as new read-only arrays; it never writes to the parameters
-or gradients it is given. It walks each block in cache-sized slices, so a
-step streams every buffer through memory once instead of once per
-elementwise operation. A block of two slices or more is cut at a slice
-boundary into two halves, and the second half runs on a second core
+or gradients it is given. It walks each block in slices, so a step
+streams every buffer through memory once instead of once per elementwise
+operation. A block of two slices or more is cut at its midpoint, rounded
+to a multiple of `_twocore.LANES`, into two halves of equal length to
+within LANES elements, and the second half runs on a second core
 (`_twocore._halves`) with its own scratch buffers. Every element goes
 through the same operations in any case, so the result does not depend on
 the number of cores.
@@ -38,9 +39,12 @@ from .ndiff import NonFiniteError
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-# Elements per slice of the blocked update: two scratch buffers of this
-# size (128 KiB each in float64) stay in a core's L2 cache, one pair per half.
-SLICE = 16384
+# Elements per slice of the blocked update. Each ufunc call on a slice
+# releases and retakes the interpreter lock, so while two halves run, every
+# call is a handoff between their threads: slices must be long enough that
+# the ops, not the handoffs, take the time. In float64 one slice's p, g,
+# out, m, v and two scratch buffers take 3.5 MiB, inside a core's 4 MiB L2.
+SLICE = 65536
 
 
 @dataclass
@@ -85,14 +89,19 @@ def adam_step(state, params, grads, lr):
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
     lr = float(lr)
-    scratch = [(np.empty(SLICE, dtype), np.empty(SLICE, dtype)) for _ in range(2)]
+    mids = [_mid(m.size) for m in state.m]
+    # one pair of scratch buffers per half, no longer than a slice or than
+    # the longest stretch of elements that half walks
+    first = max((mid or m.size for mid, m in zip(mids, state.m)), default=0)
+    second = max((m.size - mid for mid, m in zip(mids, state.m) if mid), default=0)
+    scratch = [(np.empty(min(SLICE, n), dtype), np.empty(min(SLICE, n), dtype))
+               for n in (first, second)]
     new_params = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, mid in zip(params, grads, state.m, state.v, mids):
         out = np.empty(m.shape)
         flats = (np.ascontiguousarray(p, dtype=np.float64).reshape(-1),
                  np.ascontiguousarray(g, dtype=np.float64).reshape(-1),
                  m.reshape(-1), v.reshape(-1), out.reshape(-1))
-        mid = m.size // (2 * SLICE) * SLICE
         if mid:
             _twocore._halves(lambda: _update(flats, 0, mid, scratch[0], c1, c2, lr),
                              lambda: _update(flats, mid, m.size, scratch[1], c1, c2, lr))
@@ -103,11 +112,20 @@ def adam_step(state, params, grads, lr):
     return state, new_params
 
 
+def _mid(size):
+    """Where a block of `size` elements is cut: its midpoint rounded to the
+    nearest multiple of `_twocore.LANES`, or 0 (not cut) under 2 * SLICE
+    elements. The halves' lengths differ by at most LANES."""
+    lanes = _twocore.LANES
+    return (size + lanes) // (2 * lanes) * lanes if size >= 2 * SLICE else 0
+
+
 def _update(flats, lo, hi, scratch, c1, c2, lr):
     """Adam on elements [lo, hi) of the flat (p, g, m, v, out) buffers,
-    slice by slice, in the two slice-sized `scratch` buffers of the
-    moments' dtype. The second holds the gradient cast to that dtype, if
-    it is not float64, until it has entered both moments."""
+    slice by slice, in the two `scratch` buffers of the moments' dtype, each
+    at least min(SLICE, hi - lo) long. The second holds the gradient cast
+    to that dtype, if it is not float64, until it has entered both
+    moments."""
     p_flat, g_flat, m_flat, v_flat, out_flat = flats
     a, b = scratch
     for start in range(lo, hi, SLICE):

@@ -297,7 +297,7 @@ def test_pool_slots_distinct_and_deterministic():
 
 # (pool size, widths, whether the draw is cut): a pool of one and a pool
 # too small to pay for the handoff are drawn whole; an odd pool and an even
-# one with at least 2 * SLICE parameters in all are cut into two halves
+# one with at least DRAW_SPLIT parameters in all are cut into two halves
 POOL_DRAWS = [(1, (64, 256, 128), False), (2, (2, 3), False),
               (3, (64, 256, 128), True), (4, (2, 256, 1024), True)]
 

@@ -70,9 +70,9 @@ def textbook_adam(params, grads, lr, steps, dtype=np.float64):
 
 
 def test_adam_matches_textbook_bit_for_bit(halves_calls):
-    # one block spans two full slices and a ragged tail, cut in halves after
-    # the first slice; one spans five and a tail, cut after the second; one
-    # is a single slice and one 1 x 1, neither cut
+    # one block spans two full slices and a ragged tail and one five and a
+    # tail, each cut at its midpoint; one is a single slice and one 1 x 1,
+    # neither cut
     rng = np.random.default_rng(8)
     shapes = [(7, (2 * optim.SLICE + 2231) // 7 + 1), (5 * optim.SLICE + 77, 1),
               (1, optim.SLICE), (1, 1)]
@@ -109,6 +109,50 @@ def test_adam_float32_moments_match_textbook_bit_for_bit(halves_calls):
     assert all(m.dtype == np.float32 for m in state.m + state.v + want_m + want_v)
     for a, b in zip(got + state.m + state.v, want + want_m + want_v):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def update_spans(monkeypatch):
+    """(lo, hi, scratch lengths) of every `optim._update` call."""
+    spans = []
+    real = optim._update
+
+    def recording(flats, lo, hi, scratch, *args):
+        spans.append((lo, hi, *(len(s) for s in scratch)))
+        real(flats, lo, hi, scratch, *args)
+
+    monkeypatch.setattr(optim, "_update", recording)
+    return spans
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_cuts_a_block_into_halves_of_equal_length(halves_calls, update_spans, dtype):
+    # 784 x 256 spans three slices and a tail: a cut at a slice boundary
+    # would leave one half a single slice and the other the rest
+    assert 3 * optim.SLICE < 784 * 256 < 4 * optim.SLICE
+    rng = np.random.default_rng(12)
+    params = [rng.standard_normal((784, 256))]
+    grads = [[rng.standard_normal((784, 256))] for _ in range(2)]
+    want, want_m, want_v = textbook_adam(list(params), grads, 0.003, 2, dtype)
+    state = AdamState.init(params, dtype)
+    got = params
+    for g in grads:
+        state, got = adam_step(state, got, g, lr=0.003)
+    assert len(halves_calls) == 2
+    (lo1, mid, *first), (mid2, hi, *second) = sorted(update_spans)[::2]
+    assert lo1 == 0 and mid == mid2 and hi == 784 * 256
+    assert mid % _twocore.LANES == 0 and abs((hi - mid) - mid) <= _twocore.LANES
+    assert first == second == [optim.SLICE] * 2
+    for a, b in zip(got + state.m + state.v, want + want_m + want_v):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_adam_scratch_is_no_longer_than_the_blocks(update_spans):
+    # blocks far under a slice get scratch buffers of the largest block's
+    # length, not of SLICE
+    params = [np.ones((40, 30)), np.ones((1, 30))]
+    adam_step(AdamState.init(params), params, params, lr=0.1)
+    assert update_spans == [(0, 1200, 1200, 1200), (0, 30, 1200, 1200)]
 
 
 @pytest.mark.parametrize("dtype, g", [(np.float64, 1e160), (np.float32, 1e21)])
@@ -471,6 +515,22 @@ def test_eval_deterministic_per_seed():
     a = evaluate_coreset(coreset, test.X, test.labels, (2, 16), tprime=20, seed=4)
     b = evaluate_coreset(coreset, test.X, test.labels, (2, 16), tprime=20, seed=4)
     assert a == b
+
+
+def test_eval_is_the_same_on_one_core_or_two(halves_calls, monkeypatch):
+    # a 512 x 256 layer: its Adam block and the test split's feature
+    # products are cut in halves, which run on the worker when it is live
+    assert 512 * 256 >= 2 * optim.SLICE
+    ds = moons_dataset(n=200)
+    coreset = init_coreset(ds, ipc=3, mode="sample", seed=0)
+    test = normalize_with(gen_synthetic("moons", n=400, k=2, noise=0.1, seed=12),
+                          ds.mean, ds.std)
+    two = evaluate_coreset(coreset, test.X, test.labels, (2, 512, 256), tprime=5, seed=3)
+    cuts = len(halves_calls)
+    monkeypatch.setattr(_twocore, "_start_worker", lambda: False)
+    one = evaluate_coreset(coreset, test.X, test.labels, (2, 512, 256), tprime=5, seed=3)
+    assert cuts >= 5 and len(halves_calls) == 2 * cuts
+    assert one == two
 
 
 def test_eval_counts_one_feature_pass_per_input():
