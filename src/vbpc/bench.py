@@ -60,14 +60,14 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
 
     logdet_v = -float(nd.logdet_trinv_spd(primal).data[0, 0])
     trace_v = float(np.trace(v_star.data))
-    msq = nd.sum(nd.hadamard(means, means)).item()
+    msq = nd.inner(means, means).item()
     kl = 0.5 * (k * (-h * math.log(hyper.rho) - logdet_v) - k * h
                 + k * hyper.rho * trace_v + hyper.rho * msq)
 
     bphi = nd.Array(phi_b)
     mean_te = nd.matmul(bphi, means)
     spread = nd.matmul(bphi, v_star)
-    variance = nd.sum(nd.hadamard(spread, bphi), axis=1)
+    variance = nd.inner(spread, bphi, axis=1)
     log_probs = probit_log_softmax(mean_te, variance)
     picked = float((y_b * log_probs.data).sum())
     likelihood = -(n_total / y_b.shape[0]) * picked

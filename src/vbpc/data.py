@@ -64,7 +64,11 @@ class Dataset:
         """The rows at `idx` (an index array or a slice), standardized by the
         split's statistics, in a fresh C-ordered float64 block. Every reader
         of the features goes through here."""
-        block = self._loaded(idx)
+        return self._standardize(self._loaded(idx))
+
+    def _standardize(self, block):
+        """(block - mean) / std in place, by the split's statistics, if it
+        has any; returns `block`."""
         if self.mean is not None:
             block -= self.mean
             block /= self.std
@@ -256,9 +260,7 @@ def init_coreset(dataset, ipc, mode, seed, hyper=None):
                 for c in range(k)]
         images = dataset.rows(np.concatenate(rows))
     else:
-        images = rng.uniform(0.0, 1.0, (ipc * k, dataset.d))
-        if dataset.mean is not None:
-            images = (images - dataset.mean) / dataset.std
+        images = dataset._standardize(rng.uniform(0.0, 1.0, (ipc * k, dataset.d)))
     labels = scaled_onehot_labels(classes, k)
     if hyper is None:
         hyper = Hyperparams(rho=1.0, gamma=100.0, beta_s=float(ipc * k),

@@ -9,8 +9,11 @@ adjoints in reverse topological order.
 There is no transpose primitive: `matmul` and `inv_quad_spd` take flags
 that say which way they read an operand, and read it through a view. Nor
 is there a subtraction: `add` takes equal shapes, and a - b adds -b. The
-layer max(x W + b, 0) is one primitive, `affine_relu`, and the probit
-shift `rsqrt_shift` is 1/sqrt(1 + alpha max(x, 0)): it clamps round-off.
+layer max(x W + b, 0) is one primitive, `affine_relu`; so is the probit
+rule log softmax(m / sqrt(1 + alpha max(v, 0))), `probit_log_softmax`,
+whose clamp takes a variance's round-off negativity to zero. A sum of
+products, over all entries or per row, is `inner`; a plain sum is an inner
+product with ones.
 
 Arrays carry their tape: a node refers weakly to it, and `apply` records on
 the tape of its operands, so only the code that registers leaves and runs
@@ -262,23 +265,6 @@ def _solve(inv_chol, b, op="N"):
 # primitives: forward + vjp pairs
 # ---------------------------------------------------------------------------
 
-def _unbroadcast(g, shape):
-    if g.shape == shape:
-        return g
-    out = g
-    if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _check_broadcast(a, b, op):
-    for da, db in zip(a.shape, b.shape):
-        if db != da and db != 1:
-            raise ShapeError(f"{op}: shape {b.shape} does not broadcast to {a.shape}")
-
-
 def _fwd_matmul(a, b, trans_a=False, trans_b=False):
     """op(a) @ op(b) on views: BLAS gets a trans flag, and a @ a.T or
     a.T @ a on one buffer is numpy's syrk."""
@@ -340,42 +326,50 @@ def _vjp_scale(g, saved, needs):
     return (factor * g,)
 
 
-def _fwd_hadamard(a, b):
-    _check_broadcast(a, b, "hadamard")
-    return a * b, (a, b)
+def _fwd_inner(a, b, axis=None):
+    """The sum of a * b over all entries, or over each row with axis=1; the
+    product is a temporary, not a tape buffer."""
+    if a.shape != b.shape:
+        raise ShapeError(f"inner: {a.shape} vs {b.shape}")
+    if axis is None:
+        out = np.array([[(a * b).sum()]])
+    elif axis == 1:
+        out = (a * b).sum(axis=1, keepdims=True)
+    else:
+        raise ShapeError(f"inner: axis must be None or 1, got {axis}")
+    return out, (a, b)
 
 
-def _vjp_hadamard(g, saved, needs):
+def _vjp_inner(g, saved, needs):
     a, b = saved
-    ga = g * b if needs[0] else None
-    gb = _unbroadcast(g * a, b.shape) if needs[1] else None
-    return ga, gb
+    return (g * b if needs[0] else None, g * a if needs[1] else None)
 
 
-def _fwd_row_log_softmax(a):
-    shifted = a - a.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = shifted - lse
-    return out, (out,)
+def _fwd_probit_log_softmax(mean, variance, alpha):
+    """Row i is log softmax(mean_i * s_i), s_i = 1/sqrt(1 + alpha
+    max(variance_i, 0)) for the n x 1 variance: the scaling, the product and
+    the row log-softmax in turn. A zero or negative 1 + alpha max(v, 0)
+    leaves a non-finite row, which `apply` raises as NonFiniteError."""
+    if variance.shape != (mean.shape[0], 1):
+        raise ShapeError(f"probit_log_softmax: {mean.shape} vs {variance.shape}")
+    scaling = 1.0 / np.sqrt(1.0 + alpha * np.maximum(variance, 0.0))
+    scaled = mean * scaling
+    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return out, (mean, variance, scaling, out, alpha)
 
 
-def _vjp_row_log_softmax(g, saved, needs):
-    (out,) = saved
-    softmax = np.exp(out)
-    return (g - softmax * g.sum(axis=1, keepdims=True),)
-
-
-def _fwd_rsqrt_shift(a, alpha):
-    shifted = 1.0 + alpha * np.maximum(a, 0.0)
-    if shifted.min() <= 0.0:
-        raise NonFiniteError("rsqrt_shift: 1 + alpha*x must be positive")
-    out = 1.0 / np.sqrt(shifted)
-    return out, (a, out, alpha)
-
-
-def _vjp_rsqrt_shift(g, saved, needs):
-    a, out, alpha = saved
-    return (-0.5 * alpha * out ** 3 * g * (a > 0.0),)
+def _vjp_probit_log_softmax(g, saved, needs):
+    """The adjoints of the row log-softmax, the product and the scaling in
+    turn; a clamped variance gets a zero gradient."""
+    mean, variance, scaling, out, alpha = saved
+    gs = g - np.exp(out) * g.sum(axis=1, keepdims=True)
+    gm = gs * scaling if needs[0] else None
+    gv = None
+    if needs[1]:
+        g_scaling = (gs * mean).sum(axis=1, keepdims=True)
+        gv = -0.5 * alpha * scaling ** 3 * g_scaling * (variance > 0.0)
+    return gm, gv
 
 
 def _fwd_cholesky_solve_spd(a, b, _chol=None):
@@ -440,35 +434,16 @@ def _vjp_inv_quad_spd(g, saved, needs):
     return ga, gb
 
 
-def _fwd_sum(a, axis=None):
-    if axis is None:
-        out = np.array([[a.sum()]])
-    elif axis == 0:
-        out = a.sum(axis=0, keepdims=True)
-    elif axis == 1:
-        out = a.sum(axis=1, keepdims=True)
-    else:
-        raise ShapeError(f"sum: axis must be None, 0 or 1, got {axis}")
-    return out, (a.shape,)
-
-
-def _vjp_sum(g, saved, needs):
-    (shape,) = saved
-    return (np.broadcast_to(g, shape).copy(order="C"),)
-
-
 _REGISTRY = {
     "matmul": (_fwd_matmul, _vjp_matmul, 2),
     "affine_relu": (_fwd_affine_relu, _vjp_affine_relu, 3),
     "add": (_fwd_add, _vjp_add, 2),
     "scale": (_fwd_scale, _vjp_scale, 1),
-    "hadamard": (_fwd_hadamard, _vjp_hadamard, 2),
-    "row_log_softmax": (_fwd_row_log_softmax, _vjp_row_log_softmax, 1),
-    "rsqrt_shift": (_fwd_rsqrt_shift, _vjp_rsqrt_shift, 1),
+    "inner": (_fwd_inner, _vjp_inner, 2),
+    "probit_log_softmax": (_fwd_probit_log_softmax, _vjp_probit_log_softmax, 2),
     "cholesky_solve_spd": (_fwd_cholesky_solve_spd, _vjp_cholesky_solve_spd, 2),
     "logdet_trinv_spd": (_fwd_logdet_trinv_spd, _vjp_logdet_trinv_spd, 1),
     "inv_quad_spd": (_fwd_inv_quad_spd, _vjp_inv_quad_spd, 2),
-    "sum": (_fwd_sum, _vjp_sum, 1),
 }
 
 
@@ -557,14 +532,11 @@ def add(a, b):
 def scale(a, factor):
     return apply("scale", (a,), factor=factor)
 
-def hadamard(a, b):
-    return apply("hadamard", (a, b))
+def inner(a, b, axis=None):
+    return apply("inner", (a, b), axis=axis)
 
-def row_log_softmax(a):
-    return apply("row_log_softmax", (a,))
-
-def rsqrt_shift(a, alpha):
-    return apply("rsqrt_shift", (a,), alpha=alpha)
+def probit_log_softmax(mean, variance, alpha):
+    return apply("probit_log_softmax", (mean, variance), alpha=alpha)
 
 def cholesky_solve_spd(a, b):
     return apply("cholesky_solve_spd", (a, b))
@@ -574,6 +546,3 @@ def logdet_trinv_spd(a):
 
 def inv_quad_spd(a, b, rows=False):
     return apply("inv_quad_spd", (a, b), rows=rows)
-
-def sum(a, axis=None):  # noqa: A001 - mirrors np.sum naming
-    return apply("sum", (a,), axis=axis)

@@ -136,7 +136,7 @@ def gaussian_likelihood_loss(net, images, labels, gamma, param_arrays):
     phi = features_graph(net, nd.constant(images), param_arrays)
     # the residual taken as features(X) @ W - Y, the same squares
     resid = nd.add(nd.matmul(phi, param_arrays[-1]), nd.constant(-labels))
-    return nd.scale(nd.sum(nd.hadamard(resid, resid)), gamma / 2.0)
+    return nd.scale(nd.inner(resid, resid), gamma / 2.0)
 
 
 def gaussian_step(net, images, labels, gamma, lr, state=None):

@@ -53,7 +53,7 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape):
     try:
         moments = predictive_moments(post, batch_phi)
         log_probs = probit_log_softmax(moments.mean, moments.variance)
-        picked = nd.sum(nd.hadamard(nd.constant(y_b), log_probs))
+        picked = nd.inner(nd.constant(y_b), log_probs)
         likelihood = nd.scale(picked, -float(n_total) / y_b.shape[0])
         kl_term = nd.scale(kl_to_prior(post), hyper.beta_d)
         total = nd.add(likelihood, kl_term)

@@ -167,7 +167,8 @@ def trace_v(p):
     where m > h, that cancels m - h unit eigenvalues of S^{-1}, each off by
     rounding of order eps ||S||."""
     hyper = p.hyper
-    t = nd.sum(nd.inv_quad_spd(p.system, p.phi, rows=p.weight_space))
+    quad = nd.inv_quad_spd(p.system, p.phi, rows=p.weight_space)
+    t = nd.inner(quad, nd.constant(np.ones(quad.shape)))
     return nd.add(nd.constant([[p.phi.shape[1] / hyper.rho]]),
                   nd.scale(t, -hyper.variance_scale))
 
@@ -187,7 +188,7 @@ def kl_to_prior(p):
     k = p.labels.shape[1]
     both = nd.matmul(nd.logdet_trinv_spd(p.system), nd.constant([[k], [k]]))
     spectral = nd.add(both, nd.constant([[-k * p.system.shape[0]]]))
-    msq = nd.sum(nd.hadamard(p.means, p.means))
+    msq = nd.inner(p.means, p.means)
     return nd.scale(nd.add(spectral, nd.scale(msq, p.hyper.rho)), 0.5)
 
 

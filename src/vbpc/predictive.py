@@ -59,7 +59,7 @@ def predictive_moments(p, phi_batch):
     else:
         cross = nd.matmul(p.phi, phi_batch, trans_b=True)               # nhat x n
         quad = nd.inv_quad_spd(p.system, cross)
-        norms = nd.sum(nd.hadamard(phi_batch, phi_batch), axis=1)
+        norms = nd.inner(phi_batch, phi_batch, axis=1)
         variance = nd.add(nd.scale(norms, 1.0 / hyper.rho),
                           nd.scale(quad, -hyper.variance_scale))
     return PredictiveBatch(mean, variance)
@@ -69,7 +69,8 @@ def probit_log_softmax(mean, variance):
     """Probit-scaled expected log-softmax, row-wise.
 
     mean: n x k, variance: n x 1, >= 0 up to round-off down to VARIANCE_CLAMP,
-    which `rsqrt_shift` clamps to zero; below it raises NonFiniteError.
+    which the primitive `probit_log_softmax` clamps to zero; below it
+    raises NonFiniteError.
     Row i is log softmax(mean_i / sqrt(1 + (pi/8) * variance_i)).
     """
     mean = nd.constant(mean)
@@ -80,8 +81,7 @@ def probit_log_softmax(mean, variance):
         raise nd.NonFiniteError(
             f"negative predictive variance {variance.data.min():.3e} beyond "
             f"round-off clamp; the posterior solve is broken")
-    scaling = nd.rsqrt_shift(variance, alpha=ALPHA_PROBIT)
-    return nd.row_log_softmax(nd.hadamard(mean, scaling))
+    return nd.probit_log_softmax(mean, variance, alpha=ALPHA_PROBIT)
 
 
 def mc_log_softmax(mean, variance, samples, seed, return_stderr=False):

@@ -13,7 +13,7 @@ diagnostic record and never returns a corrupted coreset.
 
 The loop is a two-stage pipeline. Step t's pool update needs the coreset
 that step t's Adam made, and step t+1's coreset step (outer loss, backward,
-the coreset's Adam steps) needs that coreset and the network of the slot it
+the coreset's Adam step) needs that coreset and the network of the slot it
 samples. So, unless step t+1 samples the slot step t updates, the two are
 independent, and iteration t+1 runs them at once through `_twocore._halves`:
 the pool update on the calling thread, then step t+2's batch (its rows
@@ -147,26 +147,37 @@ class BatchSampler:
         return self.dataset.rows(idx), self.dataset.onehot(idx)
 
 
-def _scaled_noise(shape, sigma, rng):
-    """sigma times a fresh standard-normal draw, in the draw's own buffer."""
+def _draw_noise(shape, sigma, rng):
+    """sigma times a fresh standard-normal draw, in the draw's own buffer;
+    None, with nothing drawn, at sigma = 0."""
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    if sigma == 0.0:
+        return None
     noise = rng.standard_normal(shape)
     noise *= sigma
     return noise
 
 
-def augment_noise(images, sigma, rng):
-    """Additive Gaussian pixel noise; sigma = 0 is the identity path."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0.0:
+def _add_noise(images, noise):
+    """images + noise in the noise's buffer, made read-only; images
+    themselves when the noise is None."""
+    if noise is None:
         return images
-    noise = _scaled_noise(images.shape, sigma, rng)
-    return np.add(images, noise, out=noise)
+    noisy = np.add(images, noise, out=noise)
+    noisy.flags.writeable = False
+    return noisy
+
+
+def augment_noise(images, sigma, rng):
+    """Additive Gaussian pixel noise, in a fresh read-only buffer; sigma = 0
+    is the identity path."""
+    return _add_noise(images, _draw_noise(images.shape, sigma, rng))
 
 
 class _Step:
     """A training step from its coreset step to its record: the coreset
-    its Adam steps made, and what the record reports."""
+    its Adam step made, and what the record reports."""
 
     def __init__(self, number, lr, idx, images, labels):
         self.number, self.lr, self.idx = number, lr, idx
@@ -221,37 +232,35 @@ def _train(config, dataset, sink):
 
     images = np.array(coreset.images)
     labels = np.array(coreset.labels)
-    state_x = AdamState.init([images])
-    state_y = AdamState.init([labels])
+    # one optimizer state: the images, and the labels when they learn
+    state = AdamState.init([images, labels] if config.learn_labels else [images])
     retries = 0         # of the steps settled so far
-    noisy = config.noise_aug and config.noise_sigma != 0.0
+    sigma = config.noise_sigma if config.noise_aug else 0.0
     ahead = []          # the batch and noise of the next step, drawn ahead
     last = time.perf_counter()
 
     def coreset_step(step, net, batch, noise):
-        """Outer loss, backward and the coreset's Adam steps; replaces the
-        step's coreset with the one they make."""
-        nonlocal state_x, state_y
+        """Outer loss, backward and the coreset's Adam step; replaces the
+        step's coreset with the one it makes."""
         try:
-            loss_images = step.images
-            if noise is not None:
-                loss_images = np.add(step.images, noise, out=noise)
-                loss_images.flags.writeable = False     # adopted, not copied
+            # the noisy images are read-only, so the tape adopts them
+            loss_images = _add_noise(step.images, noise)
             tape = nd.Tape()
             loss, step.breakdown = outer_loss(
                 coreset.with_arrays(loss_images, step.labels), net, batch,
                 dataset.n, hyper, tape)
             grad_x, grad_y = coreset_grad(loss, tape)
-            state_x, (step.images,) = adam_step(state_x, [step.images], [grad_x],
-                                                step.lr)
             if config.learn_labels:
-                state_y, (step.labels,) = adam_step(state_y, [step.labels],
-                                                    [grad_y], step.lr)
+                _, (step.images, step.labels) = adam_step(
+                    state, [step.images, step.labels], [grad_x, grad_y], step.lr)
+            else:
+                _, (step.images,) = adam_step(state, [step.images], [grad_x],
+                                              step.lr)
         except Exception as err:    # raised by `settle`, in step order
             step.error = err
 
     def pool_step(step):
-        """The pool update of `step`, from the coreset its Adam steps made."""
+        """The pool update of `step`, from the coreset its Adam step made."""
         try:
             pool_update(pool, step.idx, step.images, step.labels, hyper.gamma,
                         config.pool_lr)
@@ -262,9 +271,8 @@ def _train(config, dataset, sink):
         """The batch and the noise of step `number`, if the run has such a
         step; the noise is None when the run adds none."""
         if number < config.steps:
-            noise = (_scaled_noise(images.shape, config.noise_sigma, noise_rng)
-                     if noisy else None)
-            ahead.append((sampler.next(), noise))
+            ahead.append((sampler.next(),
+                          _draw_noise(images.shape, sigma, noise_rng)))
 
     def settle(step):
         """Report `step`, whose pool update is done, or raise its error: a

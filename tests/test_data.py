@@ -267,6 +267,8 @@ def test_init_uniform_passes_through_normalization():
     raw = np.random.default_rng(11).uniform(0.0, 1.0, (10, 2))
     np.testing.assert_allclose(coreset.images, (raw - ds.mean) / ds.std,
                                rtol=1e-12)
+    # standardized in place as Dataset.rows does it, with the same bits
+    assert coreset.images.tobytes() == ((raw - ds.mean) / ds.std).tobytes()
 
 
 def test_init_deterministic():

@@ -43,7 +43,12 @@ def rel_err(a, b, floor=1e-8):
 
 
 def scalarize(out, probe):
-    return nd.sum(nd.hadamard(out, nd.constant(probe)))
+    return nd.inner(out, nd.constant(probe))
+
+
+def total(a):
+    """The sum of a's entries: its inner product with ones."""
+    return nd.inner(a, nd.constant(np.ones(a.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -74,43 +79,58 @@ def test_logdet_diagonal():
 
 
 def test_row_log_softmax_rows_normalize():
+    # the probit rule's rows are log-distributions at any variance
     rng = np.random.default_rng(1)
-    out = nd.row_log_softmax(nd.Array(rng.standard_normal((5, 7))))
-    sums = np.exp(out.data).sum(axis=1)
-    np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+    mean = nd.Array(rng.standard_normal((5, 7)))
+    for variance in (np.zeros((5, 1)), rng.uniform(0.0, 4.0, (5, 1))):
+        out = nd.probit_log_softmax(mean, nd.Array(variance), alpha=math.pi / 8)
+        sums = np.exp(out.data).sum(axis=1)
+        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
 def test_rsqrt_shift_values():
+    # row i is log softmax(mean_i / sqrt(1 + alpha variance_i))
     alpha = math.pi / 8
-    x = np.array([[0.0, 1.0, 4.0]])
-    out = nd.rsqrt_shift(nd.Array(x), alpha=alpha)
-    np.testing.assert_allclose(out.data, 1.0 / np.sqrt(1.0 + alpha * x), rtol=1e-15)
+    mean = np.array([[1.0, -2.0], [0.5, 3.0], [2.0, 0.0]])
+    x = np.array([[0.0], [1.0], [4.0]])
+    out = nd.probit_log_softmax(nd.Array(mean), nd.Array(x), alpha=alpha)
+    scaled = mean / np.sqrt(1.0 + alpha * x)
+    want = scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(out.data, want, rtol=1e-14)
 
 
 def test_rsqrt_shift_clamps_round_off_negativity():
-    # a variance in [VARIANCE_CLAMP, 0) reads as zero: the shift is exactly
-    # 1 and its gradient exactly 0; positive entries keep the plain formula
+    # a variance in [VARIANCE_CLAMP, 0) reads as zero: its row is the one
+    # at zero variance and its gradient exactly 0; positive entries keep
+    # the plain formula
     alpha = math.pi / 8
-    x = np.array([[VARIANCE_CLAMP, -1e-15, 0.5, 3.0]])
+    mean = nd.Array(np.random.default_rng(2).standard_normal((4, 3)))
+    x = np.array([[VARIANCE_CLAMP], [-1e-15], [0.5], [3.0]])
     tape = nd.Tape()
     leaf = tape.leaf(nd.Array(x))
-    out = nd.rsqrt_shift(leaf, alpha=alpha)
-    grad = nd.backward(tape, nd.sum(out))[tape.node_id(leaf)].data
-    want = 1.0 / np.sqrt(1.0 + alpha * x[:, 2:])
-    assert out.data[0, :2].tolist() == [1.0, 1.0] and grad[0, :2].tolist() == [0.0, 0.0]
-    assert out.data[:, 2:].tobytes() == want.tobytes()
-    assert grad[:, 2:].tobytes() == (-0.5 * alpha * want ** 3).tobytes()
+    out = nd.probit_log_softmax(mean, leaf, alpha=alpha)
+    grad = nd.backward(tape, total(out))[tape.node_id(leaf)].data
+    at_zero = nd.probit_log_softmax(mean, nd.zeros((4, 1)), alpha=alpha).data
+    assert out.data[:2].tobytes() == at_zero[:2].tobytes()
+    assert grad[:2, 0].tolist() == [0.0, 0.0] and (grad[2:] != 0.0).all()
+    scaled = mean.data[2:] / np.sqrt(1.0 + alpha * x[2:])
+    want = scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(out.data[2:], want, rtol=1e-14)
 
 
 def test_row_gather_and_sum_axes():
-    # rows are gathered as the outer loss picks labels: a one-hot mask and
-    # a sum over axis 1
+    # rows are gathered as the outer loss picks labels: an inner product
+    # with a one-hot mask over axis 1; a sum is an inner product with ones
     a = nd.Array([[1.0, 2.0], [3.0, 4.0]])
-    picked = nd.sum(nd.hadamard(a, nd.Array([[0.0, 1.0], [1.0, 0.0]])), axis=1)
+    picked = nd.inner(a, nd.Array([[0.0, 1.0], [1.0, 0.0]]), axis=1)
     np.testing.assert_array_equal(picked.data, [[2.0], [3.0]])
-    np.testing.assert_array_equal(nd.sum(a).data, [[10.0]])
-    np.testing.assert_array_equal(nd.sum(a, axis=0).data, [[4.0, 6.0]])
-    np.testing.assert_array_equal(nd.sum(a, axis=1).data, [[3.0], [7.0]])
+    ones = nd.Array(np.ones((2, 2)))
+    np.testing.assert_array_equal(nd.inner(a, ones).data, [[10.0]])
+    np.testing.assert_array_equal(nd.inner(a, ones, axis=1).data, [[3.0], [7.0]])
+    with pytest.raises(nd.ShapeError, match="axis"):
+        nd.inner(a, ones, axis=0)
+    with pytest.raises(nd.ShapeError, match="inner"):
+        nd.inner(a, nd.Array([[1.0, 1.0]]))
 
 
 def test_shape_mismatch_raises():
@@ -123,7 +143,7 @@ def test_shape_mismatch_raises():
 def test_non_finite_result_is_error():
     big = nd.Array(np.full((2, 2), 1e200))
     with pytest.raises(nd.NonFiniteError):
-        nd.hadamard(big, big)
+        nd.inner(big, big)
     with pytest.raises(nd.NonFiniteError):
         nd.Array([[float("nan")]])
 
@@ -271,7 +291,7 @@ def test_inv_quad_over_rows_is_the_columns_of_the_transpose():
         a = tape.leaf(nd.Array(a_val))
         b = tape.leaf(nd.Array(b_in))
         quad = nd.inv_quad_spd(a, b, rows=rows)
-        grads = nd.backward(tape, nd.sum(nd.hadamard(quad, probe)))
+        grads = nd.backward(tape, nd.inner(quad, probe))
         results.append((quad.data, grads[tape.node_id(a)].data,
                         grads[tape.node_id(b)].data))
     (q_rows, ga_rows, gb_rows), (q_cols, ga_cols, gb_cols) = results
@@ -309,13 +329,6 @@ def test_grad_scale():
         lambda a: nd.scale(a, -2.5))
 
 
-def test_grad_hadamard_broadcast():
-    for shape_b in [(3, 4), (1, 4), (3, 1)]:
-        check_primitive_gradient(
-            lambda rng, sb=shape_b: (rng.standard_normal((3, 4)), rng.standard_normal(sb)),
-            lambda a, b: nd.hadamard(a, b), n_points=7)
-
-
 def test_grad_relu():
     # the layer's three operands, at samples whose pre-activations keep
     # away from the kink
@@ -329,15 +342,60 @@ def test_grad_relu():
 
 
 def test_grad_row_log_softmax():
+    # at zero variance the probit rule is the row log-softmax of the mean
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((3, 5)),),
-        lambda a: nd.row_log_softmax(a))
+        lambda a: nd.probit_log_softmax(a, nd.zeros((3, 1)), alpha=math.pi / 8))
 
 
 def test_grad_rsqrt_shift():
+    # the variance's gradient, through the shift, at a fixed mean
+    mean = nd.Array(np.random.default_rng(5).standard_normal((5, 3)))
     check_primitive_gradient(
-        lambda rng: (rng.uniform(0.0, 4.0, (5, 1)),),
-        lambda a: nd.rsqrt_shift(a, alpha=math.pi / 8))
+        lambda rng: (rng.uniform(0.05, 4.0, (5, 1)),),
+        lambda v: nd.probit_log_softmax(mean, v, alpha=math.pi / 8))
+
+
+def test_grad_probit_log_softmax():
+    # both operands, at variances away from the clamp's kink at zero
+    check_primitive_gradient(
+        lambda rng: (rng.standard_normal((4, 3)), rng.uniform(0.05, 4.0, (4, 1))),
+        lambda m, v: nd.probit_log_softmax(m, v, alpha=math.pi / 8))
+
+
+def _old_probit_composition(mean, variance, g, alpha):
+    """The probit rule as the three primitives it replaced wrote it: the
+    shift 1/sqrt(1 + alpha max(v, 0)), the broadcast product and the row
+    log-softmax, then their adjoints in reverse: (out, d mean, d variance)
+    for the incoming gradient g."""
+    shift = 1.0 / np.sqrt(1.0 + alpha * np.maximum(variance, 0.0))
+    scaled = mean * shift
+    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    g_scaled = g - np.exp(out) * g.sum(axis=1, keepdims=True)
+    g_mean = g_scaled * shift
+    g_shift = (g_scaled * mean).sum(axis=1, keepdims=True)
+    g_var = -0.5 * alpha * shift ** 3 * g_shift * (variance > 0.0)
+    return out, g_mean, g_var
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_probit_log_softmax_is_the_old_composition_bit_for_bit(k):
+    # variances in [VARIANCE_CLAMP, 0), at 0 and above it
+    rng = np.random.default_rng(30 + k)
+    alpha = math.pi / 8
+    mean_val = rng.standard_normal((7, k)) * 3.0
+    var_val = np.array([[VARIANCE_CLAMP], [-1e-15], [0.0], [1e-9], [0.3],
+                        [2.0], [50.0]])
+    g = rng.standard_normal((7, k))
+    tape = nd.Tape()
+    mean, variance = tape.leaf(nd.Array(mean_val)), tape.leaf(nd.Array(var_val))
+    out = nd.probit_log_softmax(mean, variance, alpha=alpha)
+    grads = nd.backward(tape, nd.inner(out, nd.Array(g)))
+    want = _old_probit_composition(mean_val, var_val, g, alpha)
+    got = (out.data, grads[tape.node_id(mean)].data, grads[tape.node_id(variance)].data)
+    for w, x in zip(want, got):
+        assert x.shape == w.shape and x.tobytes() == w.tobytes()
 
 
 def test_grad_cholesky_solve():
@@ -368,10 +426,23 @@ def test_grad_inv_quad():
 
 
 def test_grad_sum_axes():
-    for axis in [None, 0, 1]:
+    # a sum, over all entries or per row, is an inner product with ones
+    ones = nd.Array(np.ones((3, 4)))
+    for axis in [None, 1]:
         check_primitive_gradient(
             lambda rng: (rng.standard_normal((3, 4)),),
-            lambda a, ax=axis: nd.sum(a, axis=ax), n_points=7)
+            lambda a, ax=axis: nd.inner(a, ones, axis=ax), n_points=7)
+
+
+@pytest.mark.parametrize("axis", [None, 1])
+def test_grad_inner(axis):
+    # each operand, and one leaf passed as both, as ||r||^2 passes it
+    check_primitive_gradient(
+        lambda rng: (rng.standard_normal((3, 4)), rng.standard_normal((3, 4))),
+        lambda a, b: nd.inner(a, b, axis=axis), n_points=7)
+    check_primitive_gradient(
+        lambda rng: (rng.standard_normal((3, 4)),),
+        lambda a: nd.inner(a, a, axis=axis), n_points=7)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +463,7 @@ def test_backward_matmul_vs_fd():
     tape = nd.Tape()
     a = tape.leaf(nd.Array(a_val))
     b = nd.Array(b_val)
-    loss = nd.sum(nd.matmul(a, b))
+    loss = total(nd.matmul(a, b))
     ad = nd.backward(tape, loss)[tape.node_id(a)].data
 
     def f(v):
@@ -424,7 +495,7 @@ def test_backward_logdet_is_symmetrized_inverse():
 def test_backward_accumulates_fanout():
     tape = nd.Tape()
     x = tape.leaf(nd.Array([[1.0, 2.0]]))
-    loss = nd.sum(nd.add(x, x))
+    loss = total(nd.add(x, x))
     grads = nd.backward(tape, loss)
     np.testing.assert_array_equal(grads[tape.node_id(x)].data, [[2.0, 2.0]])
 
@@ -451,7 +522,7 @@ def test_constants_get_no_gradient_work():
     tape = nd.Tape()
     x = tape.leaf(nd.Array([[1.0, 2.0]]))
     c = nd.Array([[3.0, 4.0]])  # constant: never watched
-    loss = nd.sum(nd.hadamard(x, c))
+    loss = nd.inner(x, c)
     grads = nd.backward(tape, loss)
     np.testing.assert_array_equal(grads[tape.node_id(x)].data, [[3.0, 4.0]])
     assert tape.node_id(c) is None
@@ -465,8 +536,8 @@ def test_tape_replay_deterministic():
         b = tape.leaf(nd.Array(rng.standard_normal((4, 2))))
         spd = nd.add(nd.eye(4), nd.matmul(a, a, trans_b=True))
         x = nd.cholesky_solve_spd(spd, b)
-        loss = nd.add(nd.sum(nd.affine_relu(x, nd.eye(2), nd.zeros((1, 2)))),
-                      nd.sum(nd.logdet_trinv_spd(spd)))
+        loss = nd.add(total(nd.affine_relu(x, nd.eye(2), nd.zeros((1, 2)))),
+                      total(nd.logdet_trinv_spd(spd)))
         grads = nd.backward(tape, loss)
         return loss.item(), grads[tape.node_id(a)].data.copy(), grads[tape.node_id(b)].data.copy()
 
@@ -485,12 +556,12 @@ def test_op_on_constants_is_not_recorded():
     tape = nd.Tape()
     x = tape.leaf(nd.Array([[1.0, 2.0]]))
     c = nd.Array([[3.0, 4.0]])
-    squared = nd.hadamard(c, c)
-    assert tape.records == [] and tape.node_id(squared) is None
-    loss = nd.sum(nd.hadamard(x, squared))
-    assert [op for op, *_ in tape.records] == ["hadamard", "sum"]
+    doubled = nd.add(c, c)
+    assert tape.records == [] and tape.node_id(doubled) is None
+    loss = nd.inner(x, doubled)
+    assert [op for op, *_ in tape.records] == ["inner"]
     grads = nd.backward(tape, loss)
-    np.testing.assert_array_equal(grads[tape.node_id(x)].data, [[9.0, 16.0]])
+    np.testing.assert_array_equal(grads[tape.node_id(x)].data, [[6.0, 8.0]])
 
 
 def test_operands_from_two_live_tapes_raise():
@@ -509,7 +580,7 @@ def test_nodes_of_a_dropped_tape_act_as_constants():
     assert dropped() is None  # nodes hold their tape weakly: it is freed at once
     other = nd.Tape()
     z = other.leaf(nd.Array([[5.0]]))
-    out = nd.hadamard(y, z)  # y is a constant now, not a node of a second tape
+    out = nd.inner(y, z)  # y is a constant now, not a node of a second tape
     assert other.node_id(y) is None and len(other.records) == 1
     assert nd.backward(other, out)[other.node_id(z)].item() == 6.0
     nd.scale(y, 2.0)
@@ -534,11 +605,11 @@ def test_gradients_share_no_memory_with_saved_buffers():
     c = tape.leaf(nd.Array(rng.standard_normal((1, 3))))
     spd = nd.add(nd.matmul(b, b, trans_a=True), nd.eye(3))
     h = nd.affine_relu(a, b, c)
-    h = nd.add(nd.hadamard(h, a), nd.scale(a, -0.5))
-    h = nd.row_log_softmax(nd.matmul(nd.cholesky_solve_spd(spd, b), h, trans_b=True))
+    h = nd.add(h, nd.scale(a, -0.5))
     quad = nd.inv_quad_spd(spd, a, rows=True)
-    loss = nd.add(nd.add(nd.sum(h), nd.sum(nd.logdet_trinv_spd(spd))),
-                  nd.sum(nd.rsqrt_shift(quad, alpha=0.3)))
+    logp = nd.probit_log_softmax(nd.matmul(h, nd.cholesky_solve_spd(spd, b)), quad,
+                                 alpha=0.3)
+    loss = nd.add(nd.inner(logp, h), total(nd.logdet_trinv_spd(spd)))
     grads = nd.backward(tape, loss)
     saved = [buf for record in tape.records for buf in _saved_buffers(record[3])]
     assert saved
@@ -578,7 +649,7 @@ def test_cut_product_is_bit_equal_to_matmul(halves_calls, trans_a, trans_b, shap
     la, lb = tape.leaf(nd.Array(a)), tape.leaf(nd.Array(b))
     out = nd.matmul(la, lb, trans_a=trans_a, trans_b=trans_b)
     g = rng.standard_normal((m, n))
-    grads = nd.backward(tape, nd.sum(nd.hadamard(out, nd.Array(g))))
+    grads = nd.backward(tape, nd.inner(out, nd.Array(g)))
     ga = op_b @ g.T if trans_a else g @ op_b.T
     gb = g.T @ op_a if trans_b else op_a.T @ g
     assert out.data.tobytes() == got.tobytes()
@@ -607,8 +678,8 @@ def _spd_primitives(a_val, b_val):
     and the gradients of both operands, as bytes."""
     tape = nd.Tape()
     a, b = tape.leaf(nd.Array(a_val)), tape.leaf(nd.Array(b_val))
-    loss = nd.add(nd.sum(nd.inv_quad_spd(a, b)),
-                  nd.sum(nd.cholesky_solve_spd(a, b)))
+    loss = nd.add(total(nd.inv_quad_spd(a, b)),
+                  total(nd.cholesky_solve_spd(a, b)))
     grads = nd.backward(tape, loss)
     return [loss.data.tobytes()] + [grads[tape.node_id(x)].data.tobytes()
                                     for x in (a, b)]
@@ -700,7 +771,7 @@ def test_inv_quad_gradient_of_b_is_adopted_without_a_copy(monkeypatch):
         out = primitive(b)
         if op == "cholesky_solve_spd":
             assert out.data is made[op, "fwd"] and out.data.flags.c_contiguous
-        loss = nd.sum(out)
+        loss = total(out)
         with nd.track_allocations() as window:
             grad = nd.backward(tape, loss)[tape.node_id(b)]
         assert grad.data is made[op, "vjp"] and grad.data.flags.c_contiguous

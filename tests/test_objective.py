@@ -245,7 +245,7 @@ def test_step_shares_one_factorization(monkeypatch):
 
 def test_outer_loss_clamps_the_variance_once():
     # one record per feature layer, and the variance clamped inside the
-    # probit shift, once
+    # probit rule, once
     for nhat, h in ((4, 6), (8, 6)):
         rng = np.random.default_rng(15)
         coreset, net, batch, hyper = make_instance(rng, nhat=nhat, h=h)
@@ -253,8 +253,28 @@ def test_outer_loss_clamps_the_variance_once():
         outer_loss(coreset, net, batch, 8, hyper, tape)
         ops = [op for op, _, _, _ in tape.records]
         assert ops.count("affine_relu") == len(net.weights), (nhat, h)
-        assert ops.count("rsqrt_shift") == 1, (nhat, h)
+        assert ops.count("probit_log_softmax") == 1, (nhat, h)
         assert "relu" not in ops and "sub" not in ops, (nhat, h)
+
+
+@pytest.mark.parametrize("nhat,records", [(8, 23), (4, 25)])
+def test_tape_records_per_outer_loss(monkeypatch, nhat, records):
+    # two hidden layers, as perfbench's image workloads have: nhat=8 > h=6
+    # solves on the h side as `solve-heavy` does, nhat=4 on the nhat side as
+    # `wide` does. The probit rule is one record, and each sum of products
+    # one `inner`; a pool slot's Gaussian step makes 6 primitive calls
+    rng = np.random.default_rng(17)
+    coreset, _, batch, hyper = make_instance(rng, nhat=nhat, h=6, k=10)
+    net = network.init_net((3, 6, 6), 10, seed=18)
+    tape = nd.Tape()
+    outer_loss(coreset, net, batch, 8, hyper, tape)
+    assert len(tape.records) == records
+    calls = []
+    real_apply = nd.apply
+    monkeypatch.setattr(nd, "apply",
+                        lambda op, *args, **kw: calls.append(op) or real_apply(op, *args, **kw))
+    network.gaussian_step(net, coreset.images, coreset.labels, hyper.gamma, 1e-3)
+    assert len(calls) == 6, calls
 
 
 def test_kl_reads_the_system_alone():

@@ -144,13 +144,16 @@ def test_options_and_environment_variables_are_the_listed_ones():
     assert readers == ["__init__.py"] and vbpc._THREAD_VARS == THREAD_VARS
 
 
-def test_benchmark_run_reads_correct():
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_run_reads_correct(trace):
     # perfbench drives load_data, Dataset.X, onehot and the rest of the
     # library as its gated workloads do; a one-second run of its smallest
-    # workload fails here when the library surface it reads breaks
+    # workload fails here when the library surface it reads breaks. A
+    # traced run also hooks ndiff.apply by op name and the functions it
+    # times layer by layer
     child = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         "desk-moons", "--seed", "1", "--seconds", "1", "--trace", "0"],
+         "desk-moons", "--seed", "1", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout.splitlines()[-1])

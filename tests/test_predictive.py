@@ -67,9 +67,9 @@ def test_variance_matches_dense_oracle_random():
 
 @pytest.mark.parametrize("nhat,h", [(3, 5), (6, 4)])
 def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
-    # nhat side: the batch row norms and their scaling are constant work (3
-    # ops); h side: none. The variance is left unclamped: the probit shift
-    # in probit_log_softmax clamps it, once.
+    # nhat side: the batch row norms and their scaling are constant work (2
+    # ops); h side: none. The variance is left unclamped: the primitive
+    # probit_log_softmax clamps it, once.
     rng = np.random.default_rng(nhat * h)
     tape = nd.Tape()
     phi = tape.leaf(nd.Array(rng.standard_normal((nhat, h))))
@@ -80,7 +80,7 @@ def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
     added = tape.records[before:]
     assert all(any(i is not None for i in in_ids) for _, _, in_ids, _ in added)
     assert len(added) == (3 if post.weight_space else 5)
-    assert "rsqrt_shift" not in [op for op, _, _, _ in added]
+    assert "probit_log_softmax" not in [op for op, _, _, _ in added]
     assert tape.node_id(batch.variance) is not None
 
 
