@@ -1,14 +1,14 @@
 """Two halves on two cores: the scheduler behind every cut.
 
-BLAS stays at one thread. Instead, large products (solves included), Adam
-blocks, pool draws and Monte Carlo chunks are cut in two halves at a point
-fixed by their shapes (`_halves`), and a worker thread runs the second
-half while the caller runs the first. A product is cut only where each
-output element takes the same instructions as in the whole (`_product`),
-so results are bit-equal to the uncut work on any number of cores. Halves
-may cut their own work again (the trainer runs a whole coreset step as
-one). Callers look these names up here at call time, so one monkeypatch
-of this module sees every cut.
+BLAS stays at one thread. Instead, a worker thread runs the second of two
+halves while the caller runs the first (`_halves`): large products (solves
+included) and Adam blocks, cut where `_cut` puts them, pool draws, Monte
+Carlo chunks, and each training step's coreset step beside a pool update.
+A product is cut only where each output element takes the same
+instructions as in the whole (`_product`), so results are bit-equal to the
+uncut work on any number of cores. Halves may cut their own work again.
+Callers look these names up here at call time, so one monkeypatch of this
+module sees every cut.
 """
 
 import collections
@@ -22,7 +22,7 @@ from . import _PIN_THREADS
 
 # Multiply-adds from which a product is cut in two; handing a half to the
 # worker costs about 20 us, a product this size 0.2 ms.
-# A half gets at least 8/31 of it, so it stays above 10^6, under which
+# A half gets at least a third of it, so it stays above 10^6, under which
 # OpenBLAS switches to small-matrix kernels that compute differently.
 SPLIT_WORK = 1 << 22
 # Doubles in one AVX-512 register. BLAS computes an element of a partial
@@ -145,9 +145,10 @@ def _join(half):
 
 
 def _cut(size):
-    """Where a dimension of `size` is cut: a multiple of LANES near the
-    middle, or 0 when a half would be narrower than LANES."""
-    return size // (2 * LANES) * LANES
+    """Where `size` rows, columns or Adam elements are cut: the midpoint
+    rounded to the nearest multiple of LANES, or 0 (not cut) when a half
+    would be narrower than LANES. The halves differ by at most LANES."""
+    return (size + LANES) // (2 * LANES) * LANES if size >= 2 * LANES else 0
 
 
 def _product(a, b):

@@ -1,15 +1,15 @@
 """Command-line front door: train, eval, bench, export-images.
 
 Config files are line-oriented `key = value` with `#` comments; unknown
-keys are fatal so hyperparameter typos cannot pass silently. Data sources
-use a compact spec grammar:
+keys and a key given twice are fatal, so hyperparameter typos cannot pass
+silently. Data sources use a compact spec grammar:
 
     synthetic:<blobs|moons|circles>:n=<N>,k=<K>,noise=<F>
     idx:<images>,<labels>[;test=<images>,<labels>]
 
 Each synthetic field is given once; n is at most 10^6 and noise finite and
-non-negative. Config, spec and dataset errors are reported before any
-output.
+non-negative. Config, spec, flag and dataset errors are reported before
+any output; seeds and --tprime are non-negative integers.
 
 Exit codes: 0 success, 1 numerical failure (train or eval), 2 usage, config
 and input-file errors.
@@ -54,6 +54,17 @@ def _hidden_widths(raw):
     return tuple(int(w) for w in raw.split(",") if w)
 
 
+def _non_negative_int(raw):
+    """The argparse type of the seed and step-count flags."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
+    return value
+
+
 _PARSERS = {bool: _parse_bool, int: int, float: float, float | None: float,
             str: str, tuple: _hidden_widths}
 # TrainConfig fields whose config key differs from the field name
@@ -86,6 +97,8 @@ def parse_config(path):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; valid "
                               f"keys: {', '.join(sorted(_SCHEMA))}")
         name, parse = _SCHEMA[key]
+        if name in overrides:
+            raise ConfigError(f"{path}:{lineno}: {key!r} given twice")
         try:
             overrides[name] = parse(raw)
         except ValueError as err:
@@ -310,14 +323,14 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("eval", help="variational inference + model averaging")
     p.add_argument("--coreset", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--tprime", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tprime", type=_non_negative_int, default=500)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--hidden", type=_hidden_widths, default=(64, 64))
     p.add_argument("--out", default=".")
     p.set_defaults(run=cmd_eval)
@@ -334,7 +347,7 @@ def build_parser():
     p.add_argument("--coreset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(run=cmd_export_images)
     return parser
 

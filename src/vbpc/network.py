@@ -7,13 +7,13 @@ trains every parameter. Pool slots are retrained for a fixed period and then
 reborn from a deterministic seed stream, so the coreset never overfits one
 feature map.
 
-A pool is drawn on both cores: each slot has its own seed stream, so the
-worker of `_twocore._halves` draws the later half of the slots while the
-calling thread draws the first, with the same bits as one after the other.
-Every buffer is made on the calling thread and the worker only fills it.
-glibc keeps a buffer in the arena of the thread that allocated it, and a
-CIFAR-shaped pool allocated on the worker raised the peak resident memory
-of every run measured (perfbench `wide`).
+A pool of two nets or more is drawn on both cores: each slot has its own
+seed stream, so the worker of `_twocore._halves` draws the later half of
+the slots while the calling thread draws the first, with the same bits as
+one after the other. Every buffer is made on the calling thread and the
+worker only fills it. glibc keeps a buffer in the arena of the thread that
+allocated it, and a CIFAR-shaped pool allocated on the worker raised the
+peak resident memory of every run measured (perfbench `wide`).
 """
 
 from dataclasses import dataclass
@@ -22,10 +22,6 @@ import numpy as np
 
 from . import _twocore, ndiff as nd
 from .optim import AdamState, adam_step
-
-# Parameters in all from which a pool of two nets or more is drawn on two
-# cores (`_draw_nets`); smaller pools do not pay for the handoff.
-DRAW_SPLIT = 32768
 
 
 @dataclass(frozen=True)
@@ -64,10 +60,9 @@ def _draw_nets(widths, k, seeds):
     """One network per seed, each drawn as `init_net` documents. The buffers
     are made here with `np.empty` and then filled: `standard_normal(out=)`
     and an in-place division give the bits of `standard_normal(shape) /
-    sqrt(fan_in)`. When there are two seeds or more and the nets hold at
-    least DRAW_SPLIT parameters in all, the later half of the seeds is
-    filled on the second core (`_twocore._halves`); numpy's fill releases
-    the interpreter lock."""
+    sqrt(fan_in)`. When there are two seeds or more, the later half of the
+    seeds is filled on the second core (`_twocore._halves`); numpy's fill
+    releases the interpreter lock."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 1 or any(w < 1 for w in widths) or k < 1:
         raise ValueError(f"invalid widths {widths} / classes {k}")
@@ -86,8 +81,7 @@ def _draw_nets(widths, k, seeds):
                 np.divide(rng.uniform(-1.0, 1.0, b.shape), np.sqrt(w_in), out=b)
 
     mid = len(seeds) // 2
-    size = sum(b.size for blocks in buffers[0] for b in blocks)
-    if mid and len(seeds) * size >= DRAW_SPLIT:
+    if mid:
         _twocore._halves(lambda: fill(0, mid), lambda: fill(mid, len(seeds)))
     else:
         fill(0, len(seeds))
@@ -186,8 +180,8 @@ def _slot_seed(seed, slot, generation):
 def pool_new(p, widths, k, seed, period):
     """P independently seeded networks, counters at zero. Slot i is
     `init_net(widths, k, _slot_seed(seed, i, 0))` bit for bit; slots
-    [P/2, P) are drawn on the second core when the pool is large enough
-    (`_draw_nets`), into buffers made on the calling thread."""
+    [P/2, P) are drawn on the second core (`_draw_nets`), into buffers made
+    on the calling thread."""
     if p < 1:
         raise ValueError("pool size must be >= 1")
     nets = _draw_nets(widths, k, [_slot_seed(seed, i, 0) for i in range(p)])

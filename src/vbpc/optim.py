@@ -4,12 +4,12 @@
 the parameters as new read-only arrays; it never writes to the parameters
 or gradients it is given. It walks each block in slices, so a step
 streams every buffer through memory once instead of once per elementwise
-operation. A block of two slices or more is cut at its midpoint, rounded
-to a multiple of `_twocore.LANES`, into two halves of equal length to
-within LANES elements, and the second half runs on a second core
-(`_twocore._halves`) with its own scratch buffers. Every element goes
-through the same operations in any case, so the result does not depend on
-the number of cores.
+operation. A block of two slices or more is cut where `_twocore._cut`
+puts it, into two halves of equal length to within `_twocore.LANES`
+elements, and the second half runs on a second core (`_twocore._halves`)
+with its own scratch buffers. Every element goes through the same
+operations in any case, so the result does not depend on the number of
+cores.
 
 The moment and step arithmetic runs in the dtype of the moment buffers.
 The parameters and gradients are float64 whatever that dtype is: with
@@ -89,13 +89,11 @@ def adam_step(state, params, grads, lr):
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
     lr = float(lr)
-    mids = [_mid(m.size) for m in state.m]
-    # one pair of scratch buffers per half, no longer than a slice or than
-    # the longest stretch of elements that half walks
-    first = max((mid or m.size for mid, m in zip(mids, state.m)), default=0)
-    second = max((m.size - mid for mid, m in zip(mids, state.m) if mid), default=0)
-    scratch = [(np.empty(min(SLICE, n), dtype), np.empty(min(SLICE, n), dtype))
-               for n in (first, second)]
+    mids = [_twocore._cut(m.size) if m.size >= 2 * SLICE else 0 for m in state.m]
+    # a pair of scratch buffers per half, no longer than a slice or than the
+    # largest block; a cut block's halves are each a slice or longer
+    n = min(SLICE, max((m.size for m in state.m), default=0))
+    scratch = [(np.empty(n, dtype), np.empty(n, dtype)) for _ in range(1 + any(mids))]
     new_params = []
     for p, g, m, v, mid in zip(params, grads, state.m, state.v, mids):
         out = np.empty(m.shape)
@@ -110,14 +108,6 @@ def adam_step(state, params, grads, lr):
         out.flags.writeable = False
         new_params.append(out)
     return state, new_params
-
-
-def _mid(size):
-    """Where a block of `size` elements is cut: its midpoint rounded to the
-    nearest multiple of `_twocore.LANES`, or 0 (not cut) under 2 * SLICE
-    elements. The halves' lengths differ by at most LANES."""
-    lanes = _twocore.LANES
-    return (size + lanes) // (2 * lanes) * lanes if size >= 2 * SLICE else 0
 
 
 def _update(flats, lo, hi, scratch, c1, c2, lr):

@@ -15,18 +15,20 @@ The loop is a two-stage pipeline. Step t's pool update needs the coreset
 that step t's Adam made, and step t+1's coreset step (outer loss, backward,
 the coreset's Adam step) needs that coreset and the network of the slot it
 samples. So, unless step t+1 samples the slot step t updates, the two are
-independent, and iteration t+1 runs them at once through `_twocore._halves`:
-the pool update on the calling thread, then step t+2's batch (its rows
-read and standardized) and the standard-normal draw for its noise, while
-the worker runs the coreset step. When the slots are the same, the update
-runs first, alone; the last step's update runs after the loop. Every op
-gets the inputs it gets in the serial order, and each random stream
-(batches, slots, noise) is drawn in its own order, so the records (bar
-`ms`) and the coreset are bit-identical to the serial loop's on any number
-of cores. A step's record is emitted once its pool update is done, with
-the retries of the steps up to it, summed in step order; a failure in step
-t's pool update aborts at step t even when step t+1's coreset step failed
-too. `ms` is the wall time from the previous step's record to this one's.
+independent. Every iteration t+1 is one `_twocore._halves` call: the
+calling thread runs step t's pool update, if it is still pending, then
+draws step t+2's batch (its rows read and standardized) and the
+standard-normal draw for its noise, while the worker runs the coreset
+step. When the slots are the same, the update runs first, alone, and the
+calling thread's half only draws; the last step's update runs after the
+loop. Every op gets the inputs it gets in the serial order, and each
+random stream (batches, slots, noise) is drawn in its own order, so the
+records (bar `ms`) and the coreset are bit-identical to the serial loop's
+on any number of cores. A step's record is emitted once its pool update
+is done, with the retries of the steps up to it, summed in step order; a
+failure in step t's pool update aborts at step t even when step t+1's
+coreset step failed too. `ms` is the wall time from the previous step's
+record to this one's.
 
 The pool update stays on the calling thread because it allocates the
 parameter-sized buffers: glibc keeps the buffers a thread frees in that
@@ -89,6 +91,9 @@ class TrainConfig:
             raise ValueError("steps, batch_size and ipc must be >= 1")
         if self.log_interval < 1:
             raise ValueError("log_interval must be >= 1")
+        for name in ("seed_data", "seed_pool", "seed_noise", "seed_init"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if any(w < 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         # an unset beta_s resolves to nhat later; 1.0 stands in for it here
@@ -312,15 +317,14 @@ def _train(config, dataset, sink):
             pending = None
             net = pool.nets[idx]
         step = _Step(number, lr, idx, images, labels)
-        if pending is None:
-            coreset_step(step, net, batch, noise)
-            draw(number + 1)
-        else:
-            def caller_side():
-                pool_step(pending)
-                draw(number + 1)
 
-            _twocore._halves(caller_side, lambda: coreset_step(step, net, batch, noise))
+        def caller_side():
+            if pending is not None:
+                pool_step(pending)
+            draw(number + 1)
+
+        _twocore._halves(caller_side, lambda: coreset_step(step, net, batch, noise))
+        if pending is not None:
             settle(pending)
         if step.error is not None:
             settle(step)
@@ -340,6 +344,8 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     {"acc", "nll", "cond_lb", "jitter_retries"}: the last two report the
     health of the posterior's factored system, as the training records do.
     """
+    if tprime < 0:
+        raise ValueError(f"tprime must be >= 0, got {tprime}")
     hyper = coreset.hyper
     net = init_net(widths, coreset.k, np.random.SeedSequence([seed, 0]))
     state = None

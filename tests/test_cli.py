@@ -143,6 +143,19 @@ def test_config_fuzz_raises_only_config_error(tmp_path_factory, lines, tail):
         pass
 
 
+def test_config_key_given_twice_names_path_line_and_key(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("steps = 3\n# again\nsteps = 4\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}:3: 'steps' given twice"
+    out = tmp_path / "never"
+    assert main(["train", "--config", str(path), "--data", MOONS,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: {path}:3: 'steps' given twice" in capsys.readouterr().err
+
+
 def test_config_undecodable_byte_names_path_and_line(tmp_path, capsys):
     path = tmp_path / "latin.cfg"
     path.write_bytes(b"steps = 3\nsteps = \xff\n")
@@ -270,14 +283,31 @@ def test_train_missing_config_exits_2(tmp_path, capsys):
     assert "nope.cfg" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["log_interval = 0", "hidden = 0", "rho = nan"])
+@pytest.mark.parametrize("bad", ["log_interval = 0", "hidden = 0", "rho = nan",
+                                 "seed_pool = -1", "seed_init = -7"])
 def test_train_bad_config_exits_2_before_output(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, TINY + bad + "\n")
     out = tmp_path / "never"
     assert main(["train", "--config", cfg, "--data", MOONS,
                  "--out", str(out)]) == 2
     assert not out.exists()
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and bad.split(" = ")[0] in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--seed"), ("eval", "--seed"), ("export-images", "--seed"),
+    ("eval", "--tprime")])
+def test_negative_count_flag_exits_2_naming_it(tmp_path, capsys, command, flag):
+    out = tmp_path / "never"
+    args = {"train": ["--config", write_cfg(tmp_path, TINY), "--data", MOONS],
+            "eval": ["--coreset", "c.vbpc", "--data", MOONS],
+            "export-images": ["--coreset", "c.vbpc"]}[command]
+    assert main([command, *args, "--out", str(out), flag, "-1"]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected an integer >= 0, got '-1'" in captured.err
 
 
 @pytest.mark.parametrize("text,message", [

@@ -622,13 +622,24 @@ def test_gradients_share_no_memory_with_saved_buffers():
 # two halves
 # ---------------------------------------------------------------------------
 
+def test_cut_is_a_multiple_of_lanes_near_the_middle():
+    lanes = _twocore.LANES
+    for size in range(4096):
+        mid = _twocore._cut(size)
+        assert (mid == 0) == (size < 2 * lanes)
+        if mid:
+            assert mid % lanes == 0 and min(mid, size - mid) >= lanes
+            assert abs((size - mid) - mid) <= lanes
+
+
 # (m, n, k) of op(a) @ op(b), each at most 10% above SPLIT_WORK: odd rows
-# cut through the rows, one into halves of 8 and 23 rows (the smallest
-# share a half can get), odd inner and row sizes cut through the columns,
-# and two whose output columns are no whole number of LANES, never cut
+# cut through the rows, one into halves of 16 and 15 rows, odd inner and
+# row sizes cut through the columns, two whose output columns are no whole
+# number of LANES, never cut, and 24 rows cut into halves of 16 and 8 (the
+# smallest share a half can get)
 PRODUCTS = [((129, 64, 509), 1), ((1001, 512, 9), 1), ((31, 8, 16913), 1),
             ((40, 264, 401), 1), ((17, 2056, 121), 1), ((129, 65, 509), 0),
-            ((1001, 511, 9), 0)]
+            ((1001, 511, 9), 0), ((24, 8, 21846), 1)]
 
 
 @pytest.mark.parametrize("trans_a", [False, True])

@@ -295,10 +295,10 @@ def test_pool_slots_distinct_and_deterministic():
     assert not np.array_equal(pool_a.nets[0].weights[0], pool_a.nets[1].weights[0])
 
 
-# (pool size, widths, whether the draw is cut): a pool of one and a pool
-# too small to pay for the handoff are drawn whole; an odd pool and an even
-# one with at least DRAW_SPLIT parameters in all are cut into two halves
-POOL_DRAWS = [(1, (64, 256, 128), False), (2, (2, 3), False),
+# (pool size, widths, whether the draw is cut): a pool of one is drawn
+# whole; a pool of two nets or more, small or large, odd or even, is cut
+# into two halves
+POOL_DRAWS = [(1, (64, 256, 128), False), (2, (2, 3), True),
               (3, (64, 256, 128), True), (4, (2, 256, 1024), True)]
 
 

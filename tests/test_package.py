@@ -8,6 +8,7 @@ starts no thread."""
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
 import json
 import os
@@ -142,6 +143,20 @@ def test_options_and_environment_variables_are_the_listed_ones():
     readers = sorted(path.name for path in (ROOT / "src" / "vbpc").glob("*.py")
                      if "environ" in path.read_text() or "getenv" in path.read_text())
     assert readers == ["__init__.py"] and vbpc._THREAD_VARS == THREAD_VARS
+
+
+def test_scheduler_tuning_constants_are_the_listed_ones():
+    # each threshold is a size at which work changes thread or kernel, and
+    # one more is a rule to keep in step with the rest: adding one is a
+    # decision this list records
+    found = set()
+    for name in ("_twocore", "optim", "network", "predictive", "trainer"):
+        module = importlib.import_module(f"vbpc.{name}")
+        tree = ast.parse((ROOT / "src" / "vbpc" / f"{name}.py").read_text())
+        found |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)
+                  and type(getattr(module, target.id)) is int}
+    assert found == {"SPLIT_WORK", "LANES", "SLICE", "MC_CHUNK"}
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])

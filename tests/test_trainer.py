@@ -517,6 +517,13 @@ def test_eval_deterministic_per_seed():
     assert a == b
 
 
+def test_eval_rejects_negative_tprime():
+    ds = moons_dataset(n=200)
+    coreset = init_coreset(ds, ipc=3, mode="sample", seed=0)
+    with pytest.raises(ValueError, match="tprime must be >= 0, got -1"):
+        evaluate_coreset(coreset, ds.X, ds.labels, (2, 16), tprime=-1)
+
+
 def test_eval_is_the_same_on_one_core_or_two(halves_calls, monkeypatch):
     # a 512 x 256 layer: its Adam block and the test split's feature
     # products are cut in halves, which run on the worker when it is live
@@ -699,6 +706,16 @@ def test_pool_step_and_rotation_run_on_the_calling_thread(monkeypatch):
     assert len(where["gaussian_step"]) == config.steps
     assert len(where["init_net"]) > config.pool_size        # rotations happened
     assert set(where["gaussian_step"]) | set(where["init_net"]) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("pool_size", [1, 2, 3])
+def test_every_step_is_one_halves_call(halves_calls, pool_size):
+    # at desk scale no product or Adam block is cut: each step is one call,
+    # whether or not it samples the pending slot, and a pool of two nets or
+    # more adds the call that draws it
+    config = tiny_config(steps=6, pool_size=pool_size)
+    train(config, moons_dataset())
+    assert len(halves_calls) == config.steps + (pool_size > 1)
 
 
 class TrackedHalf(_twocore._Half):
