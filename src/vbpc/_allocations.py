@@ -8,15 +8,16 @@ from contextlib import contextmanager
 
 
 class AllocationWindow:
-    """Float64 elements this layer allocates while the window is open.
+    """Buffers this layer allocates while the window is open, in float64
+    elements: bytes / 8, so a float32 buffer counts half its elements.
 
     A window counts the buffers this layer allocates inside it: array
     buffers, gradient buffers and cached inverse factors, but not a buffer
-    an Array adopts without a copy. ``live`` is how many of those
-    elements are still alive, ``peak`` its high-water mark and
-    ``largest_block`` the largest single buffer. A buffer born before the
-    window opened is not counted, even when it is freed inside. ``base`` is
-    always 0, so ``peak - base`` is the window's own peak.
+    an Array adopts without a copy. ``live`` is how much of that is still
+    alive, ``peak`` its high-water mark and ``largest_block`` the largest
+    single buffer. A buffer born before the window opened is not counted,
+    even when it is freed inside. ``base`` is always 0, so ``peak - base``
+    is the window's own peak.
     """
 
     def __init__(self):
@@ -57,5 +58,5 @@ def track_allocations():
 
 def _register_buffer(arr):
     for window in _open_windows:
-        window._add(arr.size)
-        weakref.finalize(arr, window._remove, arr.size)
+        window._add(arr.nbytes / 8)
+        weakref.finalize(arr, window._remove, arr.nbytes / 8)

@@ -25,10 +25,11 @@ from . import _PIN_THREADS
 # A half gets at least a third of it, so it stays above 10^6, under which
 # OpenBLAS switches to small-matrix kernels that compute differently.
 SPLIT_WORK = 1 << 22
-# Doubles in one AVX-512 register. BLAS computes an element of a partial
-# register differently according to where its call's blocking puts it, so a
-# cut is made only where the dimension BLAS vectorizes is whole registers,
-# and at a multiple of LANES, each half at least LANES wide.
+# Doubles in one 64-byte AVX-512 register; it holds twice as many floats.
+# BLAS computes an element of a partial register differently according to
+# where its call's blocking puts it, so a product is cut only where the
+# dimension BLAS vectorizes is whole registers, and at a multiple of the
+# register's lanes, each half at least that wide.
 LANES = 8
 
 
@@ -144,24 +145,26 @@ def _join(half):
         del job
 
 
-def _cut(size):
+def _cut(size, lanes=LANES):
     """Where `size` rows, columns or Adam elements are cut: the midpoint
-    rounded to the nearest multiple of LANES, or 0 (not cut) when a half
-    would be narrower than LANES. The halves differ by at most LANES."""
-    return (size + LANES) // (2 * LANES) * LANES if size >= 2 * LANES else 0
+    rounded to the nearest multiple of `lanes`, or 0 (not cut) when a half
+    would be narrower than `lanes`. The halves differ by at most `lanes`."""
+    return (size + lanes) // (2 * lanes) * lanes if size >= 2 * lanes else 0
 
 
 def _product(a, b):
-    """a @ b in a fresh C-order buffer, written as two halves when it holds
-    at least SPLIT_WORK multiply-adds: the output's rows or columns,
-    whichever are more, cut at `_cut`. Bit-equal to a @ b. The output's
-    columns are the dimension BLAS vectorizes, so a product is cut only when
-    they are whole registers; a product of a buffer with itself (a Gram,
-    which numpy computes with syrk) is never cut."""
+    """a @ b in a fresh C-order buffer of the operands' dtype, written as
+    two halves when it holds at least SPLIT_WORK multiply-adds: the output's
+    rows or columns, whichever are more, cut at `_cut` with the lanes of a
+    register of that dtype (LANES doubles, 2 * LANES floats). Bit-equal to
+    a @ b. The output's columns are the dimension BLAS vectorizes, so a
+    product is cut only when they are whole registers; a product of a buffer
+    with itself (a Gram, which numpy computes with syrk) is never cut."""
     (m, k), n = a.shape, b.shape[1]
-    out = np.empty((m, n))
-    mid = _cut(max(m, n))
-    if m * n * k < SPLIT_WORK or n % LANES or not mid or np.may_share_memory(a, b):
+    out = np.empty((m, n), np.result_type(a, b))
+    lanes = LANES * 8 // out.itemsize
+    mid = _cut(max(m, n), lanes)
+    if m * n * k < SPLIT_WORK or n % lanes or not mid or np.may_share_memory(a, b):
         np.matmul(a, b, out=out)
     elif m >= n:
         _halves(lambda: np.matmul(a[:mid], b, out=out[:mid]),

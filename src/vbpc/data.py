@@ -22,6 +22,9 @@ from .posterior import Hyperparams
 MAGIC = b"VBPC"
 FORMAT_VERSION = 1
 STD_FLOOR = 1e-8
+# Bytes of the float64 row block in which `normalize` streams a split;
+# about a core's L2 cache (1 MiB ran fastest at d = 784 and d = 3072)
+STAT_BLOCK_BYTES = 1 << 20
 # Largest synthetic dataset: desk-scale shapes, a few tens of MB per split
 SYNTHETIC_MAX_N = 1_000_000
 _IDX_IMAGES_MAGIC = 2051
@@ -52,13 +55,17 @@ class Dataset:
     def d(self):
         return self.raw.shape[1]
 
-    def _loaded(self, idx=slice(None)):
-        """A fresh C-ordered float64 block of the loaded rows at `idx`:
-        pixels scaled to [0, 1], float rows copied."""
+    def _loaded(self, idx=slice(None), out=None):
+        """The loaded rows at `idx` as float64, pixels scaled to [0, 1] and
+        float rows copied, in `out` or else a fresh C-ordered block."""
         block = self.raw[idx]
+        if out is None:
+            out = np.empty(block.shape)
         if block.dtype == np.uint8:
-            return np.divide(block, 255.0, order="C")
-        return np.array(block, dtype=np.float64, order="C")
+            np.divide(block, 255.0, out=out)
+        else:
+            out[...] = block
+        return out
 
     def rows(self, idx):
         """The rows at `idx` (an index array or a slice), standardized by the
@@ -200,24 +207,48 @@ def normalize(dataset):
     """Per-feature standardization: the split with the mean and std of its
     loaded features attached, for its rows and for reuse on test data.
 
-    The statistics take one transient n x d buffer, which holds the loaded
-    features, then their squared deviations while the variance is summed.
-    The steps are those of `X.mean(0)` and `X.std(0)` on the loaded
-    features, so the statistics are theirs bit for bit."""
+    The statistics are those of `X.mean(0)` and `X.std(0)` on the loaded
+    features, bit for bit, but no n x d buffer is made: each of the two
+    passes streams the rows through one block of about STAT_BLOCK_BYTES
+    (`_column_sums`)."""
     if dataset.n < 2:
         raise ValueError("need at least 2 rows to estimate statistics")
-    buf, n = dataset._loaded(), dataset.n
+    n, d = dataset.n, dataset.d
+    # numpy sums one column pairwise rather than row after row, so a
+    # one-column split is summed in one block, as the whole is
+    rows = n if d == 1 else min(n, max(1, STAT_BLOCK_BYTES // (8 * d)))
+    buf = np.empty((rows + 1, d))
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add.reduce(buf, 0) / n
-        np.subtract(buf, mean, out=buf)
-        np.square(buf, out=buf)
-        std = np.maximum(np.sqrt(np.add.reduce(buf, 0) / n), STD_FLOOR)
+        mean = _column_sums(dataset, buf) / n
+        std = np.maximum(np.sqrt(_column_sums(dataset, buf, mean) / n), STD_FLOOR)
     # A non-finite feature makes its mean non-finite; a finite std bounds
     # every |x - mean|, so the standardized features are finite.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise ValueError("features too large to standardize: non-finite "
                          "mean or std")
     return replace(dataset, mean=mean, std=std)
+
+
+def _column_sums(dataset, buf, mean=None):
+    """The column sums of the loaded features, or with `mean` of their
+    squared deviations from it, loaded into the rows of `buf` but the first
+    a block at a time. From the second block on, the first row carries the
+    running sum, so each axis-0 reduction adds the rows in the order the
+    reduction of the whole n x d matrix adds them: row after row."""
+    rows = buf.shape[0] - 1
+    total = None
+    for lo in range(0, dataset.n, rows):
+        hi = min(lo + rows, dataset.n)
+        block = dataset._loaded(slice(lo, hi), out=buf[1:1 + hi - lo])
+        if mean is not None:
+            np.subtract(block, mean, out=block)
+            np.square(block, out=block)
+        if total is None:
+            total = np.add.reduce(block, 0)
+        else:
+            buf[0] = total
+            total = np.add.reduce(buf[:1 + hi - lo], 0)
+    return total
 
 
 def normalize_with(dataset, mean, std):

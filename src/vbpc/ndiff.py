@@ -1,4 +1,4 @@
-"""Dense float64 matrices with a reverse-mode gradient tape.
+"""Dense float32 or float64 matrices with a reverse-mode gradient tape.
 
 Everything is a 2-d array (vectors are 1 x n or n x 1). The primitive set is
 closed and fixed: higher layers compose only these ops, so the gradient-check
@@ -20,9 +20,15 @@ the tape of its operands, so only the code that registers leaves and runs
 `backward` names a tape. An op on constants alone records nothing, and a
 node whose tape was dropped acts as a constant.
 
-`Array(values)` adopts a read-only, owning, C-contiguous 2-d float64
-buffer without a copy, since nobody can write through it (parameters that
-`adam_step` returns, say); it copies anything else. `backward` passes a
+An Array holds float32 or float64. `Array(values)` adopts a read-only,
+owning, C-contiguous 2-d buffer of either dtype without a copy, since
+nobody can write through it (parameters that `adam_step` returns, say); it
+copies anything else, to float64 unless it is float32. An op takes
+operands of one dtype and raises NdiffError on mixed ones. `matmul`,
+`affine_relu`, `add`, `scale` and `inner` return their operands' dtype,
+and so does every adjoint, from a seed of the loss's dtype. The SPD
+primitives and `probit_log_softmax` take float64 alone: the posterior is
+float64 whatever dtype its features were computed in. `backward` passes a
 gradient that a vjp returns unchanged on as the same Array and wraps every
 other vjp result without a copy, so no gradient shares memory with a buffer
 the forward saved.
@@ -70,16 +76,31 @@ class NonFiniteError(NdiffError):
 # arrays and tapes
 # ---------------------------------------------------------------------------
 
+# the dtypes an Array keeps; anything else is copied to float64
+_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+# the primitives that read the cached factorization of their first operand
+_SPD = frozenset(("cholesky_solve_spd", "logdet_trinv_spd", "inv_quad_spd"))
+# the primitives whose operands must be float64
+_FLOAT64_ONLY = _SPD | {"probit_log_softmax"}
+
+
+def _kept_dtype(values):
+    """The dtype an Array of `values` holds: theirs if it is float32 or
+    float64, else float64."""
+    dtype = getattr(values, "dtype", None)      # (a dtype equals None)
+    return dtype if dtype is not None and dtype in _DTYPES else np.dtype(np.float64)
+
+
 def _adoptable(values):
     """A buffer nobody can write through: read-only, owning its memory,
-    C-contiguous, 2-d float64."""
-    return (isinstance(values, np.ndarray) and values.dtype == np.float64
+    C-contiguous, 2-d float32 or float64."""
+    return (isinstance(values, np.ndarray) and values.dtype in _DTYPES
             and values.ndim == 2 and values.flags.c_contiguous
             and values.flags.owndata and not values.flags.writeable)
 
 
 def _as_owned_matrix(values):
-    arr = np.array(values, dtype=np.float64, order="C", copy=True)
+    arr = np.array(values, dtype=_kept_dtype(values), order="C", copy=True)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -90,11 +111,12 @@ def _as_owned_matrix(values):
 
 
 class Array:
-    """Immutable 2-d float64 matrix, optionally a node of a tape.
+    """Immutable 2-d float32 or float64 matrix, optionally a node of a tape.
 
     `Array(values)` adopts `values` without a copy when it is a read-only,
-    owning, C-contiguous 2-d float64 ndarray (parameters and coreset arrays
-    from `adam_step`, say); any other input is copied. Either way a
+    owning, C-contiguous 2-d float32 or float64 ndarray (parameters and
+    coreset arrays from `adam_step`, say); any other input is copied, and
+    keeps its dtype if it is float32, else becomes float64. Either way a
     non-finite entry raises NonFiniteError. An adopted buffer was not born
     here, so no allocation window counts it.
 
@@ -121,8 +143,8 @@ class Array:
     def _wrap(cls, arr):
         """Adopt a freshly computed buffer without copying (internal)."""
         obj = cls.__new__(cls)
-        if arr.dtype != np.float64 or not arr.flags.c_contiguous or not arr.flags.owndata:
-            arr = np.array(arr, dtype=np.float64, order="C", copy=True)
+        if arr.dtype not in _DTYPES or not arr.flags.c_contiguous or not arr.flags.owndata:
+            arr = np.array(arr, dtype=_kept_dtype(arr), order="C", copy=True)
         arr.flags.writeable = False
         _register_buffer(arr)
         obj.data = arr
@@ -163,8 +185,8 @@ def _adopt_checked(values):
     return obj
 
 
-def zeros(shape):
-    return Array._wrap(np.zeros(shape, dtype=np.float64))
+def zeros(shape, dtype=np.float64):
+    return Array._wrap(np.zeros(shape, dtype=dtype))
 
 
 def eye(n):
@@ -451,7 +473,8 @@ def apply(op, operands, **params):
     """Run one primitive on a tuple of Arrays, recording it on the live tape
     its operands are nodes of. The other operands are constants that get no
     gradient; with no such tape the op records nothing and returns a
-    constant. Operands from two live tapes raise NdiffError.
+    constant. Operands from two live tapes, operands of two dtypes, and a
+    float32 operand of a float64-only primitive raise NdiffError.
     """
     if op not in _REGISTRY:
         raise NdiffError(f"unknown primitive {op!r}")
@@ -466,7 +489,13 @@ def apply(op, operands, **params):
                 raise NdiffError(f"{op}: operands from two live tapes")
             tape = owner
     datas = [o.data for o in operands]
-    if op in ("cholesky_solve_spd", "logdet_trinv_spd", "inv_quad_spd"):
+    dtype = datas[0].dtype
+    if any(d.dtype != dtype for d in datas):
+        raise NdiffError(f"{op}: mixed operand dtypes "
+                         f"{', '.join(str(d.dtype) for d in datas)}")
+    if op in _FLOAT64_ONLY and dtype != np.float64:
+        raise NdiffError(f"{op}: takes float64 operands, got {dtype}")
+    if op in _SPD:
         params["_chol"] = _chol_of(operands[0])     # `params` is this call's own
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out_data, saved = fwd(*datas, **params)
@@ -484,18 +513,19 @@ def apply(op, operands, **params):
 def backward(tape, seed):
     """Gradients of the scalar `seed` with respect to every leaf of `tape`.
 
-    Returns a dict node-id -> Array. Leaves the seed does not depend on get
-    zero gradients. Fan-out accumulates by summation. A first partial that
-    is the incoming gradient itself keeps its Array; any other is a fresh
-    buffer from the vjp, wrapped without a copy. No gradient shares memory
-    with a buffer the forward saved.
+    Returns a dict node-id -> Array. The gradients take the seed's dtype,
+    and leaves the seed does not depend on get zeros of their own. Fan-out
+    accumulates by summation. A first partial that is the incoming gradient
+    itself keeps its Array; any other is a fresh buffer from the vjp,
+    wrapped without a copy. No gradient shares memory with a buffer the
+    forward saved.
     """
     seed_id = tape.node_id(seed)
     if seed_id is None:
         raise NdiffError("seed is not on this tape")
     if seed.shape != (1, 1):
         raise ShapeError("seed must be a 1x1 scalar")
-    grads = {seed_id: Array._wrap(np.ones((1, 1)))}
+    grads = {seed_id: Array._wrap(np.ones((1, 1), seed.data.dtype))}
     for op, out_id, in_ids, saved in reversed(tape.records):
         g = grads.get(out_id)
         if g is None:
@@ -514,7 +544,7 @@ def backward(tape, seed):
     out = {}
     for leaf_id, leaf in tape._leaves.items():
         got = grads.get(leaf_id)
-        out[leaf_id] = got if got is not None else zeros(leaf.shape)
+        out[leaf_id] = got if got is not None else zeros(leaf.shape, leaf.data.dtype)
     return out
 
 

@@ -97,10 +97,11 @@ def features(net, x):
     """Plain numpy forward pass through the feature layers (head excluded).
 
     Each layer is the forward of `affine_relu`, the primitive that
-    `features_graph` records, on plain arrays: one buffer per layer, and no
-    copy of the input. The primitive checks the shapes.
+    `features_graph` records, on plain arrays: one buffer per layer, in the
+    net's dtype. The input is read in that dtype too, with no copy when it
+    has it already. The primitive checks the shapes.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.head.dtype)
     for w, b in zip(net.weights, net.biases):
         x, _ = nd._fwd_affine_relu(x, w, b)
     return x

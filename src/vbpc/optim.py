@@ -2,23 +2,24 @@
 
 `adam_step` updates the moment buffers of its state in place and returns
 the parameters as new read-only arrays; it never writes to the parameters
-or gradients it is given. It walks each block in slices, so a step
-streams every buffer through memory once instead of once per elementwise
-operation. A block of two slices or more is cut where `_twocore._cut`
-puts it, into two halves of equal length to within `_twocore.LANES`
-elements, and the second half runs on a second core (`_twocore._halves`)
-with its own scratch buffers. Every element goes through the same
-operations in any case, so the result does not depend on the number of
-cores.
+or gradients it is given. It walks each block in slices of one byte size
+whatever the dtype, so a step streams every buffer through memory once
+instead of once per elementwise operation. A block of at least 2 * SLICE
+elements is cut where `_twocore._cut` puts it, into two halves of equal
+length to within `_twocore.LANES` elements, and the second half runs on a
+second core (`_twocore._halves`) with its own scratch buffers. Every
+element goes through the same operations in any case, so the result does
+not depend on the number of cores.
 
 The moment and step arithmetic runs in the dtype of the moment buffers.
-The parameters and gradients are float64 whatever that dtype is: with
-float32 moments each gradient slice is cast once into a float32 scratch
-buffer, and only the last op, p - step, writes a float64 parameter. The
-scalar constants are Python floats, which take the dtype of the buffer
-they meet, so the same ops run in either dtype, and each gives the
-textbook expression's bits in that dtype. The coreset keeps float64
-moments. A network's Gaussian step keeps float32 moments
+Each parameter block keeps its dtype, float32 or float64, and each gradient
+slice that is not of the moments' dtype is cast once into a scratch buffer
+of it; only the last op, p - step, writes a parameter, in the parameter's
+dtype. So with float32 parameters, gradients and moments every op runs in
+float32 with no cast. The scalar constants are Python floats, which take
+the dtype of the buffer they meet, so the same ops run in either dtype, and
+each gives the textbook expression's bits in that dtype. The coreset keeps
+float64 moments. A network's Gaussian step keeps float32 moments
 (`network.gaussian_step`), which halves the memory of its optimizer state.
 
 Each slice of sqrt(v/c2) + EPS and of the result is checked finite while
@@ -34,16 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _twocore
-from .ndiff import NonFiniteError
+from .ndiff import NonFiniteError, _kept_dtype
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-# Elements per slice of the blocked update. Each ufunc call on a slice
-# releases and retakes the interpreter lock, so while two halves run, every
-# call is a handoff between their threads: slices must be long enough that
-# the ops, not the handoffs, take the time. In float64 one slice's p, g,
-# out, m, v and two scratch buffers take 3.5 MiB, inside a core's 4 MiB L2.
+# The bytes of one slice of the blocked update, in float64 elements: a
+# slice of float32 moments is 2 * SLICE elements long. Each ufunc call on a
+# slice releases and retakes the interpreter lock, so while two halves run,
+# every call is a handoff between their threads: slices must be long enough
+# that the ops, not the handoffs, take the time. In float64 one slice's p,
+# g, out, m, v and two scratch buffers take 3.5 MiB, inside a core's 4 MiB
+# L2. A block of at least 2 * SLICE elements, whatever their dtype, is cut.
 SLICE = 65536
 
 
@@ -66,11 +69,13 @@ def adam_step(state, params, grads, lr):
     """One bias-corrected adaptive-moment update.
 
     Updates `state` in place and returns (state, new_params), the new
-    parameters as fresh read-only float64 arrays. Per element, in this
-    order and in the moments' dtype (g cast to it first):
-    m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g,
-    step = (lr*(m/c1)) / (sqrt(v/c2) + EPS); then p - step in float64.
-    A non-finite sqrt(v/c2) + EPS or new parameter raises NonFiniteError.
+    parameters as fresh read-only arrays of the given parameters' dtypes
+    (float32 stays float32; any other dtype but float64 becomes float64).
+    Per element, in this order and in the moments' dtype (g cast to it
+    first): m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g,
+    step = (lr*(m/c1)) / (sqrt(v/c2) + EPS); then p - step in the
+    parameter's dtype. A non-finite sqrt(v/c2) + EPS or new parameter
+    raises NonFiniteError.
     """
     if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("parameter/gradient/state block counts differ")
@@ -90,16 +95,17 @@ def adam_step(state, params, grads, lr):
     c2 = 1.0 - BETA2 ** state.t
     lr = float(lr)
     mids = [_twocore._cut(m.size) if m.size >= 2 * SLICE else 0 for m in state.m]
-    # a pair of scratch buffers per half, no longer than a slice or than the
-    # largest block; a cut block's halves are each a slice or longer
-    n = min(SLICE, max((m.size for m in state.m), default=0))
+    # a pair of scratch buffers per half, as long as a slice of this dtype
+    # or, if shorter, as the largest block: the update walks its elements in
+    # slices of the scratch buffers' length
+    n = min(SLICE * 8 // dtype.itemsize, max((m.size for m in state.m), default=0))
     scratch = [(np.empty(n, dtype), np.empty(n, dtype)) for _ in range(1 + any(mids))]
     new_params = []
     for p, g, m, v, mid in zip(params, grads, state.m, state.v, mids):
-        out = np.empty(m.shape)
-        flats = (np.ascontiguousarray(p, dtype=np.float64).reshape(-1),
-                 np.ascontiguousarray(g, dtype=np.float64).reshape(-1),
-                 m.reshape(-1), v.reshape(-1), out.reshape(-1))
+        p, g = (np.ascontiguousarray(x, dtype=_kept_dtype(x)) for x in (p, g))
+        out = np.empty(m.shape, p.dtype)
+        flats = (p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1),
+                 out.reshape(-1))
         if mid:
             _twocore._halves(lambda: _update(flats, 0, mid, scratch[0], c1, c2, lr),
                              lambda: _update(flats, mid, m.size, scratch[1], c1, c2, lr))
@@ -111,15 +117,14 @@ def adam_step(state, params, grads, lr):
 
 
 def _update(flats, lo, hi, scratch, c1, c2, lr):
-    """Adam on elements [lo, hi) of the flat (p, g, m, v, out) buffers,
-    slice by slice, in the two `scratch` buffers of the moments' dtype, each
-    at least min(SLICE, hi - lo) long. The second holds the gradient cast
-    to that dtype, if it is not float64, until it has entered both
-    moments."""
+    """Adam on elements [lo, hi) of the flat (p, g, m, v, out) buffers, in
+    slices as long as the two `scratch` buffers of the moments' dtype. The
+    second holds the gradient cast to that dtype, if it is not of it, until
+    it has entered both moments."""
     p_flat, g_flat, m_flat, v_flat, out_flat = flats
     a, b = scratch
-    for start in range(lo, hi, SLICE):
-        end = min(start + SLICE, hi)
+    for start in range(lo, hi, len(a)):
+        end = min(start + len(a), hi)
         gs, ms, vs = g_flat[start:end], m_flat[start:end], v_flat[start:end]
         sa, sb = a[:end - start], b[:end - start]
         if gs.dtype != sb.dtype:

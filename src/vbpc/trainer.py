@@ -335,6 +335,14 @@ def _train(config, dataset, sink):
     return coreset.with_arrays(images, labels)
 
 
+def _read_only_float32(values):
+    """A fresh read-only, owning, C-ordered float32 copy of `values`, which
+    the tape adopts without a copy."""
+    out = np.array(values, dtype=np.float32, order="C")
+    out.flags.writeable = False
+    return out
+
+
 def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     """Variational inference and single-pass model averaging with a coreset.
 
@@ -343,17 +351,35 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     predicts the test split with one feature evaluation per input. Returns
     {"acc", "nll", "cond_lb", "jitter_retries"}: the last two report the
     health of the posterior's factored system, as the training records do.
+
+    The network runs in float32: its drawn parameters, the coreset's images
+    and labels are cast once, and its Gaussian steps and both feature passes
+    run at sgemm's rate. The coreset and test features enter the posterior
+    and the predictive moments as float64. When it returns, the heap pages
+    its buffers held go back to the operating system, as after `train`.
     """
     if tprime < 0:
         raise ValueError(f"tprime must be >= 0, got {tprime}")
+    try:
+        return _evaluate(coreset, test_x, test_labels, widths, tprime, seed)
+    finally:
+        _release_freed_memory()
+
+
+def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
+    """The body of `evaluate_coreset`; its buffers die when it returns."""
     hyper = coreset.hyper
     net = init_net(widths, coreset.k, np.random.SeedSequence([seed, 0]))
+    net = net.replace_params([_read_only_float32(p) for p in net.params])
+    images = _read_only_float32(coreset.images)
+    labels = _read_only_float32(coreset.labels)
     state = None
     for _ in range(tprime):
-        net, state = gaussian_step(net, coreset.images, coreset.labels,
-                                   hyper.gamma, TrainConfig.pool_lr, state=state)
-    post = solve_posterior(features(net, coreset.images), coreset.labels, hyper)
-    batch = predictive_moments(post, features(net, test_x))
+        net, state = gaussian_step(net, images, labels, hyper.gamma,
+                                   TrainConfig.pool_lr, state=state)
+    phi = features(net, images).astype(np.float64)
+    post = solve_posterior(phi, coreset.labels, hyper)
+    batch = predictive_moments(post, features(net, test_x).astype(np.float64))
     log_probs = probit_log_softmax(batch.mean, batch.variance)
     acc, nll = metrics(log_probs, test_labels)
     return {"acc": acc, "nll": nll, "cond_lb": condition_lower_bound(post),

@@ -13,6 +13,7 @@ from vbpc.data import (STD_FLOOR, CoresetFileError, Dataset, gen_synthetic,
                        load_idx, normalize, normalize_with, init_coreset,
                        scaled_onehot_labels, save_coreset, load_coreset,
                        PseudoCoreset)
+from vbpc import data
 from vbpc.posterior import Hyperparams
 
 
@@ -172,6 +173,55 @@ def test_normalize_leaves_no_feature_buffer_alive():
     # the statistics outlive the call; the n x d buffer they took does not
     assert current <= (8 * ds.d + np.getbufsize()) * ds.raw.itemsize
     assert "X" not in out.__dict__
+
+
+def _one_buffer_statistics(ds):
+    X = ds._loaded()
+    return X.mean(0), np.maximum(X.std(0), STD_FLOOR)
+
+
+@pytest.mark.parametrize("kind", ["pixels", "floats"])
+@pytest.mark.parametrize("n", [2, 4, 5, 11, 40])
+def test_streamed_statistics_are_the_one_buffer_statistics(monkeypatch, kind, n):
+    # blocks of four rows: one block or several, with a ragged last block
+    # unless n is a multiple of four; the bits are those of the whole
+    # matrix's mean(0) and std(0)
+    d = 6
+    monkeypatch.setattr(data, "STAT_BLOCK_BYTES", 4 * 8 * d)
+    rng = np.random.default_rng(n)
+    if kind == "pixels":
+        raw = rng.integers(0, 256, (n, d), dtype=np.uint8)
+    else:
+        raw = rng.standard_normal((n, d)) * np.logspace(-6, 6, d) + rng.standard_normal(d) * 1e3
+    ds = Dataset(raw=raw, labels=np.zeros(n, dtype=np.int64), k=2)
+    mean, std = _one_buffer_statistics(ds)
+    out = normalize(ds)
+    assert out.mean.tobytes() == mean.tobytes() and out.std.tobytes() == std.tobytes()
+
+
+def test_one_column_statistics_are_the_one_buffer_statistics(monkeypatch):
+    # numpy sums a single column pairwise, not row after row: such a split
+    # is summed in one block whatever the block size
+    monkeypatch.setattr(data, "STAT_BLOCK_BYTES", 4 * 8)
+    raw = np.random.default_rng(3).standard_normal((1000, 1)) * 1e3 + 0.1
+    ds = Dataset(raw=raw, labels=np.zeros(1000, dtype=np.int64), k=2)
+    mean, std = _one_buffer_statistics(ds)
+    out = normalize(ds)
+    assert out.mean.tobytes() == mean.tobytes() and out.std.tobytes() == std.tobytes()
+
+
+def test_normalize_streams_through_one_block():
+    # no n x d buffer: the peak is one block of about STAT_BLOCK_BYTES and
+    # the slack the one-buffer test allows, under half of the matrix's bytes
+    ds = wide_features()
+    assert 2 * data.STAT_BLOCK_BYTES < ds.X.nbytes
+    tracemalloc.start()
+    try:
+        normalize(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= data.STAT_BLOCK_BYTES + (8 * ds.d + np.getbufsize()) * 8
 
 
 def test_normalize_with_names_both_widths():

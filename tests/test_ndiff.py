@@ -619,6 +619,90 @@ def test_gradients_share_no_memory_with_saved_buffers():
 
 
 # ---------------------------------------------------------------------------
+# float32 operands
+# ---------------------------------------------------------------------------
+
+def _float32_graph(rng):
+    """A float32 leaf through every primitive that takes float32."""
+    tape = nd.Tape()
+    x = tape.leaf(nd.Array(rng.standard_normal((5, 4)).astype(np.float32)))
+    w = tape.leaf(nd.Array(rng.standard_normal((4, 3)).astype(np.float32)))
+    b = tape.leaf(nd.Array(rng.standard_normal((1, 3)).astype(np.float32)))
+    unused = tape.leaf(nd.Array(np.ones((2, 2), np.float32)))
+    h = nd.affine_relu(x, w, b)
+    h = nd.add(nd.matmul(h, w, trans_b=True), nd.scale(x, -0.5))
+    loss = nd.scale(nd.inner(h, h), 0.25)
+    return tape, loss, (x, w, b, unused)
+
+
+def test_float32_ops_and_their_gradients_stay_float32():
+    tape, loss, leaves = _float32_graph(np.random.default_rng(30))
+    assert loss.data.dtype == np.float32
+    grads = nd.backward(tape, loss)
+    for leaf in leaves:
+        grad = grads[tape.node_id(leaf)].data
+        assert grad.dtype == np.float32 and grad.shape == leaf.shape
+    assert not grads[tape.node_id(leaves[3])].data.any()
+
+
+@pytest.mark.parametrize("op", [
+    lambda a, b: nd.matmul(a, b), lambda a, b: nd.add(a, b),
+    lambda a, b: nd.inner(a, b), lambda a, b: nd.affine_relu(a, b, nd.zeros((1, 3))),
+])
+def test_mixed_operand_dtypes_raise(op):
+    a = nd.Array(np.ones((3, 3)))
+    b = nd.Array(np.ones((3, 3), np.float32))
+    with pytest.raises(nd.NdiffError, match="mixed operand dtypes"):
+        op(a, b)
+    with pytest.raises(nd.NdiffError, match="mixed operand dtypes"):
+        op(b, a)
+
+
+def test_spd_primitives_and_probit_take_float64_alone():
+    a32 = nd.Array((np.eye(3) * 2.0).astype(np.float32))
+    b32 = nd.Array(np.ones((3, 2), np.float32))
+    calls = [lambda: nd.cholesky_solve_spd(a32, b32), lambda: nd.logdet_trinv_spd(a32),
+             lambda: nd.inv_quad_spd(a32, b32),
+             lambda: nd.probit_log_softmax(b32, nd.Array(np.ones((3, 1), np.float32)), 0.4)]
+    for call in calls:
+        with pytest.raises(nd.NdiffError, match="takes float64 operands, got float32"):
+            call()
+    assert a32._chol is None        # rejected before any factorization
+
+
+# (m, n, k) at most 15% above SPLIT_WORK: the output's columns are whole
+# 16-float registers, and cut, or only whole 8-double ones, and not cut
+FLOAT32_PRODUCTS = [((129, 64, 509), 1), ((17, 2064, 121), 1), ((1001, 512, 9), 1),
+                    ((40, 264, 401), 0), ((1001, 520, 9), 0)]
+
+
+@pytest.mark.parametrize("shape,cuts", FLOAT32_PRODUCTS)
+def test_float32_product_is_bit_equal_on_one_core_or_two(halves_calls, monkeypatch,
+                                                         shape, cuts):
+    m, n, k = shape
+    assert _twocore.SPLIT_WORK <= m * n * k <= 1.15 * _twocore.SPLIT_WORK
+    assert n % 16 == (0 if cuts else 8)
+    rng = np.random.default_rng(m + n + k)
+    a = rng.standard_normal((m, k)).astype(np.float32)
+    b = rng.standard_normal((k, n)).astype(np.float32)
+    two = _twocore._product(a, b)
+    assert len(halves_calls) == cuts
+    assert two.dtype == np.float32 and two.flags.c_contiguous
+    monkeypatch.setattr(_twocore, "_worker", False)
+    assert _twocore._product(a, b).tobytes() == two.tobytes() == (a @ b).tobytes()
+
+
+def test_window_counts_a_float32_buffer_as_half():
+    with nd.track_allocations() as window:
+        kept = nd.zeros((10, 10), np.float32)
+        assert window.live == window.peak == window.largest_block == 50
+        also = nd.Array(np.ones((3, 3), np.float32))
+        assert window.live == 54.5 and window.largest_block == 50
+        del kept, also
+    assert window.live == 0 and window.peak == 54.5
+
+
+# ---------------------------------------------------------------------------
 # two halves
 # ---------------------------------------------------------------------------
 
@@ -986,16 +1070,24 @@ def test_array_adopts_read_only_owned_c_contiguous_float64():
     lambda x: x,                                        # writable
     lambda x: _read_only(x)[:, :2],                     # view: owns nothing
     lambda x: _read_only(np.asfortranarray(x)),         # not C-contiguous
-    lambda x: _read_only(x.astype(np.float32)),         # not float64
+    lambda x: _read_only(x.astype(np.float16)),         # neither float32 nor 64
     lambda x: _read_only(x.reshape(-1).copy()),         # not 2-d
 ])
 def test_array_copies_anything_else(make):
     values = make(np.random.default_rng(1).standard_normal((3, 4)))
     arr = nd.Array(values)
     assert not np.shares_memory(arr.data, values)
+    assert arr.data.dtype == np.float64
     np.testing.assert_array_equal(arr.data.ravel(),
                                   np.asarray(values, dtype=np.float64).ravel())
     assert not arr.data.flags.writeable
+
+
+def test_array_adopts_and_copies_float32_as_float32():
+    values = _read_only(np.random.default_rng(1).standard_normal((3, 4)).astype(np.float32))
+    assert nd.Array(values).data is values
+    for copied in (nd.Array(values.copy()), nd.Array(values[:, :2])):
+        assert copied.data.dtype == np.float32 and not copied.data.flags.writeable
 
 
 def test_adopted_non_finite_buffer_raises():

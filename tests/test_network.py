@@ -255,6 +255,46 @@ def test_float32_moments_train_like_float64_over_a_pool_period(shape, seed):
     assert abs(got - want) / (start - want) <= 2.9e-5
 
 
+def _read_only(values, dtype):
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _gaussian_grads(net, images, labels, gamma):
+    tape = nd.Tape()
+    leaves = [tape.leaf(nd._adopt_checked(p)) for p in net.params]
+    loss = gaussian_likelihood_loss(net, images, labels, gamma, leaves)
+    grads = nd.backward(tape, loss)
+    return loss, [grads[tape.node_id(leaf)].data for leaf in leaves]
+
+
+@pytest.mark.parametrize("widths, k, nhat", [((5, 16, 8), 3, 6), ((64, 128, 96), 10, 40)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_gaussian_gradient_agrees_with_float64(widths, k, nhat, seed):
+    # the same net, images and labels in float32 and in float64: every
+    # block's gradient agrees to rounding. Over seeds 0-3 the gradients'
+    # relative error read 2.0e-7 to 3.6e-7 at these shapes and at
+    # (784, 256, 256) and (3072, 512, 512), and the losses' 2e-8 to 1.0e-7
+    # at these shapes; each gate is ten times the worst
+    rng = np.random.default_rng(seed)
+    net = init_net(widths, k, seed)
+    images, labels = rng.standard_normal((nhat, widths[0])), rng.standard_normal((nhat, k))
+    loss64, want = _gaussian_grads(net, _read_only(images, np.float64), labels, 100.0)
+    net32 = net.replace_params([_read_only(p, np.float32) for p in net.params])
+    images32, labels32 = _read_only(images, np.float32), _read_only(labels, np.float32)
+    loss32, got = _gaussian_grads(net32, images32, labels32, 100.0)
+    assert loss32.data.dtype == np.float32
+    assert abs(loss32.item() - loss64.item()) <= 1.0e-6 * loss64.item()
+    for g32, g64 in zip(got, want):
+        assert g32.dtype == np.float32
+        assert np.linalg.norm(g32 - g64) <= 3.6e-6 * np.linalg.norm(g64)
+    # a float32 net's step keeps float32 parameters and moments
+    stepped, state = gaussian_step(net32, images32, labels32, 100.0, 1e-3)
+    assert all(p.dtype == np.float32 and not p.flags.writeable for p in stepped.params)
+    assert all(m.dtype == np.float32 for m in state.m + state.v)
+
+
 def test_gaussian_loss_decreases_over_training():
     rng = np.random.default_rng(6)
     net = init_net((3, 8), k=2, seed=7)

@@ -111,6 +111,28 @@ def test_adam_float32_moments_match_textbook_bit_for_bit(halves_calls):
         assert a.tobytes() == b.tobytes()
 
 
+def test_adam_float32_parameters_run_in_float32_with_no_cast(halves_calls, monkeypatch):
+    # float32 parameters, gradients and moments: the blocks keep float32,
+    # no slice is cast, and every bit is the textbook expression's in
+    # float32; a block of 2 * SLICE elements is cut, in slices of 2 * SLICE
+    rng = np.random.default_rng(13)
+    shapes = [(2 * optim.SLICE + 77, 1), (3, 5)]
+    params = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    grads = [[rng.standard_normal(s).astype(np.float32) for s in shapes] for _ in range(3)]
+    want, want_m, want_v = textbook_adam(list(params), grads, 0.003, 3, np.float32)
+    casts = []
+    real_copyto = np.copyto
+    monkeypatch.setattr(optim.np, "copyto", lambda *a, **k: casts.append(1) or real_copyto(*a, **k))
+    state = AdamState.init(params, np.float32)
+    got = params
+    for g in grads:
+        state, got = adam_step(state, got, g, lr=0.003)
+    assert casts == [] and len(halves_calls) == 3
+    assert all(p.dtype == np.float32 and not p.flags.writeable for p in got)
+    for a, b in zip(got + state.m + state.v, want + want_m + want_v):
+        assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def update_spans(monkeypatch):
     """(lo, hi, scratch lengths) of every `optim._update` call."""
@@ -142,7 +164,8 @@ def test_adam_cuts_a_block_into_halves_of_equal_length(halves_calls, update_span
     (lo1, mid, *first), (mid2, hi, *second) = sorted(update_spans)[::2]
     assert lo1 == 0 and mid == mid2 and hi == 784 * 256
     assert mid % _twocore.LANES == 0 and abs((hi - mid) - mid) <= _twocore.LANES
-    assert first == second == [optim.SLICE] * 2
+    # scratch buffers of a slice's bytes: SLICE doubles or 2 * SLICE floats
+    assert first == second == [optim.SLICE * 8 // np.dtype(dtype).itemsize] * 2
     for a, b in zip(got + state.m + state.v, want + want_m + want_v):
         assert a.tobytes() == b.tobytes()
 
@@ -538,6 +561,48 @@ def test_eval_is_the_same_on_one_core_or_two(halves_calls, monkeypatch):
     one = evaluate_coreset(coreset, test.X, test.labels, (2, 512, 256), tprime=5, seed=3)
     assert cuts >= 5 and len(halves_calls) == 2 * cuts
     assert one == two
+
+
+def _evaluate_in_float64(coreset, test_x, test_labels, widths, tprime, seed):
+    """evaluate_coreset's steps, written out from the public functions with
+    the network left in float64: (acc, nll)."""
+    from vbpc.posterior import solve_posterior
+    from vbpc.predictive import metrics, predictive_moments, probit_log_softmax
+    net = network.init_net(widths, coreset.k, np.random.SeedSequence([seed, 0]))
+    state = None
+    for _ in range(tprime):
+        net, state = network.gaussian_step(net, coreset.images, coreset.labels,
+                                           coreset.hyper.gamma, TrainConfig.pool_lr,
+                                           state=state)
+    post = solve_posterior(network.features(net, coreset.images), coreset.labels,
+                           coreset.hyper)
+    batch = predictive_moments(post, network.features(net, test_x))
+    assert net.head.dtype == np.float64
+    return metrics(probit_log_softmax(batch.mean, batch.variance), test_labels)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eval_agrees_with_a_float64_network(seed):
+    # ten classes of 64-pixel prototypes: the float32 evaluation net gives
+    # the float64 one's accuracy, and its NLL to rounding. Over seeds 0-5
+    # |NLL difference| read 2e-9 to 1.7e-6 (seed 2); the gate is ten times
+    # the worst
+    from vbpc.data import PseudoCoreset, scaled_onehot_labels
+    from vbpc.posterior import Hyperparams
+    rng = np.random.default_rng(5)
+    classes = np.repeat(np.arange(10), 10)
+    prototypes = rng.standard_normal((10, 64))
+    images = 0.5 * prototypes[classes] + rng.standard_normal((100, 64))
+    test_labels = rng.integers(0, 10, 500)
+    test_x = 0.5 * prototypes[test_labels] + rng.standard_normal((500, 64))
+    coreset = PseudoCoreset(images=images, labels=scaled_onehot_labels(classes, 10),
+                            ipc=10, hyper=Hyperparams(rho=1.0, gamma=100.0,
+                                                      beta_s=100.0, beta_d=1e-8))
+    acc, nll = _evaluate_in_float64(coreset, test_x, test_labels, (64, 128, 128), 30, seed)
+    got = evaluate_coreset(coreset, test_x, test_labels, (64, 128, 128), tprime=30,
+                           seed=seed)
+    assert got["acc"] == acc
+    assert abs(got["nll"] - nll) <= 1.7e-5
 
 
 def test_eval_counts_one_feature_pass_per_input():
