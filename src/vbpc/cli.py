@@ -9,7 +9,8 @@ silently. Data sources use a compact spec grammar:
 
 Each synthetic field is given once; n is at most 10^6 and noise finite and
 non-negative. Config, spec, flag and dataset errors are reported before
-any output; seeds and --tprime are non-negative integers.
+any output; seeds and --tprime are non-negative integers. eval reads only
+the test split, and standardizes it by the statistics in the coreset file.
 
 Exit codes: 0 success, 1 numerical failure (train or eval), 2 usage, config
 and input-file errors.
@@ -161,37 +162,32 @@ def _parse_synthetic(spec):
     return kind, fields
 
 
-def load_data(spec, seed):
-    """Returns (train, test) datasets, both normalized with train stats."""
+def _read_split(spec, seed, split):
+    """Split 0 (training) or 1 (test) of `spec` as loaded, and nothing else;
+    None for the test split of an idx spec without one."""
     if spec.startswith("synthetic:"):
         kind, fields = _parse_synthetic(spec)
         try:
-            train_ds = gen_synthetic(kind, **fields,
-                                     seed=np.random.SeedSequence([seed, 0]))
-            test_ds = gen_synthetic(kind, **fields,
-                                    seed=np.random.SeedSequence([seed, 1]))
+            return gen_synthetic(kind, **fields,
+                                 seed=np.random.SeedSequence([seed, split]))
         except ValueError as err:
             raise ConfigError(f"bad synthetic spec {spec!r}: {err}") from err
-    elif spec.startswith("idx:"):
-        body = spec[4:]
-        test_part = None
-        if ";test=" in body:
-            body, test_part = body.split(";test=", 1)
-        try:
-            images, labels = body.split(",")
-        except ValueError as err:
-            raise ConfigError(f"bad idx spec {spec!r}") from err
-        train_ds = load_idx(images, labels)
-        test_ds = None
-        if test_part is not None:
-            try:
-                test_images, test_labels = test_part.split(",")
-            except ValueError as err:
-                raise ConfigError(f"bad idx test spec {spec!r}") from err
-            test_ds = load_idx(test_images, test_labels)
-    else:
+    if not spec.startswith("idx:"):
         raise ConfigError(f"unknown data spec {spec!r} (synthetic:... or idx:...)")
+    parts = spec[4:].split(";test=", 1)
+    if split == len(parts):
+        return None
+    try:
+        images, labels = parts[split].split(",")
+    except ValueError as err:
+        raise ConfigError(f"bad idx {'test ' * split}spec {spec!r}") from err
+    return load_idx(images, labels)
 
+
+def load_data(spec, seed):
+    """Returns (train, test) datasets, both normalized with train stats."""
+    train_ds = _read_split(spec, seed, 0)
+    test_ds = _read_split(spec, seed, 1)
     try:
         train_ds = normalize(train_ds)
         if test_ds is not None:
@@ -238,13 +234,17 @@ def cmd_train(args):
 
 def cmd_eval(args):
     coreset = load_coreset(args.coreset)
-    _, test_ds = load_data(args.data, args.seed)
+    test_ds = _read_split(args.data, args.seed, 1)
     if test_ds is None:
         raise ConfigError("eval needs a test split (synthetic specs provide "
                           "one; idx specs need ;test=...)")
     if test_ds.d != coreset.images.shape[1]:
         raise ConfigError(f"dimension mismatch: coreset d={coreset.images.shape[1]}, "
                           f"data d={test_ds.d}")
+    if test_ds.labels.max() >= coreset.k:
+        raise ConfigError(f"the test split of {args.data!r} has {test_ds.labels.max() + 1}"
+                          f" classes, the coreset {coreset.k}")
+    test_ds = normalize_with(test_ds, coreset.mean, coreset.std)
     widths = (test_ds.d, *args.hidden)
     result = evaluate_coreset(coreset, test_ds.X, test_ds.labels, widths,
                               tprime=args.tprime, seed=args.seed)
@@ -270,36 +270,25 @@ def cmd_bench(args):
     return EXIT_OK
 
 
-def _denormalize(values, mean, std):
-    return values * std + mean if mean is not None else values
-
-
 def cmd_export_images(args):
     coreset = load_coreset(args.coreset)
-    nhat, d = coreset.images.shape
-    mean = std = None
-    if args.data:
-        train_ds, _ = load_data(args.data, args.seed)
-        if train_ds.d != d:
-            raise ConfigError(f"dimension mismatch: coreset d={d}, data "
-                              f"d={train_ds.d}")
-        mean, std = train_ds.mean, train_ds.std
+    d = coreset.images.shape[1]
     os.makedirs(args.out, exist_ok=True)
     classes = coreset.labels.argmax(axis=1)
+    values = coreset.images * coreset.std + coreset.mean
 
     if d == 2:
-        points = _denormalize(coreset.images, mean, std)
         path = os.path.join(args.out, "coreset.csv")
         with open(path, "w") as fh:
             fh.write("x,y,label\n")
-            for (x, y), cls in zip(points, classes):
+            for (x, y), cls in zip(values, classes):
                 fh.write(f"{float(x)!r},{float(y)!r},{cls}\n")
         return EXIT_OK
 
     side = math.isqrt(d)
     if side * side != d:
         raise ConfigError(f"cannot export d={d}: not a square image or 2-d points")
-    pixels = np.clip(_denormalize(coreset.images, mean, std), 0.0, 1.0)
+    pixels = np.clip(values, 0.0, 1.0)
     counters = {}
     for row, cls in zip(pixels, classes):
         idx = counters.get(cls, 0)
@@ -346,8 +335,6 @@ def build_parser():
     p = sub.add_parser("export-images", help="write coreset rows as PGM/CSV")
     p.add_argument("--coreset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--data", default=None)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(run=cmd_export_images)
     return parser
 

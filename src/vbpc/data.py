@@ -6,7 +6,8 @@ holds its features as loaded, with the statistics `normalize` estimated,
 and standardizes rows as they are read: a training run reads only its
 batches, so it never builds a float64 copy of the split. Coresets
 round-trip through a small versioned, checksummed little-endian binary
-format (magic "VBPC").
+format (magic "VBPC") that carries the training statistics the images are
+standardized by, so a coreset file needs no training data to be read.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from .posterior import Hyperparams
 
 MAGIC = b"VBPC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 STD_FLOOR = 1e-8
 # Bytes of the float64 row block in which `normalize` streams a split;
 # about a core's L2 cache (1 MiB ran fastest at d = 784 and d = 3072)
@@ -93,12 +94,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PseudoCoreset:
-    """Learnable images (nhat x d) and real-valued labels (nhat x k)."""
+    """Learnable images (nhat x d), real-valued labels (nhat x k), and the
+    mean and std the images are standardized by (None: 0 and 1 on file)."""
 
     images: np.ndarray
     labels: np.ndarray
     ipc: int
     hyper: Hyperparams
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
 
     @property
     def nhat(self):
@@ -296,13 +300,14 @@ def init_coreset(dataset, ipc, mode, seed, hyper=None):
     if hyper is None:
         hyper = Hyperparams(rho=1.0, gamma=100.0, beta_s=float(ipc * k),
                             beta_d=1e-8)
-    return PseudoCoreset(images=images, labels=labels, ipc=ipc, hyper=hyper)
+    return PseudoCoreset(images=images, labels=labels, ipc=ipc, hyper=hyper,
+                         mean=dataset.mean, std=dataset.std)
 
 
 # ---------------------------------------------------------------------------
 # coreset file format: magic | version u32 | nhat,d,k,ipc u32 |
-# rho,gamma,beta_s,beta_d f64 | X then Y row-major f64 | crc32 u32,
-# everything little-endian
+# rho,gamma,beta_s,beta_d f64 | X then Y row-major f64 | mean then std f64 |
+# crc32 u32, everything little-endian
 # ---------------------------------------------------------------------------
 
 def save_coreset(coreset, path):
@@ -313,15 +318,18 @@ def save_coreset(coreset, path):
     body += MAGIC
     body += struct.pack("<IIIII", FORMAT_VERSION, nhat, d, k, coreset.ipc)
     body += struct.pack("<dddd", h.rho, h.gamma, h.beta_s, h.beta_d)
-    body += np.ascontiguousarray(coreset.images, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(coreset.labels, dtype="<f8").tobytes()
+    mean = np.zeros(d) if coreset.mean is None else coreset.mean
+    std = np.ones(d) if coreset.std is None else coreset.std
+    for values in (coreset.images, coreset.labels, mean, std):
+        body += np.ascontiguousarray(values, dtype="<f8").tobytes()
     body += struct.pack("<I", zlib.crc32(bytes(body)))
     with open(path, "wb") as fh:
         fh.write(bytes(body))
 
 
 def load_coreset(path):
-    """Read a coreset file; a malformed one raises CoresetFileError naming it."""
+    """Read a coreset file, with its statistics; a malformed one, or one of
+    another format version, raises CoresetFileError naming it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 + 20 + 32 + 4 or blob[:4] != MAGIC:
@@ -335,19 +343,23 @@ def load_coreset(path):
         raise CoresetFileError(f"{path}: unsupported format version {version}, "
                                f"reader supports {FORMAT_VERSION}")
     rho, gamma, beta_s, beta_d = struct.unpack("<dddd", blob[24:56])
-    need = 56 + 8 * nhat * (d + k) + 4
+    count = nhat * (d + k) + 2 * d
+    need = 56 + 8 * count + 4
     if min(nhat, d, k) < 1 or len(blob) != need:
         raise CoresetFileError(f"{path}: bad sizes nhat={nhat}, d={d}, k={k} for "
                                f"{len(blob)} bytes (they need {need})")
-    images = np.frombuffer(blob, dtype="<f8", count=nhat * d, offset=56)
-    labels = np.frombuffer(blob, dtype="<f8", count=nhat * k,
-                           offset=56 + 8 * nhat * d)
+    payload = np.frombuffer(blob, dtype="<f8", count=count, offset=56)
+    images, labels, stats = np.split(payload, [nhat * d, nhat * (d + k)])
     if not (np.isfinite(images).all() and np.isfinite(labels).all()):
         raise CoresetFileError(f"{path}: non-finite value in images or labels")
+    mean, std = stats.reshape(2, d)
+    if not (np.isfinite(stats).all() and (std >= STD_FLOOR).all()):
+        raise CoresetFileError(f"{path}: bad statistics: mean and std must be "
+                               f"finite and std >= {STD_FLOOR}")
     try:
         hyper = Hyperparams(rho=rho, gamma=gamma, beta_s=beta_s, beta_d=beta_d)
     except ValueError as err:
         raise CoresetFileError(f"{path}: bad hyperparameters: {err}") from err
     return PseudoCoreset(images=images.reshape(nhat, d).copy(),
-                         labels=labels.reshape(nhat, k).copy(),
-                         ipc=ipc, hyper=hyper)
+                         labels=labels.reshape(nhat, k).copy(), ipc=ipc,
+                         hyper=hyper, mean=mean.copy(), std=std.copy())

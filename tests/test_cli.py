@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from vbpc import predictive, trainer
 from vbpc.cli import (ConfigError, main, parse_config, write_config,
                       load_data)
-from vbpc.data import CoresetFileError, PseudoCoreset, save_coreset
+from vbpc.data import (CoresetFileError, PseudoCoreset, load_coreset,
+                       normalize_with, save_coreset)
 from vbpc.posterior import Hyperparams
 from vbpc.trainer import TrainConfig
 
@@ -296,13 +297,11 @@ def test_train_bad_config_exits_2_before_output(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("train", "--seed"), ("eval", "--seed"), ("export-images", "--seed"),
-    ("eval", "--tprime")])
+    ("train", "--seed"), ("eval", "--seed"), ("eval", "--tprime")])
 def test_negative_count_flag_exits_2_naming_it(tmp_path, capsys, command, flag):
     out = tmp_path / "never"
     args = {"train": ["--config", write_cfg(tmp_path, TINY), "--data", MOONS],
-            "eval": ["--coreset", "c.vbpc", "--data", MOONS],
-            "export-images": ["--coreset", "c.vbpc"]}[command]
+            "eval": ["--coreset", "c.vbpc", "--data", MOONS]}[command]
     assert main([command, *args, "--out", str(out), flag, "-1"]) == 2
     assert not out.exists()
     captured = capsys.readouterr()
@@ -568,6 +567,67 @@ def test_eval_numerical_failure_exits_1(tmp_path, capsys):
     assert "non-finite" in err and not out.exists()
 
 
+def test_eval_reads_no_training_split(tmp_path, capsys):
+    # the coreset file carries the training statistics, so eval prints the
+    # evaluation of the test split standardized by them, and the same line
+    # once the training IDX files are gone
+    train_part = write_idx_split(tmp_path, "train", 40, 3)
+    spec = f"idx:{train_part};test={write_idx_split(tmp_path, 'test', 10, 3)}"
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_cfg(tmp_path, TINY), "--data", spec,
+                 "--out", str(out)]) == 0
+    _, test_ds = load_data(spec, seed=0)
+    expect = trainer.evaluate_coreset(load_coreset(out / "coreset.vbpc"), test_ds.X,
+                                      test_ds.labels, (9, 8), tprime=5, seed=0)
+    args = ["eval", "--coreset", str(out / "coreset.vbpc"), "--data", spec,
+            "--tprime", "5", "--hidden", "8", "--out", str(tmp_path / "ev")]
+    assert main(args) == 0
+    line = capsys.readouterr().out
+    assert json.loads(line) == expect
+    for path in train_part.split(","):
+        os.remove(path)
+    assert main(args) == 0
+    assert capsys.readouterr().out == line
+
+
+def test_eval_standardizes_by_the_training_draw_of_the_coreset(tmp_path, capsys):
+    # trained on seed 7's draw, evaluated on seed 0's test split: the test
+    # rows are standardized by seed 7's training statistics, not seed 0's
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_cfg(tmp_path, TINY), "--data", MOONS,
+                 "--out", str(out), "--seed", "7"]) == 0
+    assert main(["eval", "--coreset", str(out / "coreset.vbpc"), "--data", MOONS,
+                 "--tprime", "5", "--hidden", "8", "--seed", "0",
+                 "--out", str(tmp_path / "ev")]) == 0
+    train7, _ = load_data(MOONS, seed=7)
+    test0 = normalize_with(load_data(MOONS, seed=0)[1], train7.mean, train7.std)
+    expect = trainer.evaluate_coreset(load_coreset(out / "coreset.vbpc"), test0.X,
+                                      test0.labels, (2, 8), tprime=5, seed=0)
+    assert json.loads(capsys.readouterr().out) == expect
+
+
+def test_eval_rejects_test_labels_beyond_the_coreset_before_work(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a 2-class coreset cannot score a 3-class test split: eval says so
+    # before its first Gaussian step, naming the split and both counts
+    path = bad_value_coreset(tmp_path, 56, 0.5)
+    steps = []
+    real = trainer.gaussian_step
+
+    def counting_step(*args, **kwargs):
+        steps.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "gaussian_step", counting_step)
+    spec = "synthetic:blobs:n=30,k=3,noise=0.1"
+    out = tmp_path / "never"
+    assert main(["eval", "--coreset", path, "--data", spec, "--tprime", "5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: the test split of {spec!r} has 3 "
+                                       f"classes, the coreset 2\n")
+    assert steps == [] and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench command
 # ---------------------------------------------------------------------------
@@ -613,18 +673,18 @@ def idx_pair(tmp_path, pixels, labels, shape=(2, 2)):
 
 
 def test_export_square_images_denormalized(tmp_path):
-    # two 2x2 images with distinct pixel values; stats come from the data
+    # two 2x2 images with distinct pixel values; the coreset file carries
+    # the statistics of the data
     spec = idx_pair(tmp_path, [10, 60, 110, 160, 50, 100, 150, 200], [0, 1])
     train, _ = load_data(spec, seed=0)
     hyper = Hyperparams(rho=1.0, gamma=1.0, beta_s=1.0)
     coreset = PseudoCoreset(images=np.zeros((2, 4)),
                             labels=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                            ipc=1, hyper=hyper)
+                            ipc=1, hyper=hyper, mean=train.mean, std=train.std)
     path = tmp_path / "c.vbpc"
     save_coreset(coreset, path)
     out = tmp_path / "imgs"
-    assert main(["export-images", "--coreset", str(path), "--out", str(out),
-                 "--data", spec]) == 0
+    assert main(["export-images", "--coreset", str(path), "--out", str(out)]) == 0
     files = sorted(p.name for p in out.iterdir())
     assert files == ["coreset_0_0.pgm", "coreset_1_0.pgm"]
     blob = (out / "coreset_0_0.pgm").read_bytes()
@@ -632,6 +692,22 @@ def test_export_square_images_denormalized(tmp_path):
     # normalized pixel 0 de-normalizes to the per-pixel mean
     expect = np.round(255.0 * train.mean).astype(np.uint8)
     assert blob[-4:] == expect.tobytes()
+
+
+def test_export_of_a_trained_coreset_reads_its_training_statistics(tmp_path):
+    # no data spec: the points are denormalized by the statistics of the
+    # training draw the coreset learned from
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_cfg(tmp_path, TINY), "--data", MOONS,
+                 "--out", str(out), "--seed", "5"]) == 0
+    assert main(["export-images", "--coreset", str(out / "coreset.vbpc"),
+                 "--out", str(tmp_path / "pts")]) == 0
+    train, _ = load_data(MOONS, seed=5)
+    coreset = load_coreset(out / "coreset.vbpc")
+    points = coreset.images * train.std + train.mean
+    lines = (tmp_path / "pts" / "coreset.csv").read_text().splitlines()
+    assert lines[1:] == [f"{x!r},{y!r},{c}" for (x, y), c in
+                         zip(points.tolist(), coreset.labels.argmax(axis=1))]
 
 
 def test_export_2d_points_csv(tmp_path):

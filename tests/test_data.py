@@ -4,6 +4,7 @@ import math
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,7 +339,8 @@ def roundtrip_coreset():
     hyper = Hyperparams(rho=1.5, gamma=80.0, beta_s=6.0, beta_d=1e-7)
     return PseudoCoreset(images=rng.standard_normal((6, 4)),
                          labels=rng.standard_normal((6, 3)),
-                         ipc=2, hyper=hyper)
+                         ipc=2, hyper=hyper, mean=rng.standard_normal(4),
+                         std=rng.uniform(0.1, 3.0, 4))
 
 
 def test_coreset_roundtrip_bit_exact(tmp_path):
@@ -346,11 +348,29 @@ def test_coreset_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "c.vbpc"
     save_coreset(coreset, path)
     back = load_coreset(path)
-    np.testing.assert_array_equal(back.images, coreset.images)
-    np.testing.assert_array_equal(back.labels, coreset.labels)
+    for field in ("images", "labels", "mean", "std"):
+        assert getattr(back, field).tobytes() == getattr(coreset, field).tobytes()
     assert back.ipc == coreset.ipc
     for field in ("rho", "gamma", "beta_s", "beta_d"):
         assert getattr(back.hyper, field) == getattr(coreset.hyper, field)
+
+
+def test_coreset_without_statistics_reads_back_the_identity(tmp_path):
+    coreset = replace(roundtrip_coreset(), mean=None, std=None)
+    path = tmp_path / "c.vbpc"
+    save_coreset(coreset, path)
+    back = load_coreset(path)
+    assert back.mean.tobytes() == np.zeros(4).tobytes()
+    assert back.std.tobytes() == np.ones(4).tobytes()
+    assert path.stat().st_size == 56 + 8 * (6 * (4 + 3) + 2 * 4) + 4
+
+
+def test_init_coreset_carries_the_split_statistics():
+    ds = normalize(gen_synthetic("blobs", n=60, k=2, noise=0.4, seed=12))
+    coreset = init_coreset(ds, ipc=3, mode="sample", seed=13)
+    assert coreset.mean is ds.mean and coreset.std is ds.std
+    kept = coreset.with_arrays(coreset.images + 1.0, coreset.labels)
+    assert kept.mean is ds.mean and kept.std is ds.std
 
 
 def test_coreset_checksum_detects_flip(tmp_path):
@@ -364,13 +384,13 @@ def test_coreset_checksum_detects_flip(tmp_path):
 
 
 def test_coreset_version_gate(tmp_path):
+    # a version-1 file, which holds no statistics, is refused by name
     path = tmp_path / "c.vbpc"
     save_coreset(roundtrip_coreset(), path)
     blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", 2)
-    blob[-4:] = struct.pack("<I", __import__("zlib").crc32(bytes(blob[:-4])))
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CoresetFileError, match="version"):
+    blob[4:8] = struct.pack("<I", 1)
+    path.write_bytes(rechecksum(bytes(blob)))
+    with pytest.raises(CoresetFileError, match="version 1, reader supports 2"):
         load_coreset(path)
 
 
@@ -400,6 +420,9 @@ def rechecksum(blob):
     (24, -1.0, "hyperparameters"),            # rho
     (32, math.inf, "hyperparameters"),        # gamma
     (48, math.nan, "hyperparameters"),        # beta_d
+    (392, math.nan, "statistics"),            # first mean entry
+    (424, math.inf, "statistics"),            # first std entry
+    (448, 0.0, "statistics"),                 # last std entry
 ])
 def test_coreset_bad_values_rejected_naming_the_file(tmp_path, offset, value, match):
     path = tmp_path / "c.vbpc"
@@ -461,17 +484,21 @@ def test_load_coreset_bit_flips(fuzz_dir, coreset_blob, data):
 
 
 _u32 = st.integers(0, 12) | st.integers(0, 2**32 - 1)
-# nhat, d, k: arbitrary, or one of the splits that fit the 6 x (4 + 3) payload
+# nhat, d, k: arbitrary, or one of the splits that fit the payload of
+# 6 x (4 + 3) + 2 x 4 = 50 doubles, nhat x (d + k) + 2 x d
 _sizes = st.tuples(_u32, _u32, _u32) | st.sampled_from(
-    [(6, 4, 3), (7, 3, 3), (3, 8, 6), (1, 41, 1), (42, 0, 1), (0, 4, 3)])
+    [(6, 4, 3), (4, 5, 5), (8, 1, 5), (1, 16, 2), (50, 0, 1), (0, 25, 3)])
 
 
 @_FUZZ
-@given(sizes=_sizes, hyper=st.tuples(*[st.floats()] * 4))
-def test_load_coreset_rechecksummed_headers(fuzz_dir, coreset_blob, sizes, hyper):
+@given(sizes=_sizes, hyper=st.tuples(*[st.floats()] * 4),
+       stats=st.tuples(*[st.floats()] * 8))
+def test_load_coreset_rechecksummed_headers(fuzz_dir, coreset_blob, sizes, hyper,
+                                            stats):
     blob = bytearray(coreset_blob)
     blob[8:20] = struct.pack("<III", *sizes)
     blob[24:56] = struct.pack("<dddd", *hyper)
+    blob[-68:-4] = struct.pack("<8d", *stats)       # the mean and std
     (fuzz_dir / "f.vbpc").write_bytes(rechecksum(bytes(blob)))
     loads_or_file_error(load_coreset, fuzz_dir / "f.vbpc")
 

@@ -1,9 +1,9 @@
 """Package surface: every tape primitive has a caller, no layer above the
-tape names one, README lists them all, the tape module holds no thread or
-global state, the names the demos import resolve, the options and
-environment variables are the listed ones, a short benchmark run passes its
-checks, the BLAS thread pinning holds in any import order, and importing
-starts no thread."""
+tape names one, README lists them all and states the coreset file format,
+the tape module holds no thread or global state, the names the demos import
+resolve, the options and environment variables are the listed ones, a short
+benchmark run passes its checks, the BLAS thread pinning holds in any
+import order, and importing starts no thread."""
 
 import argparse
 import ast
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import vbpc
-from vbpc import cli, ndiff as nd
+from vbpc import cli, data, ndiff as nd
 from vbpc import network
 from vbpc.data import PseudoCoreset
 from vbpc.objective import coreset_grad, outer_loss
@@ -78,6 +78,16 @@ def test_readme_lists_the_primitives():
     assert f"{len(nd._REGISTRY)} primitives" in bullet
     missing = [op for op in nd._REGISTRY if f"`{op}`" not in bullet]
     assert not missing, missing
+
+
+def test_readme_states_the_coreset_format():
+    # README's format section gives the version the reader accepts and the
+    # statistics fields the file carries
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("## Coreset file format")
+    section = readme[start:readme.index("\n## ", start)]
+    assert f"version u32 = {data.FORMAT_VERSION}" in section
+    assert "`mean`" in section and "`std`" in section
 
 
 def test_ndiff_writes_no_global_and_starts_no_thread():
@@ -139,7 +149,7 @@ def test_options_and_environment_variables_are_the_listed_ones():
         "train": ["--config", "--data", "--out", "--seed"],
         "eval": ["--coreset", "--data", "--hidden", "--out", "--seed", "--tprime"],
         "bench": ["--h", "--mode", "--nhat", "--out", "--reps"],
-        "export-images": ["--coreset", "--data", "--out", "--seed"]}
+        "export-images": ["--coreset", "--out"]}
     readers = sorted(path.name for path in (ROOT / "src" / "vbpc").glob("*.py")
                      if "environ" in path.read_text() or "getenv" in path.read_text())
     assert readers == ["__init__.py"] and vbpc._THREAD_VARS == THREAD_VARS
