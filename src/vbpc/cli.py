@@ -9,8 +9,9 @@ silently. Data sources use a compact spec grammar:
 
 Each synthetic field is given once; n is at most 10^6 and noise finite and
 non-negative. Config, spec, flag and dataset errors are reported before
-any output; seeds and --tprime are non-negative integers. eval reads only
-the test split, and standardizes it by the statistics in the coreset file.
+any output; seeds and --tprime are non-negative integers. train reads only
+the training split; eval reads only the test split, and standardizes it by
+the statistics in the coreset file.
 
 Exit codes: 0 success, 1 numerical failure (train or eval), 2 usage, config
 and input-file errors.
@@ -184,16 +185,21 @@ def _read_split(spec, seed, split):
     return load_idx(images, labels)
 
 
-def load_data(spec, seed):
-    """Returns (train, test) datasets, both normalized with train stats."""
-    train_ds = _read_split(spec, seed, 0)
-    test_ds = _read_split(spec, seed, 1)
+def _normalized(spec, dataset, *stats):
+    """`dataset` of `spec` normalized with its own statistics, or with the
+    (mean, std) given."""
     try:
-        train_ds = normalize(train_ds)
-        if test_ds is not None:
-            test_ds = normalize_with(test_ds, train_ds.mean, train_ds.std)
+        return normalize_with(dataset, *stats) if stats else normalize(dataset)
     except ValueError as err:
         raise ConfigError(f"data {spec!r}: {err}") from err
+
+
+def load_data(spec, seed):
+    """Returns (train, test) datasets, both normalized with train stats."""
+    train_ds = _normalized(spec, _read_split(spec, seed, 0))
+    test_ds = _read_split(spec, seed, 1)
+    if test_ds is not None:
+        test_ds = _normalized(spec, test_ds, train_ds.mean, train_ds.std)
     return train_ds, test_ds
 
 
@@ -211,7 +217,7 @@ def _apply_seed_override(config, seed):
 def cmd_train(args):
     config = parse_config(args.config)
     config = _apply_seed_override(config, args.seed)
-    train_ds, _ = load_data(args.data, config.seed_data)
+    train_ds = _normalized(args.data, _read_split(args.data, config.seed_data, 0))
     config = config.resolve_beta_s(train_ds.k)
     _check_dataset(config, train_ds)
 

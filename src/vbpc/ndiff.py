@@ -10,10 +10,10 @@ There is no transpose primitive: `matmul` and `inv_quad_spd` take flags
 that say which way they read an operand, and read it through a view. Nor
 is there a subtraction: `add` takes equal shapes, and a - b adds -b. The
 layer max(x W + b, 0) is one primitive, `affine_relu`; so is the probit
-rule log softmax(m / sqrt(1 + alpha max(v, 0))), `probit_log_softmax`,
-whose clamp takes a variance's round-off negativity to zero. A sum of
-products, over all entries or per row, is `inner`; a plain sum is an inner
-product with ones.
+rule log softmax(m / sqrt(1 + (pi/8) max(v, 0))), `probit_log_softmax`,
+which takes a variance's round-off negativity down to VARIANCE_CLAMP to
+zero and raises NonFiniteError below it. A sum of products, over all
+entries or per row, is `inner`; a plain sum is an inner product with ones.
 
 Arrays carry their tape: a node refers weakly to it, and `apply` records on
 the tape of its operands, so only the code that registers leaves and runs
@@ -367,30 +367,40 @@ def _vjp_inner(g, saved, needs):
     return (g * b if needs[0] else None, g * a if needs[1] else None)
 
 
-def _fwd_probit_log_softmax(mean, variance, alpha):
-    """Row i is log softmax(mean_i * s_i), s_i = 1/sqrt(1 + alpha
+# the probit rule's variance coefficient, and the lowest variance its clamp
+# takes to zero as round-off
+PROBIT_ALPHA = math.pi / 8
+VARIANCE_CLAMP = -1e-12
+
+
+def _fwd_probit_log_softmax(mean, variance):
+    """Row i is log softmax(mean_i * s_i), s_i = 1/sqrt(1 + PROBIT_ALPHA
     max(variance_i, 0)) for the n x 1 variance: the scaling, the product and
-    the row log-softmax in turn. A zero or negative 1 + alpha max(v, 0)
-    leaves a non-finite row, which `apply` raises as NonFiniteError."""
+    the row log-softmax in turn. A variance below VARIANCE_CLAMP raises
+    NonFiniteError before any of them."""
     if variance.shape != (mean.shape[0], 1):
         raise ShapeError(f"probit_log_softmax: {mean.shape} vs {variance.shape}")
-    scaling = 1.0 / np.sqrt(1.0 + alpha * np.maximum(variance, 0.0))
+    lowest = float(variance.min())
+    if lowest < VARIANCE_CLAMP:
+        raise NonFiniteError(f"negative predictive variance {lowest:.3e} beyond "
+                             f"round-off clamp; the posterior solve is broken")
+    scaling = 1.0 / np.sqrt(1.0 + PROBIT_ALPHA * np.maximum(variance, 0.0))
     scaled = mean * scaling
     shifted = scaled - scaled.max(axis=1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return out, (mean, variance, scaling, out, alpha)
+    return out, (mean, variance, scaling, out)
 
 
 def _vjp_probit_log_softmax(g, saved, needs):
     """The adjoints of the row log-softmax, the product and the scaling in
     turn; a clamped variance gets a zero gradient."""
-    mean, variance, scaling, out, alpha = saved
+    mean, variance, scaling, out = saved
     gs = g - np.exp(out) * g.sum(axis=1, keepdims=True)
     gm = gs * scaling if needs[0] else None
     gv = None
     if needs[1]:
         g_scaling = (gs * mean).sum(axis=1, keepdims=True)
-        gv = -0.5 * alpha * scaling ** 3 * g_scaling * (variance > 0.0)
+        gv = -0.5 * PROBIT_ALPHA * scaling ** 3 * g_scaling * (variance > 0.0)
     return gm, gv
 
 
@@ -565,8 +575,8 @@ def scale(a, factor):
 def inner(a, b, axis=None):
     return apply("inner", (a, b), axis=axis)
 
-def probit_log_softmax(mean, variance, alpha):
-    return apply("probit_log_softmax", (mean, variance), alpha=alpha)
+def probit_log_softmax(mean, variance):
+    return apply("probit_log_softmax", (mean, variance))
 
 def cholesky_solve_spd(a, b):
     return apply("cholesky_solve_spd", (a, b))

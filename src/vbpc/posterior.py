@@ -115,8 +115,6 @@ def _solve(phi, labels, hyper, weight_space):
     phi = nd.constant(phi)
     labels = nd.constant(labels)
     nhat, h = phi.shape
-    if labels.shape[0] != nhat:
-        raise nd.ShapeError(f"labels rows {labels.shape[0]} != features rows {nhat}")
     c = hyper.kernel_scale
 
     system = nd.add(nd.eye(h if weight_space else nhat), nd.scale(
@@ -133,7 +131,7 @@ def _solve(phi, labels, hyper, weight_space):
     return CoresetPosterior(phi, labels, system, weight_space, means, hyper)
 
 
-def dense_variance(p, allow_large=False):
+def dense_variance(p):
     """Materialized h x h shared covariance V*. Test/benchmark oracle only.
 
     V* = rho^{-1} S^{-1} on the h side, and rho^{-1} I -
@@ -142,7 +140,7 @@ def dense_variance(p, allow_large=False):
     """
     hyper = p.hyper
     h = p.phi.shape[1]
-    if h > 4096 and not allow_large:
+    if h > 4096:
         raise ValueError(f"dense_variance guard: h={h} > 4096")
     if p.weight_space:
         return nd.scale(nd.cholesky_solve_spd(p.system, nd.eye(h)),

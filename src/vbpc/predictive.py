@@ -5,20 +5,17 @@ For a test feature phi the logits are Gaussian with mean phi^T m_j and one
 shared scalar variance per input. The expected log-softmax under that
 Gaussian is approximated by
 
-    log softmax( mean / sqrt(1 + alpha * variance) ),   alpha = pi/8,
+    log softmax( mean / sqrt(1 + (pi/8) * variance) ),
 
-which is exact at zero variance. A seeded Monte Carlo estimator of the same
-expectation serves as the test oracle.
+which is exact at zero variance; the tape primitive
+`ndiff.probit_log_softmax` holds the whole rule. A seeded Monte Carlo
+estimator of the same expectation serves as the test oracle.
 """
-
-import math
 
 import numpy as np
 
 from . import _twocore, ndiff as nd
 
-ALPHA_PROBIT = math.pi / 8
-VARIANCE_CLAMP = -1e-12
 # Samples per chunk of the Monte Carlo oracle
 MC_CHUNK = 100_000
 
@@ -43,14 +40,11 @@ def predictive_moments(p, phi_batch):
     transposed through a view, and no h x h buffer appears on the nhat side.
     Differentiable through the posterior; work on the batch features alone
     is constant, so it records nothing. The variance is not clamped here:
-    round-off may leave it slightly negative, and `probit_log_softmax`,
+    round-off may leave it slightly negative, and `ndiff.probit_log_softmax`,
     which every consumer passes it through, checks and clamps it once.
     """
     hyper = p.hyper
     phi_batch = nd.constant(phi_batch)
-    if phi_batch.shape[1] != p.phi.shape[1]:
-        raise nd.ShapeError(
-            f"feature dim {phi_batch.shape[1]} != posterior dim {p.phi.shape[1]}")
     mean = nd.matmul(phi_batch, p.means)
 
     if p.weight_space:
@@ -66,22 +60,12 @@ def predictive_moments(p, phi_batch):
 
 
 def probit_log_softmax(mean, variance):
-    """Probit-scaled expected log-softmax, row-wise.
-
-    mean: n x k, variance: n x 1, >= 0 up to round-off down to VARIANCE_CLAMP,
-    which the primitive `probit_log_softmax` clamps to zero; below it
-    raises NonFiniteError.
-    Row i is log softmax(mean_i / sqrt(1 + (pi/8) * variance_i)).
+    """Probit-scaled expected log-softmax, row-wise, of numpy or Array
+    operands: mean n x k, variance n x 1. Row i is
+    log softmax(mean_i / sqrt(1 + (pi/8) * variance_i)); the primitive
+    `ndiff.probit_log_softmax` checks, clamps and scales the variance.
     """
-    mean = nd.constant(mean)
-    variance = nd.constant(variance)
-    if variance.shape != (mean.shape[0], 1):
-        raise nd.ShapeError(f"variance shape {variance.shape} for mean {mean.shape}")
-    if float(variance.data.min()) < VARIANCE_CLAMP:
-        raise nd.NonFiniteError(
-            f"negative predictive variance {variance.data.min():.3e} beyond "
-            f"round-off clamp; the posterior solve is broken")
-    return nd.probit_log_softmax(mean, variance, alpha=ALPHA_PROBIT)
+    return nd.probit_log_softmax(nd.constant(mean), nd.constant(variance))
 
 
 def mc_log_softmax(mean, variance, samples, seed, return_stderr=False):
@@ -150,14 +134,14 @@ def bma_predict(p, phi_test):
 
 
 def metrics(log_probs, labels):
-    """(accuracy, mean negative log-likelihood) for row log-distributions.
-
-    labels may be integer class ids or one-hot rows. Argmax ties resolve to
-    the lowest class index.
+    """(accuracy, mean negative log-likelihood) for row log-distributions
+    and one integer class id per row. Argmax ties resolve to the lowest
+    class index.
     """
     logp = log_probs.data if isinstance(log_probs, nd.Array) else np.asarray(log_probs)
-    labels = np.asarray(labels)
-    idx = labels.argmax(axis=1) if labels.ndim == 2 else labels.astype(np.int64)
+    idx = np.asarray(labels).astype(np.int64)
+    if idx.ndim != 1:
+        raise ValueError(f"labels are class ids, one per row; got shape {idx.shape}")
     if idx.min() < 0 or idx.max() >= logp.shape[1]:
         raise ValueError("label index out of range")
     acc = float((logp.argmax(axis=1) == idx).mean())

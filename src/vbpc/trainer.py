@@ -335,10 +335,10 @@ def _train(config, dataset, sink):
     return coreset.with_arrays(images, labels)
 
 
-def _read_only_float32(values):
-    """A fresh read-only, owning, C-ordered float32 copy of `values`, which
-    the tape adopts without a copy."""
-    out = np.array(values, dtype=np.float32, order="C")
+def _read_only(values, dtype):
+    """A fresh read-only, owning, C-ordered copy of `values` in `dtype`,
+    which the tape adopts without a second copy."""
+    out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -370,16 +370,16 @@ def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
     """The body of `evaluate_coreset`; its buffers die when it returns."""
     hyper = coreset.hyper
     net = init_net(widths, coreset.k, np.random.SeedSequence([seed, 0]))
-    net = net.replace_params([_read_only_float32(p) for p in net.params])
-    images = _read_only_float32(coreset.images)
-    labels = _read_only_float32(coreset.labels)
+    net = net.replace_params([_read_only(p, np.float32) for p in net.params])
+    images = _read_only(coreset.images, np.float32)
+    labels = _read_only(coreset.labels, np.float32)
     state = None
     for _ in range(tprime):
         net, state = gaussian_step(net, images, labels, hyper.gamma,
                                    TrainConfig.pool_lr, state=state)
-    phi = features(net, images).astype(np.float64)
+    phi = _read_only(features(net, images), np.float64)
     post = solve_posterior(phi, coreset.labels, hyper)
-    batch = predictive_moments(post, features(net, test_x).astype(np.float64))
+    batch = predictive_moments(post, _read_only(features(net, test_x), np.float64))
     log_probs = probit_log_softmax(batch.mean, batch.variance)
     acc, nll = metrics(log_probs, test_labels)
     return {"acc": acc, "nll": nll, "cond_lb": condition_lower_bound(post),

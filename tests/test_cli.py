@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from vbpc import predictive, trainer
+from vbpc import ndiff, trainer
 from vbpc.cli import (ConfigError, main, parse_config, write_config,
                       load_data)
 from vbpc.data import (CoresetFileError, PseudoCoreset, load_coreset,
@@ -337,7 +337,7 @@ def test_train_non_finite_update_aborts_with_record(tmp_path, capsys):
 def test_train_negative_variance_aborts_with_record(tmp_path, capsys, monkeypatch):
     # a variance below the round-off clamp is a numerical failure, not a
     # usage error; a clamp above every variance forces one at step 0
-    monkeypatch.setattr(predictive, "VARIANCE_CLAMP", math.inf)
+    monkeypatch.setattr(ndiff, "VARIANCE_CLAMP", math.inf)
     cfg = write_cfg(tmp_path, TINY)
     out = tmp_path / "negative"
     assert main(["train", "--config", cfg, "--data", MOONS, "--out", str(out)]) == 1
@@ -762,12 +762,55 @@ def write_idx_split(tmp_path, name, n, side):
 
 
 def test_test_split_of_another_width_exits_2(tmp_path, capsys):
+    # train reads no test split; load_data and eval refuse one of another
+    # width, eval before any output
     spec = (f"idx:{write_idx_split(tmp_path, 'train', 40, 2)}"
             f";test={write_idx_split(tmp_path, 'test', 10, 3)}")
-    out = tmp_path / "never"
+    with pytest.raises(ConfigError, match="split has 9 features, the training "
+                                          "statistics 4"):
+        load_data(spec, seed=0)
+    run = tmp_path / "run"
     assert main(["train", "--config", write_cfg(tmp_path, TINY), "--data", spec,
+                 "--out", str(run)]) == 0
+    out = tmp_path / "never"
+    assert main(["eval", "--coreset", str(run / "coreset.vbpc"), "--data", spec,
                  "--out", str(out)]) == 2
-    assert "split has 9 features, the training statistics 4" in capsys.readouterr().err
+    assert "dimension mismatch: coreset d=4, data d=9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_reads_no_test_split(tmp_path):
+    # the same records (bar ms) and coreset bytes whether or not the test
+    # IDX files of the spec exist
+    train_part = write_idx_split(tmp_path, "train", 40, 3)
+    test_part = write_idx_split(tmp_path, "test", 10, 3)
+    cfg = write_cfg(tmp_path, TINY)
+    runs = []
+    for name in ("present", "absent"):
+        if name == "absent":
+            for path in test_part.split(","):
+                os.remove(path)
+        out = tmp_path / name
+        assert main(["train", "--config", cfg, "--data",
+                     f"idx:{train_part};test={test_part}", "--out", str(out)]) == 0
+        records = [json.loads(line) for line in
+                   (out / "metrics.jsonl").read_text().splitlines()]
+        for record in records:
+            del record["ms"]
+        runs.append((records, (out / "coreset.vbpc").read_bytes()))
+    assert runs[0] == runs[1] and len(runs[0][0]) == 4
+
+
+def test_eval_without_a_test_split_exits_2(tmp_path, capsys):
+    spec = f"idx:{write_idx_split(tmp_path, 'train', 40, 3)}"
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_cfg(tmp_path, TINY), "--data", spec,
+                 "--out", str(run)]) == 0
+    out = tmp_path / "ev"
+    assert main(["eval", "--coreset", str(run / "coreset.vbpc"), "--data", spec,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: eval needs a test split (synthetic "
+                                       "specs provide one; idx specs need ;test=...)\n")
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from vbpc import _twocore, ndiff as nd, network
 from vbpc.data import PseudoCoreset
 from vbpc.objective import coreset_grad, outer_loss
 from vbpc.posterior import Hyperparams
-from vbpc.predictive import VARIANCE_CLAMP
+from vbpc.ndiff import VARIANCE_CLAMP
 
 
 def fd_gradient(fn, values, eps=1e-5):
@@ -83,7 +83,7 @@ def test_row_log_softmax_rows_normalize():
     rng = np.random.default_rng(1)
     mean = nd.Array(rng.standard_normal((5, 7)))
     for variance in (np.zeros((5, 1)), rng.uniform(0.0, 4.0, (5, 1))):
-        out = nd.probit_log_softmax(mean, nd.Array(variance), alpha=math.pi / 8)
+        out = nd.probit_log_softmax(mean, nd.Array(variance))
         sums = np.exp(out.data).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
@@ -93,7 +93,7 @@ def test_rsqrt_shift_values():
     alpha = math.pi / 8
     mean = np.array([[1.0, -2.0], [0.5, 3.0], [2.0, 0.0]])
     x = np.array([[0.0], [1.0], [4.0]])
-    out = nd.probit_log_softmax(nd.Array(mean), nd.Array(x), alpha=alpha)
+    out = nd.probit_log_softmax(nd.Array(mean), nd.Array(x))
     scaled = mean / np.sqrt(1.0 + alpha * x)
     want = scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(out.data, want, rtol=1e-14)
@@ -108,14 +108,23 @@ def test_rsqrt_shift_clamps_round_off_negativity():
     x = np.array([[VARIANCE_CLAMP], [-1e-15], [0.5], [3.0]])
     tape = nd.Tape()
     leaf = tape.leaf(nd.Array(x))
-    out = nd.probit_log_softmax(mean, leaf, alpha=alpha)
+    out = nd.probit_log_softmax(mean, leaf)
     grad = nd.backward(tape, total(out))[tape.node_id(leaf)].data
-    at_zero = nd.probit_log_softmax(mean, nd.zeros((4, 1)), alpha=alpha).data
+    at_zero = nd.probit_log_softmax(mean, nd.zeros((4, 1))).data
     assert out.data[:2].tobytes() == at_zero[:2].tobytes()
     assert grad[:2, 0].tolist() == [0.0, 0.0] and (grad[2:] != 0.0).all()
     scaled = mean.data[2:] / np.sqrt(1.0 + alpha * x[2:])
     want = scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(out.data[2:], want, rtol=1e-14)
+
+
+def test_probit_rule_raises_below_the_clamp():
+    # the primitive holds the whole rule: a variance below the round-off
+    # clamp is a broken posterior solve, not a row at zero variance
+    mean = nd.Array(np.zeros((2, 3)))
+    for low in (np.nextafter(VARIANCE_CLAMP, -1.0), -5.0):
+        with pytest.raises(nd.NonFiniteError, match="negative predictive variance"):
+            nd.probit_log_softmax(mean, nd.Array([[0.5], [low]]))
 
 
 def test_row_gather_and_sum_axes():
@@ -345,7 +354,7 @@ def test_grad_row_log_softmax():
     # at zero variance the probit rule is the row log-softmax of the mean
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((3, 5)),),
-        lambda a: nd.probit_log_softmax(a, nd.zeros((3, 1)), alpha=math.pi / 8))
+        lambda a: nd.probit_log_softmax(a, nd.zeros((3, 1))))
 
 
 def test_grad_rsqrt_shift():
@@ -353,14 +362,14 @@ def test_grad_rsqrt_shift():
     mean = nd.Array(np.random.default_rng(5).standard_normal((5, 3)))
     check_primitive_gradient(
         lambda rng: (rng.uniform(0.05, 4.0, (5, 1)),),
-        lambda v: nd.probit_log_softmax(mean, v, alpha=math.pi / 8))
+        lambda v: nd.probit_log_softmax(mean, v))
 
 
 def test_grad_probit_log_softmax():
     # both operands, at variances away from the clamp's kink at zero
     check_primitive_gradient(
         lambda rng: (rng.standard_normal((4, 3)), rng.uniform(0.05, 4.0, (4, 1))),
-        lambda m, v: nd.probit_log_softmax(m, v, alpha=math.pi / 8))
+        lambda m, v: nd.probit_log_softmax(m, v))
 
 
 def _old_probit_composition(mean, variance, g, alpha):
@@ -390,7 +399,7 @@ def test_probit_log_softmax_is_the_old_composition_bit_for_bit(k):
     g = rng.standard_normal((7, k))
     tape = nd.Tape()
     mean, variance = tape.leaf(nd.Array(mean_val)), tape.leaf(nd.Array(var_val))
-    out = nd.probit_log_softmax(mean, variance, alpha=alpha)
+    out = nd.probit_log_softmax(mean, variance)
     grads = nd.backward(tape, nd.inner(out, nd.Array(g)))
     want = _old_probit_composition(mean_val, var_val, g, alpha)
     got = (out.data, grads[tape.node_id(mean)].data, grads[tape.node_id(variance)].data)
@@ -607,8 +616,7 @@ def test_gradients_share_no_memory_with_saved_buffers():
     h = nd.affine_relu(a, b, c)
     h = nd.add(h, nd.scale(a, -0.5))
     quad = nd.inv_quad_spd(spd, a, rows=True)
-    logp = nd.probit_log_softmax(nd.matmul(h, nd.cholesky_solve_spd(spd, b)), quad,
-                                 alpha=0.3)
+    logp = nd.probit_log_softmax(nd.matmul(h, nd.cholesky_solve_spd(spd, b)), quad)
     loss = nd.add(nd.inner(logp, h), total(nd.logdet_trinv_spd(spd)))
     grads = nd.backward(tape, loss)
     saved = [buf for record in tape.records for buf in _saved_buffers(record[3])]
@@ -663,7 +671,7 @@ def test_spd_primitives_and_probit_take_float64_alone():
     b32 = nd.Array(np.ones((3, 2), np.float32))
     calls = [lambda: nd.cholesky_solve_spd(a32, b32), lambda: nd.logdet_trinv_spd(a32),
              lambda: nd.inv_quad_spd(a32, b32),
-             lambda: nd.probit_log_softmax(b32, nd.Array(np.ones((3, 1), np.float32)), 0.4)]
+             lambda: nd.probit_log_softmax(b32, nd.Array(np.ones((3, 1), np.float32)))]
     for call in calls:
         with pytest.raises(nd.NdiffError, match="takes float64 operands, got float32"):
             call()

@@ -155,6 +155,17 @@ def test_options_and_environment_variables_are_the_listed_ones():
     assert readers == ["__init__.py"] and vbpc._THREAD_VARS == THREAD_VARS
 
 
+def test_tape_wrapper_options_are_the_listed_ones():
+    # a wrapper's parameters past its operands are the primitive's options;
+    # each is a case its gradient check must cover: adding one is a decision
+    # this list records
+    options = {op: list(inspect.signature(getattr(nd, op)).parameters)[arity:]
+               for op, (_, _, arity) in nd._REGISTRY.items()}
+    assert {op: names for op, names in options.items() if names} == {
+        "matmul": ["trans_a", "trans_b"], "scale": ["factor"], "inner": ["axis"],
+        "inv_quad_spd": ["rows"]}
+
+
 def test_scheduler_tuning_constants_are_the_listed_ones():
     # each threshold is a size at which work changes thread or kernel, and
     # one more is a rule to keep in step with the rest: adding one is a

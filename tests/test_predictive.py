@@ -100,9 +100,14 @@ def test_solve_and_moments_make_no_transposed_copy(nhat, h):
 
 
 def test_moments_dimension_mismatch():
-    p = canonical_posterior()
-    with pytest.raises(nd.ShapeError):
-        predictive_moments(p, np.zeros((1, 4)))
+    # on either side `matmul`, the first product with the batch, rejects a
+    # batch of another width
+    for nhat in (2, 5):
+        p = solve_posterior(np.ones((nhat, 3)), np.zeros((nhat, 2)),
+                            Hyperparams(rho=1.0, gamma=1.0, beta_s=1.0))
+        for h in (2, 4):
+            with pytest.raises(nd.ShapeError, match="matmul"):
+                predictive_moments(p, np.zeros((1, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +161,10 @@ def test_probit_rejects_bad_variance():
     # round-off negativity is clamped to zero
     out = probit_log_softmax(np.array([[1.0, 0.0]]), np.array([[-1e-13]]))
     assert np.isfinite(out.data).all()
+    # a variance that is not n x 1 is a shape error
+    for shape in ((3, 2), (2, 1), (1, 3)):
+        with pytest.raises(nd.ShapeError, match="probit_log_softmax"):
+            probit_log_softmax(np.zeros((3, 2)), np.zeros(shape))
 
 
 def test_probit_rows_normalize():
@@ -271,7 +280,7 @@ def test_metrics_perfect_and_uniform():
 
 def test_metrics_hand_case():
     logp = np.log(np.array([[0.7, 0.3], [0.4, 0.6]]))
-    acc, nll = metrics(logp, np.array([[1, 0], [1, 0]]))
+    acc, nll = metrics(logp, np.array([0, 0]))
     assert acc == 0.5
     assert math.isclose(nll, -(math.log(0.7) + math.log(0.4)) / 2, rel_tol=1e-12)
     assert math.isclose(nll, 0.6364828379064437, rel_tol=1e-12)
@@ -286,3 +295,8 @@ def test_metrics_tie_breaks_low_index():
 def test_metrics_label_out_of_range():
     with pytest.raises(ValueError):
         metrics(np.log(np.array([[0.5, 0.5]])), np.array([2]))
+
+
+def test_metrics_takes_class_ids_not_one_hot_rows():
+    with pytest.raises(ValueError, match="class ids"):
+        metrics(np.log(np.full((2, 2), 0.5)), np.eye(2))

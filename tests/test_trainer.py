@@ -430,6 +430,34 @@ def test_jitter_retries_count_only_the_runs_own_factorizations():
     assert [r["jitter_retries"] for r in records] == [0] * 6
 
 
+@pytest.mark.parametrize("worker", ["on", "off"])
+def test_a_step_failing_with_another_error_raises_it_unchanged(monkeypatch, worker):
+    # both Cholesky attempts fail in step 2's coreset step: train raises that
+    # NonSPDError itself, after the records of steps 0-1, with no abort record
+    if worker == "off":
+        monkeypatch.setattr(_twocore, "_worker", False)
+    ds, config = moons_dataset(), tiny_config(steps=5)
+    clean = []
+    train(config, ds, sink=clean.append)
+    real = scipy.linalg.cholesky
+    calls = []
+
+    def fail_from_step_2(a, *args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:
+            raise scipy.linalg.LinAlgError("forced")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail_from_step_2)
+    records = []
+    with pytest.raises(nd.NonSPDError, match="jitter retry failed") as raised:
+        train(config, ds, sink=records.append)
+    assert type(raised.value) is nd.NonSPDError and len(calls) == 4
+    for record in records + clean:
+        del record["ms"]
+    assert records == clean[:2]
+
+
 def test_training_reduces_loss_on_moons():
     ds = moons_dataset(n=400)
     config = tiny_config(steps=150, batch_size=64, hidden=(16, 16),
