@@ -184,8 +184,11 @@ def _read_idx(path, magic, ndim, what):
     if found != magic:
         raise CoresetFileError(f"{path}: bad {what} magic 0x{found:08x}, "
                                f"expected 0x{magic:08x}")
+    if min(sizes) < 1:
+        raise CoresetFileError(f"{path}: bad IDX {what} sizes {sizes}: a size is "
+                               f"{'zero' if 0 in sizes else 'negative'}")
     count = math.prod(sizes)
-    if min(sizes) < 1 or len(blob) - head < count:
+    if len(blob) - head < count:
         raise CoresetFileError(f"{path}: bad IDX {what} sizes {sizes}: expected "
                                f"{count} bytes, got {len(blob) - head}")
     return sizes, np.frombuffer(blob, dtype=np.uint8, count=count, offset=head)

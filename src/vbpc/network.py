@@ -7,6 +7,18 @@ trains every parameter. Pool slots are retrained for a fixed period and then
 reborn from a deterministic seed stream, so the coreset never overfits one
 feature map.
 
+Pool slots keep float32 parameters, as the evaluation net does. A slot,
+at `pool_new` and at each rotation, is `init_net`'s draw rounded to
+float32, bit for bit, and its Gaussian step, its Adam moments and the
+batch features it computes run in float32, at sgemm's rate. A parameter
+then takes 12 bytes with its moments, not 16. The draw goes through one
+float64 scratch buffer per half and layer, so no float64 net is ever
+whole. The coreset's images and labels are cast for a slot's step by
+`_float32`, which refuses a value beyond float32's range. The coreset's
+taped features run in float64, through an exact copy of the slot's
+feature layers (`_float64_layers`); the training loop makes that copy's
+buffers on its calling thread (`_float64_buffers`), for the reason below.
+
 A pool of two nets or more is drawn on both cores: each slot has its own
 seed stream, so the worker of `_twocore._halves` draws the later half of
 the slots while the calling thread draws the first, with the same bits as
@@ -53,44 +65,97 @@ def init_net(widths, k, seed):
     in the input. The biases are drawn after the head, so weights and head
     are the same draw as with zero biases.
     """
-    return _draw_nets(widths, k, [seed])[0]
+    return _draw_nets(widths, k, [seed], np.float64)[0]
 
 
-def _draw_nets(widths, k, seeds):
-    """One network per seed, each drawn as `init_net` documents. The buffers
-    are made here with `np.empty` and then filled: `standard_normal(out=)`
-    and an in-place division give the bits of `standard_normal(shape) /
-    sqrt(fan_in)`. When there are two seeds or more, the later half of the
-    seeds is filled on the second core (`_twocore._halves`); numpy's fill
-    releases the interpreter lock."""
+def _draw_nets(widths, k, seeds, dtype):
+    """One network per seed, each drawn as `init_net` documents and rounded
+    to `dtype`, float64 or float32. The buffers are made here with
+    `np.empty` and then filled: `standard_normal(out=)` and a division give
+    the bits of `standard_normal(shape) / sqrt(fan_in)`. A float32 net's
+    Gaussian blocks are drawn into float64 scratch, one buffer per half and
+    layer, from which the division writes the rounded quotient. When there
+    are two seeds or more, the later half of the seeds is filled on the
+    second core (`_twocore._halves`); numpy's fill releases the interpreter
+    lock."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 1 or any(w < 1 for w in widths) or k < 1:
         raise ValueError(f"invalid widths {widths} / classes {k}")
     layers = list(zip(widths[:-1], widths[1:]))
-    # per net: the Gaussian blocks (weights, then head) and the biases
-    buffers = [([np.empty(shape) for shape in layers] + [np.empty((widths[-1], k))],
-                [np.empty((1, w_out)) for _, w_out in layers]) for _ in seeds]
+    shapes = layers + [(widths[-1], k)]     # the Gaussian blocks: weights, head
+    buffers = [([np.empty(shape, dtype) for shape in shapes],
+                [np.empty((1, w_out), dtype) for _, w_out in layers]) for _ in seeds]
+    mid = len(seeds) // 2
+    # float64 blocks take their draws in place; float32 ones through one set
+    # of float64 scratch blocks per half
+    scratch = [None if np.dtype(dtype) == np.float64 else [np.empty(s) for s in shapes]
+               for _ in range(1 + bool(mid))]
 
-    def fill(lo, hi):
+    def fill(lo, hi, draws):
         for seed, (gaussian, uniform) in zip(seeds[lo:hi], buffers[lo:hi]):
             rng = np.random.default_rng(seed)
-            for w in gaussian:
-                rng.standard_normal(out=w)
-                w /= np.sqrt(w.shape[0])
+            for w, z in zip(gaussian, draws or gaussian):
+                rng.standard_normal(out=z)
+                np.divide(z, np.sqrt(z.shape[0]), out=w)
             for b, (w_in, _) in zip(uniform, layers):
                 np.divide(rng.uniform(-1.0, 1.0, b.shape), np.sqrt(w_in), out=b)
 
-    mid = len(seeds) // 2
     if mid:
-        _twocore._halves(lambda: fill(0, mid), lambda: fill(mid, len(seeds)))
+        _twocore._halves(lambda: fill(0, mid, scratch[0]),
+                         lambda: fill(mid, len(seeds), scratch[1]))
     else:
-        fill(0, len(seeds))
+        fill(0, len(seeds), scratch[0])
     nets = []
     for gaussian, uniform in buffers:
         for p in (*gaussian, *uniform):
             p.flags.writeable = False
         nets.append(FeatureNet(widths, tuple(gaussian[:-1]), tuple(uniform), gaussian[-1]))
     return nets
+
+
+def _read_only(values, dtype):
+    """A fresh read-only, owning, C-ordered copy of `values` in `dtype`,
+    which the tape adopts without a second copy."""
+    out = np.array(values, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
+
+
+def _float32(values, name):
+    """`_read_only(values, np.float32)`; a value beyond float32's range
+    raises NonFiniteError naming `name`, where the cast would warn and give
+    inf."""
+    with np.errstate(over="ignore"):
+        out = _read_only(values, np.float32)
+    if not np.isfinite(out).all():
+        raise nd.NonFiniteError(
+            f"{name} beyond float32's range: largest magnitude "
+            f"{np.max(np.abs(values)):.3e}")
+    return out
+
+
+def _float64_buffers(net):
+    """Empty float64 buffers for a copy of a float32 net's feature layers,
+    weights then biases (`_float64_layers` fills them); None for a float64
+    net, whose layers serve as they are."""
+    if net.head.dtype == np.float64:
+        return None
+    return [np.empty(p.shape) for p in (*net.weights, *net.biases)]
+
+
+def _float64_layers(net, buffers=None):
+    """`net` if it is float64; else a float64 copy of its feature layers,
+    exact, in `buffers` from `_float64_buffers(net)` or in buffers made
+    here. The copy has no head: the posterior stands in for it."""
+    if net.head.dtype == np.float64:
+        return net
+    if buffers is None:
+        buffers = _float64_buffers(net)
+    for out, p in zip(buffers, (*net.weights, *net.biases)):
+        np.copyto(out, p)
+        out.flags.writeable = False
+    n = len(net.weights)
+    return FeatureNet(net.widths, tuple(buffers[:n]), tuple(buffers[n:]), None)
 
 
 def features(net, x):
@@ -179,13 +244,13 @@ def _slot_seed(seed, slot, generation):
 
 
 def pool_new(p, widths, k, seed, period):
-    """P independently seeded networks, counters at zero. Slot i is
-    `init_net(widths, k, _slot_seed(seed, i, 0))` bit for bit; slots
-    [P/2, P) are drawn on the second core (`_draw_nets`), into buffers made
-    on the calling thread."""
+    """P independently seeded float32 networks, counters at zero. Slot i is
+    `init_net(widths, k, _slot_seed(seed, i, 0))` rounded to float32, bit for
+    bit; slots [P/2, P) are drawn on the second core (`_draw_nets`), into
+    buffers made on the calling thread."""
     if p < 1:
         raise ValueError("pool size must be >= 1")
-    nets = _draw_nets(widths, k, [_slot_seed(seed, i, 0) for i in range(p)])
+    nets = _draw_nets(widths, k, [_slot_seed(seed, i, 0) for i in range(p)], np.float32)
     return ModelPool(nets=nets, counters=[0] * p, period=period,
                      widths=tuple(widths), k=k, seed=seed,
                      generations=[0] * p, opt_states=[None] * p)
@@ -198,16 +263,19 @@ def pool_sample(pool, rng):
 
 
 def pool_update(pool, index, images, labels, gamma, lr):
-    """Gaussian step on one slot, then rotate it if its period is up."""
-    net, state = gaussian_step(pool.nets[index], images, labels, gamma, lr,
+    """Gaussian step on one slot, in float32 on the coreset's images and
+    labels cast by `_float32`, then rotate the slot if its period is up: it
+    is redrawn as `pool_new` draws it, from its next generation's seed."""
+    net, state = gaussian_step(pool.nets[index], _float32(images, "coreset images"),
+                               _float32(labels, "coreset labels"), gamma, lr,
                                state=pool.opt_states[index])
     pool.nets[index] = net
     pool.opt_states[index] = state
     pool.counters[index] += 1
     if pool.counters[index] >= pool.period:
         pool.generations[index] += 1
-        pool.nets[index] = init_net(
+        pool.nets[index], = _draw_nets(
             pool.widths, pool.k,
-            _slot_seed(pool.seed, index, pool.generations[index]))
+            [_slot_seed(pool.seed, index, pool.generations[index])], np.float32)
         pool.counters[index] = 0
         pool.opt_states[index] = None

@@ -31,13 +31,20 @@ class OuterLossBreakdown:
     jitter_retries: int   # 1 if factoring that system took the jitter retry
 
 
-def outer_loss(coreset, net, batch, n_total, hyper, tape):
+def outer_loss(coreset, net, batch, n_total, hyper, tape, buffers=None):
     """Build the stochastic outer loss on `tape`.
 
     coreset supplies images (nhat x d) and labels (nhat x k); batch is
     (X_b, Y_b) with one-hot Y_b. Registers the coreset leaves under the
     labels "images" / "labels" and returns (loss node, breakdown). With
     tape=None the coreset enters as constants and nothing is recorded.
+
+    The batch features run through `net` in its dtype, float32 for a pool
+    slot, and enter the posterior as float64. The coreset's taped features
+    run in float64, through `net` itself or, for a float32 net, through an
+    exact float64 copy of its feature layers (`network._float64_layers`),
+    written into `buffers` from `network._float64_buffers(net)` when the
+    caller has made them.
     """
     x_b, y_b = batch
     if y_b.shape[0] == 0:
@@ -47,8 +54,8 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape):
     if tape is not None:
         tape.leaf(images, label="images")
         tape.leaf(labels, label="labels")
-    batch_phi = nd.Array(network.features(net, x_b))
-    phi = network.features_graph(net, images)
+    batch_phi = nd.Array(network._read_only(network.features(net, x_b), np.float64))
+    phi = network.features_graph(network._float64_layers(net, buffers), images)
     post = solve_posterior(phi, labels, hyper)
     try:
         moments = predictive_moments(post, batch_phi)

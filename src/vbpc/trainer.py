@@ -33,7 +33,11 @@ record to this one's.
 The pool update stays on the calling thread because it allocates the
 parameter-sized buffers: glibc keeps the buffers a thread frees in that
 thread's own arena, and a second arena of those sizes raised the peak
-resident memory of every CIFAR-shaped run measured (perfbench `wide`).
+resident memory of every CIFAR-shaped run measured (perfbench `wide`). For
+the same reason the calling thread makes the buffers of the float64 copy of
+the sampled slot's feature layers (`network._float64_buffers`), through
+which the coreset's taped features run; the worker only fills them. The
+slot is float32, and the batch features run through it.
 """
 
 import ctypes
@@ -44,10 +48,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import _twocore, ndiff as nd
+from . import _twocore, ndiff as nd, network
 from .data import _check_class_sizes, init_coreset
-from .network import (features, gaussian_step, init_net, pool_new,
-                      pool_sample, pool_update)
+from .network import (features, gaussian_step, pool_new, pool_sample,
+                      pool_update)
 from .objective import coreset_grad, outer_loss
 from .optim import AdamState, adam_step, cosine_lr
 from .posterior import Hyperparams, condition_lower_bound, solve_posterior
@@ -244,7 +248,7 @@ def _train(config, dataset, sink):
     ahead = []          # the batch and noise of the next step, drawn ahead
     last = time.perf_counter()
 
-    def coreset_step(step, net, batch, noise):
+    def coreset_step(step, net, buffers, batch, noise):
         """Outer loss, backward and the coreset's Adam step; replaces the
         step's coreset with the one it makes."""
         try:
@@ -253,7 +257,7 @@ def _train(config, dataset, sink):
             tape = nd.Tape()
             loss, step.breakdown = outer_loss(
                 coreset.with_arrays(loss_images, step.labels), net, batch,
-                dataset.n, hyper, tape)
+                dataset.n, hyper, tape, buffers)
             grad_x, grad_y = coreset_grad(loss, tape)
             if config.learn_labels:
                 _, (step.images, step.labels) = adam_step(
@@ -317,13 +321,16 @@ def _train(config, dataset, sink):
             pending = None
             net = pool.nets[idx]
         step = _Step(number, lr, idx, images, labels)
+        buffers = network._float64_buffers(net)
 
         def caller_side():
             if pending is not None:
                 pool_step(pending)
             draw(number + 1)
 
-        _twocore._halves(caller_side, lambda: coreset_step(step, net, batch, noise))
+        _twocore._halves(caller_side,
+                         lambda: coreset_step(step, net, buffers, batch, noise))
+        del buffers         # freed here, on the thread that made it
         if pending is not None:
             settle(pending)
         if step.error is not None:
@@ -335,14 +342,6 @@ def _train(config, dataset, sink):
     return coreset.with_arrays(images, labels)
 
 
-def _read_only(values, dtype):
-    """A fresh read-only, owning, C-ordered copy of `values` in `dtype`,
-    which the tape adopts without a second copy."""
-    out = np.array(values, dtype=dtype, order="C")
-    out.flags.writeable = False
-    return out
-
-
 def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     """Variational inference and single-pass model averaging with a coreset.
 
@@ -352,11 +351,13 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     {"acc", "nll", "cond_lb", "jitter_retries"}: the last two report the
     health of the posterior's factored system, as the training records do.
 
-    The network runs in float32: its drawn parameters, the coreset's images
-    and labels are cast once, and its Gaussian steps and both feature passes
-    run at sgemm's rate. The coreset and test features enter the posterior
-    and the predictive moments as float64. When it returns, the heap pages
-    its buffers held go back to the operating system, as after `train`.
+    The network runs in float32: it is drawn as a pool slot is
+    (`network._draw_nets`), the coreset's images and labels are cast once
+    (`network._float32`, which refuses a value beyond float32's range), and
+    its Gaussian steps and both feature passes run at sgemm's rate. The
+    coreset and test features enter the posterior and the predictive
+    moments as float64. When it returns, the heap pages its buffers held go
+    back to the operating system, as after `train`.
     """
     if tprime < 0:
         raise ValueError(f"tprime must be >= 0, got {tprime}")
@@ -369,17 +370,18 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
 def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
     """The body of `evaluate_coreset`; its buffers die when it returns."""
     hyper = coreset.hyper
-    net = init_net(widths, coreset.k, np.random.SeedSequence([seed, 0]))
-    net = net.replace_params([_read_only(p, np.float32) for p in net.params])
-    images = _read_only(coreset.images, np.float32)
-    labels = _read_only(coreset.labels, np.float32)
+    net, = network._draw_nets(widths, coreset.k, [np.random.SeedSequence([seed, 0])],
+                              np.float32)
+    images = network._float32(coreset.images, "coreset images")
+    labels = network._float32(coreset.labels, "coreset labels")
     state = None
     for _ in range(tprime):
         net, state = gaussian_step(net, images, labels, hyper.gamma,
                                    TrainConfig.pool_lr, state=state)
-    phi = _read_only(features(net, images), np.float64)
+    phi = network._read_only(features(net, images), np.float64)
     post = solve_posterior(phi, coreset.labels, hyper)
-    batch = predictive_moments(post, _read_only(features(net, test_x), np.float64))
+    test_phi = network._read_only(features(net, test_x), np.float64)
+    batch = predictive_moments(post, test_phi)
     log_probs = probit_log_softmax(batch.mean, batch.variance)
     acc, nll = metrics(log_probs, test_labels)
     return {"acc": acc, "nll": nll, "cond_lb": condition_lower_bound(post),

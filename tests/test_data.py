@@ -93,8 +93,24 @@ def test_idx_truncation_names_counts(tmp_path):
     lab = tmp_path / "lab.idx"
     img.write_bytes(idx_bytes(2051, (2, 2, 2), bytes(5)))  # need 8 payload bytes
     lab.write_bytes(idx_bytes(2049, (2,), bytes(2)))
-    with pytest.raises(CoresetFileError, match="expected 8 bytes, got 5"):
+    with pytest.raises(CoresetFileError) as raised:
         load_idx(img, lab)
+    assert str(raised.value).endswith("bad IDX images sizes [2, 2, 2]: "
+                                      "expected 8 bytes, got 5")
+
+
+@pytest.mark.parametrize("dims, word", [((0, 8, 8), "zero"), ((2, 0, 2), "zero"),
+                                        ((2, -2, -2), "negative")])
+def test_idx_size_below_one_is_named(tmp_path, dims, word):
+    # refused for the size itself, never as "expected 0 bytes, got 0"
+    img = tmp_path / "img.idx"
+    lab = tmp_path / "lab.idx"
+    img.write_bytes(idx_bytes(2051, dims, bytes(8)))
+    lab.write_bytes(idx_bytes(2049, (2,), bytes(2)))
+    with pytest.raises(CoresetFileError) as raised:
+        load_idx(img, lab)
+    assert str(raised.value).endswith(
+        f"bad IDX images sizes {list(dims)}: a size is {word}")
 
 
 def test_idx_count_mismatch(tmp_path):

@@ -1,5 +1,7 @@
 """Feature net init/forward, Gaussian-likelihood training, model pool."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -350,11 +352,12 @@ def test_pool_draw_is_bit_identical_on_one_thread_or_two(halves_calls, monkeypat
     monkeypatch.setattr(_twocore, "_start_worker", lambda: False)
     one = pool_new(p, widths, k=3, seed=21, period=5)
     for i in range(p):
+        # each slot is init_net's draw rounded to float32
         alone = init_net(widths, 3, network._slot_seed(21, i, 0))
         for a, b, c in zip(two.nets[i].params, one.nets[i].params, alone.params):
             assert not a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
-            np.testing.assert_array_equal(a, c)
-            np.testing.assert_array_equal(b, c)
+            assert a.dtype == b.dtype == np.float32 and c.dtype == np.float64
+            assert a.tobytes() == b.tobytes() == c.astype(np.float32).tobytes()
 
 
 def test_pool_sample_uniformity_chi2():
@@ -389,6 +392,12 @@ def test_pool_rotation_contract():
     assert pool.counters[0] == 0
     assert not np.array_equal(pool.nets[0].weights[0], trained[1].weights[0])
     assert pool.generations[0] == 1
+    # reborn as pool_new draws a slot: the next generation's init_net draw,
+    # rounded to float32
+    reborn = init_net((2, 3), 2, network._slot_seed(11, 0, 1))
+    for a, b in zip(pool.nets[0].params, reborn.params):
+        assert a.dtype == np.float32 and not a.flags.writeable
+        assert a.tobytes() == b.astype(np.float32).tobytes()
 
 
 def test_pool_period_one_reinitializes_every_update():
@@ -403,18 +412,37 @@ def test_pool_period_one_reinitializes_every_update():
 
 
 def test_pool_slot_moments_take_the_bytes_of_its_parameters():
-    # float32 moments: m and v together are as large as the float64
-    # parameters, where float64 moments took twice as many bytes
+    # float32 parameters and moments: m and v together take twice the bytes
+    # of the parameters, and a parameter takes 12 bytes with its moments,
+    # where float64 parameters with float32 moments took 16
     rng = np.random.default_rng(16)
     images, labels = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
     pool = pool_new(3, (5, 8, 6), k=3, seed=17, period=10)
     for slot in range(3):
         pool_update(pool, slot, images, labels, gamma=1.0, lr=1e-3)
     for net, state in zip(pool.nets, pool.opt_states):
-        assert all(p.dtype == np.float64 for p in net.params)
+        assert all(p.dtype == np.float32 for p in net.params)
         assert all(b.dtype == np.float32 for b in state.m + state.v)
         assert (sum(b.nbytes for b in state.m + state.v)
-                == sum(p.nbytes for p in net.params))
+                == 2 * sum(p.nbytes for p in net.params))
+
+
+@pytest.mark.parametrize("field", ["images", "labels"])
+def test_pool_step_refuses_a_coreset_beyond_float32(field):
+    # a finite float64 value beyond float32's range raises, naming the
+    # array, where the cast would warn and train the slot on inf
+    rng = np.random.default_rng(18)
+    arrays = {"images": rng.standard_normal((4, 5)), "labels": rng.standard_normal((4, 3))}
+    arrays[field][2, 1] = -4e38
+    pool = pool_new(1, (5, 8), k=3, seed=19, period=10)
+    before = pool.nets[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nd.NonFiniteError,
+                           match=f"coreset {field} beyond float32's range: "
+                                 f"largest magnitude 4.000e\\+38"):
+            pool_update(pool, 0, arrays["images"], arrays["labels"], gamma=1.0, lr=1e-3)
+    assert pool.nets[0] is before and pool.counters == [0]
 
 
 def test_pool_counters_never_exceed_period():
