@@ -87,9 +87,8 @@ class Dataset:
         """The whole standardized n x d matrix, built on first read."""
         return self.rows(slice(None))
 
-    def onehot(self, idx=None):
-        which = self.labels if idx is None else self.labels[idx]
-        return np.eye(self.k)[which]
+    def onehot(self, idx):
+        return np.eye(self.k)[self.labels[idx]]
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,6 @@ class PseudoCoreset:
     hyper: Hyperparams
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
-
-    @property
-    def nhat(self):
-        return self.images.shape[0]
 
     @property
     def k(self):

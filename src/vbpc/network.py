@@ -11,13 +11,18 @@ Pool slots keep float32 parameters, as the evaluation net does. A slot,
 at `pool_new` and at each rotation, is `init_net`'s draw rounded to
 float32, bit for bit, and its Gaussian step, its Adam moments and the
 batch features it computes run in float32, at sgemm's rate. A parameter
-then takes 12 bytes with its moments, not 16. The draw goes through one
-float64 scratch buffer per half and layer, so no float64 net is ever
-whole. The coreset's images and labels are cast for a slot's step by
-`_float32`, which refuses a value beyond float32's range. The coreset's
-taped features run in float64, through an exact copy of the slot's
-feature layers (`_float64_layers`); the training loop makes that copy's
-buffers on its calling thread (`_float64_buffers`), for the reason below.
+then takes 12 bytes with its moments. The draw goes through one float64
+scratch buffer per half and layer, so no float64 net is ever whole.
+
+This module owns the boundary between a net's dtype and the posterior's
+float64. What goes into a float32 net, the coreset's images and labels for
+a slot's step and the rows whose features are read, is cast by `_float32`,
+which refuses a value beyond float32's range. What comes out is float64:
+`features` hands back a read-only float64 block for any net, and the
+coreset's taped features run in float64, through an exact copy of the
+slot's feature layers (`_float64_layers`); the training loop makes that
+copy's buffers on its calling thread (`_float64_buffers`), for the reason
+below.
 
 A pool of two nets or more is drawn on both cores: each slot has its own
 seed stream, so the worker of `_twocore._halves` draws the later half of
@@ -122,16 +127,19 @@ def _read_only(values, dtype):
 
 
 def _float32(values, name):
-    """`_read_only(values, np.float32)`; a value beyond float32's range
-    raises NonFiniteError naming `name`, where the cast would warn and give
-    inf."""
-    with np.errstate(over="ignore"):
-        out = _read_only(values, np.float32)
-    if not np.isfinite(out).all():
+    """`_read_only(values, np.float32)`; a finite value beyond float32's
+    range raises NonFiniteError naming `name` and the largest finite
+    magnitude, where the cast would warn and give inf. The cast's own overflow flag tells, so no pass of its own reads
+    the values; an inf or nan is cast as it is and raises later, where the
+    tape adopts it or what is computed from it."""
+    try:
+        with np.errstate(over="raise"):
+            return _read_only(values, np.float32)
+    except FloatingPointError:
+        finite = np.asarray(values)[np.isfinite(values)]
         raise nd.NonFiniteError(
             f"{name} beyond float32's range: largest magnitude "
-            f"{np.max(np.abs(values)):.3e}")
-    return out
+            f"{np.max(np.abs(finite)):.3e}") from None
 
 
 def _float64_buffers(net):
@@ -159,16 +167,26 @@ def _float64_layers(net, buffers=None):
 
 
 def features(net, x):
-    """Plain numpy forward pass through the feature layers (head excluded).
+    """Plain numpy forward pass through the feature layers (head excluded),
+    returned as a fresh read-only float64 block: what the posterior reads,
+    and what the tape adopts without a copy.
 
     Each layer is the forward of `affine_relu`, the primitive that
     `features_graph` records, on plain arrays: one buffer per layer, in the
-    net's dtype. The input is read in that dtype too, with no copy when it
-    has it already. The primitive checks the shapes.
+    net's dtype. A float64 net reads its input with no copy when it is
+    float64 already; a float32 net reads it through `_float32`, which
+    refuses a row beyond float32's range, and its output is upcast once,
+    exactly. The primitive checks the shapes.
     """
-    x = np.asarray(x, dtype=net.head.dtype)
+    if net.head.dtype == np.float64:
+        x = np.asarray(x, dtype=np.float64)
+    else:
+        x = _float32(x, "feature rows")
     for w, b in zip(net.weights, net.biases):
         x, _ = nd._fwd_affine_relu(x, w, b)
+    if x.dtype != np.float64 or not net.weights:
+        return _read_only(x, np.float64)
+    x.flags.writeable = False
     return x
 
 
@@ -203,10 +221,10 @@ def gaussian_step(net, images, labels, gamma, lr, state=None):
     """One Adam step on the Gaussian likelihood over all parameters.
 
     `state` carries the moments, updated in place; pass None to start
-    fresh, with float32 moments: a network's optimizer state then takes as
-    many bytes as its parameters, not twice as many. The leaves share
-    memory with net.params. Returns (new_net, new_state); a non-finite
-    moment or new parameter raises NonFiniteError.
+    fresh. The moments take the parameters' dtype (`AdamState.init`), so a
+    float32 net, a pool slot or the evaluation net, keeps float32 moments.
+    The leaves share memory with net.params. Returns (new_net, new_state); a
+    non-finite moment or new parameter raises NonFiniteError.
     """
     tape = nd.Tape()
     leaves = [tape.leaf(nd._adopt_checked(p)) for p in net.params]
@@ -215,7 +233,7 @@ def gaussian_step(net, images, labels, gamma, lr, state=None):
     grads = [grad_map[tape.node_id(leaf)].data for leaf in leaves]
     params = net.params
     if state is None:
-        state = AdamState.init(params, np.float32)
+        state = AdamState.init(params)
     state, params = adam_step(state, params, grads, lr)
     return net.replace_params(params), state
 

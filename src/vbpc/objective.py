@@ -40,11 +40,11 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape, buffers=None):
     tape=None the coreset enters as constants and nothing is recorded.
 
     The batch features run through `net` in its dtype, float32 for a pool
-    slot, and enter the posterior as float64. The coreset's taped features
-    run in float64, through `net` itself or, for a float32 net, through an
-    exact float64 copy of its feature layers (`network._float64_layers`),
-    written into `buffers` from `network._float64_buffers(net)` when the
-    caller has made them.
+    slot, and `network.features` hands them over as float64. The coreset's
+    taped features run in float64, through `net` itself or, for a float32
+    net, through an exact float64 copy of its feature layers
+    (`network._float64_layers`), written into `buffers` from
+    `network._float64_buffers(net)` when the caller has made them.
     """
     x_b, y_b = batch
     if y_b.shape[0] == 0:
@@ -54,7 +54,7 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape, buffers=None):
     if tape is not None:
         tape.leaf(images, label="images")
         tape.leaf(labels, label="labels")
-    batch_phi = nd.Array(network._read_only(network.features(net, x_b), np.float64))
+    batch_phi = network.features(net, x_b)
     phi = network.features_graph(network._float64_layers(net, buffers), images)
     post = solve_posterior(phi, labels, hyper)
     try:

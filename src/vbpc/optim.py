@@ -11,16 +11,15 @@ second core (`_twocore._halves`) with its own scratch buffers. Every
 element goes through the same operations in any case, so the result does
 not depend on the number of cores.
 
-The moment and step arithmetic runs in the dtype of the moment buffers.
-Each parameter block keeps its dtype, float32 or float64, and each gradient
-slice that is not of the moments' dtype is cast once into a scratch buffer
-of it; only the last op, p - step, writes a parameter, in the parameter's
-dtype. So with float32 parameters, gradients and moments every op runs in
-float32 with no cast. The scalar constants are Python floats, which take
-the dtype of the buffer they meet, so the same ops run in either dtype, and
-each gives the textbook expression's bits in that dtype. The coreset keeps
-float64 moments. A network's Gaussian step keeps float32 moments
-(`network.gaussian_step`), which halves the memory of its optimizer state.
+A state has one dtype, its parameters': float32 moments for float32
+parameters, float64 for any other (`AdamState.init`), as mixed-precision
+training keeps each optimizer state in the dtype of the weights it
+updates. A step takes parameters and gradients of that dtype only, and
+every op runs in it with no cast. The scalar constants are Python floats,
+which take the dtype of the buffer they meet, so the same ops run in either
+dtype, and each gives the textbook expression's bits in that dtype. The
+coreset's state is float64; a pool slot's and the evaluation net's are
+float32, as their parameters are.
 
 Each slice of sqrt(v/c2) + EPS and of the result is checked finite while
 it is in cache. So an overflowing second moment, which would give the
@@ -53,29 +52,30 @@ SLICE = 65536
 @dataclass
 class AdamState:
     """First/second moment accumulators per parameter block, all of one
-    dtype (float64 or float32); `adam_step` updates them in place."""
+    dtype, float32 or float64; `adam_step` updates them in place."""
 
     m: list
     v: list
     t: int = 0
 
     @classmethod
-    def init(cls, params, dtype=np.float64):
-        return cls(m=[np.zeros_like(p, dtype=dtype, order="C") for p in params],
-                   v=[np.zeros_like(p, dtype=dtype, order="C") for p in params])
+    def init(cls, params):
+        """Zero moments of each block's shape, in its parameter's dtype if
+        that is float32, else in float64."""
+        return cls(m=[np.zeros_like(p, dtype=_kept_dtype(p), order="C") for p in params],
+                   v=[np.zeros_like(p, dtype=_kept_dtype(p), order="C") for p in params])
 
 
 def adam_step(state, params, grads, lr):
     """One bias-corrected adaptive-moment update.
 
     Updates `state` in place and returns (state, new_params), the new
-    parameters as fresh read-only arrays of the given parameters' dtypes
-    (float32 stays float32; any other dtype but float64 becomes float64).
-    Per element, in this order and in the moments' dtype (g cast to it
-    first): m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g,
-    step = (lr*(m/c1)) / (sqrt(v/c2) + EPS); then p - step in the
-    parameter's dtype. A non-finite sqrt(v/c2) + EPS or new parameter
-    raises NonFiniteError.
+    parameters as fresh read-only arrays of the state's dtype. Per element,
+    in this order and in that dtype: m = BETA1*m + (1-BETA1)*g,
+    v = BETA2*v + ((1-BETA2)*g)*g, step = (lr*(m/c1)) / (sqrt(v/c2) + EPS),
+    p - step. A parameter or gradient of another dtype than the state's
+    raises ValueError; a non-finite sqrt(v/c2) + EPS or new parameter raises
+    NonFiniteError.
     """
     if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("parameter/gradient/state block counts differ")
@@ -89,6 +89,9 @@ def adam_step(state, params, grads, lr):
                              "updated in place through flat views")
         if not m.dtype == v.dtype == dtype:
             raise ValueError(f"moment dtypes differ: {m.dtype}, {v.dtype}, {dtype}")
+        if not p.dtype == g.dtype == dtype:
+            raise ValueError(f"parameter {p.dtype} and gradient {g.dtype} must "
+                             f"be of the state's dtype, {dtype}")
     state.t += 1
     # Python floats, which numpy 2 casts to the moments' dtype in each op
     c1 = 1.0 - BETA1 ** state.t
@@ -102,8 +105,8 @@ def adam_step(state, params, grads, lr):
     scratch = [(np.empty(n, dtype), np.empty(n, dtype)) for _ in range(1 + any(mids))]
     new_params = []
     for p, g, m, v, mid in zip(params, grads, state.m, state.v, mids):
-        p, g = (np.ascontiguousarray(x, dtype=_kept_dtype(x)) for x in (p, g))
-        out = np.empty(m.shape, p.dtype)
+        p, g = np.ascontiguousarray(p), np.ascontiguousarray(g)
+        out = np.empty(m.shape, dtype)
         flats = (p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1),
                  out.reshape(-1))
         if mid:
@@ -117,19 +120,14 @@ def adam_step(state, params, grads, lr):
 
 
 def _update(flats, lo, hi, scratch, c1, c2, lr):
-    """Adam on elements [lo, hi) of the flat (p, g, m, v, out) buffers, in
-    slices as long as the two `scratch` buffers of the moments' dtype. The
-    second holds the gradient cast to that dtype, if it is not of it, until
-    it has entered both moments."""
+    """Adam on elements [lo, hi) of the flat (p, g, m, v, out) buffers, all
+    of one dtype, in slices as long as the two `scratch` buffers."""
     p_flat, g_flat, m_flat, v_flat, out_flat = flats
     a, b = scratch
     for start in range(lo, hi, len(a)):
         end = min(start + len(a), hi)
         gs, ms, vs = g_flat[start:end], m_flat[start:end], v_flat[start:end]
         sa, sb = a[:end - start], b[:end - start]
-        if gs.dtype != sb.dtype:
-            np.copyto(sb, gs)
-            gs = sb
         np.multiply(ms, BETA1, out=ms)
         np.multiply(gs, 1.0 - BETA1, out=sa)
         np.add(ms, sa, out=ms)

@@ -36,8 +36,11 @@ thread's own arena, and a second arena of those sizes raised the peak
 resident memory of every CIFAR-shaped run measured (perfbench `wide`). For
 the same reason the calling thread makes the buffers of the float64 copy of
 the sampled slot's feature layers (`network._float64_buffers`), through
-which the coreset's taped features run; the worker only fills them. The
-slot is float32, and the batch features run through it.
+which the coreset's taped features run; the worker only fills them. A
+variant in which the worker made that copy raised `wide`'s peak resident
+memory from 425.8 to 435.1 MB, higher in each of 6 alternating pairs (2
+vCPUs). The slot is float32, and the batch features run through it;
+`network.features` hands them to the outer loss as float64.
 """
 
 import ctypes
@@ -352,12 +355,13 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     health of the posterior's factored system, as the training records do.
 
     The network runs in float32: it is drawn as a pool slot is
-    (`network._draw_nets`), the coreset's images and labels are cast once
-    (`network._float32`, which refuses a value beyond float32's range), and
-    its Gaussian steps and both feature passes run at sgemm's rate. The
-    coreset and test features enter the posterior and the predictive
-    moments as float64. When it returns, the heap pages its buffers held go
-    back to the operating system, as after `train`.
+    (`network._draw_nets`), the coreset's images and labels are cast for
+    its Gaussian steps (`network._float32`, which refuses a value beyond
+    float32's range), and its Gaussian steps and both feature passes run at
+    sgemm's rate. `network.features` hands the coreset and test features to
+    the posterior and the predictive moments as float64. When it returns,
+    the heap pages its buffers held go back to the operating system, as
+    after `train`.
     """
     if tprime < 0:
         raise ValueError(f"tprime must be >= 0, got {tprime}")
@@ -378,10 +382,8 @@ def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
     for _ in range(tprime):
         net, state = gaussian_step(net, images, labels, hyper.gamma,
                                    TrainConfig.pool_lr, state=state)
-    phi = network._read_only(features(net, images), np.float64)
-    post = solve_posterior(phi, coreset.labels, hyper)
-    test_phi = network._read_only(features(net, test_x), np.float64)
-    batch = predictive_moments(post, test_phi)
+    post = solve_posterior(features(net, coreset.images), coreset.labels, hyper)
+    batch = predictive_moments(post, features(net, test_x))
     log_probs = probit_log_softmax(batch.mean, batch.variance)
     acc, nll = metrics(log_probs, test_labels)
     return {"acc": acc, "nll": nll, "cond_lb": condition_lower_bound(post),
