@@ -26,7 +26,10 @@ nobody can write through it (parameters that `adam_step` returns, say); it
 copies anything else, to float64 unless it is float32. An op takes
 operands of one dtype and raises NdiffError on mixed ones. `matmul`,
 `affine_relu`, `add`, `scale` and `inner` return their operands' dtype,
-and so does every adjoint, from a seed of the loss's dtype. The SPD
+and so does every adjoint, from a seed of the loss's dtype. `cast` alone
+changes the dtype: its forward is one C-ordered copy in the dtype asked
+for, its vjp casts the gradient back to the operand's, and a finite value
+beyond float32's range raises NonFiniteError in either. The SPD
 primitives and `probit_log_softmax` take float64 alone: the posterior is
 float64 whatever dtype its features were computed in. `backward` passes a
 gradient that a vjp returns unchanged on as the same Array and wraps every
@@ -348,6 +351,36 @@ def _vjp_scale(g, saved, needs):
     return (factor * g,)
 
 
+def _checked_cast(values, dtype, name):
+    """A fresh C-ordered copy of `values` in `dtype`. A finite value beyond
+    `dtype`'s range raises NonFiniteError naming `name`, the range and the
+    largest finite magnitude, where the cast would warn and give inf. The
+    cast's own overflow flag tells, so no pass of its own reads the values;
+    an inf or nan is cast as it is and raises later, where the tape adopts
+    it or what is computed from it."""
+    try:
+        with np.errstate(over="raise"):
+            return np.array(values, dtype=dtype, order="C")
+    except FloatingPointError:
+        finite = np.asarray(values)[np.isfinite(values)]
+        raise NonFiniteError(
+            f"{name} beyond {np.dtype(dtype).name}'s range: largest magnitude "
+            f"{np.max(np.abs(finite)):.3e}") from None
+
+
+def _fwd_cast(x, dtype):
+    """x in `dtype`, float32 or float64, as one C-ordered copy, which the
+    tape adopts without a second one."""
+    if np.dtype(dtype) not in _DTYPES:
+        raise NdiffError(f"cast: to float32 or float64, got {np.dtype(dtype)}")
+    return _checked_cast(x, dtype, "cast operand"), (x.dtype,)
+
+
+def _vjp_cast(g, saved, needs):
+    # the gradient in the operand's dtype
+    return (_checked_cast(g, saved[0], "cast gradient"),)
+
+
 def _fwd_inner(a, b, axis=None):
     """The sum of a * b over all entries, or over each row with axis=1; the
     product is a temporary, not a tape buffer."""
@@ -471,6 +504,7 @@ _REGISTRY = {
     "affine_relu": (_fwd_affine_relu, _vjp_affine_relu, 3),
     "add": (_fwd_add, _vjp_add, 2),
     "scale": (_fwd_scale, _vjp_scale, 1),
+    "cast": (_fwd_cast, _vjp_cast, 1),
     "inner": (_fwd_inner, _vjp_inner, 2),
     "probit_log_softmax": (_fwd_probit_log_softmax, _vjp_probit_log_softmax, 2),
     "cholesky_solve_spd": (_fwd_cholesky_solve_spd, _vjp_cholesky_solve_spd, 2),
@@ -571,6 +605,9 @@ def add(a, b):
 
 def scale(a, factor):
     return apply("scale", (a,), factor=factor)
+
+def cast(a, dtype):
+    return apply("cast", (a,), dtype=dtype)
 
 def inner(a, b, axis=None):
     return apply("inner", (a, b), axis=axis)

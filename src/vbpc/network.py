@@ -16,13 +16,14 @@ scratch buffer per half and layer, so no float64 net is ever whole.
 
 This module owns the boundary between a net's dtype and the posterior's
 float64. What goes into a float32 net, the coreset's images and labels for
-a slot's step and the rows whose features are read, is cast by `_float32`,
-which refuses a value beyond float32's range. What comes out is float64:
-`features` hands back a read-only float64 block for any net, and the
-coreset's taped features run in float64, through an exact copy of the
-slot's feature layers (`_float64_layers`); the training loop makes that
-copy's buffers on its calling thread (`_float64_buffers`), for the reason
-below.
+a slot's step and the rows whose features are read, is cast by `_float32`;
+the coreset's taped images go in through the tape's `cast`. Both apply
+one rule (`ndiff._checked_cast`): a value beyond float32's range raises
+NonFiniteError. What comes out is float64: `features` hands back a
+read-only float64 block for any net, and `features_graph`, reading a
+net's parameters as constants, casts the taped features up. So the
+coreset's features run through the slot itself, at sgemm's rate, while
+the coreset, its gradients and the posterior stay float64.
 
 A pool of two nets or more is drawn on both cores: each slot has its own
 seed stream, so the worker of `_twocore._halves` draws the later half of
@@ -127,43 +128,13 @@ def _read_only(values, dtype):
 
 
 def _float32(values, name):
-    """`_read_only(values, np.float32)`; a finite value beyond float32's
-    range raises NonFiniteError naming `name` and the largest finite
-    magnitude, where the cast would warn and give inf. The cast's own overflow flag tells, so no pass of its own reads
-    the values; an inf or nan is cast as it is and raises later, where the
-    tape adopts it or what is computed from it."""
-    try:
-        with np.errstate(over="raise"):
-            return _read_only(values, np.float32)
-    except FloatingPointError:
-        finite = np.asarray(values)[np.isfinite(values)]
-        raise nd.NonFiniteError(
-            f"{name} beyond float32's range: largest magnitude "
-            f"{np.max(np.abs(finite)):.3e}") from None
-
-
-def _float64_buffers(net):
-    """Empty float64 buffers for a copy of a float32 net's feature layers,
-    weights then biases (`_float64_layers` fills them); None for a float64
-    net, whose layers serve as they are."""
-    if net.head.dtype == np.float64:
-        return None
-    return [np.empty(p.shape) for p in (*net.weights, *net.biases)]
-
-
-def _float64_layers(net, buffers=None):
-    """`net` if it is float64; else a float64 copy of its feature layers,
-    exact, in `buffers` from `_float64_buffers(net)` or in buffers made
-    here. The copy has no head: the posterior stands in for it."""
-    if net.head.dtype == np.float64:
-        return net
-    if buffers is None:
-        buffers = _float64_buffers(net)
-    for out, p in zip(buffers, (*net.weights, *net.biases)):
-        np.copyto(out, p)
-        out.flags.writeable = False
-    n = len(net.weights)
-    return FeatureNet(net.widths, tuple(buffers[:n]), tuple(buffers[n:]), None)
+    """A fresh read-only float32 copy of `values`, which the tape adopts
+    without a second copy; a finite value beyond float32's range raises
+    NonFiniteError naming `name` (`ndiff._checked_cast`, the rule `cast`
+    applies too)."""
+    out = nd._checked_cast(values, np.float32, name)
+    out.flags.writeable = False
+    return out
 
 
 def features(net, x):
@@ -192,20 +163,27 @@ def features(net, x):
 
 def features_graph(net, x, param_arrays=None):
     """Forward pass on the tape, one `affine_relu` per layer. `x` is an
-    Array (a leaf if the coreset is being trained); param_arrays supplies
-    leaf Arrays when the net itself is being trained, otherwise parameters
+    Array (a leaf if the coreset is being trained).
+
+    `param_arrays` supplies leaf Arrays when the net itself is being
+    trained, and the pass runs in the net's dtype. Otherwise the parameters
     enter as constants (sharing memory with net.params, which init_net and
-    adam_step make read-only and finite)."""
+    adam_step make read-only and finite) and the pass is the taped twin of
+    `features`: a float32 net reads `x` rounded to float32 through
+    `ndiff.cast` and hands its features on through a second `cast`, exact,
+    as float64; a float64 net makes no cast node.
+    """
     if param_arrays is None:
         ws = [nd._adopt_checked(w) for w in net.weights]
         bs = [nd._adopt_checked(b) for b in net.biases]
     else:
         n = len(net.weights)
         ws, bs = param_arrays[:n], param_arrays[n:2 * n]
-    out = x
+    upcast = param_arrays is None and net.head.dtype != np.float64
+    out = nd.cast(x, net.head.dtype) if upcast else x
     for w, b in zip(ws, bs):
         out = nd.affine_relu(out, w, b)
-    return out
+    return nd.cast(out, np.float64) if upcast else out
 
 
 def gaussian_likelihood_loss(net, images, labels, gamma, param_arrays):

@@ -31,7 +31,7 @@ class OuterLossBreakdown:
     jitter_retries: int   # 1 if factoring that system took the jitter retry
 
 
-def outer_loss(coreset, net, batch, n_total, hyper, tape, buffers=None):
+def outer_loss(coreset, net, batch, n_total, hyper, tape):
     """Build the stochastic outer loss on `tape`.
 
     coreset supplies images (nhat x d) and labels (nhat x k); batch is
@@ -39,12 +39,12 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape, buffers=None):
     labels "images" / "labels" and returns (loss node, breakdown). With
     tape=None the coreset enters as constants and nothing is recorded.
 
-    The batch features run through `net` in its dtype, float32 for a pool
-    slot, and `network.features` hands them over as float64. The coreset's
-    taped features run in float64, through `net` itself or, for a float32
-    net, through an exact float64 copy of its feature layers
-    (`network._float64_layers`), written into `buffers` from
-    `network._float64_buffers(net)` when the caller has made them.
+    Both feature passes run through `net` itself, in its dtype, float32 for
+    a pool slot, and reach the posterior as float64: the batch's through
+    `network.features`, the coreset's on the tape through
+    `network.features_graph`, which casts the float64 image leaf down and
+    the features up (`ndiff.cast`). The coreset, its gradients and the
+    posterior stay float64.
     """
     x_b, y_b = batch
     if y_b.shape[0] == 0:
@@ -55,7 +55,7 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape, buffers=None):
         tape.leaf(images, label="images")
         tape.leaf(labels, label="labels")
     batch_phi = network.features(net, x_b)
-    phi = network.features_graph(network._float64_layers(net, buffers), images)
+    phi = network.features_graph(net, images)
     post = solve_posterior(phi, labels, hyper)
     try:
         moments = predictive_moments(post, batch_phi)

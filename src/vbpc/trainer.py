@@ -28,19 +28,9 @@ on any number of cores. A step's record is emitted once its pool update
 is done, with the retries of the steps up to it, summed in step order; a
 failure in step t's pool update aborts at step t even when step t+1's
 coreset step failed too. `ms` is the wall time from the previous step's
-record to this one's.
-
-The pool update stays on the calling thread because it allocates the
-parameter-sized buffers: glibc keeps the buffers a thread frees in that
-thread's own arena, and a second arena of those sizes raised the peak
-resident memory of every CIFAR-shaped run measured (perfbench `wide`). For
-the same reason the calling thread makes the buffers of the float64 copy of
-the sampled slot's feature layers (`network._float64_buffers`), through
-which the coreset's taped features run; the worker only fills them. A
-variant in which the worker made that copy raised `wide`'s peak resident
-memory from 425.8 to 435.1 MB, higher in each of 6 alternating pairs (2
-vCPUs). The slot is float32, and the batch features run through it;
-`network.features` hands them to the outer loss as float64.
+record to this one's. The pool update stays on the calling thread: it
+allocates the parameter-sized buffers, and glibc keeps the buffers a
+thread frees in that thread's own arena.
 """
 
 import ctypes
@@ -251,7 +241,7 @@ def _train(config, dataset, sink):
     ahead = []          # the batch and noise of the next step, drawn ahead
     last = time.perf_counter()
 
-    def coreset_step(step, net, buffers, batch, noise):
+    def coreset_step(step, net, batch, noise):
         """Outer loss, backward and the coreset's Adam step; replaces the
         step's coreset with the one it makes."""
         try:
@@ -260,7 +250,7 @@ def _train(config, dataset, sink):
             tape = nd.Tape()
             loss, step.breakdown = outer_loss(
                 coreset.with_arrays(loss_images, step.labels), net, batch,
-                dataset.n, hyper, tape, buffers)
+                dataset.n, hyper, tape)
             grad_x, grad_y = coreset_grad(loss, tape)
             if config.learn_labels:
                 _, (step.images, step.labels) = adam_step(
@@ -324,7 +314,6 @@ def _train(config, dataset, sink):
             pending = None
             net = pool.nets[idx]
         step = _Step(number, lr, idx, images, labels)
-        buffers = network._float64_buffers(net)
 
         def caller_side():
             if pending is not None:
@@ -332,8 +321,7 @@ def _train(config, dataset, sink):
             draw(number + 1)
 
         _twocore._halves(caller_side,
-                         lambda: coreset_step(step, net, buffers, batch, noise))
-        del buffers         # freed here, on the thread that made it
+                         lambda: coreset_step(step, net, batch, noise))
         if pending is not None:
             settle(pending)
         if step.error is not None:

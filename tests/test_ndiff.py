@@ -710,6 +710,80 @@ def test_window_counts_a_float32_buffer_as_half():
     assert window.live == 0 and window.peak == 54.5
 
 
+def _float32_layer_between_casts(x, w, b):
+    return nd.cast(nd.affine_relu(nd.cast(x, np.float32), w, b), np.float64)
+
+
+def test_grad_through_a_float32_layer_between_casts():
+    # float64 -> float32 -> float64, as the coreset runs through a float32
+    # pool slot. The difference steps the rounded input, so its step is
+    # wider than the other checks' (at 1e-2 it crosses ReLU kinks); over
+    # seeds 0-19 the largest error, relative to the largest entry, read
+    # 1.7e-4 at eps = 1e-3 and 1.7e-2 at 1e-5
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((4, 5))
+        w = nd.Array(rng.standard_normal((5, 3)).astype(np.float32))
+        b = nd.Array(rng.standard_normal((1, 3)).astype(np.float32))
+        probe = rng.standard_normal((4, 3))
+        tape = nd.Tape()
+        leaf = tape.leaf(nd.Array(x))
+        loss = scalarize(_float32_layer_between_casts(leaf, w, b), probe)
+        ad = nd.backward(tape, loss)[tape.node_id(leaf)].data
+        fd = fd_gradient(lambda v: float(
+            (_float32_layer_between_casts(nd.Array(v), w, b).data * probe).sum()),
+            x.copy(), eps=1e-3)
+        assert ad.dtype == np.float64
+        assert np.abs(ad - fd).max() <= 5e-4 * np.abs(fd).max(), seed
+
+
+@pytest.mark.parametrize("dtype, to", [(np.float64, np.float32), (np.float32, np.float64)])
+def test_cast_gradient_takes_the_operand_dtype(dtype, to):
+    tape = nd.Tape()
+    x = tape.leaf(nd.Array(np.arange(6.0).reshape(2, 3).astype(dtype)))
+    out = nd.cast(x, to)
+    assert out.data.dtype == to
+    loss = nd.inner(out, nd.constant(np.ones(out.shape, to)))
+    grad = nd.backward(tape, loss)[tape.node_id(x)].data
+    assert grad.dtype == dtype and (grad == 1.0).all()
+
+
+def test_cast_output_is_adopted_without_a_second_copy(monkeypatch):
+    made = []
+    fwd, vjp, arity = nd._REGISTRY["cast"]
+
+    def recording_fwd(*args, **params):
+        out, saved = fwd(*args, **params)
+        made.append(out)
+        return out, saved
+
+    monkeypatch.setitem(nd._REGISTRY, "cast", (recording_fwd, vjp, arity))
+    x = nd.Array(np.random.default_rng(31).standard_normal((40, 30)))
+    with nd.track_allocations() as window:
+        out = nd.cast(x, np.float32)
+    assert out.data is made[0] and out.data.flags.c_contiguous
+    assert window.peak == window.largest_block == 40 * 30 / 2
+
+
+def test_cast_beyond_float32_raises_with_no_warning():
+    # the forward and the vjp apply `_checked_cast`, the rule a float32 net's
+    # inputs are cast by: the error names float32's range and the largest
+    # finite magnitude, where numpy would warn and give inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nd.NonFiniteError,
+                           match="cast operand beyond float32's range: "
+                                 "largest magnitude 1.000e\\+39"):
+            nd.cast(nd.Array(np.array([[1.0, -1e39]])), np.float32)
+        tape = nd.Tape()
+        x = tape.leaf(nd.Array(np.ones((1, 2), np.float32)))
+        loss = nd.scale(total(nd.cast(x, np.float64)), 1e300)
+        with pytest.raises(nd.NonFiniteError, match="cast gradient beyond float32's range"):
+            nd.backward(tape, loss)
+    with pytest.raises(nd.NdiffError, match="to float32 or float64, got int32"):
+        nd.cast(nd.Array(np.ones((1, 2))), np.int32)
+
+
 # ---------------------------------------------------------------------------
 # two halves
 # ---------------------------------------------------------------------------

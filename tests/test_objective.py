@@ -1,6 +1,7 @@
 """Outer loss assembly, coreset gradients vs finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,11 +325,16 @@ def loss_and_grads(coreset, net, batch, hyper):
     (100, (64, 64, 64)),
 ])
 def test_float32_slot_agrees_with_its_float64_upcast(nhat, widths):
-    # the slot differs from its exact float64 copy only in the batch
-    # features, which it computes in float32. Over these shapes and seeds
-    # 0-7 the loss's relative error read at most 1.1e-8 and the gradients'
-    # largest error, relative to their largest entry, 3.8e-7 (images) and
-    # 2.7e-7 (labels); the gates are ten times the worst
+    # the slot differs from its exact float64 copy in both feature passes,
+    # which it runs in float32: the batch features, and the coreset's taped
+    # pass, whose images are rounded to float32 on the way in and whose
+    # gradient comes back through float32 layers. Over these shapes and
+    # seeds 0-7 the loss's relative error read at most 1.9e-8 and the
+    # gradients' largest error, relative to their largest entry, 1.6e-6
+    # (images, at nhat 20, seed 5) and 5.7e-7 (labels). The gates were set
+    # at ten times the worst when only the batch features ran in float32
+    # (1.1e-8, 3.8e-7, 2.7e-7), and were kept: they are 5.7, 2.4 and 6.6
+    # times the worst errors now
     for seed in range(3):
         coreset, slot, batch, hyper = image_instance(seed, nhat, widths)
         assert slot.head.dtype == np.float32
@@ -339,6 +345,31 @@ def test_float32_slot_agrees_with_its_float64_upcast(nhat, widths):
         assert gx32.dtype == gy32.dtype == np.float64
         assert np.abs(gx32 - gx64).max() <= 3.8e-6 * np.abs(gx64).max()
         assert np.abs(gy32 - gy64).max() <= 3.8e-6 * np.abs(gy64).max()
+
+
+def test_coreset_pass_casts_only_through_a_float32_slot():
+    # the float32 slot's taped pass is its own layers between two casts;
+    # a float64 net's makes no cast node
+    coreset, slot, batch, hyper = image_instance(0, 20, (64, 32, 32))
+    for net, casts in ((slot, 2), (network.init_net((64, 32, 32), 10, seed=1), 0)):
+        tape = nd.Tape()
+        outer_loss(coreset, net, batch, 1000, hyper, tape)
+        ops = [op for op, _, _, _ in tape.records]
+        assert ops.count("cast") == casts and ops.count("affine_relu") == 2
+
+
+def test_float32_slot_refuses_a_coreset_beyond_float32():
+    # the coreset's taped images enter the slot by the rule a pool step's
+    # images do: the error names float32's range, with no overflow warning
+    coreset, slot, batch, hyper = image_instance(0, 20, (64, 32, 32))
+    images = coreset.images.copy()
+    images[3, 5] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nd.NonFiniteError,
+                           match="beyond float32's range: largest magnitude 1.000e\\+39"):
+            outer_loss(coreset.with_arrays(images, coreset.labels), slot, batch,
+                       1000, hyper, nd.Tape())
 
 
 def _outer_loss_on_float64_layers(coreset, net, batch, n_total, hyper, tape):

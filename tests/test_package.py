@@ -45,12 +45,13 @@ def test_upper_layers_use_every_primitive(monkeypatch):
     coreset = PseudoCoreset(images=rng.standard_normal((4, 3)),
                             labels=rng.standard_normal((4, 2)),
                             ipc=2, hyper=hyper)
-    net = network.init_net((3, 5), 2, seed=1)
+    # a float32 pool slot, as training drives it
+    pool = network.pool_new(1, (3, 5), 2, seed=1, period=5)
     batch = (rng.standard_normal((6, 3)), np.eye(2)[rng.integers(0, 2, 6)])
     tape = nd.Tape()
-    loss, _ = outer_loss(coreset, net, batch, 12, hyper, tape)
+    loss, _ = outer_loss(coreset, pool.nets[0], batch, 12, hyper, tape)
     coreset_grad(loss, tape)
-    network.gaussian_step(net, coreset.images, coreset.labels, hyper.gamma, 1e-3)
+    network.pool_update(pool, 0, coreset.images, coreset.labels, hyper.gamma, 1e-3)
     assert used == set(nd._REGISTRY)
 
 
@@ -162,8 +163,8 @@ def test_tape_wrapper_options_are_the_listed_ones():
     options = {op: list(inspect.signature(getattr(nd, op)).parameters)[arity:]
                for op, (_, _, arity) in nd._REGISTRY.items()}
     assert {op: names for op, names in options.items() if names} == {
-        "matmul": ["trans_a", "trans_b"], "scale": ["factor"], "inner": ["axis"],
-        "inv_quad_spd": ["rows"]}
+        "matmul": ["trans_a", "trans_b"], "scale": ["factor"], "cast": ["dtype"],
+        "inner": ["axis"], "inv_quad_spd": ["rows"]}
 
 
 def test_scheduler_tuning_constants_are_the_listed_ones():

@@ -885,10 +885,9 @@ def test_train_matches_the_serial_loop_bit_for_bit(monkeypatch, case, worker):
 
 
 def test_pool_step_and_rotation_run_on_the_calling_thread(monkeypatch):
-    # the pool's Gaussian steps, its draws (the pool's, then each
-    # rotation's) and the buffers of each step's float64 copy of the
-    # sampled slot's feature layers
-    where = {"gaussian_step": [], "_draw_nets": [], "_float64_buffers": []}
+    # the pool's Gaussian steps and its draws (the pool's, then each
+    # rotation's)
+    where = {"gaussian_step": [], "_draw_nets": []}
     for name in where:
         real = getattr(network, name)
 
@@ -901,7 +900,6 @@ def test_pool_step_and_rotation_run_on_the_calling_thread(monkeypatch):
     train(config, moons_dataset(n=400))
     assert len(where["gaussian_step"]) == config.steps
     assert len(where["_draw_nets"]) > 1 + config.pool_size  # rotations happened
-    assert len(where["_float64_buffers"]) == config.steps
     assert set().union(*where.values()) == {threading.get_ident()}
 
 
