@@ -292,17 +292,26 @@ def _solve(inv_chol, b, op="N"):
 
 def _fwd_matmul(a, b, trans_a=False, trans_b=False):
     """op(a) @ op(b) on views: BLAS gets a trans flag, and a @ a.T or
-    a.T @ a on one buffer is numpy's syrk."""
+    a.T @ a on one buffer is numpy's syrk, whose adjoint is one product."""
     op_a = a.T if trans_a else a
     op_b = b.T if trans_b else b
     if op_a.shape[1] != op_b.shape[0]:
         raise ShapeError(f"matmul: {op_a.shape} @ {op_b.shape}")
-    return _twocore._product(op_a, op_b), (op_a, op_b, trans_a, trans_b)
+    gram = a is b and trans_a != trans_b
+    return _twocore._product(op_a, op_b), (op_a, op_b, trans_a, trans_b, gram)
 
 
 def _vjp_matmul(g, saved, needs):
     # d op(a) = g op(b)^T, d op(b) = op(a)^T g; a flagged one is built transposed
-    op_a, op_b, trans_a, trans_b = saved
+    op_a, op_b, trans_a, trans_b, gram = saved
+    if gram:
+        # a^T a or a a^T of one buffer: the two partials sum to one product,
+        # a (g + g^T) or (g + g^T) a, returned as the first
+        if not needs[0]:
+            return None, None
+        sym = g + g.T
+        return (_twocore._product(op_b, sym) if trans_a
+                else _twocore._product(sym, op_a)), None
     ga = gb = None
     if needs[0]:
         ga = _twocore._product(op_b, g.T) if trans_a else _twocore._product(g, op_b.T)

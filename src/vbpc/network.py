@@ -16,14 +16,17 @@ scratch buffer per half and layer, so no float64 net is ever whole.
 
 This module owns the boundary between a net's dtype and the posterior's
 float64. What goes into a float32 net, the coreset's images and labels for
-a slot's step and the rows whose features are read, is cast by `_float32`;
-the coreset's taped images go in through the tape's `cast`. Both apply
-one rule (`ndiff._checked_cast`): a value beyond float32's range raises
-NonFiniteError. What comes out is float64: `features` hands back a
-read-only float64 block for any net, and `features_graph`, reading a
-net's parameters as constants, casts the taped features up. So the
-coreset's features run through the slot itself, at sgemm's rate, while
-the coreset, its gradients and the posterior stay float64.
+a slot's step and the rows whose features are read, goes through
+`_float32`, which adopts a read-only float32 buffer as it is and casts
+anything else; taped images of another dtype than the net's go in through
+the tape's `cast`. Both apply one rule (`ndiff._checked_cast`): a value
+beyond float32's range raises NonFiniteError. What comes out is float64:
+`features` hands back a read-only float64 block for any net, and
+`features_graph`, reading a net's parameters as constants, casts the
+taped features up. Training keeps the coreset's images in float32
+(`trainer.train`), so a step's coreset pass casts once, on the way out,
+and its image gradient comes back in float32; the labels and the
+posterior stay float64.
 
 A pool of two nets or more is drawn on both cores: each slot has its own
 seed stream, so the worker of `_twocore._halves` draws the later half of
@@ -128,10 +131,13 @@ def _read_only(values, dtype):
 
 
 def _float32(values, name):
-    """A fresh read-only float32 copy of `values`, which the tape adopts
-    without a second copy; a finite value beyond float32's range raises
-    NonFiniteError naming `name` (`ndiff._checked_cast`, the rule `cast`
-    applies too)."""
+    """`values` as a read-only float32 buffer that the tape adopts without
+    a copy: `values` itself if it is one already (the coreset's training
+    images), else a fresh copy. A finite value beyond float32's range
+    raises NonFiniteError naming `name` (`ndiff._checked_cast`, the rule
+    `cast` applies too)."""
+    if nd._adoptable(values) and values.dtype == np.float32:
+        return values
     out = nd._checked_cast(values, np.float32, name)
     out.flags.writeable = False
     return out
@@ -169,21 +175,24 @@ def features_graph(net, x, param_arrays=None):
     trained, and the pass runs in the net's dtype. Otherwise the parameters
     enter as constants (sharing memory with net.params, which init_net and
     adam_step make read-only and finite) and the pass is the taped twin of
-    `features`: a float32 net reads `x` rounded to float32 through
-    `ndiff.cast` and hands its features on through a second `cast`, exact,
-    as float64; a float64 net makes no cast node.
+    `features`: `x` goes through `ndiff.cast` only when its dtype is not
+    the net's, and a float32 net hands its features on through a `cast`,
+    exact, as float64. So the float32 training images through a float32
+    slot make one cast node, float64 images two, and float64 images
+    through a float64 net none.
     """
+    dtype = net.head.dtype
     if param_arrays is None:
         ws = [nd._adopt_checked(w) for w in net.weights]
         bs = [nd._adopt_checked(b) for b in net.biases]
     else:
         n = len(net.weights)
         ws, bs = param_arrays[:n], param_arrays[n:2 * n]
-    upcast = param_arrays is None and net.head.dtype != np.float64
-    out = nd.cast(x, net.head.dtype) if upcast else x
+    constants = param_arrays is None
+    out = nd.cast(x, dtype) if constants and x.data.dtype != dtype else x
     for w, b in zip(ws, bs):
         out = nd.affine_relu(out, w, b)
-    return nd.cast(out, np.float64) if upcast else out
+    return nd.cast(out, np.float64) if constants and dtype != np.float64 else out
 
 
 def gaussian_likelihood_loss(net, images, labels, gamma, param_arrays):
@@ -260,8 +269,9 @@ def pool_sample(pool, rng):
 
 def pool_update(pool, index, images, labels, gamma, lr):
     """Gaussian step on one slot, in float32 on the coreset's images and
-    labels cast by `_float32`, then rotate the slot if its period is up: it
-    is redrawn as `pool_new` draws it, from its next generation's seed."""
+    labels through `_float32` (the training images, read-only float32
+    already, with no copy), then rotate the slot if its period is up: it is
+    redrawn as `pool_new` draws it, from its next generation's seed."""
     net, state = gaussian_step(pool.nets[index], _float32(images, "coreset images"),
                                _float32(labels, "coreset labels"), gamma, lr,
                                state=pool.opt_states[index])

@@ -42,9 +42,11 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape):
     Both feature passes run through `net` itself, in its dtype, float32 for
     a pool slot, and reach the posterior as float64: the batch's through
     `network.features`, the coreset's on the tape through
-    `network.features_graph`, which casts the float64 image leaf down and
-    the features up (`ndiff.cast`). The coreset, its gradients and the
-    posterior stay float64.
+    `network.features_graph`, which casts the image leaf to the net's dtype
+    if it differs and the features up (`ndiff.cast`). The image gradient
+    takes the leaf's dtype: float32 for the float32 images training keeps,
+    float64 for float64 ones. The labels, their gradient and the posterior
+    are float64.
     """
     x_b, y_b = batch
     if y_b.shape[0] == 0:

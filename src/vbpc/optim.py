@@ -17,9 +17,10 @@ training keeps each optimizer state in the dtype of the weights it
 updates. A step takes parameters and gradients of that dtype only, and
 every op runs in it with no cast. The scalar constants are Python floats,
 which take the dtype of the buffer they meet, so the same ops run in either
-dtype, and each gives the textbook expression's bits in that dtype. The
-coreset's state is float64; a pool slot's and the evaluation net's are
-float32, as their parameters are.
+dtype, and each gives the textbook expression's bits in that dtype. A
+learning rate beyond the dtype's range is refused before any moment moves.
+The coreset's images, a pool slot and the evaluation net have float32
+states, as their parameters are; the coreset's labels a float64 one.
 
 Each slice of sqrt(v/c2) + EPS and of the result is checked finite while
 it is in cache. So an overflowing second moment, which would give the
@@ -43,9 +44,12 @@ EPS = 1e-8
 # slice of float32 moments is 2 * SLICE elements long. Each ufunc call on a
 # slice releases and retakes the interpreter lock, so while two halves run,
 # every call is a handoff between their threads: slices must be long enough
-# that the ops, not the handoffs, take the time. In float64 one slice's p,
-# g, out, m, v and two scratch buffers take 3.5 MiB, inside a core's 4 MiB
-# L2. A block of at least 2 * SLICE elements, whatever their dtype, is cut.
+# that the ops, not the handoffs, take the time. One slice's p, g, out, m,
+# v and two scratch buffers take 3.5 MiB, more than a core's L2 on a 2-vCPU
+# host with 2 MiB per core, yet shorter slices were not faster there: a
+# float32 Adam step at perfbench `wide`'s pool shapes, timed alone, took a
+# median 6.2, 7.4 and 10.2 ms at SLICE 65536, 32768 and 16384. A block of
+# at least 2 * SLICE elements, whatever their dtype, is cut.
 SLICE = 65536
 
 
@@ -74,7 +78,8 @@ def adam_step(state, params, grads, lr):
     in this order and in that dtype: m = BETA1*m + (1-BETA1)*g,
     v = BETA2*v + ((1-BETA2)*g)*g, step = (lr*(m/c1)) / (sqrt(v/c2) + EPS),
     p - step. A parameter or gradient of another dtype than the state's
-    raises ValueError; a non-finite sqrt(v/c2) + EPS or new parameter raises
+    raises ValueError; a learning rate beyond the dtype's range, a
+    non-finite sqrt(v/c2) + EPS or a non-finite new parameter raises
     NonFiniteError.
     """
     if not len(params) == len(grads) == len(state.m) == len(state.v):
@@ -92,11 +97,15 @@ def adam_step(state, params, grads, lr):
         if not p.dtype == g.dtype == dtype:
             raise ValueError(f"parameter {p.dtype} and gradient {g.dtype} must "
                              f"be of the state's dtype, {dtype}")
+    lr = float(lr)
+    if not abs(lr) <= float(np.finfo(dtype).max):
+        # the ops would cast lr to inf, with a warning, and fail at the update
+        raise NonFiniteError(f"adam_step: learning rate {lr:.3e} beyond "
+                             f"{dtype.name}'s range")
     state.t += 1
     # Python floats, which numpy 2 casts to the moments' dtype in each op
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
-    lr = float(lr)
     mids = [_twocore._cut(m.size) if m.size >= 2 * SLICE else 0 for m in state.m]
     # a pair of scratch buffers per half, as long as a slice of this dtype
     # or, if shorter, as the largest block: the update walks its elements in

@@ -11,6 +11,14 @@ jitter retry, and a lower bound on the condition number of the step's
 factored Gram system; a non-finite value anywhere in a step aborts with a
 diagnostic record and never returns a corrupted coreset.
 
+The pixels train in float32, the dtype of the pool slots that read them:
+the images are cast once on entry (`network._float32`, which refuses a
+value beyond float32's range), and their Adam moments, their noise and
+their gradient are float32, so a step's coreset pass makes one cast, its
+features up to the float64 posterior. The labels keep float64, with a
+float64 Adam state of their own. `train` returns the images upcast to
+float64, exactly, so what is saved and evaluated is a float64 coreset.
+
 The loop is a two-stage pipeline. Step t's pool update needs the coreset
 that step t's Adam made, and step t+1's coreset step (outer loss, backward,
 the coreset's Adam step) needs that coreset and the network of the slot it
@@ -149,14 +157,15 @@ class BatchSampler:
         return self.dataset.rows(idx), self.dataset.onehot(idx)
 
 
-def _draw_noise(shape, sigma, rng):
-    """sigma times a fresh standard-normal draw, in the draw's own buffer;
-    None, with nothing drawn, at sigma = 0."""
+def _draw_noise(shape, dtype, sigma, rng):
+    """sigma times a fresh standard-normal draw in `dtype`, float32 or
+    float64, in the draw's own buffer; None, with nothing drawn, at
+    sigma = 0. A float64 draw is numpy's default one."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return None
-    noise = rng.standard_normal(shape)
+    noise = rng.standard_normal(shape, dtype=dtype)
     noise *= sigma
     return noise
 
@@ -172,9 +181,9 @@ def _add_noise(images, noise):
 
 
 def augment_noise(images, sigma, rng):
-    """Additive Gaussian pixel noise, in a fresh read-only buffer; sigma = 0
-    is the identity path."""
-    return _add_noise(images, _draw_noise(images.shape, sigma, rng))
+    """Additive Gaussian pixel noise, drawn in the images' dtype, in a fresh
+    read-only buffer; sigma = 0 is the identity path."""
+    return _add_noise(images, _draw_noise(images.shape, images.dtype, sigma, rng))
 
 
 class _Step:
@@ -207,9 +216,11 @@ def train(config, dataset, sink=None):
     `sink` receives one dict per log interval (and on step 0, the final
     step, and on abort), each once that step's pool update is done. The
     returned coreset carries the resolved hyperparameters so evaluation
-    reuses them. The pool and the loop's buffers are freed on return, and
-    their heap pages go back to the operating system: glibc would keep them
-    resident, under whatever the caller allocates next.
+    reuses them, and its images upcast, exactly, from the float32 they
+    train in, so it is float64 like any other coreset. The pool and the
+    loop's buffers are freed on return, and their heap pages go back to the
+    operating system: glibc would keep them resident, under whatever the
+    caller allocates next.
     """
     try:
         return _train(config, dataset, sink)
@@ -232,10 +243,12 @@ def _train(config, dataset, sink):
     noise_rng = np.random.default_rng(config.seed_noise)
     sampler = BatchSampler(dataset, config.batch_size, config.seed_data)
 
-    images = np.array(coreset.images)
+    # the pixels train in float32, the labels in float64, each with the
+    # Adam state of its dtype
+    images = network._float32(coreset.images, "coreset images")
     labels = np.array(coreset.labels)
-    # one optimizer state: the images, and the labels when they learn
-    state = AdamState.init([images, labels] if config.learn_labels else [images])
+    image_state = AdamState.init([images])
+    label_state = AdamState.init([labels])
     retries = 0         # of the steps settled so far
     sigma = config.noise_sigma if config.noise_aug else 0.0
     ahead = []          # the batch and noise of the next step, drawn ahead
@@ -252,12 +265,11 @@ def _train(config, dataset, sink):
                 coreset.with_arrays(loss_images, step.labels), net, batch,
                 dataset.n, hyper, tape)
             grad_x, grad_y = coreset_grad(loss, tape)
+            _, (step.images,) = adam_step(image_state, [step.images], [grad_x],
+                                          step.lr)
             if config.learn_labels:
-                _, (step.images, step.labels) = adam_step(
-                    state, [step.images, step.labels], [grad_x, grad_y], step.lr)
-            else:
-                _, (step.images,) = adam_step(state, [step.images], [grad_x],
-                                              step.lr)
+                _, (step.labels,) = adam_step(label_state, [step.labels],
+                                              [grad_y], step.lr)
         except Exception as err:    # raised by `settle`, in step order
             step.error = err
 
@@ -274,7 +286,7 @@ def _train(config, dataset, sink):
         step; the noise is None when the run adds none."""
         if number < config.steps:
             ahead.append((sampler.next(),
-                          _draw_noise(images.shape, sigma, noise_rng)))
+                          _draw_noise(images.shape, images.dtype, sigma, noise_rng)))
 
     def settle(step):
         """Report `step`, whose pool update is done, or raise its error: a
@@ -330,7 +342,7 @@ def _train(config, dataset, sink):
         pending = step
     pool_step(pending)
     settle(pending)
-    return coreset.with_arrays(images, labels)
+    return coreset.with_arrays(network._read_only(images, np.float64), labels)
 
 
 def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):

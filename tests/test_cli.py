@@ -330,8 +330,12 @@ def test_train_non_finite_update_aborts_with_record(tmp_path, capsys):
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "train aborted" in err and "Traceback" not in err
+    # the float32 pixels' Adam refuses the rate at step 0, naming the range
+    assert "learning rate 1.000e+300 beyond float32's range" in err
     lines = (out / "metrics.jsonl").read_text().splitlines()
-    assert json.loads(lines[-1])["event"] == "abort"
+    assert json.loads(lines[-1]) == {"step": 0, "event": "abort", "jitter_retries": 0,
+                                     "error": "adam_step: learning rate 1.000e+300 "
+                                              "beyond float32's range"}
 
 
 def test_train_negative_variance_aborts_with_record(tmp_path, capsys, monkeypatch):

@@ -286,6 +286,31 @@ def test_grad_gram_of_one_leaf(flag):
         lambda a: nd.matmul(a, a, **{flag: True}))
 
 
+@pytest.mark.parametrize("flag", ["trans_a", "trans_b"])
+def test_gram_adjoint_is_one_product(monkeypatch, flag):
+    # a^T a or a a^T of one buffer: backward makes one product, a (g + g^T)
+    # or (g + g^T) a, which is the two partials' sum to round-off, and a
+    # central difference agrees with it
+    rng = np.random.default_rng(21)
+    a_val = rng.standard_normal((50, 30))
+    side = 30 if flag == "trans_a" else 50
+    probe = rng.standard_normal((side, side))     # no symmetry: g != g^T
+    products = []
+    real = _twocore._product
+    monkeypatch.setattr(_twocore, "_product",
+                        lambda x, y: products.append(None) or real(x, y))
+    tape = nd.Tape()
+    a = tape.leaf(nd.Array(a_val))
+    loss = nd.inner(nd.matmul(a, a, **{flag: True}), nd.constant(probe))
+    products.clear()
+    got = nd.backward(tape, loss)[tape.node_id(a)].data
+    assert len(products) == 1
+    two = a_val @ probe.T + a_val @ probe if flag == "trans_a" else probe @ a_val + probe.T @ a_val
+    np.testing.assert_allclose(got, two, rtol=0, atol=1e-13 * np.abs(two).max())
+    check_primitive_gradient(lambda rng: (rng.standard_normal((6, 4)),),
+                             lambda x: nd.matmul(x, x, **{flag: True}), n_points=5, seed=3)
+
+
 def test_inv_quad_over_rows_is_the_columns_of_the_transpose():
     # rows=True reads b.T as a view; a C-contiguous copy of b.T as the
     # columns gives the same bits in the value and in both gradients

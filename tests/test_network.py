@@ -432,6 +432,19 @@ def test_pool_step_refuses_a_coreset_beyond_float32(field):
     assert pool.nets[0] is before and pool.counters == [0]
 
 
+def test_float32_adopts_a_read_only_float32_buffer():
+    # the training images, read-only float32 from Adam, reach the pool step
+    # as they are; a writable or float64 buffer is copied
+    rng = np.random.default_rng(20)
+    frozen = rng.standard_normal((4, 5)).astype(np.float32)
+    frozen.flags.writeable = False
+    assert network._float32(frozen, "x") is frozen
+    for values in (frozen.copy(), frozen.astype(np.float64)):
+        out = network._float32(values, "x")
+        assert out is not values and out.dtype == np.float32 and not out.flags.writeable
+        assert out.tobytes() == frozen.tobytes()
+
+
 def test_pool_counters_never_exceed_period():
     rng = np.random.default_rng(14)
     images = rng.standard_normal((2, 2))

@@ -358,6 +358,31 @@ def test_coreset_pass_casts_only_through_a_float32_slot():
         assert ops.count("cast") == casts and ops.count("affine_relu") == 2
 
 
+def test_float32_training_images_cast_once():
+    # the float32 images training keeps go into a float32 slot with no cast:
+    # its pass records one, the features up to float64, where float64
+    # images record two and a float64 net none; the image gradient takes
+    # the leaf's dtype and the labels' stays float64
+    coreset, slot, batch, hyper = image_instance(0, 20, (64, 32, 32))
+    net64 = network.init_net((64, 32, 32), 10, seed=1)
+    images32 = network._float32(coreset.images, "coreset images")
+    for net, images, casts in ((slot, images32, 1), (slot, coreset.images, 2),
+                               (net64, coreset.images, 0), (net64, images32, 1)):
+        tape = nd.Tape()
+        loss, _ = outer_loss(coreset.with_arrays(images, coreset.labels), net,
+                             batch, 1000, hyper, tape)
+        ops = [op for op, _, _, _ in tape.records]
+        assert ops.count("cast") == casts and ops.count("affine_relu") == 2
+        grad_x, grad_y = coreset_grad(loss, tape)
+        assert grad_x.dtype == images.dtype and grad_y.dtype == np.float64
+    # float32 images and their float64 upcast give the slot the same pass
+    got = loss_and_grads(coreset.with_arrays(images32, coreset.labels), slot, batch, hyper)
+    want = loss_and_grads(coreset.with_arrays(images32.astype(np.float64), coreset.labels),
+                          slot, batch, hyper)
+    assert got[0] == want[0] and got[2].tobytes() == want[2].tobytes()
+    assert got[1].tobytes() == want[1].astype(np.float32).tobytes()
+
+
 def test_float32_slot_refuses_a_coreset_beyond_float32():
     # the coreset's taped images enter the slot by the rule a pool step's
     # images do: the error names float32's range, with no overflow warning

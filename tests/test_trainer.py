@@ -1,6 +1,7 @@
 """Optimizer steps, schedules, sampling, the training loop, evaluation."""
 
 import math
+import re
 import threading
 import warnings
 
@@ -238,6 +239,27 @@ def test_adam_non_finite_update_raises():
         adam_step(AdamState.init(p), p, g, lr=1e308)
 
 
+@pytest.mark.parametrize("dtype, lr", [(np.float32, 1e300), (np.float32, -4e38),
+                                       (np.float64, math.inf)])
+def test_adam_refuses_a_learning_rate_its_dtype_cannot_hold(dtype, lr):
+    # the ops would cast lr to inf with an overflow warning and fail later as
+    # a "non-finite parameter update": the step raises first, naming the
+    # range, and moves no moment
+    state = AdamState.init([np.zeros((2, 3), dtype)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nd.NonFiniteError,
+                           match=re.escape(f"adam_step: learning rate {lr:.3e} beyond "
+                                           f"{np.dtype(dtype).name}'s range")):
+            adam_step(state, [np.ones((2, 3), dtype)], [np.ones((2, 3), dtype)], lr=lr)
+    assert state.t == 0 and not state.m[0].any() and not state.v[0].any()
+    # the largest finite value of the dtype is a learning rate it holds
+    big = float(np.finfo(dtype).max)
+    state, (out,) = adam_step(state, [np.ones((2, 3), dtype)],
+                              [np.zeros((2, 3), dtype)], lr=big)
+    assert state.t == 1 and (out == 1).all()
+
+
 def test_adam_rejects_mismatched_blocks():
     p = [np.zeros((2, 3))]
     with pytest.raises(ValueError):
@@ -266,6 +288,16 @@ def test_noise_is_the_expression_bit_for_bit():
     images = np.random.default_rng(2).standard_normal((7, 9))
     want = images + 0.1 * np.random.default_rng(3).standard_normal(images.shape)
     got = augment_noise(images, 0.1, np.random.default_rng(3))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_noise_is_drawn_in_the_images_dtype():
+    # float32 images get a float32 draw times sigma, in float32, bit for bit
+    images = np.random.default_rng(2).standard_normal((7, 9)).astype(np.float32)
+    want = images + 0.1 * np.random.default_rng(3).standard_normal(images.shape,
+                                                                   dtype=np.float32)
+    got = augment_noise(images, 0.1, np.random.default_rng(3))
+    assert got.dtype == want.dtype == np.float32 and not got.flags.writeable
     assert got.tobytes() == want.tobytes()
 
 
@@ -345,12 +377,53 @@ def moons_dataset(n=120, seed=8):
 
 
 def test_zero_lr_leaves_coreset_bitwise():
+    # the pixels train in float32: a zero step returns the initial images
+    # rounded to float32 and upcast, and the float64 labels as they were
     ds = moons_dataset()
     config = tiny_config(steps=1, coreset_lr=0.0)
     out = train(config, ds)
     init = init_coreset(ds, config.ipc, config.init_mode, config.seed_init)
-    np.testing.assert_array_equal(out.images, init.images)
+    assert out.images.dtype == np.float64
+    assert out.images.tobytes() == init.images.astype(np.float32).astype(np.float64).tobytes()
     np.testing.assert_array_equal(out.labels, init.labels)
+
+
+def test_train_returns_float64_images_that_float32_holds_exactly():
+    out = train(tiny_config(steps=4), moons_dataset())
+    assert out.images.dtype == out.labels.dtype == np.float64
+    assert out.images.tobytes() == out.images.astype(np.float32).astype(np.float64).tobytes()
+    # the labels train in float64: they are not all float32 values
+    assert not np.array_equal(out.labels, out.labels.astype(np.float32))
+
+
+def test_training_pixel_state_is_float32(monkeypatch):
+    # every coreset Adam step on the images has float32 parameters,
+    # gradients and moments, the labels' float64 ones; the pool step reads
+    # the float32 images Adam made as they are, with no copy
+    steps = []
+    real_adam = trainer.adam_step
+
+    def recording_adam(state, params, grads, lr):
+        state, new = real_adam(state, params, grads, lr)
+        steps.append(([p.dtype for p in params + grads + state.m + state.v], new))
+        return state, new
+
+    pool_images = []
+    real_gaussian = network.gaussian_step
+
+    def recording_gaussian(net, images, *args, **kwargs):
+        pool_images.append(images)
+        return real_gaussian(net, images, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adam_step", recording_adam)
+    monkeypatch.setattr(network, "gaussian_step", recording_gaussian)
+    train(tiny_config(steps=3), moons_dataset())
+    assert len(steps) == 6 and len(pool_images) == 3
+    for (image_dtypes, (images,)), (label_dtypes, _), pooled in zip(
+            steps[::2], steps[1::2], pool_images):
+        assert set(image_dtypes) == {np.dtype(np.float32)}
+        assert set(label_dtypes) == {np.dtype(np.float64)}
+        assert pooled is images
 
 
 def test_learn_labels_false_freezes_labels():
@@ -574,15 +647,32 @@ def test_abort_on_overflowing_pool_moment():
 
 
 def test_abort_on_coreset_beyond_float32():
-    # step 0's Adam moves the coreset by about coreset_lr = 1e300, finite in
-    # float64 but beyond float32's range: the pool step's cast refuses it,
-    # with no overflow warning, and the run aborts in step 0's pool update
+    # the images train in float32, where coreset_lr = 1e300 has no value:
+    # step 0's Adam on them refuses it, with no overflow warning, and the
+    # run aborts in step 0's coreset step
     records = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TrainAbort, match="coreset images beyond float32's range"):
+        with pytest.raises(TrainAbort, match="learning rate 1.000e\\+300 beyond "
+                                             "float32's range"):
             train(tiny_config(coreset_lr=1e300), moons_dataset(), sink=records.append)
-    assert [r["event"] for r in records] == ["abort"] and records[0]["step"] == 0
+    assert records == [{"step": 0, "event": "abort", "jitter_retries": 0,
+                        "error": "adam_step: learning rate 1.000e+300 beyond "
+                                 "float32's range"}]
+
+
+def test_abort_on_a_pool_lr_beyond_float32():
+    # the float32 pool slot's Adam refuses pool_lr = 1e300 as the images'
+    # Adam refuses coreset_lr: step 0 aborts in its pool update, with a
+    # record and no warning
+    records = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainAbort, match="learning rate 1.000e\\+300"):
+            train(tiny_config(pool_lr=1e300), moons_dataset(), sink=records.append)
+    assert records == [{"step": 0, "event": "abort", "jitter_retries": 0,
+                        "error": "adam_step: learning rate 1.000e+300 beyond "
+                                 "float32's range"}]
 
 
 def test_noise_toggle_changes_loss_stream():
@@ -791,7 +881,10 @@ def _serial_loop(config, dataset, sink, failed):
     sample_rng = np.random.default_rng(np.random.SeedSequence([config.seed_pool, 1]))
     noise_rng = np.random.default_rng(config.seed_noise)
     sampler = BatchSampler(dataset, config.batch_size, config.seed_data)
-    images, labels = np.array(coreset.images), np.array(coreset.labels)
+    # the pixels, their moments and their noise in float32, the labels and
+    # theirs in float64
+    images = np.array(coreset.images, dtype=np.float32)
+    labels = np.array(coreset.labels)
     state_x, state_y = AdamState.init([images]), AdamState.init([labels])
     for step in range(config.steps):
         lr = cosine_lr(step, config.steps, config.coreset_lr)
@@ -799,7 +892,8 @@ def _serial_loop(config, dataset, sink, failed):
         idx, net = pool_sample(pool, sample_rng)
         loss_images = images
         if config.noise_aug and config.noise_sigma != 0.0:
-            loss_images = images + config.noise_sigma * noise_rng.standard_normal(images.shape)
+            loss_images = images + config.noise_sigma * noise_rng.standard_normal(
+                images.shape, dtype=np.float32)
         try:
             tape = nd.Tape()
             loss, breakdown = outer_loss(coreset.with_arrays(loss_images, labels),
@@ -818,7 +912,7 @@ def _serial_loop(config, dataset, sink, failed):
                   "lik": breakdown.likelihood_term, "kl": breakdown.kl_term,
                   "lr": lr, "jitter_retries": len(failed),
                   "cond_lb": breakdown.cond_lb})
-    return coreset.with_arrays(images, labels)
+    return coreset.with_arrays(images.astype(np.float64), labels)
 
 
 def run_loop(loop, config, dataset):
@@ -863,7 +957,7 @@ PIPELINE = dict(steps=12, batch_size=64, ipc=32, hidden=(256, 1024),
     dict(pool_size=3, noise_aug=False),
     dict(pool_size=3, noise_sigma=0.0),
     dict(pool_size=3, learn_labels=False),
-    dict(pool_size=3, coreset_lr=1e300),    # aborts in step 0's pool update
+    dict(pool_size=3, coreset_lr=1e300),    # aborts in step 0's coreset Adam
     dict(pool_size=3, abort_in_pool_call=5),
 ], ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()))
 def test_train_matches_the_serial_loop_bit_for_bit(monkeypatch, case, worker):
