@@ -16,8 +16,9 @@ class AllocationWindow:
     an Array adopts without a copy. ``live`` is how much of that is still
     alive, ``peak`` its high-water mark and ``largest_block`` the largest
     single buffer. A buffer born before the window opened is not counted,
-    even when it is freed inside. ``base`` is always 0, so ``peak - base``
-    is the window's own peak.
+    even when it is freed inside. ``peak`` is the window's own peak.
+    ``base`` is always 0; it stays only because the traced runs of
+    `perfbench` still read ``peak - base``.
     """
 
     def __init__(self):

@@ -99,7 +99,7 @@ def run_bench(h, nhat, mode, reps=3, k=10, seed=0):
     return {"mode": mode,
             "h": h,
             "nhat": nhat,
-            "peak_f64": int(window.peak - window.base),
+            "peak_f64": int(window.peak),
             "largest_block": int(window.largest_block),
             "ms_per_100": 100.0 * (elapsed / reps) * 1e3,
             "loss": loss}

@@ -5,7 +5,8 @@ The network is a deterministic feature map followed by a linear head; only
 the head enters the Bayesian posterior, but the Gaussian-likelihood step
 trains every parameter. Pool slots are retrained for a fixed period and then
 reborn from a deterministic seed stream, so the coreset never overfits one
-feature map.
+feature map. A slot keeps its net, its Adam state and its step count; its
+generation and its net's shape are read off those, never stored twice.
 
 Pool slots keep float32 parameters, as the evaluation net does. A slot,
 at `pool_new` and at each rotation, is `init_net`'s draw rounded to
@@ -226,22 +227,23 @@ def gaussian_step(net, images, labels, gamma, lr, state=None):
 
 
 @dataclass
+class Slot:
+    """A pool slot: its float32 net, the net's Adam state (None before its
+    first step), and the Gaussian steps of all its generations."""
+
+    net: FeatureNet
+    state: AdamState | None = None
+    updates: int = 0
+
+
+@dataclass
 class ModelPool:
-    """P rotating feature networks with per-slot step counters.
+    """P rotating feature networks, one `Slot` each; slot i's generation is
+    its `updates // period`. Mutated by exactly one training loop."""
 
-    A slot that reaches `period` updates is reinitialized from the seed
-    stream (seed, slot, generation) and its counter and optimizer state
-    reset. Mutated by exactly one training loop.
-    """
-
-    nets: list
-    counters: list
-    period: int
-    widths: tuple
-    k: int
+    slots: list
     seed: int
-    generations: list
-    opt_states: list
+    period: int
 
 
 def _slot_seed(seed, slot, generation):
@@ -249,39 +251,35 @@ def _slot_seed(seed, slot, generation):
 
 
 def pool_new(p, widths, k, seed, period):
-    """P independently seeded float32 networks, counters at zero. Slot i is
-    `init_net(widths, k, _slot_seed(seed, i, 0))` rounded to float32, bit for
-    bit; slots [P/2, P) are drawn on the second core (`_draw_nets`), into
+    """P independently seeded float32 networks, with no steps taken. Slot i
+    is `init_net(widths, k, _slot_seed(seed, i, 0))` rounded to float32, bit
+    for bit; slots [P/2, P) are drawn on the second core (`_draw_nets`), into
     buffers made on the calling thread."""
-    if p < 1:
-        raise ValueError("pool size must be >= 1")
+    if p < 1 or period < 1:
+        raise ValueError(f"pool size and period must be >= 1, got {p} and {period}")
     nets = _draw_nets(widths, k, [_slot_seed(seed, i, 0) for i in range(p)], np.float32)
-    return ModelPool(nets=nets, counters=[0] * p, period=period,
-                     widths=tuple(widths), k=k, seed=seed,
-                     generations=[0] * p, opt_states=[None] * p)
+    return ModelPool([Slot(net) for net in nets], seed, period)
 
 
 def pool_sample(pool, rng):
-    """Uniformly pick a slot; returns (index, live network)."""
-    idx = int(rng.integers(len(pool.nets)))
-    return idx, pool.nets[idx]
+    """Uniformly pick a slot; returns its index."""
+    return int(rng.integers(len(pool.slots)))
 
 
 def pool_update(pool, index, images, labels, gamma, lr):
     """Gaussian step on one slot, in float32 on the coreset's images and
     labels through `_float32` (the training images, read-only float32
-    already, with no copy), then rotate the slot if its period is up: it is
-    redrawn as `pool_new` draws it, from its next generation's seed."""
-    net, state = gaussian_step(pool.nets[index], _float32(images, "coreset images"),
-                               _float32(labels, "coreset labels"), gamma, lr,
-                               state=pool.opt_states[index])
-    pool.nets[index] = net
-    pool.opt_states[index] = state
-    pool.counters[index] += 1
-    if pool.counters[index] >= pool.period:
-        pool.generations[index] += 1
-        pool.nets[index], = _draw_nets(
-            pool.widths, pool.k,
-            [_slot_seed(pool.seed, index, pool.generations[index])], np.float32)
-        pool.counters[index] = 0
-        pool.opt_states[index] = None
+    already, with no copy), counted in its updates. At each multiple of the
+    period the slot's net, of its own shape, is redrawn as `pool_new` draws
+    it, from the next generation's seed (seed, slot, generation), and its
+    Adam state starts afresh."""
+    slot = pool.slots[index]
+    slot.net, slot.state = gaussian_step(
+        slot.net, _float32(images, "coreset images"), _float32(labels, "coreset labels"),
+        gamma, lr, state=slot.state)
+    slot.updates += 1
+    if slot.updates % pool.period == 0:
+        seed = _slot_seed(pool.seed, index, slot.updates // pool.period)
+        slot.net, = _draw_nets(slot.net.widths, slot.net.head.shape[1], [seed],
+                               np.float32)
+        slot.state = None

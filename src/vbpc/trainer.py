@@ -26,19 +26,19 @@ samples. So, unless step t+1 samples the slot step t updates, the two are
 independent. Every iteration t+1 is one `_twocore._halves` call: the
 calling thread runs step t's pool update, if it is still pending, then
 draws step t+2's batch (its rows read and standardized) and the
-standard-normal draw for its noise, while the worker runs the coreset
-step. When the slots are the same, the update runs first, alone, and the
-calling thread's half only draws; the last step's update runs after the
-loop. Every op gets the inputs it gets in the serial order, and each
-random stream (batches, slots, noise) is drawn in its own order, so the
-records (bar `ms`) and the coreset are bit-identical to the serial loop's
-on any number of cores. A step's record is emitted once its pool update
-is done, with the retries of the steps up to it, summed in step order; a
-failure in step t's pool update aborts at step t even when step t+1's
-coreset step failed too. `ms` is the wall time from the previous step's
-record to this one's. The pool update stays on the calling thread: it
-allocates the parameter-sized buffers, and glibc keeps the buffers a
-thread frees in that thread's own arena.
+standard-normal draw for its noise, while the worker runs the coreset step,
+which reads its slot's net when it runs. When the slots are the same, the
+update runs first, alone, and the calling thread's half only draws; the
+last step's update runs after the loop. Every op gets the inputs it gets in
+the serial order, and each random stream (batches, slots, noise) is drawn
+in its own order, so the records (bar `ms`) and the coreset are
+bit-identical to the serial loop's on any number of cores. A step's record
+is emitted once its pool update is done, with the retries of the steps up
+to it, summed in step order; a failure in step t's pool update aborts at
+step t even when step t+1's coreset step failed too. `ms` is the wall time
+from the previous step's record to this one's. The pool update stays on the
+calling thread: it allocates the parameter-sized buffers, and glibc keeps
+the buffers a thread frees in that thread's own arena.
 """
 
 import ctypes
@@ -187,8 +187,8 @@ def augment_noise(images, sigma, rng):
 
 
 class _Step:
-    """A training step from its coreset step to its record: the coreset
-    its Adam step made, and what the record reports."""
+    """A training step from its coreset step to its record: its slot's
+    index, the coreset its Adam step made, and what the record reports."""
 
     def __init__(self, number, lr, idx, images, labels):
         self.number, self.lr, self.idx = number, lr, idx
@@ -254,16 +254,16 @@ def _train(config, dataset, sink):
     ahead = []          # the batch and noise of the next step, drawn ahead
     last = time.perf_counter()
 
-    def coreset_step(step, net, batch, noise):
-        """Outer loss, backward and the coreset's Adam step; replaces the
-        step's coreset with the one it makes."""
+    def coreset_step(step, batch, noise):
+        """Outer loss through its slot's net, backward and the coreset's Adam
+        step; replaces the step's coreset with the one it makes."""
         try:
             # the noisy images are read-only, so the tape adopts them
             loss_images = _add_noise(step.images, noise)
             tape = nd.Tape()
             loss, step.breakdown = outer_loss(
-                coreset.with_arrays(loss_images, step.labels), net, batch,
-                dataset.n, hyper, tape)
+                coreset.with_arrays(loss_images, step.labels),
+                pool.slots[step.idx].net, batch, dataset.n, hyper, tape)
             grad_x, grad_y = coreset_grad(loss, tape)
             _, (step.images,) = adam_step(image_state, [step.images], [grad_x],
                                           step.lr)
@@ -319,13 +319,11 @@ def _train(config, dataset, sink):
     for number in range(config.steps):
         lr = cosine_lr(number, config.steps, config.coreset_lr)
         batch, noise = ahead.pop()
-        idx, net = pool_sample(pool, sample_rng)
-        if pending is not None and pending.idx == idx:
+        step = _Step(number, lr, pool_sample(pool, sample_rng), images, labels)
+        if pending is not None and pending.idx == step.idx:
             pool_step(pending)      # this slot's update first, alone
             settle(pending)
             pending = None
-            net = pool.nets[idx]
-        step = _Step(number, lr, idx, images, labels)
 
         def caller_side():
             if pending is not None:
@@ -333,7 +331,7 @@ def _train(config, dataset, sink):
             draw(number + 1)
 
         _twocore._halves(caller_side,
-                         lambda: coreset_step(step, net, batch, noise))
+                         lambda: coreset_step(step, batch, noise))
         if pending is not None:
             settle(pending)
         if step.error is not None:
@@ -355,11 +353,11 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     health of the posterior's factored system, as the training records do.
 
     The network runs in float32: it is drawn as a pool slot is
-    (`network._draw_nets`), the coreset's images and labels are cast for
-    its Gaussian steps (`network._float32`, which refuses a value beyond
-    float32's range), and its Gaussian steps and both feature passes run at
-    sgemm's rate. `network.features` hands the coreset and test features to
-    the posterior and the predictive moments as float64. When it returns,
+    (`network._draw_nets`), the coreset's images and labels are cast once
+    (`network._float32`, which refuses a value beyond float32's range),
+    and its Gaussian steps and both feature passes run at sgemm's rate.
+    `network.features` hands the coreset and test features to the
+    posterior and the predictive moments as float64. When it returns,
     the heap pages its buffers held go back to the operating system, as
     after `train`.
     """
@@ -382,7 +380,7 @@ def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
     for _ in range(tprime):
         net, state = gaussian_step(net, images, labels, hyper.gamma,
                                    TrainConfig.pool_lr, state=state)
-    post = solve_posterior(features(net, coreset.images), coreset.labels, hyper)
+    post = solve_posterior(features(net, images), coreset.labels, hyper)
     batch = predictive_moments(post, features(net, test_x))
     log_probs = probit_log_softmax(batch.mean, batch.variance)
     acc, nll = metrics(log_probs, test_labels)

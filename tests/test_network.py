@@ -313,16 +313,24 @@ def test_gaussian_loss_decreases_over_training():
 def test_pool_of_one():
     pool = pool_new(1, (2, 3), k=2, seed=0, period=5)
     rng = np.random.default_rng(0)
-    assert pool_sample(pool, rng)[0] == 0
+    assert pool_sample(pool, rng) == 0
+
+
+@pytest.mark.parametrize("p, period", [(0, 5), (2, 0)])
+def test_pool_refuses_an_empty_pool_or_period(p, period):
+    # a slot's generation is updates // period, so a period of 0 has none
+    with pytest.raises(ValueError, match=f"got {p} and {period}"):
+        pool_new(p, (2, 3), k=2, seed=0, period=period)
 
 
 def test_pool_slots_distinct_and_deterministic():
     pool_a = pool_new(4, (2, 3), k=2, seed=1, period=5)
     pool_b = pool_new(4, (2, 3), k=2, seed=1, period=5)
-    for na, nb in zip(pool_a.nets, pool_b.nets):
-        for pa, pb in zip(na.params, nb.params):
+    for sa, sb in zip(pool_a.slots, pool_b.slots):
+        for pa, pb in zip(sa.net.params, sb.net.params):
             np.testing.assert_array_equal(pa, pb)
-    assert not np.array_equal(pool_a.nets[0].weights[0], pool_a.nets[1].weights[0])
+    assert not np.array_equal(pool_a.slots[0].net.weights[0],
+                              pool_a.slots[1].net.weights[0])
 
 
 # (pool size, widths, whether the draw is cut): a pool of one is drawn
@@ -342,7 +350,8 @@ def test_pool_draw_is_bit_identical_on_one_thread_or_two(halves_calls, monkeypat
     for i in range(p):
         # each slot is init_net's draw rounded to float32
         alone = init_net(widths, 3, network._slot_seed(21, i, 0))
-        for a, b, c in zip(two.nets[i].params, one.nets[i].params, alone.params):
+        for a, b, c in zip(two.slots[i].net.params, one.slots[i].net.params,
+                           alone.params):
             assert not a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
             assert a.dtype == b.dtype == np.float32 and c.dtype == np.float64
             assert a.tobytes() == b.tobytes() == c.astype(np.float32).tobytes()
@@ -353,7 +362,7 @@ def test_pool_sample_uniformity_chi2():
     rng = np.random.default_rng(3)
     counts = np.zeros(10)
     for _ in range(10_000):
-        counts[pool_sample(pool, rng)[0]] += 1
+        counts[pool_sample(pool, rng)] += 1
     chi2 = ((counts - 1000.0) ** 2 / 1000.0).sum()
     assert stats.chi2.sf(chi2, df=9) > 0.001
 
@@ -361,9 +370,9 @@ def test_pool_sample_uniformity_chi2():
 def test_pool_sample_reproducible():
     pool = pool_new(6, (2, 2), k=2, seed=4, period=5)
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    a = [pool_sample(pool, rng1)[0] for _ in range(20)]
-    b = [pool_sample(pool, rng2)[0] for _ in range(20)]
-    assert a == b
+    a = [pool_sample(pool, rng1) for _ in range(20)]
+    b = [pool_sample(pool, rng2) for _ in range(20)]
+    assert a == b and all(type(i) is int for i in a)
 
 
 def test_pool_rotation_contract():
@@ -374,16 +383,17 @@ def test_pool_rotation_contract():
     trained = []
     for _ in range(3):
         pool_update(pool, 0, images, labels, gamma=1.0, lr=1e-3)
-        trained.append(pool.nets[0])
-    # after exactly `period` updates the slot was reborn: counter reset and
-    # parameters differ from the trained values that preceded rotation
-    assert pool.counters[0] == 0
-    assert not np.array_equal(pool.nets[0].weights[0], trained[1].weights[0])
-    assert pool.generations[0] == 1
+        trained.append(pool.slots[0].net)
+    # after exactly `period` updates the slot was reborn, in generation
+    # 3 // 3 = 1, with a fresh Adam state: its parameters differ from the
+    # trained values that preceded rotation
+    slot = pool.slots[0]
+    assert slot.updates == 3 and slot.state is None
+    assert not np.array_equal(slot.net.weights[0], trained[1].weights[0])
     # reborn as pool_new draws a slot: the next generation's init_net draw,
     # rounded to float32
     reborn = init_net((2, 3), 2, network._slot_seed(11, 0, 1))
-    for a, b in zip(pool.nets[0].params, reborn.params):
+    for a, b in zip(slot.net.params, reborn.params):
         assert a.dtype == np.float32 and not a.flags.writeable
         assert a.tobytes() == b.astype(np.float32).tobytes()
 
@@ -395,8 +405,36 @@ def test_pool_period_one_reinitializes_every_update():
     pool = pool_new(2, (2, 3), k=2, seed=13, period=1)
     for step in range(4):
         pool_update(pool, step % 2, images, labels, gamma=1.0, lr=1e-3)
-        assert pool.counters[step % 2] == 0
-    assert pool.generations[0] == 2 and pool.generations[1] == 2
+        slot = pool.slots[step % 2]
+        assert slot.state is None
+        reborn = init_net((2, 3), 2, network._slot_seed(13, step % 2, slot.updates))
+        assert all(a.tobytes() == b.astype(np.float32).tobytes()
+                   for a, b in zip(slot.net.params, reborn.params))
+    assert [slot.updates for slot in pool.slots] == [2, 2]
+
+
+def test_pool_slot_runs_through_two_periods():
+    # the generation is derived, updates // period: after each boundary the
+    # slot holds that generation's draw and a fresh Adam state, and between
+    # boundaries it trains the net it holds
+    rng = np.random.default_rng(22)
+    images, labels = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+    pool = pool_new(2, (5, 8, 6), k=3, seed=23, period=3)
+    slot = pool.slots[1]
+    for updates in range(1, 7):
+        before = slot.net
+        pool_update(pool, 1, images, labels, gamma=1.0, lr=1e-3)
+        assert slot.updates == updates
+        if updates % 3:
+            assert slot.state.t == updates % 3 and slot.net is not before
+            continue
+        assert slot.state is None
+        seed = network._slot_seed(23, 1, updates // 3)
+        drawn, = network._draw_nets((5, 8, 6), 3, [seed], np.float32)
+        assert slot.net.widths == drawn.widths
+        for a, b in zip(slot.net.params, drawn.params):
+            assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
+    assert pool.slots[0].updates == 0 and pool.slots[0].state is None
 
 
 def test_pool_slot_moments_take_the_bytes_of_its_parameters():
@@ -407,7 +445,8 @@ def test_pool_slot_moments_take_the_bytes_of_its_parameters():
     pool = pool_new(3, (5, 8, 6), k=3, seed=17, period=10)
     for slot in range(3):
         pool_update(pool, slot, images, labels, gamma=1.0, lr=1e-3)
-    for net, state in zip(pool.nets, pool.opt_states):
+    for slot in pool.slots:
+        net, state = slot.net, slot.state
         assert all(p.dtype == np.float32 for p in net.params)
         assert all(b.dtype == np.float32 for b in state.m + state.v)
         assert (sum(b.nbytes for b in state.m + state.v)
@@ -422,14 +461,15 @@ def test_pool_step_refuses_a_coreset_beyond_float32(field):
     arrays = {"images": rng.standard_normal((4, 5)), "labels": rng.standard_normal((4, 3))}
     arrays[field][2, 1] = -4e38
     pool = pool_new(1, (5, 8), k=3, seed=19, period=10)
-    before = pool.nets[0]
+    before = pool.slots[0].net
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(nd.NonFiniteError,
                            match=f"coreset {field} beyond float32's range: "
                                  f"largest magnitude 4.000e\\+38"):
             pool_update(pool, 0, arrays["images"], arrays["labels"], gamma=1.0, lr=1e-3)
-    assert pool.nets[0] is before and pool.counters == [0]
+    slot, = pool.slots
+    assert slot.net is before and slot.updates == 0 and slot.state is None
 
 
 def test_float32_adopts_a_read_only_float32_buffer():
@@ -450,11 +490,15 @@ def test_pool_counters_never_exceed_period():
     images = rng.standard_normal((2, 2))
     labels = rng.standard_normal((2, 2))
     pool = pool_new(3, (2, 2), k=2, seed=15, period=4)
-    for _ in range(1000):
-        idx, _ = pool_sample(pool, rng)
-        pool_update(pool, idx, images, labels, gamma=1.0, lr=1e-4)
-        assert all(0 <= c < 4 for c in pool.counters)
-    assert sum(pool.counters) <= 3 * 3
+    for step in range(1, 1001):
+        pool_update(pool, pool_sample(pool, rng), images, labels, gamma=1.0, lr=1e-4)
+        # the steps of a slot's current generation, which its Adam state
+        # counts, stay below the period
+        for slot in pool.slots:
+            taken = 0 if slot.state is None else slot.state.t
+            assert 0 <= taken == slot.updates % 4 < 4
+        assert sum(slot.updates for slot in pool.slots) == step
+    assert sum(slot.updates % 4 for slot in pool.slots) <= 3 * 3
 
 
 def test_pool_state_deterministic_after_updates():
@@ -464,12 +508,11 @@ def test_pool_state_deterministic_after_updates():
         labels = rng.standard_normal((3, 2))
         pool = pool_new(2, (2, 3), k=2, seed=17, period=3)
         for _ in range(10):
-            idx, _ = pool_sample(pool, rng)
-            pool_update(pool, idx, images, labels, gamma=2.0, lr=1e-3)
+            pool_update(pool, pool_sample(pool, rng), images, labels, gamma=2.0, lr=1e-3)
         return pool
 
     pa, pb = run(), run()
-    for na, nb in zip(pa.nets, pb.nets):
-        for x, y in zip(na.params, nb.params):
+    for sa, sb in zip(pa.slots, pb.slots):
+        for x, y in zip(sa.net.params, sb.net.params):
             np.testing.assert_array_equal(x, y)
-    assert pa.counters == pb.counters
+    assert [s.updates for s in pa.slots] == [s.updates for s in pb.slots]

@@ -308,7 +308,7 @@ def image_instance(seed, nhat, widths):
         labels=scaled_onehot_labels(classes, k), ipc=nhat // k, hyper=hyper)
     y_b = rng.integers(0, k, 64)
     batch = (0.5 * prototypes[y_b] + rng.standard_normal((64, 64)), np.eye(k)[y_b])
-    slot = network.pool_new(1, widths, k, seed, period=5).nets[0]
+    slot = network.pool_new(1, widths, k, seed, period=5).slots[0].net
     return coreset, slot, batch, hyper
 
 

@@ -49,7 +49,7 @@ def test_upper_layers_use_every_primitive(monkeypatch):
     pool = network.pool_new(1, (3, 5), 2, seed=1, period=5)
     batch = (rng.standard_normal((6, 3)), np.eye(2)[rng.integers(0, 2, 6)])
     tape = nd.Tape()
-    loss, _ = outer_loss(coreset, pool.nets[0], batch, 12, hyper, tape)
+    loss, _ = outer_loss(coreset, pool.slots[0].net, batch, 12, hyper, tape)
     coreset_grad(loss, tape)
     network.pool_update(pool, 0, coreset.images, coreset.labels, hyper.gamma, 1e-3)
     assert used == set(nd._REGISTRY)

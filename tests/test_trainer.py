@@ -845,6 +845,30 @@ def test_eval_counts_one_feature_pass_per_input():
     assert calls.count(40) == 1
 
 
+def test_eval_casts_the_coreset_images_once(monkeypatch):
+    # the float32 images made for the Gaussian steps also feed the
+    # posterior's feature pass: of every checked cast, one has the images'
+    # shape (30 x 16; the labels are 30 x 3, the test split 50 x 16)
+    from vbpc.data import PseudoCoreset, scaled_onehot_labels
+    from vbpc.posterior import Hyperparams
+    rng = np.random.default_rng(24)
+    coreset = PseudoCoreset(images=rng.standard_normal((30, 16)),
+                            labels=scaled_onehot_labels(np.arange(30) % 3, 3), ipc=10,
+                            hyper=Hyperparams(rho=1.0, gamma=100.0, beta_s=30.0,
+                                              beta_d=1e-8))
+    calls = []
+    real = nd._checked_cast
+
+    def counting(values, dtype, name):
+        calls.append((np.shape(values), name))
+        return real(values, dtype, name)
+
+    monkeypatch.setattr(nd, "_checked_cast", counting)
+    evaluate_coreset(coreset, rng.standard_normal((50, 16)), rng.integers(0, 3, 50),
+                     (16, 8), tprime=2, seed=0)
+    assert [name for shape, name in calls if shape == (30, 16)] == ["coreset images"]
+
+
 # ---------------------------------------------------------------------------
 # the pipelined loop against the serial one
 # ---------------------------------------------------------------------------
@@ -889,7 +913,7 @@ def _serial_loop(config, dataset, sink, failed):
     for step in range(config.steps):
         lr = cosine_lr(step, config.steps, config.coreset_lr)
         batch = sampler.next()
-        idx, net = pool_sample(pool, sample_rng)
+        idx = pool_sample(pool, sample_rng)
         loss_images = images
         if config.noise_aug and config.noise_sigma != 0.0:
             loss_images = images + config.noise_sigma * noise_rng.standard_normal(
@@ -897,7 +921,8 @@ def _serial_loop(config, dataset, sink, failed):
         try:
             tape = nd.Tape()
             loss, breakdown = outer_loss(coreset.with_arrays(loss_images, labels),
-                                         net, batch, dataset.n, hyper, tape)
+                                         pool.slots[idx].net, batch, dataset.n, hyper,
+                                         tape)
             grad_x, grad_y = coreset_grad(loss, tape)
             state_x, (images,) = adam_step(state_x, [images], [grad_x], lr)
             if config.learn_labels:
