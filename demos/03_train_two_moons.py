@@ -26,7 +26,7 @@ resolved = config.resolve_beta_s(train_ds.k)
 start = init_coreset(train_ds, config.ipc, config.init_mode,
                      config.seed_init, hyper=resolved.hyperparams())
 for name, c in (("sampled-init coreset", start), ("learned coreset", coreset)):
-    out = evaluate_coreset(c, test_ds.X, test_ds.labels, widths, tprime=500,
+    out = evaluate_coreset(c, test_ds, test_ds.labels, widths, tprime=500,
                            seed=0)
     print(f"{name:22s} acc {out['acc']:.3f}  nll {out['nll']:.3f}")
 

@@ -85,8 +85,9 @@ def run_bench(h, nhat, mode, reps=3, k=10, seed=0):
         raise ValueError(f"unknown bench mode {mode!r}")
     if mode == "naive" and h > NAIVE_H_LIMIT:
         raise ValueError(f"naive mode refuses h={h} > {NAIVE_H_LIMIT}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    for name, size in (("h", h), ("nhat", nhat), ("reps", reps)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     phi_hat, labels, phi_b, y_b, hyper = _instance(h, nhat, k, BATCH, seed)
     evaluate = efficient_loss if mode == "efficient" else naive_loss
 

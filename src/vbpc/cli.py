@@ -252,7 +252,7 @@ def cmd_eval(args):
                           f" classes, the coreset {coreset.k}")
     test_ds = normalize_with(test_ds, coreset.mean, coreset.std)
     widths = (test_ds.d, *args.hidden)
-    result = evaluate_coreset(coreset, test_ds.X, test_ds.labels, widths,
+    result = evaluate_coreset(coreset, test_ds, test_ds.labels, widths,
                               tprime=args.tprime, seed=args.seed)
     blob = json.dumps(result)
     print(blob)

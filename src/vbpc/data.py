@@ -40,7 +40,7 @@ class CoresetFileError(Exception):
 class Dataset:
     """Features as loaded (u8 pixels or float64 rows, n x d), integer class
     labels, and the normalization stats, if any. `rows` and `X` read the
-    features standardized."""
+    features standardized; `len()` is the row count."""
 
     raw: np.ndarray
     labels: np.ndarray
@@ -48,9 +48,10 @@ class Dataset:
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
 
-    @property
-    def n(self):
+    def __len__(self):
         return self.raw.shape[0]
+
+    n = property(__len__)
 
     @property
     def d(self):
@@ -84,7 +85,8 @@ class Dataset:
 
     @cached_property
     def X(self):
-        """The whole standardized n x d matrix, built on first read."""
+        """The whole standardized n x d matrix, built on first read. Only
+        perfbench and the tests read it; the program reads `rows`."""
         return self.rows(slice(None))
 
     def onehot(self, idx):

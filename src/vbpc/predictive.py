@@ -12,6 +12,8 @@ which is exact at zero variance; the tape primitive
 estimator of the same expectation serves as the test oracle.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import _twocore, ndiff as nd
@@ -20,13 +22,12 @@ from . import _twocore, ndiff as nd
 MC_CHUNK = 100_000
 
 
-class PredictiveBatch:
+class PredictiveBatch(NamedTuple):
     """Per-input logit means (n x k) and shared scalar variances (n x 1),
     not yet clamped for round-off."""
 
-    def __init__(self, mean, variance):
-        self.mean = mean
-        self.variance = variance
+    mean: nd.Array
+    variance: nd.Array
 
 
 def predictive_moments(p, phi_batch):
@@ -122,15 +123,18 @@ def mc_log_softmax(mean, variance, samples, seed, return_stderr=False):
     return est, np.sqrt(var / samples)
 
 
-def bma_predict(p, phi_test):
-    """Model-averaged class probabilities for test features (n x k numpy).
+def log_predictive(p, phi):
+    """The model average: the probit rule on the predictive moments of test
+    features phi (n x h), as per-row class log-probabilities (an n x k Array).
+    One feature evaluation per input, as the moments read the posterior."""
+    batch = predictive_moments(p, phi)
+    return probit_log_softmax(batch.mean, batch.variance)
 
-    Softmax of the probit-scaled predictive means; needs exactly one feature
-    evaluation per input since the moments come from the stored posterior.
-    """
-    batch = predictive_moments(p, phi_test)
-    logp = probit_log_softmax(batch.mean, batch.variance)
-    return np.exp(logp.data)
+
+def bma_predict(p, phi_test):
+    """Model-averaged class probabilities for test features (n x k numpy):
+    `log_predictive`, exponentiated."""
+    return np.exp(log_predictive(p, phi_test).data)
 
 
 def metrics(log_probs, labels):

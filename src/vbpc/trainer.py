@@ -50,13 +50,18 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _twocore, ndiff as nd, network
-from .data import _check_class_sizes, init_coreset
+from .data import Dataset, _check_class_sizes, init_coreset
 from .network import (features, gaussian_step, pool_new, pool_sample,
                       pool_update)
 from .objective import coreset_grad, outer_loss
 from .optim import AdamState, adam_step, cosine_lr
 from .posterior import Hyperparams, condition_lower_bound, solve_posterior
-from .predictive import metrics, predictive_moments, probit_log_softmax
+from .predictive import (log_predictive, metrics, predictive_moments,  # noqa: F401
+                         probit_log_softmax)  # the last two for perfbench's tracer
+
+# Test rows per prediction chunk: whole float32 registers (16 lanes), as
+# `_twocore._product` cuts, and >= 1024, so its products reach SPLIT_WORK
+EVAL_CHUNK = 2048
 
 
 class TrainAbort(Exception):
@@ -348,7 +353,9 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
 
     Trains a fresh network on the coreset with the Gaussian likelihood for
     `tprime` steps at the default pool rate, solves the posterior, and
-    predicts the test split with one feature evaluation per input. Returns
+    predicts the test split, an n x d array or a `Dataset`, EVAL_CHUNK rows
+    at a time (`predictive.log_predictive`, one feature evaluation per
+    input), so no copy of the whole split is made. Returns
     {"acc", "nll", "cond_lb", "jitter_retries"}: the last two report the
     health of the posterior's factored system, as the training records do.
 
@@ -381,8 +388,11 @@ def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
         net, state = gaussian_step(net, images, labels, hyper.gamma,
                                    TrainConfig.pool_lr, state=state)
     post = solve_posterior(features(net, images), coreset.labels, hyper)
-    batch = predictive_moments(post, features(net, test_x))
-    log_probs = probit_log_softmax(batch.mean, batch.variance)
+    read = test_x.rows if isinstance(test_x, Dataset) else np.asarray(test_x).__getitem__
+    log_probs = np.empty((len(test_x), coreset.k))
+    for lo in range(0, len(test_x), EVAL_CHUNK):
+        chunk = slice(lo, lo + EVAL_CHUNK)
+        log_probs[chunk] = log_predictive(post, features(net, read(chunk))).data
     acc, nll = metrics(log_probs, test_labels)
     return {"acc": acc, "nll": nll, "cond_lb": condition_lower_bound(post),
             "jitter_retries": nd._retries_of(post.system)}

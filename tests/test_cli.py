@@ -16,10 +16,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from vbpc import ndiff, trainer
+from vbpc import bench, ndiff, trainer
 from vbpc.cli import (ConfigError, main, parse_config, write_config,
                       load_data)
-from vbpc.data import (CoresetFileError, PseudoCoreset, load_coreset,
+from vbpc.data import (CoresetFileError, Dataset, PseudoCoreset, load_coreset,
                        normalize_with, save_coreset)
 from vbpc.posterior import Hyperparams
 from vbpc.trainer import TrainConfig
@@ -594,6 +594,26 @@ def test_eval_reads_no_training_split(tmp_path, capsys):
     assert capsys.readouterr().out == line
 
 
+def test_train_and_eval_read_the_features_through_rows(tmp_path, capsys,
+                                                      monkeypatch):
+    # neither command builds a split's whole float64 matrix: eval reads its
+    # test split in chunks of rows, and prints what the array path prints
+    def whole_matrix(self):
+        raise AssertionError("Dataset.X read")
+
+    monkeypatch.setattr(Dataset, "X", property(whole_matrix))
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_cfg(tmp_path, TINY), "--data", MOONS,
+                 "--out", str(out)]) == 0
+    assert main(["eval", "--coreset", str(out / "coreset.vbpc"), "--data", MOONS,
+                 "--tprime", "5", "--hidden", "8", "--out", str(tmp_path / "ev")]) == 0
+    _, test_ds = load_data(MOONS, seed=0)
+    test_x = test_ds.rows(slice(None))
+    expect = trainer.evaluate_coreset(load_coreset(out / "coreset.vbpc"), test_x,
+                                      test_ds.labels, (2, 8), tprime=5, seed=0)
+    assert json.loads(capsys.readouterr().out) == expect
+
+
 def test_eval_standardizes_by_the_training_draw_of_the_coreset(tmp_path, capsys):
     # trained on seed 7's draw, evaluated on seed 0's test split: the test
     # rows are standardized by seed 7's training statistics, not seed 0's
@@ -651,6 +671,19 @@ def test_bench_naive_guard(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "refuses" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--h", "0"), ("--nhat", "0"), ("--h", "-3")])
+def test_bench_names_the_size_it_refuses(tmp_path, capsys, monkeypatch, flag, value):
+    # a size below 1 is refused by its name, before the instance is built
+    monkeypatch.setattr(bench, "_instance", lambda *args: pytest.fail("built"))
+    sizes = {"--h": "64", "--nhat": "8", flag: value}
+    code = main(["bench", *(token for item in sizes.items() for token in item),
+                 "--mode", "efficient", "--out", str(tmp_path / "never")])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {flag[2:]} must be >= 1, "
+                                       f"got {value}\n")
+    assert not (tmp_path / "never").exists()
 
 
 def test_bench_efficient_scaling(tmp_path, capsys):

@@ -178,7 +178,37 @@ def test_scheduler_tuning_constants_are_the_listed_ones():
         found |= {target.id for node in tree.body if isinstance(node, ast.Assign)
                   for target in node.targets if isinstance(target, ast.Name)
                   and type(getattr(module, target.id)) is int}
-    assert found == {"SPLIT_WORK", "LANES", "SLICE", "MC_CHUNK"}
+    assert found == {"SPLIT_WORK", "LANES", "SLICE", "MC_CHUNK", "EVAL_CHUNK"}
+
+
+def test_every_vbpc_name_the_benchmark_reads_exists():
+    # perfbench/workload.py is frozen with the benchmark, and a traced run
+    # looks up each hooked (module, "name") pair with getattr at start-up:
+    # every attribute it reads of a vbpc module, and every name it hooks
+    # there, must exist. The file is parsed, never imported
+    tree = ast.parse((ROOT / "perfbench" / "workload.py").read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "vbpc":
+            modules.update({alias.asname or alias.name:
+                            importlib.import_module(f"vbpc.{alias.name}")
+                            for alias in node.names})
+    read = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            read.add((node.value.id, node.attr))
+        items = (node.elts if isinstance(node, ast.Tuple)
+                 else node.args if isinstance(node, ast.Call) else [])
+        read |= {(a.id, b.value) for a, b in zip(items, items[1:])
+                 if isinstance(a, ast.Name) and a.id in modules
+                 and isinstance(b, ast.Constant) and isinstance(b.value, str)}
+    assert {("trainer", "evaluate_coreset"), ("predictive", "bma_predict"),
+            ("trainer", "predictive_moments"), ("trainer", "probit_log_softmax"),
+            ("nd", "apply"), ("network", "pool_new")} <= read
+    missing = sorted(f"{module}.{name}" for module, name in read
+                     if not hasattr(modules[module], name))
+    assert not missing, f"perfbench reads names vbpc lacks: {missing}"
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])

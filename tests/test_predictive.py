@@ -8,7 +8,7 @@ import pytest
 from vbpc import ndiff as nd
 from vbpc.posterior import Hyperparams, solve_posterior, dense_variance
 from vbpc.predictive import (predictive_moments, probit_log_softmax,
-                             mc_log_softmax, bma_predict, metrics)
+                             mc_log_softmax, bma_predict, log_predictive, metrics)
 
 ALPHA = math.pi / 8
 
@@ -255,6 +255,22 @@ def test_bma_canonical_value():
     scaled = np.array([0.5, 0.0]) / math.sqrt(1 + ALPHA * 0.5)
     expect = np.exp(scaled) / np.exp(scaled).sum()
     np.testing.assert_allclose(probs[0], expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nhat, h", [(4, 6), (9, 5)])
+def test_bma_predict_is_the_exponentiated_log_predictive(nhat, h):
+    # one model average on both sides of the factored system: the
+    # probabilities are its log-probabilities exponentiated, bit for bit,
+    # and those are the probit rule on the moments
+    rng = np.random.default_rng(26)
+    p = solve_posterior(rng.standard_normal((nhat, h)), rng.standard_normal((nhat, 3)),
+                        Hyperparams(rho=1.0, gamma=20.0, beta_s=float(nhat)))
+    assert p.weight_space == (h < nhat)
+    phi_te = rng.standard_normal((30, h))
+    logp = log_predictive(p, phi_te)
+    batch = predictive_moments(p, phi_te)
+    assert logp.data.tobytes() == probit_log_softmax(batch.mean, batch.variance).data.tobytes()
+    assert bma_predict(p, phi_te).tobytes() == np.exp(logp.data).tobytes()
 
 
 def test_bma_argmax_matches_mean_argmax():

@@ -823,6 +823,29 @@ def test_eval_agrees_with_a_float64_network(seed):
     assert abs(got["nll"] - nll) <= 1.7e-5
 
 
+def test_eval_in_chunks_gives_the_one_chunk_result(monkeypatch):
+    # 300 test rows in chunks of 64, the last one short, each read through
+    # the split's rows: the accuracy of one chunk, and its NLL to round-off.
+    # One chunk of a split gives what one array of its rows gives
+    train_ds, test_ds = image_like_splits(0, n_train=200, n_test=300)
+    coreset = init_coreset(train_ds, 3, "sample", seed=0)
+    widths = (64, 128, 128)
+    whole = evaluate_coreset(coreset, test_ds, test_ds.labels, widths, tprime=10, seed=1)
+    assert whole == evaluate_coreset(coreset, test_ds.rows(slice(None)), test_ds.labels,
+                                     widths, tprime=10, seed=1)
+    reads = []
+    real = Dataset.rows
+    monkeypatch.setattr(Dataset, "rows", lambda self, idx: reads.append(idx) or real(self, idx))
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", 64)
+    chunked = evaluate_coreset(coreset, test_ds, test_ds.labels, widths, tprime=10, seed=1)
+    assert [(part.start, part.stop) for part in reads] == [(lo, lo + 64)
+                                                           for lo in range(0, 300, 64)]
+    assert chunked["acc"] == whole["acc"]
+    assert abs(chunked["nll"] - whole["nll"]) <= 1e-12 * abs(whole["nll"])
+    assert (chunked["cond_lb"], chunked["jitter_retries"]) == (whole["cond_lb"],
+                                                               whole["jitter_retries"])
+
+
 def test_eval_counts_one_feature_pass_per_input():
     # the BMA path must evaluate the feature map exactly once per test point
     calls = []
