@@ -24,6 +24,7 @@ from .predictive import probit_log_softmax
 NAIVE_H_LIMIT = 8192
 BATCH = 128
 N_TOTAL = 50 * BATCH
+K = 10          # classes
 
 
 def _instance(h, nhat, k, batch, seed):
@@ -74,7 +75,7 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
     return likelihood + hyper.beta_d * kl
 
 
-def run_bench(h, nhat, mode, reps=3, k=10, seed=0):
+def run_bench(h, nhat, mode, reps=3, seed=0):
     """Time the loss evaluation and report tracked allocation peaks.
 
     Returns {"mode", "h", "nhat", "peak_f64", "largest_block",
@@ -88,7 +89,7 @@ def run_bench(h, nhat, mode, reps=3, k=10, seed=0):
     for name, size in (("h", h), ("nhat", nhat), ("reps", reps)):
         if size < 1:
             raise ValueError(f"{name} must be >= 1, got {size}")
-    phi_hat, labels, phi_b, y_b, hyper = _instance(h, nhat, k, BATCH, seed)
+    phi_hat, labels, phi_b, y_b, hyper = _instance(h, nhat, K, BATCH, seed)
     evaluate = efficient_loss if mode == "efficient" else naive_loss
 
     loss = evaluate(phi_hat, labels, phi_b, y_b, N_TOTAL, hyper)  # warmup

@@ -254,24 +254,20 @@ def cmd_eval(args):
     widths = (test_ds.d, *args.hidden)
     result = evaluate_coreset(coreset, test_ds, test_ds.labels, widths,
                               tprime=args.tprime, seed=args.seed)
-    blob = json.dumps(result)
-    print(blob)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "eval.json"), "w") as fh:
-        fh.write(blob + "\n")
-    return EXIT_OK
+    return _report(result, args.out, "eval.json")
 
 
 def cmd_bench(args):
-    try:
-        result = run_bench(h=args.h, nhat=args.nhat, mode=args.mode,
-                           reps=args.reps)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    result = run_bench(h=args.h, nhat=args.nhat, mode=args.mode, reps=args.reps)
+    return _report(result, args.out, "bench.json")
+
+
+def _report(result, out, name):
+    """Print `result` as one JSON line and write the line to `out`/`name`."""
     blob = json.dumps(result)
     print(blob)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "bench.json"), "w") as fh:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w") as fh:
         fh.write(blob + "\n")
     return EXIT_OK
 

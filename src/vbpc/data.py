@@ -86,7 +86,8 @@ class Dataset:
     @cached_property
     def X(self):
         """The whole standardized n x d matrix, built on first read. Only
-        perfbench and the tests read it; the program reads `rows`."""
+        perfbench reads it, beside the tests of `X` itself; the program and
+        the other tests read `rows`."""
         return self.rows(slice(None))
 
     def onehot(self, idx):

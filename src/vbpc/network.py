@@ -16,18 +16,17 @@ then takes 12 bytes with its moments. The draw goes through one float64
 scratch buffer per half and layer, so no float64 net is ever whole.
 
 This module owns the boundary between a net's dtype and the posterior's
-float64. What goes into a float32 net, the coreset's images and labels for
-a slot's step and the rows whose features are read, goes through
-`_float32`, which adopts a read-only float32 buffer as it is and casts
-anything else; taped images of another dtype than the net's go in through
-the tape's `cast`. Both apply one rule (`ndiff._checked_cast`): a value
-beyond float32's range raises NonFiniteError. What comes out is float64:
-`features` hands back a read-only float64 block for any net, and
-`features_graph`, reading a net's parameters as constants, casts the
-taped features up. Training keeps the coreset's images in float32
-(`trainer.train`), so a step's coreset pass casts once, on the way out,
-and its image gradient comes back in float32; the labels and the
-posterior stay float64.
+float64, and one helper, `_read_only`, crosses it for plain arrays: it
+adopts a read-only buffer of the dtype asked for as it is and casts
+anything else by the rule the tape's `cast` applies
+(`ndiff._checked_cast`), so a value beyond float32's range raises
+NonFiniteError. The coreset's images and labels reach a slot's step
+through it, and `features` reads and returns its rows through it, handing
+back a read-only float64 block for any net. `features_graph` is the taped
+twin of `features` and casts on the tape. Training keeps the coreset's
+images in float32 (`trainer.train`), so a step's coreset pass casts once,
+on the way out, and its image gradient comes back in float32; the labels
+and the posterior stay float64.
 
 A pool of two nets or more is drawn on both cores: each slot has its own
 seed stream, so the worker of `_twocore._halves` draws the later half of
@@ -48,12 +47,16 @@ from .optim import AdamState, adam_step
 
 @dataclass(frozen=True)
 class FeatureNet:
-    """widths = (d, w1, ..., h); head maps features to k logits (no bias)."""
+    """Feature layers and a head that maps features to k logits (no bias)."""
 
-    widths: tuple
     weights: tuple          # per feature layer, shape (w_in, w_out)
     biases: tuple           # per feature layer, shape (1, w_out)
     head: np.ndarray        # (h, k)
+
+    @property
+    def widths(self):
+        """(d, w1, ..., h), read off the shapes; with no layers, (h,)."""
+        return (*(w.shape[0] for w in self.weights), self.head.shape[0])
 
     @property
     def params(self):
@@ -61,8 +64,7 @@ class FeatureNet:
 
     def replace_params(self, params):
         n = len(self.weights)
-        return FeatureNet(self.widths, tuple(params[:n]),
-                          tuple(params[n:2 * n]), params[2 * n])
+        return FeatureNet(tuple(params[:n]), tuple(params[n:2 * n]), params[2 * n])
 
 
 def init_net(widths, k, seed):
@@ -119,87 +121,69 @@ def _draw_nets(widths, k, seeds, dtype):
     for gaussian, uniform in buffers:
         for p in (*gaussian, *uniform):
             p.flags.writeable = False
-        nets.append(FeatureNet(widths, tuple(gaussian[:-1]), tuple(uniform), gaussian[-1]))
+        nets.append(FeatureNet(tuple(gaussian[:-1]), tuple(uniform), gaussian[-1]))
     return nets
 
 
-def _read_only(values, dtype):
-    """A fresh read-only, owning, C-ordered copy of `values` in `dtype`,
-    which the tape adopts without a second copy."""
-    out = np.array(values, dtype=dtype, order="C")
-    out.flags.writeable = False
-    return out
-
-
-def _float32(values, name):
-    """`values` as a read-only float32 buffer that the tape adopts without
-    a copy: `values` itself if it is one already (the coreset's training
-    images), else a fresh copy. A finite value beyond float32's range
-    raises NonFiniteError naming `name` (`ndiff._checked_cast`, the rule
-    `cast` applies too)."""
-    if nd._adoptable(values) and values.dtype == np.float32:
+def _read_only(values, dtype, name):
+    """`values` as a read-only, owning, C-ordered buffer in `dtype` that the
+    tape adopts without a copy: `values` itself if it is one already (the
+    coreset's training images), else a fresh copy. A finite value beyond
+    `dtype`'s range raises NonFiniteError naming `name`
+    (`ndiff._checked_cast`, the rule `cast` applies too)."""
+    if nd._adoptable(values) and values.dtype == dtype:
         return values
-    out = nd._checked_cast(values, np.float32, name)
+    out = nd._checked_cast(values, dtype, name)
     out.flags.writeable = False
     return out
 
 
 def features(net, x):
     """Plain numpy forward pass through the feature layers (head excluded),
-    returned as a fresh read-only float64 block: what the posterior reads,
-    and what the tape adopts without a copy.
+    returned as a read-only float64 block: what the posterior reads, and
+    what the tape adopts without a copy.
 
     Each layer is the forward of `affine_relu`, the primitive that
     `features_graph` records, on plain arrays: one buffer per layer, in the
-    net's dtype. A float64 net reads its input with no copy when it is
-    float64 already; a float32 net reads it through `_float32`, which
-    refuses a row beyond float32's range, and its output is upcast once,
-    exactly. The primitive checks the shapes.
+    net's dtype. Rows of another dtype go in through `_read_only`, which
+    refuses a row beyond float32's range; the last layer's buffer comes out
+    through it too, as it is in a float64 net and upcast once, exactly, in
+    a float32 one. The primitive checks the shapes.
     """
-    if net.head.dtype == np.float64:
-        x = np.asarray(x, dtype=np.float64)
-    else:
-        x = _float32(x, "feature rows")
+    x = np.asarray(x)
+    if x.dtype != net.head.dtype:
+        x = _read_only(x, net.head.dtype, "feature rows")
     for w, b in zip(net.weights, net.biases):
         x, _ = nd._fwd_affine_relu(x, w, b)
-    if x.dtype != np.float64 or not net.weights:
-        return _read_only(x, np.float64)
-    x.flags.writeable = False
-    return x
+    if net.weights:
+        x.flags.writeable = False       # the last layer's own buffer
+    return _read_only(x, np.float64, "features")
 
 
-def features_graph(net, x, param_arrays=None):
-    """Forward pass on the tape, one `affine_relu` per layer. `x` is an
-    Array (a leaf if the coreset is being trained).
-
-    `param_arrays` supplies leaf Arrays when the net itself is being
-    trained, and the pass runs in the net's dtype. Otherwise the parameters
-    enter as constants (sharing memory with net.params, which init_net and
-    adam_step make read-only and finite) and the pass is the taped twin of
-    `features`: `x` goes through `ndiff.cast` only when its dtype is not
-    the net's, and a float32 net hands its features on through a `cast`,
-    exact, as float64. So the float32 training images through a float32
-    slot make one cast node, float64 images two, and float64 images
-    through a float64 net none.
+def features_graph(net, x):
+    """The taped twin of `features`: one `affine_relu` per layer on the
+    Array `x` (a leaf if the coreset is being trained), with the parameters
+    as constants that share memory with net.params, which init_net and
+    adam_step make read-only and finite. `x` goes through `ndiff.cast` only
+    when its dtype is not the net's, and a float32 net hands its features
+    on through a `cast`, exact, as float64. So the float32 training images
+    through a float32 slot make one cast node, float64 images two, and
+    float64 images through a float64 net none.
     """
     dtype = net.head.dtype
-    if param_arrays is None:
-        ws = [nd._adopt_checked(w) for w in net.weights]
-        bs = [nd._adopt_checked(b) for b in net.biases]
-    else:
-        n = len(net.weights)
-        ws, bs = param_arrays[:n], param_arrays[n:2 * n]
-    constants = param_arrays is None
-    out = nd.cast(x, dtype) if constants and x.data.dtype != dtype else x
-    for w, b in zip(ws, bs):
-        out = nd.affine_relu(out, w, b)
-    return nd.cast(out, np.float64) if constants and dtype != np.float64 else out
+    out = nd.cast(x, dtype) if x.data.dtype != dtype else x
+    for w, b in zip(net.weights, net.biases):
+        out = nd.affine_relu(out, nd._adopt_checked(w), nd._adopt_checked(b))
+    return nd.cast(out, np.float64) if dtype != np.float64 else out
 
 
 def gaussian_likelihood_loss(net, images, labels, gamma, param_arrays):
     """(gamma/2) ||Y - features(X) @ W||_F^2 over the leaves `param_arrays`
-    that stand for net.params."""
-    phi = features_graph(net, nd.constant(images), param_arrays)
+    that stand for net.params, in the dtype of the net and its images."""
+    n = len(net.weights)
+    phi = nd.constant(images)
+    for w, b in zip(param_arrays[:n], param_arrays[n:2 * n]):
+        phi = nd.affine_relu(phi, w, b)
     # the residual taken as features(X) @ W - Y, the same squares
     resid = nd.add(nd.matmul(phi, param_arrays[-1]), nd.constant(-labels))
     return nd.scale(nd.inner(resid, resid), gamma / 2.0)
@@ -268,15 +252,15 @@ def pool_sample(pool, rng):
 
 def pool_update(pool, index, images, labels, gamma, lr):
     """Gaussian step on one slot, in float32 on the coreset's images and
-    labels through `_float32` (the training images, read-only float32
+    labels through `_read_only` (the training images, read-only float32
     already, with no copy), counted in its updates. At each multiple of the
     period the slot's net, of its own shape, is redrawn as `pool_new` draws
     it, from the next generation's seed (seed, slot, generation), and its
     Adam state starts afresh."""
     slot = pool.slots[index]
     slot.net, slot.state = gaussian_step(
-        slot.net, _float32(images, "coreset images"), _float32(labels, "coreset labels"),
-        gamma, lr, state=slot.state)
+        slot.net, _read_only(images, np.float32, "coreset images"),
+        _read_only(labels, np.float32, "coreset labels"), gamma, lr, state=slot.state)
     slot.updates += 1
     if slot.updates % pool.period == 0:
         seed = _slot_seed(pool.seed, index, slot.updates // pool.period)

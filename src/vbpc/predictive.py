@@ -142,7 +142,7 @@ def metrics(log_probs, labels):
     and one integer class id per row. Argmax ties resolve to the lowest
     class index.
     """
-    logp = log_probs.data if isinstance(log_probs, nd.Array) else np.asarray(log_probs)
+    logp = np.asarray(log_probs)
     idx = np.asarray(labels).astype(np.int64)
     if idx.ndim != 1:
         raise ValueError(f"labels are class ids, one per row; got shape {idx.shape}")

@@ -12,7 +12,7 @@ factored Gram system; a non-finite value anywhere in a step aborts with a
 diagnostic record and never returns a corrupted coreset.
 
 The pixels train in float32, the dtype of the pool slots that read them:
-the images are cast once on entry (`network._float32`, which refuses a
+the images are cast once on entry (`network._read_only`, which refuses a
 value beyond float32's range), and their Adam moments, their noise and
 their gradient are float32, so a step's coreset pass makes one cast, its
 features up to the float64 posterior. The labels keep float64, with a
@@ -250,7 +250,7 @@ def _train(config, dataset, sink):
 
     # the pixels train in float32, the labels in float64, each with the
     # Adam state of its dtype
-    images = network._float32(coreset.images, "coreset images")
+    images = network._read_only(coreset.images, np.float32, "coreset images")
     labels = np.array(coreset.labels)
     image_state = AdamState.init([images])
     label_state = AdamState.init([labels])
@@ -345,7 +345,8 @@ def _train(config, dataset, sink):
         pending = step
     pool_step(pending)
     settle(pending)
-    return coreset.with_arrays(network._read_only(images, np.float64), labels)
+    return coreset.with_arrays(network._read_only(images, np.float64, "coreset images"),
+                               labels)
 
 
 def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
@@ -361,7 +362,7 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
 
     The network runs in float32: it is drawn as a pool slot is
     (`network._draw_nets`), the coreset's images and labels are cast once
-    (`network._float32`, which refuses a value beyond float32's range),
+    (`network._read_only`, which refuses a value beyond float32's range),
     and its Gaussian steps and both feature passes run at sgemm's rate.
     `network.features` hands the coreset and test features to the
     posterior and the predictive moments as float64. When it returns,
@@ -381,8 +382,8 @@ def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
     hyper = coreset.hyper
     net, = network._draw_nets(widths, coreset.k, [np.random.SeedSequence([seed, 0])],
                               np.float32)
-    images = network._float32(coreset.images, "coreset images")
-    labels = network._float32(coreset.labels, "coreset labels")
+    images = network._read_only(coreset.images, np.float32, "coreset images")
+    labels = network._read_only(coreset.labels, np.float32, "coreset labels")
     state = None
     for _ in range(tprime):
         net, state = gaussian_step(net, images, labels, hyper.gamma,

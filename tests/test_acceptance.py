@@ -207,9 +207,9 @@ def test_criterion_5_end_to_end_two_moons():
     init = init_coreset(train_ds, config.ipc, config.init_mode,
                         config.seed_init, hyper=resolved.hyperparams())
     widths = (train_ds.d, *config.hidden)
-    ev_final = evaluate_coreset(coreset, test_ds.X, test_ds.labels, widths,
+    ev_final = evaluate_coreset(coreset, test_ds, test_ds.labels, widths,
                                 tprime=500, seed=0)
-    ev_init = evaluate_coreset(init, test_ds.X, test_ds.labels, widths,
+    ev_init = evaluate_coreset(init, test_ds, test_ds.labels, widths,
                                tprime=500, seed=0)
 
     acc_ok = ev_final["acc"] >= 0.90
@@ -231,8 +231,8 @@ def test_criterion_5_end_to_end_two_moons():
 
 def test_criterion_6_memory_time_analogue():
     h, nhat = 4096, 100
-    efficient = run_bench(h=h, nhat=nhat, mode="efficient", reps=3, k=10)
-    naive = run_bench(h=h, nhat=nhat, mode="naive", reps=1, k=10)
+    efficient = run_bench(h=h, nhat=nhat, mode="efficient", reps=3)
+    naive = run_bench(h=h, nhat=nhat, mode="naive", reps=1)
     mem_ratio = efficient["peak_f64"] / naive["peak_f64"]
     time_ratio = efficient["ms_per_100"] / naive["ms_per_100"]
     no_hxh = efficient["largest_block"] < h * h

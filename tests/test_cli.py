@@ -174,7 +174,7 @@ def test_config_undecodable_byte_names_path_and_line(tmp_path, capsys):
 def test_synthetic_spec_parses_and_splits():
     train, test = load_data("synthetic:moons:n=50,k=2,noise=0.1", seed=0)
     assert train.n == 50 and test.n == 50
-    assert not np.array_equal(train.X, test.X)
+    assert not np.array_equal(train.rows(slice(None)), test.rows(slice(None)))
     np.testing.assert_array_equal(test.mean, train.mean)
 
 
@@ -581,7 +581,7 @@ def test_eval_reads_no_training_split(tmp_path, capsys):
     assert main(["train", "--config", write_cfg(tmp_path, TINY), "--data", spec,
                  "--out", str(out)]) == 0
     _, test_ds = load_data(spec, seed=0)
-    expect = trainer.evaluate_coreset(load_coreset(out / "coreset.vbpc"), test_ds.X,
+    expect = trainer.evaluate_coreset(load_coreset(out / "coreset.vbpc"), test_ds,
                                       test_ds.labels, (9, 8), tprime=5, seed=0)
     args = ["eval", "--coreset", str(out / "coreset.vbpc"), "--data", spec,
             "--tprime", "5", "--hidden", "8", "--out", str(tmp_path / "ev")]
@@ -625,7 +625,7 @@ def test_eval_standardizes_by_the_training_draw_of_the_coreset(tmp_path, capsys)
                  "--out", str(tmp_path / "ev")]) == 0
     train7, _ = load_data(MOONS, seed=7)
     test0 = normalize_with(load_data(MOONS, seed=0)[1], train7.mean, train7.std)
-    expect = trainer.evaluate_coreset(load_coreset(out / "coreset.vbpc"), test0.X,
+    expect = trainer.evaluate_coreset(load_coreset(out / "coreset.vbpc"), test0,
                                       test0.labels, (2, 8), tprime=5, seed=0)
     assert json.loads(capsys.readouterr().out) == expect
 

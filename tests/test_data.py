@@ -27,7 +27,7 @@ def test_blobs_zero_noise_sits_on_centers():
     for c in range(3):
         angle = 2 * np.pi * c / 3
         center = 4.0 * np.array([np.cos(angle), np.sin(angle)])
-        assert np.abs(ds.X[ds.labels == c] - center).max() <= 1e-12
+        assert np.abs(ds.rows(ds.labels == c) - center).max() <= 1e-12
 
 
 def test_class_counts_balanced_within_one():
@@ -40,7 +40,7 @@ def test_class_counts_balanced_within_one():
 def test_synthetic_deterministic_per_seed():
     a = gen_synthetic("moons", n=50, k=2, noise=0.2, seed=9)
     b = gen_synthetic("moons", n=50, k=2, noise=0.2, seed=9)
-    np.testing.assert_array_equal(a.X, b.X)
+    np.testing.assert_array_equal(a.rows(slice(None)), b.rows(slice(None)))
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
@@ -74,8 +74,9 @@ def write_idx_pair(tmp_path, pixels, labels):
 def test_idx_round_values(tmp_path):
     img, lab = write_idx_pair(tmp_path, [0, 51, 204, 255] * 2, [0, 1])
     ds = load_idx(img, lab)
-    assert ds.X.shape == (2, 4)
-    np.testing.assert_allclose(ds.X[0], [0.0, 51 / 255, 204 / 255, 1.0])
+    x = ds.rows(slice(None))
+    assert x.shape == (2, 4)
+    np.testing.assert_allclose(x[0], [0.0, 51 / 255, 204 / 255, 1.0])
     assert ds.k == 2
 
 
@@ -130,8 +131,9 @@ def test_normalize_statistics():
     rng = np.random.default_rng(2)
     ds = gen_synthetic("blobs", n=500, k=4, noise=0.7, seed=3)
     out = normalize(ds)
-    assert np.abs(out.X.mean(axis=0)).max() <= 1e-10
-    assert np.abs(out.X.std(axis=0) - 1.0).max() <= 1e-6
+    x = out.rows(slice(None))
+    assert np.abs(x.mean(axis=0)).max() <= 1e-10
+    assert np.abs(x.std(axis=0) - 1.0).max() <= 1e-6
 
 
 def test_normalize_constant_feature_floored():
@@ -141,7 +143,7 @@ def test_normalize_constant_feature_floored():
     from vbpc.data import Dataset
     flat = Dataset(raw=np.ones((10, 3)), labels=np.zeros(10, dtype=np.int64), k=2)
     out = normalize(flat)
-    np.testing.assert_array_equal(out.X, 0.0)
+    np.testing.assert_array_equal(out.rows(slice(None)), 0.0)
 
 
 def wide_features():
@@ -155,15 +157,16 @@ def wide_features():
 
 def test_normalize_is_bit_equal_to_the_textbook_expression():
     ds = wide_features()
-    X = ds.X
+    X = ds.rows(slice(None))
     std = np.maximum(X.std(0), STD_FLOOR)
     out = normalize(ds)
     np.testing.assert_array_equal(out.mean, X.mean(0))
     np.testing.assert_array_equal(out.std, std)
-    np.testing.assert_array_equal(out.X, (X - X.mean(0)) / std)
-    np.testing.assert_array_equal(out.X[:, 100], 0.0)
+    standardized = out.rows(slice(None))
+    np.testing.assert_array_equal(standardized, (X - X.mean(0)) / std)
+    np.testing.assert_array_equal(standardized[:, 100], 0.0)
     again = normalize_with(ds, out.mean, out.std)
-    np.testing.assert_array_equal(again.X, out.X)
+    np.testing.assert_array_equal(again.rows(slice(None)), standardized)
 
 
 def test_normalize_allocates_one_feature_buffer():
@@ -253,8 +256,8 @@ def test_test_split_uses_train_stats():
     test = gen_synthetic("moons", n=60, k=2, noise=0.1, seed=5)
     out = normalize_with(test, train.mean, train.std)
     np.testing.assert_array_equal(out.mean, train.mean)
-    expect = (test.X - train.mean) / train.std
-    np.testing.assert_array_equal(out.X, expect)
+    expect = (test.rows(slice(None)) - train.mean) / train.std
+    np.testing.assert_array_equal(out.rows(slice(None)), expect)
 
 
 def pixel_split(tmp_path, n=30):
@@ -319,7 +322,7 @@ def test_init_sample_is_class_stratified():
     np.testing.assert_array_equal(np.bincount(classes), [4, 4, 4])
     # sampled rows exist in the dataset
     for row in coreset.images:
-        assert (np.abs(ds.X - row).max(axis=1) < 1e-12).any()
+        assert (np.abs(ds.rows(slice(None)) - row).max(axis=1) < 1e-12).any()
 
 
 def test_init_sample_insufficient_class_raises():

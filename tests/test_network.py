@@ -107,7 +107,7 @@ def test_features_hand_over_a_read_only_float64_block(dtype):
 
 
 def test_float32_net_refuses_a_row_beyond_float32():
-    # the rows a float32 net reads are cast by `_float32`: a finite float64
+    # the rows a float32 net reads are cast by `_read_only`: a finite float64
     # value beyond float32's range raises, naming them and the largest
     # finite magnitude (not the nan or inf beside it), with no warning
     net, = network._draw_nets((3, 4), 2, [9], np.float32)
@@ -129,16 +129,22 @@ def test_zero_depth_net_is_identity_feature_map():
 
 
 def test_feature_gradient_wrt_params_matches_fd():
+    # the feature layers' leaves of the Gaussian-likelihood loss, whose taped
+    # pass is its own affine_relu loop, against central differences of the
+    # same loss through the plain `features`
     rng = np.random.default_rng(2)
     net = init_net((3, 5, 4), k=2, seed=3)
     x_val = rng.standard_normal((6, 3))
-    probe = rng.standard_normal((6, 4))
+    labels = rng.standard_normal((6, 2))
 
     tape = nd.Tape()
     leaves = [tape.leaf(nd.Array(p)) for p in net.params]
-    phi = features_graph(net, nd.constant(x_val), leaves)
-    loss = nd.inner(phi, nd.constant(probe))
+    loss = gaussian_likelihood_loss(net, x_val, labels, 1.0, leaves)
     grad_map = nd.backward(tape, loss)
+
+    def loss_at(params):
+        r = features(net.replace_params(params), x_val) @ net.head - labels
+        return 0.5 * float((r ** 2).sum())
 
     eps = 1e-5
     params = [p.copy() for p in net.params]     # writable copies to perturb
@@ -150,12 +156,22 @@ def test_feature_gradient_wrt_params_matches_fd():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + eps
-            up = float((features(net.replace_params(params), x_val) * probe).sum())
+            up = loss_at(params)
             flat[j] = orig - eps
-            down = float((features(net.replace_params(params), x_val) * probe).sum())
+            down = loss_at(params)
             flat[j] = orig
             fdf[j] = (up - down) / (2 * eps)
         assert (np.abs(ad - fd) / np.maximum(np.abs(fd), 1e-8)).max() <= 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("widths", [(7,), (7, 5, 3)], ids=["no-layers", "two-layers"])
+def test_widths_are_read_off_the_weights(widths, dtype):
+    # (d, w1, ..., h) from the parameters' shapes; a net with no layers has
+    # one width, the head's rows
+    net, = network._draw_nets(widths, 4, [5], dtype)
+    assert net.widths == widths and net.replace_params(net.params).widths == widths
+    assert all(type(w) is int for w in net.widths)
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +488,59 @@ def test_pool_step_refuses_a_coreset_beyond_float32(field):
     assert slot.net is before and slot.updates == 0 and slot.state is None
 
 
-def test_float32_adopts_a_read_only_float32_buffer():
+@pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_read_only_adopts_a_read_only_buffer_of_its_dtype(dtype, other):
     # the training images, read-only float32 from Adam, reach the pool step
-    # as they are; a writable or float64 buffer is copied
+    # as they are, and a float32 net's last layer, made read-only, leaves
+    # `features` as it is; a writable buffer, a view, or one of the other
+    # dtype is copied into a read-only owning one
+    # float32 values, which either dtype holds exactly
     rng = np.random.default_rng(20)
-    frozen = rng.standard_normal((4, 5)).astype(np.float32)
+    frozen = rng.standard_normal((4, 5)).astype(np.float32).astype(dtype)
     frozen.flags.writeable = False
-    assert network._float32(frozen, "x") is frozen
-    for values in (frozen.copy(), frozen.astype(np.float64)):
-        out = network._float32(values, "x")
-        assert out is not values and out.dtype == np.float32 and not out.flags.writeable
-        assert out.tobytes() == frozen.tobytes()
+    assert network._read_only(frozen, dtype, "x") is frozen
+    for values in (frozen.copy(), frozen.astype(other), frozen[:, :3]):
+        out = network._read_only(values, dtype, "x")
+        assert out is not values and out.dtype == dtype and not out.flags.writeable
+        assert out.flags.owndata and out.flags.c_contiguous
+        assert out.tobytes() == np.ascontiguousarray(frozen[:, :values.shape[1]]).tobytes()
+
+
+def test_read_only_refuses_a_value_beyond_float32():
+    # a finite float64 value beyond float32's range raises, naming the
+    # array, where the cast would warn and give inf
+    values = np.ones((3, 2))
+    values[1, 1] = -7e38
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nd.NonFiniteError, match="coreset labels beyond float32's "
+                                                    "range: largest magnitude 7.000e\\+38"):
+            network._read_only(values, np.float32, "coreset labels")
+    assert network._read_only(values, np.float64, "coreset labels").tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("images_dtype", [np.float64, np.float32])
+def test_float32_slot_step_records_only_float32_ops(monkeypatch, images_dtype):
+    # a slot's Gaussian step is its own layers on leaves of its dtype: its
+    # images and labels are cast before the tape, so no op it records is a
+    # cast, and every operand and output is float32
+    seen = []
+    real_apply = nd.apply
+
+    def spy(op, operands, **params):
+        out = real_apply(op, operands, **params)
+        seen.append((op, {a.data.dtype for a in operands} | {out.data.dtype}))
+        return out
+
+    rng = np.random.default_rng(24)
+    images = rng.standard_normal((4, 5)).astype(images_dtype)
+    labels = rng.standard_normal((4, 3))
+    pool = pool_new(1, (5, 8, 6), k=3, seed=25, period=10)
+    monkeypatch.setattr(nd, "apply", spy)
+    pool_update(pool, 0, images, labels, gamma=1.0, lr=1e-3)
+    assert [op for op, _ in seen] == ["affine_relu", "affine_relu", "matmul", "add",
+                                      "inner", "scale"]
+    assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in seen)
 
 
 def test_pool_counters_never_exceed_period():

@@ -365,7 +365,7 @@ def test_float32_training_images_cast_once():
     # the leaf's dtype and the labels' stays float64
     coreset, slot, batch, hyper = image_instance(0, 20, (64, 32, 32))
     net64 = network.init_net((64, 32, 32), 10, seed=1)
-    images32 = network._float32(coreset.images, "coreset images")
+    images32 = network._read_only(coreset.images, np.float32, "coreset images")
     for net, images, casts in ((slot, images32, 1), (slot, coreset.images, 2),
                                (net64, coreset.images, 0), (net64, images32, 1)):
         tape = nd.Tape()

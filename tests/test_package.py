@@ -167,6 +167,15 @@ def test_tape_wrapper_options_are_the_listed_ones():
         "inner": ["axis"], "inv_quad_spd": ["rows"]}
 
 
+def test_network_holds_only_its_parameters():
+    # the taped feature pass reads a net's parameters as constants, and a
+    # net is its parameters, its widths read off their shapes: a second
+    # mode or a stored field is a decision this list records
+    assert list(inspect.signature(network.features_graph).parameters) == ["net", "x"]
+    assert [f.name for f in dataclasses.fields(network.FeatureNet)] == [
+        "weights", "biases", "head"]
+
+
 def test_scheduler_tuning_constants_are_the_listed_ones():
     # each threshold is a size at which work changes thread or kernel, and
     # one more is a rule to keep in step with the rest: adding one is a

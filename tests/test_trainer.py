@@ -321,7 +321,8 @@ def test_batch_full_size_is_permutation():
     x, y = sampler.next()
     assert x.shape == (30, 2)
     order = np.lexsort(x.T)
-    np.testing.assert_allclose(x[order], ds.X[np.lexsort(ds.X.T)])
+    whole = ds.rows(slice(None))
+    np.testing.assert_allclose(x[order], whole[np.lexsort(whole.T)])
 
 
 def test_batches_partition_epoch():
@@ -586,7 +587,7 @@ def test_learned_coreset_beats_a_random_subset_of_its_size(ipc, seed, nll_margin
     sample = init_coreset(train_ds, config.ipc, "sample", config.seed_init,
                           hyper=learned.hyper)
     widths = (64, *config.hidden)
-    got, base = (evaluate_coreset(c, test_ds.X, test_ds.labels, widths, tprime=100,
+    got, base = (evaluate_coreset(c, test_ds, test_ds.labels, widths, tprime=100,
                                   seed=seed) for c in (learned, sample))
     assert base["nll"] - got["nll"] >= nll_margin, (got, base)
     assert got["acc"] - base["acc"] >= acc_margin, (got, base)
@@ -594,7 +595,7 @@ def test_learned_coreset_beats_a_random_subset_of_its_size(ipc, seed, nll_margin
 
 def test_abort_on_non_finite_diagnostic():
     ds = moons_dataset()
-    bad_x = ds.X.copy()
+    bad_x = ds.rows(slice(None))
     bad_x[0, 0] = 1e308  # overflows inside the feature matmul
     from vbpc.data import Dataset
     bad = Dataset(raw=bad_x, labels=ds.labels, k=ds.k)
@@ -605,13 +606,13 @@ def test_abort_on_non_finite_diagnostic():
 
 
 def test_abort_on_a_batch_row_beyond_float32():
-    # the pool slot reads its batch through `_float32`: a finite row value
+    # the pool slot reads its batch through `_read_only`: a finite row value
     # beyond float32's range aborts step 0 with a record naming the rows,
     # where the cast would warn and carry inf into the product; uniform
     # pixels keep the row out of the coreset, and a batch of every row
     # holds it
     ds = moons_dataset()
-    bad_x = ds.X.copy()
+    bad_x = ds.rows(slice(None))
     bad_x[7, 1] = -1e39
     bad = Dataset(raw=bad_x, labels=ds.labels, k=ds.k)
     records = []
@@ -726,7 +727,7 @@ def test_eval_uniform_for_zero_net(monkeypatch):
     monkeypatch.setattr(network, "_draw_nets", lambda *args: [net])
     test = normalize_with(gen_synthetic("moons", n=100, k=2, noise=0.1, seed=9),
                           ds.mean, ds.std)
-    out = evaluate_coreset(coreset, test.X, test.labels, widths=(2, 8),
+    out = evaluate_coreset(coreset, test, test.labels, widths=(2, 8),
                            tprime=0)
     assert abs(out["nll"] - math.log(2.0)) <= 0.05
 
@@ -745,7 +746,7 @@ def test_eval_refuses_a_coreset_beyond_float32(field):
         with pytest.raises(nd.NonFiniteError,
                            match=f"coreset {field} beyond float32's range: "
                                  f"largest magnitude 1.000e\\+39"):
-            evaluate_coreset(coreset, ds.X, ds.labels, (2, 8), tprime=1)
+            evaluate_coreset(coreset, ds, ds.labels, (2, 8), tprime=1)
 
 
 def test_eval_deterministic_per_seed():
@@ -753,8 +754,8 @@ def test_eval_deterministic_per_seed():
     coreset = init_coreset(ds, ipc=3, mode="sample", seed=0)
     test = normalize_with(gen_synthetic("moons", n=80, k=2, noise=0.1, seed=10),
                           ds.mean, ds.std)
-    a = evaluate_coreset(coreset, test.X, test.labels, (2, 16), tprime=20, seed=4)
-    b = evaluate_coreset(coreset, test.X, test.labels, (2, 16), tprime=20, seed=4)
+    a = evaluate_coreset(coreset, test, test.labels, (2, 16), tprime=20, seed=4)
+    b = evaluate_coreset(coreset, test, test.labels, (2, 16), tprime=20, seed=4)
     assert a == b
 
 
@@ -762,7 +763,7 @@ def test_eval_rejects_negative_tprime():
     ds = moons_dataset(n=200)
     coreset = init_coreset(ds, ipc=3, mode="sample", seed=0)
     with pytest.raises(ValueError, match="tprime must be >= 0, got -1"):
-        evaluate_coreset(coreset, ds.X, ds.labels, (2, 16), tprime=-1)
+        evaluate_coreset(coreset, ds, ds.labels, (2, 16), tprime=-1)
 
 
 def test_eval_is_the_same_on_one_core_or_two(halves_calls, monkeypatch):
@@ -773,10 +774,10 @@ def test_eval_is_the_same_on_one_core_or_two(halves_calls, monkeypatch):
     coreset = init_coreset(ds, ipc=3, mode="sample", seed=0)
     test = normalize_with(gen_synthetic("moons", n=400, k=2, noise=0.1, seed=12),
                           ds.mean, ds.std)
-    two = evaluate_coreset(coreset, test.X, test.labels, (2, 512, 256), tprime=5, seed=3)
+    two = evaluate_coreset(coreset, test, test.labels, (2, 512, 256), tprime=5, seed=3)
     cuts = len(halves_calls)
     monkeypatch.setattr(_twocore, "_start_worker", lambda: False)
-    one = evaluate_coreset(coreset, test.X, test.labels, (2, 512, 256), tprime=5, seed=3)
+    one = evaluate_coreset(coreset, test, test.labels, (2, 512, 256), tprime=5, seed=3)
     assert cuts >= 5 and len(halves_calls) == 2 * cuts
     assert one == two
 
@@ -796,7 +797,7 @@ def _evaluate_in_float64(coreset, test_x, test_labels, widths, tprime, seed):
                            coreset.hyper)
     batch = predictive_moments(post, network.features(net, test_x))
     assert net.head.dtype == np.float64
-    return metrics(probit_log_softmax(batch.mean, batch.variance), test_labels)
+    return metrics(probit_log_softmax(batch.mean, batch.variance).data, test_labels)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -862,7 +863,7 @@ def test_eval_counts_one_feature_pass_per_input():
                           ds.mean, ds.std)
     trainer_mod.features = counting
     try:
-        evaluate_coreset(coreset, test.X, test.labels, (2, 8), tprime=0, seed=1)
+        evaluate_coreset(coreset, test, test.labels, (2, 8), tprime=0, seed=1)
     finally:
         trainer_mod.features = original
     assert calls.count(40) == 1
