@@ -144,7 +144,8 @@ class Array:
 
     @classmethod
     def _wrap(cls, arr):
-        """Adopt a freshly computed buffer without copying (internal)."""
+        """Adopt a freshly computed buffer without copying (internal); the
+        one way in that skips `Array`'s finiteness pass."""
         obj = cls.__new__(cls)
         if arr.dtype not in _DTYPES or not arr.flags.c_contiguous or not arr.flags.owndata:
             arr = np.array(arr, dtype=_kept_dtype(arr), order="C", copy=True)
@@ -170,22 +171,6 @@ class Array:
 
 def constant(values):
     return values if isinstance(values, Array) else Array(values)
-
-
-def _adopt_checked(values):
-    """Array(values) without the finiteness pass, for the parameter buffers
-    of a network: `init_net` draws them finite and `adam_step` checks the
-    ones it makes, and being read-only they stay finite. Anything `Array`
-    would copy goes through it. A
-    non-finite buffer made read-only elsewhere is not caught here, but
-    makes the first op that reads it raise NonFiniteError."""
-    if not _adoptable(values):
-        return Array(values)
-    obj = Array.__new__(Array)
-    obj.data = values
-    obj._node = None
-    obj._chol = None
-    return obj
 
 
 def zeros(shape, dtype=np.float64):

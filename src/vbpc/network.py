@@ -20,13 +20,13 @@ float64, and one helper, `_read_only`, crosses it for plain arrays: it
 adopts a read-only buffer of the dtype asked for as it is and casts
 anything else by the rule the tape's `cast` applies
 (`ndiff._checked_cast`), so a value beyond float32's range raises
-NonFiniteError. The coreset's images and labels reach a slot's step
-through it, and `features` reads and returns its rows through it, handing
-back a read-only float64 block for any net. `features_graph` is the taped
-twin of `features` and casts on the tape. Training keeps the coreset's
-images in float32 (`trainer.train`), so a step's coreset pass casts once,
-on the way out, and its image gradient comes back in float32; the labels
-and the posterior stay float64.
+NonFiniteError. `gaussian_step` reads its images and labels through it,
+and `features` reads and returns its rows through it, handing back a
+read-only float64 block for any net. `features_graph` is the taped twin of
+`features` and casts on the tape. Training keeps the coreset's images in
+float32 (`trainer.train`), so a step's coreset pass casts once, on the way
+out, and its image gradient comes back in float32; the labels and the
+posterior stay float64.
 
 A pool of two nets or more is drawn on both cores: each slot has its own
 seed stream, so the worker of `_twocore._halves` draws the later half of
@@ -69,9 +69,8 @@ class FeatureNet:
 
 def init_net(widths, k, seed):
     """Fresh network per seed: weights ~ N(0, 1/fan_in), biases ~
-    U(+-1/sqrt(fan_in)). The parameters are read-only and finite by
-    construction, so the tape adopts them as leaves and constants without
-    a copy or a finiteness pass (`ndiff._adopt_checked`).
+    U(+-1/sqrt(fan_in)). The parameters are read-only, so `ndiff.Array`
+    adopts them as leaves and constants without a copy, and checks them.
 
     Non-zero biases keep the ReLU features from being positively homogeneous
     in the input. The biases are drawn after the head, so weights and head
@@ -163,17 +162,17 @@ def features(net, x):
 def features_graph(net, x):
     """The taped twin of `features`: one `affine_relu` per layer on the
     Array `x` (a leaf if the coreset is being trained), with the parameters
-    as constants that share memory with net.params, which init_net and
-    adam_step make read-only and finite. `x` goes through `ndiff.cast` only
-    when its dtype is not the net's, and a float32 net hands its features
-    on through a `cast`, exact, as float64. So the float32 training images
-    through a float32 slot make one cast node, float64 images two, and
-    float64 images through a float64 net none.
+    as constants that `ndiff.Array` adopts, read-only, without a copy, and
+    checks. `x` goes through `ndiff.cast` only when its dtype is not the
+    net's, and a float32 net hands its features on through a `cast`, exact,
+    as float64. So the float32 training images through a float32 slot make
+    one cast node, float64 images two, and float64 images through a float64
+    net none.
     """
     dtype = net.head.dtype
     out = nd.cast(x, dtype) if x.data.dtype != dtype else x
     for w, b in zip(net.weights, net.biases):
-        out = nd.affine_relu(out, nd._adopt_checked(w), nd._adopt_checked(b))
+        out = nd.affine_relu(out, nd.Array(w), nd.Array(b))
     return nd.cast(out, np.float64) if dtype != np.float64 else out
 
 
@@ -192,14 +191,18 @@ def gaussian_likelihood_loss(net, images, labels, gamma, param_arrays):
 def gaussian_step(net, images, labels, gamma, lr, state=None):
     """One Adam step on the Gaussian likelihood over all parameters.
 
-    `state` carries the moments, updated in place; pass None to start
-    fresh. The moments take the parameters' dtype (`AdamState.init`), so a
-    float32 net, a pool slot or the evaluation net, keeps float32 moments.
-    The leaves share memory with net.params. Returns (new_net, new_state); a
-    non-finite moment or new parameter raises NonFiniteError.
+    The images and labels are read in the net's dtype through `_read_only`,
+    so the float32 training images need no copy. `state` carries the
+    moments, updated in place; pass None to start fresh. The moments take
+    the parameters' dtype (`AdamState.init`), so a float32 net, a pool slot
+    or the evaluation net, keeps float32 moments. The leaves share memory
+    with net.params. Returns (new_net, new_state); a non-finite parameter
+    (before any op runs), moment or new parameter raises NonFiniteError.
     """
+    images = _read_only(images, net.head.dtype, "coreset images")
+    labels = _read_only(labels, net.head.dtype, "coreset labels")
     tape = nd.Tape()
-    leaves = [tape.leaf(nd._adopt_checked(p)) for p in net.params]
+    leaves = [tape.leaf(nd.Array(p)) for p in net.params]
     loss = gaussian_likelihood_loss(net, images, labels, gamma, leaves)
     grad_map = nd.backward(tape, loss)
     grads = [grad_map[tape.node_id(leaf)].data for leaf in leaves]
@@ -251,16 +254,16 @@ def pool_sample(pool, rng):
 
 
 def pool_update(pool, index, images, labels, gamma, lr):
-    """Gaussian step on one slot, in float32 on the coreset's images and
-    labels through `_read_only` (the training images, read-only float32
-    already, with no copy), counted in its updates. At each multiple of the
-    period the slot's net, of its own shape, is redrawn as `pool_new` draws
-    it, from the next generation's seed (seed, slot, generation), and its
-    Adam state starts afresh."""
+    """Gaussian step on one slot, counted in its updates. The coreset's
+    images and labels go in as training holds them, and `gaussian_step`
+    casts them to the slot's float32 (the images, read-only float32
+    already, with no copy). At each multiple of the period the slot's net,
+    of its own shape, is redrawn as `pool_new` draws it, from the next
+    generation's seed (seed, slot, generation), and its Adam state starts
+    afresh."""
     slot = pool.slots[index]
-    slot.net, slot.state = gaussian_step(
-        slot.net, _read_only(images, np.float32, "coreset images"),
-        _read_only(labels, np.float32, "coreset labels"), gamma, lr, state=slot.state)
+    slot.net, slot.state = gaussian_step(slot.net, images, labels, gamma, lr,
+                                         state=slot.state)
     slot.updates += 1
     if slot.updates % pool.period == 0:
         seed = _slot_seed(pool.seed, index, slot.updates // pool.period)

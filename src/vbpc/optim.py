@@ -24,9 +24,9 @@ states, as their parameters are; the coreset's labels a float64 one.
 
 Each slice of sqrt(v/c2) + EPS and of the result is checked finite while
 it is in cache. So an overflowing second moment, which would give the
-parameter a step of zero for good, raises instead, and the parameters
-`adam_step` returns need no further check: they are read-only and stay
-finite (`ndiff._adopt_checked`).
+parameter a step of zero for good, raises instead. The parameters
+`adam_step` returns are read-only, so the tape adopts them without a copy,
+and `ndiff.Array` checks that they are finite as it adopts them.
 """
 
 import math

@@ -361,7 +361,7 @@ def evaluate_coreset(coreset, test_x, test_labels, widths, tprime=500, seed=0):
     health of the posterior's factored system, as the training records do.
 
     The network runs in float32: it is drawn as a pool slot is
-    (`network._draw_nets`), the coreset's images and labels are cast once
+    (`network._draw_nets`), the coreset's images are cast once
     (`network._read_only`, which refuses a value beyond float32's range),
     and its Gaussian steps and both feature passes run at sgemm's rate.
     `network.features` hands the coreset and test features to the
@@ -382,12 +382,13 @@ def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
     hyper = coreset.hyper
     net, = network._draw_nets(widths, coreset.k, [np.random.SeedSequence([seed, 0])],
                               np.float32)
+    # one cast: the Gaussian steps adopt it and the posterior's features read it
     images = network._read_only(coreset.images, np.float32, "coreset images")
-    labels = network._read_only(coreset.labels, np.float32, "coreset labels")
     state = None
     for _ in range(tprime):
-        net, state = gaussian_step(net, images, labels, hyper.gamma,
+        net, state = gaussian_step(net, images, coreset.labels, hyper.gamma,
                                    TrainConfig.pool_lr, state=state)
+    del state       # the fit's float32 moments, a net's size twice over
     post = solve_posterior(features(net, images), coreset.labels, hyper)
     read = test_x.rows if isinstance(test_x, Dataset) else np.asarray(test_x).__getitem__
     log_probs = np.empty((len(test_x), coreset.k))

@@ -1204,38 +1204,6 @@ def test_adopted_non_finite_buffer_raises():
         nd.Array(_read_only(values))
 
 
-def test_adopt_checked_makes_no_copy_and_no_finiteness_pass(monkeypatch):
-    values = _read_only(np.random.default_rng(2).standard_normal((3, 4)))
-    passes = []
-    real = np.isfinite
-    monkeypatch.setattr(nd.np, "isfinite", lambda x: passes.append(x) or real(x))
-    arr = nd._adopt_checked(values)
-    assert arr.data is values and arr._node is None and passes == []
-    writable = np.ones((2, 2))      # anything else goes through Array
-    copied = nd._adopt_checked(writable)
-    assert not np.shares_memory(copied.data, writable) and len(passes) == 1
-
-
-def test_network_wraps_parameters_without_a_finiteness_pass(monkeypatch):
-    # init_net and adam_step check the buffers they make; the tape adopts
-    # them later with no second pass
-    rng = np.random.default_rng(3)
-    net = network.init_net((5, 16, 8), 3, seed=4)
-    images, labels = rng.standard_normal((6, 5)), rng.standard_normal((6, 3))
-    net, state = network.gaussian_step(net, images, labels, 10.0, 1e-3)
-    wrapped = []
-    real_init = nd.Array.__init__
-
-    def recording(self, values):
-        wrapped.append(id(values))
-        real_init(self, values)
-
-    monkeypatch.setattr(nd.Array, "__init__", recording)
-    network.features_graph(net, nd.Array(images))
-    network.gaussian_step(net, images, labels, 10.0, 1e-3, state=state)
-    assert not {id(p) for p in net.params} & set(wrapped)
-
-
 def test_window_does_not_count_an_adopted_buffer():
     values = _read_only(np.ones((10, 10)))
     with nd.track_allocations() as window:

@@ -210,6 +210,40 @@ def test_gaussian_step_leaves_share_memory_with_params(monkeypatch):
         assert all(np.shares_memory(leaf, p) for leaf, p in zip(leaves, params))
 
 
+def test_gaussian_step_refuses_a_non_finite_parameter_before_any_op(monkeypatch):
+    # the tape adopts a net's parameters through Array, which checks them:
+    # a NaN in a read-only head raises where it is adopted, not at the
+    # first op that reads it
+    net = init_net((3, 6), k=2, seed=12)
+    head = net.head.copy()
+    head[1, 0] = np.nan
+    head.flags.writeable = False
+    applied = []
+    real_apply = nd.apply
+    monkeypatch.setattr(nd, "apply", lambda op, *a, **kw: applied.append(op)
+                        or real_apply(op, *a, **kw))
+    rng = np.random.default_rng(12)
+    with pytest.raises(nd.NonFiniteError, match="non-finite entries"):
+        gaussian_step(net.replace_params(net.params[:-1] + [head]),
+                      rng.standard_normal((4, 3)), rng.standard_normal((4, 2)), 1.0, 1e-2)
+    assert applied == []
+
+
+def test_gaussian_step_reads_its_images_and_labels_in_its_nets_dtype():
+    # a float32 net's step casts float64 images and labels itself: the
+    # same bits as the step on their float32 casts
+    rng = np.random.default_rng(15)
+    net, = network._draw_nets((5, 8, 6), 3, [16], np.float32)
+    images, labels = rng.standard_normal((7, 5)), rng.standard_normal((7, 3))
+    got, got_state = gaussian_step(net, images, labels, 10.0, 1e-2)
+    want, want_state = gaussian_step(net, _read_only(images, np.float32),
+                                     _read_only(labels, np.float32), 10.0, 1e-2)
+    for a, b in zip(got.params + got_state.m + got_state.v,
+                    want.params + want_state.m + want_state.v):
+        assert a.dtype == np.float32
+        np.testing.assert_array_equal(a, b)
+
+
 def test_gaussian_step_stationary_point():
     rng = np.random.default_rng(4)
     net = init_net((2, 3), k=2, seed=5)
@@ -269,7 +303,7 @@ def _read_only(values, dtype):
 
 def _gaussian_grads(net, images, labels, gamma):
     tape = nd.Tape()
-    leaves = [tape.leaf(nd._adopt_checked(p)) for p in net.params]
+    leaves = [tape.leaf(nd.Array(p)) for p in net.params]
     loss = gaussian_likelihood_loss(net, images, labels, gamma, leaves)
     grads = nd.backward(tape, loss)
     return loss, [grads[tape.node_id(leaf)].data for leaf in leaves]

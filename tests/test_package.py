@@ -176,6 +176,27 @@ def test_network_holds_only_its_parameters():
         "weights", "biases", "head"]
 
 
+def test_the_tape_takes_outside_buffers_one_way():
+    # a buffer from outside the tape enters through Array, which checks it
+    # is finite; only Array._wrap, for buffers an op has just computed,
+    # builds an Array without that check: a second unchecked door is a
+    # decision this test records
+    tree = ast.parse((ROOT / "src" / "vbpc" / "ndiff.py").read_text())
+    doors = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"):
+            doors.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    assert doors == ["Array._wrap"]
+
+
 def test_scheduler_tuning_constants_are_the_listed_ones():
     # each threshold is a size at which work changes thread or kernel, and
     # one more is a rule to keep in step with the rest: adding one is a

@@ -4,6 +4,7 @@ import math
 import re
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -891,6 +892,35 @@ def test_eval_casts_the_coreset_images_once(monkeypatch):
     evaluate_coreset(coreset, rng.standard_normal((50, 16)), rng.integers(0, 3, 50),
                      (16, 8), tprime=2, seed=0)
     assert [name for shape, name in calls if shape == (30, 16)] == ["coreset images"]
+
+
+def test_eval_drops_the_fits_adam_state_before_the_test_pass(monkeypatch):
+    # the fit's moments, twice a float32 net, are dead by the time the
+    # first test chunk reaches the predictive
+    from vbpc.data import PseudoCoreset, scaled_onehot_labels
+    from vbpc.posterior import Hyperparams
+    rng = np.random.default_rng(25)
+    coreset = PseudoCoreset(images=rng.standard_normal((12, 6)),
+                            labels=scaled_onehot_labels(np.arange(12) % 3, 3), ipc=4,
+                            hyper=Hyperparams(rho=1.0, gamma=100.0, beta_s=12.0,
+                                              beta_d=1e-8))
+    states, alive = [], []
+    real_step, real_predictive = trainer.gaussian_step, trainer.log_predictive
+
+    def stepping(*args, **kwargs):
+        net, state = real_step(*args, **kwargs)
+        states.append(weakref.ref(state))
+        return net, state
+
+    def predicting(*args):
+        alive.append(sum(ref() is not None for ref in states))
+        return real_predictive(*args)
+
+    monkeypatch.setattr(trainer, "gaussian_step", stepping)
+    monkeypatch.setattr(trainer, "log_predictive", predicting)
+    evaluate_coreset(coreset, rng.standard_normal((20, 6)), rng.integers(0, 3, 20),
+                     (6, 8), tprime=3, seed=0)
+    assert len(states) == 3 and alive[0] == 0
 
 
 # ---------------------------------------------------------------------------
