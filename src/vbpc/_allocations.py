@@ -12,8 +12,8 @@ class AllocationWindow:
     elements: bytes / 8, so a float32 buffer counts half its elements.
 
     A window counts the buffers this layer allocates inside it: array
-    buffers, gradient buffers and cached inverse factors, but not a buffer
-    an Array adopts without a copy. ``live`` is how much of that is still
+    buffers (inverse factors among them) and gradient buffers, but not a
+    buffer an Array adopts without a copy. ``live`` is how much of that is still
     alive, ``peak`` its high-water mark and ``largest_block`` the largest
     single buffer. A buffer born before the window opened is not counted,
     even when it is freed inside. ``peak`` is the window's own peak.

@@ -55,11 +55,12 @@ def naive_loss(phi_hat, labels, phi_b, y_b, n_total, hyper):
     eye_h = nd.eye(h)
     primal = nd.add(nd.scale(eye_h, hyper.rho),
                     nd.scale(nd.matmul(phi, phi, trans_a=True), g))
-    # V* = primal^{-1} = W^T W for the cached W = L^{-1} (one syrk), h x h
-    v_star = nd.Array._wrap(nd._inverse(nd._chol_of(primal)))
+    # V* = primal^{-1} = W^T W for W = L^{-1}, a Gram of W (one syrk), h x h
+    w = nd.inv_chol(primal)
+    v_star = nd.matmul(w, w, trans_a=True)
     means = nd.scale(nd.matmul(v_star, nd.matmul(phi, lab, trans_a=True)), g)
 
-    logdet_v = -float(nd.logdet_trinv_spd(primal).data[0, 0])
+    logdet_v = -float(nd.logdet_trinv(w).data[0, 0])
     trace_v = float(np.trace(v_star.data))
     msq = nd.inner(means, means).item()
     kl = 0.5 * (k * (-h * math.log(hyper.rho) - logdet_v) - k * h

@@ -18,13 +18,15 @@ from functools import cached_property
 
 import numpy as np
 
+from . import ndiff as nd
 from .posterior import Hyperparams
 
 MAGIC = b"VBPC"
 FORMAT_VERSION = 2
 STD_FLOOR = 1e-8
-# Bytes of the float64 row block in which `normalize` streams a split;
-# about a core's L2 cache (1 MiB ran fastest at d = 784 and d = 3072)
+# Bytes of the float64 row block in which `normalize` streams a split and
+# `Dataset.rows` makes float32 rows; about a core's L2 cache (1 MiB ran
+# fastest at d = 784 and d = 3072)
 STAT_BLOCK_BYTES = 1 << 20
 # Largest synthetic dataset: desk-scale shapes, a few tens of MB per split
 SYNTHETIC_MAX_N = 1_000_000
@@ -69,11 +71,25 @@ class Dataset:
             out[...] = block
         return out
 
-    def rows(self, idx):
+    def rows(self, idx, dtype=np.float64):
         """The rows at `idx` (an index array or a slice), standardized by the
-        split's statistics, in a fresh C-ordered float64 block. Every reader
-        of the features goes through here."""
-        return self._standardize(self._loaded(idx))
+        split's statistics, in a fresh C-ordered block of `dtype`. Every
+        reader of the features goes through here. Float32 rows are
+        standardized in float64 blocks of about STAT_BLOCK_BYTES, each cast
+        into the one float32 block by the rule a float32 net's inputs are
+        cast by (`ndiff._checked_cast`), so they are `rows(idx)` cast, bit
+        for bit, and no float64 block of them all is made."""
+        if np.dtype(dtype) == np.float64:
+            return self._standardize(self._loaded(idx))
+        picked = np.arange(self.n)[idx]
+        out = np.empty((picked.size, self.d), dtype)
+        step = max(1, STAT_BLOCK_BYTES // (8 * self.d))
+        buf = np.empty((min(step, picked.size), self.d))
+        for lo in range(0, picked.size, step):
+            part = picked[lo:lo + step]
+            block = self._standardize(self._loaded(part, out=buf[:part.size]))
+            out[lo:lo + part.size] = nd._checked_cast(block, dtype, "feature rows")
+        return out
 
     def _standardize(self, block):
         """(block - mean) / std in place, by the split's statistics, if it

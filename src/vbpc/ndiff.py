@@ -6,9 +6,9 @@ suite in the tests certifies every downstream gradient. Arrays are immutable
 once built; a Tape records primitive applications and `backward` replays the
 adjoints in reverse topological order.
 
-There is no transpose primitive: `matmul` and `inv_quad_spd` take flags
-that say which way they read an operand, and read it through a view. Nor
-is there a subtraction: `add` takes equal shapes, and a - b adds -b. The
+There is no transpose primitive: `matmul` takes flags that say which way
+it reads an operand, and reads it through a view. Nor is there a
+subtraction: `add` takes equal shapes, and a - b adds -b. The
 layer max(x W + b, 0) is one primitive, `affine_relu`; so is the probit
 rule log softmax(m / sqrt(1 + (pi/8) max(v, 0))), `probit_log_softmax`,
 which takes a variance's round-off negativity down to VARIANCE_CLAMP to
@@ -29,18 +29,19 @@ operands of one dtype and raises NdiffError on mixed ones. `matmul`,
 and so does every adjoint, from a seed of the loss's dtype. `cast` alone
 changes the dtype: its forward is one C-ordered copy in the dtype asked
 for, its vjp casts the gradient back to the operand's, and a finite value
-beyond float32's range raises NonFiniteError in either. The SPD
-primitives and `probit_log_softmax` take float64 alone: the posterior is
-float64 whatever dtype its features were computed in. `backward` passes a
-gradient that a vjp returns unchanged on as the same Array and wraps every
-other vjp result without a copy, so no gradient shares memory with a buffer
-the forward saved.
+beyond float32's range raises NonFiniteError in either. `inv_chol`,
+`logdet_trinv` and `probit_log_softmax` take float64 alone: the posterior
+is float64 whatever dtype its features were computed in. `backward`
+passes a gradient that a vjp returns unchanged on as the same Array and
+wraps every other vjp result without a copy, so no gradient shares memory
+with a buffer the forward saved.
 
-The SPD primitives share one factorization per system: `a = L L^T`, of
-which the cache keeps `W = L^{-1}`, so every solve is a product with W or
-W^T, and log det a and Tr a^{-1} read W alone: -2 sum log diag W and
-||W||_F^2. The cache also records whether the factorization took the
-jitter retry, so each system reports its own.
+A symmetric positive definite system S = L L^T enters the tape through
+one node, `inv_chol(S)` = W = L^{-1}: every solve is then a product with W
+or W^T, each quadratic form an `inner` of one product with itself, and
+`logdet_trinv(W)` reads log det S and Tr S^{-1} off W alone. The W node
+records whether its factorization took the jitter retry (`_retries_of`),
+so each system reports its own.
 
 Allocation windows (`vbpc._allocations`) count the buffers this layer
 allocates; large products are cut in two halves by `vbpc._twocore`.
@@ -81,10 +82,8 @@ class NonFiniteError(NdiffError):
 
 # the dtypes an Array keeps; anything else is copied to float64
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
-# the primitives that read the cached factorization of their first operand
-_SPD = frozenset(("cholesky_solve_spd", "logdet_trinv_spd", "inv_quad_spd"))
 # the primitives whose operands must be float64
-_FLOAT64_ONLY = _SPD | {"probit_log_softmax"}
+_FLOAT64_ONLY = frozenset(("inv_chol", "logdet_trinv", "probit_log_softmax"))
 
 
 def _kept_dtype(values):
@@ -124,10 +123,11 @@ class Array:
     here, so no allocation window counts it.
 
     `_node` is None for a constant, else (weak reference to the tape, node
-    id on it).
+    id on it). `_retried` is 1 on an `inv_chol` node whose factorization
+    took the jitter retry, else 0.
     """
 
-    __slots__ = ("data", "_node", "_chol")
+    __slots__ = ("data", "_node", "_retried")
 
     def __init__(self, values):
         if _adoptable(values):
@@ -140,7 +140,7 @@ class Array:
             raise NonFiniteError("array contains non-finite entries")
         self.data = data
         self._node = None
-        self._chol = None
+        self._retried = 0
 
     @classmethod
     def _wrap(cls, arr):
@@ -153,7 +153,7 @@ class Array:
         _register_buffer(arr)
         obj.data = arr
         obj._node = None
-        obj._chol = None
+        obj._retried = 0
         return obj
 
     @property
@@ -216,59 +216,10 @@ class Tape:
         return self._labels[label]
 
 
-# ---------------------------------------------------------------------------
-# shared cholesky machinery
-# ---------------------------------------------------------------------------
-
-def _raw_cholesky(sym):
-    """(L, retried): the lower Cholesky factor, and 1 if the first attempt
-    failed and the one-shot jitter retry made it, else 0."""
-    try:
-        return scipy.linalg.cholesky(sym, lower=True), 0
-    except scipy.linalg.LinAlgError:
-        pass
-    bump = JITTER * float(np.mean(np.diag(sym)))
-    jittered = sym + bump * np.eye(sym.shape[0])
-    try:
-        return scipy.linalg.cholesky(jittered, lower=True), 1
-    except scipy.linalg.LinAlgError:
-        raise NonSPDError("matrix is not positive definite (jitter retry failed)")
-
-
-def _chol_of(array):
-    """W = L^{-1} for the lower Cholesky factor L of sym(array), cached so
-    one factorization is shared. LAPACK's trtri inverts L in place, so W is
-    the one m x m buffer the factorization leaves. The cache keeps, beside
-    W, whether the factorization took the jitter retry (`_retries_of`)."""
-    if array._chol is None:
-        a = array.data
-        if a.shape[0] != a.shape[1]:
-            raise ShapeError(f"expected square matrix, got {a.shape}")
-        sym = 0.5 * (a + a.T)
-        chol, retried = _raw_cholesky(sym)
-        inv_chol, info = scipy.linalg.lapack.dtrtri(chol, lower=1, overwrite_c=1)
-        if info:
-            raise NonSPDError(f"Cholesky factor is singular (trtri info {info})")
-        inv_chol.flags.writeable = False
-        _register_buffer(inv_chol)
-        array._chol = (inv_chol, retried)
-    return array._chol[0]
-
-
-def _retries_of(array):
-    """1 if a factorization cached on `array` took the jitter retry, else 0."""
-    return 0 if array._chol is None else array._chol[1]
-
-
-def _solve(inv_chol, b, op="N"):
-    """A solve against S = L L^T as products with W = L^{-1}: op "N" is
-    L^{-1} b = W b, "T" is L^{-T} b = W^T b and "S" is S^{-1} b = W^T (W b).
-    In C order, cut as `_product` cuts."""
-    if op == "N":
-        return _twocore._product(inv_chol, b)
-    if op == "T":
-        return _twocore._product(inv_chol.T, b)
-    return _twocore._product(inv_chol.T, _twocore._product(inv_chol, b))
+def _retries_of(w):
+    """1 if the factorization behind the `inv_chol` node `w` took the jitter
+    retry, else 0."""
+    return w._retried
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +342,8 @@ def _fwd_inner(a, b, axis=None):
 
 def _vjp_inner(g, saved, needs):
     a, b = saved
+    if a is b:      # a sum of squares: its two equal partials summed, in one buffer
+        return ((2.0 * g) * a if needs[0] else None), None
     return (g * b if needs[0] else None, g * a if needs[1] else None)
 
 
@@ -431,66 +384,65 @@ def _vjp_probit_log_softmax(g, saved, needs):
     return gm, gv
 
 
-def _fwd_cholesky_solve_spd(a, b, _chol=None):
-    if a.shape[0] != a.shape[1] or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cholesky_solve_spd: {a.shape} vs {b.shape}")
-    x = _solve(_chol, b, "S")
-    return x, (_chol, x)
+def _fwd_inv_chol(s):
+    """W = L^{-1} for the lower Cholesky factor L of sym(s). When the first
+    factorization fails, one retry adds JITTER times the mean diagonal to
+    the diagonal; the saved flag says whether it did. LAPACK's trtri
+    inverts L in place, and a W that is not finite raises NonFiniteError
+    carrying that flag as its `retries`."""
+    if s.shape[0] != s.shape[1]:
+        raise ShapeError(f"inv_chol: expected a square matrix, got {s.shape}")
+    sym = 0.5 * (s + s.T)
+    retried = 0
+    try:
+        chol = scipy.linalg.cholesky(sym, lower=True)
+    except scipy.linalg.LinAlgError:
+        retried = 1
+        sym[np.diag_indices_from(sym)] += JITTER * float(np.mean(np.diag(sym)))
+        try:
+            chol = scipy.linalg.cholesky(sym, lower=True)
+        except scipy.linalg.LinAlgError:
+            raise NonSPDError("matrix is not positive definite (jitter retry failed)")
+    w, info = scipy.linalg.lapack.dtrtri(chol, lower=1, overwrite_c=1)
+    if info:
+        raise NonSPDError(f"Cholesky factor is singular (trtri info {info})")
+    if not np.isfinite(w).all():
+        err = NonFiniteError("inv_chol: produced non-finite values")
+        err.retries = retried
+        raise err
+    w = np.ascontiguousarray(w)     # trtri writes Fortran order
+    return w, (w, retried)
 
 
-def _vjp_cholesky_solve_spd(g, saved, needs):
-    inv_chol, x = saved
-    gb = _solve(inv_chol, g, "S")
-    if needs[0]:
-        gs = -gb @ x.T
-        ga = 0.5 * (gs + gs.T)
-    else:
-        ga = None
-    return ga, (gb if needs[1] else None)
+def _vjp_inv_chol(g, saved, needs):
+    """S_bar = -sym(W^T Phi(g W^T) W), with Phi(X) = tril(X) - diag(X) / 2
+    (Murray 2016, arXiv:1602.07527): three products, and the sum with its
+    transpose, exactly symmetric."""
+    w = saved[0]
+    x = np.tril(_twocore._product(g, w.T))
+    x[np.diag_indices_from(x)] *= 0.5
+    y = _twocore._product(w.T, _twocore._product(x, w))
+    out = y + y.T
+    out *= -0.5
+    return (out,)
 
 
-def _inverse(inv_chol):
-    """a^{-1} = W^T W for the cached W = L^{-1}: syrk, exactly symmetric."""
-    return np.matmul(inv_chol.T, inv_chol)
+def _fwd_logdet_trinv(w):
+    """The row [log det S, Tr S^{-1}] = [-2 sum log diag W, ||W||_F^2] for
+    the lower triangular W = L^{-1} of S = L L^T; the squares are summed
+    pairwise."""
+    if w.shape[0] != w.shape[1]:
+        raise ShapeError(f"logdet_trinv: expected a square matrix, got {w.shape}")
+    logdet = -2.0 * float(np.log(np.diag(w)).sum())
+    return np.array([[logdet, float(np.square(w).sum())]]), (w,)
 
 
-def _fwd_logdet_trinv_spd(a, _chol=None):
-    """The row [log det a, Tr a^{-1}] = [-2 sum log diag W, ||W||_F^2]; the
-    squares are summed pairwise."""
-    logdet = -2.0 * float(np.log(np.diag(_chol)).sum())
-    return np.array([[logdet, float(np.square(_chol).sum())]]), (_chol,)
-
-
-def _vjp_logdet_trinv_spd(g, saved, needs):
-    """g_0 a^{-1} - g_1 a^{-2}, where a^{-2} = a^{-1} a^{-1}^T is a second
-    syrk: both terms, and so the adjoint, are exactly symmetric."""
-    inv = _inverse(saved[0])
-    return (float(g[0, 0]) * inv - float(g[0, 1]) * np.matmul(inv, inv.T),)
-
-
-def _fwd_inv_quad_spd(a, b, rows=False, _chol=None):
-    """Entry j of the result is b_j^T a^{-1} b_j = ||L^{-1} b_j||^2 over the
-    columns b_j of b, or over its rows with `rows`: one product with
-    L^{-1}, and a sum of squares that cannot cancel. The rows are read
-    through the view b.T."""
-    op_b = b.T if rows else b
-    if a.shape[0] != a.shape[1] or a.shape[1] != op_b.shape[0]:
-        raise ShapeError(f"inv_quad_spd: {a.shape} vs {op_b.shape}")
-    z = _solve(_chol, op_b)
-    return (z * z).sum(axis=0).reshape(-1, 1), (_chol, z, rows)
-
-
-def _vjp_inv_quad_spd(g, saved, needs):
-    inv_chol, z, rows = saved
-    x = _solve(inv_chol, z, "T")  # a^{-1} op(b)
-    xg = x * g.T
-    ga = None
-    if needs[0]:
-        ga = _twocore._product(xg, x.T)
-        np.negative(ga, out=ga)     # -(xg x^T), bit-equal to (-xg) x^T
-    # in C order, so backward adopts it without a copy
-    gb = np.multiply(xg.T if rows else xg, 2.0, order="C") if needs[1] else None
-    return ga, gb
+def _vjp_logdet_trinv(g, saved, needs):
+    """-2 g_0 diag(1 / diag W) + 2 g_1 W."""
+    w = saved[0]
+    gw = (2.0 * float(g[0, 1])) * w
+    gw[np.diag_indices_from(gw)] -= 2.0 * float(g[0, 0]) / np.diag(w)
+    return (gw,)
 
 
 _REGISTRY = {
@@ -501,9 +453,8 @@ _REGISTRY = {
     "cast": (_fwd_cast, _vjp_cast, 1),
     "inner": (_fwd_inner, _vjp_inner, 2),
     "probit_log_softmax": (_fwd_probit_log_softmax, _vjp_probit_log_softmax, 2),
-    "cholesky_solve_spd": (_fwd_cholesky_solve_spd, _vjp_cholesky_solve_spd, 2),
-    "logdet_trinv_spd": (_fwd_logdet_trinv_spd, _vjp_logdet_trinv_spd, 1),
-    "inv_quad_spd": (_fwd_inv_quad_spd, _vjp_inv_quad_spd, 2),
+    "inv_chol": (_fwd_inv_chol, _vjp_inv_chol, 1),
+    "logdet_trinv": (_fwd_logdet_trinv, _vjp_logdet_trinv, 1),
 }
 
 
@@ -533,13 +484,13 @@ def apply(op, operands, **params):
                          f"{', '.join(str(d.dtype) for d in datas)}")
     if op in _FLOAT64_ONLY and dtype != np.float64:
         raise NdiffError(f"{op}: takes float64 operands, got {dtype}")
-    if op in _SPD:
-        params["_chol"] = _chol_of(operands[0])     # `params` is this call's own
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out_data, saved = fwd(*datas, **params)
     if not np.isfinite(out_data).all():
         raise NonFiniteError(f"{op}: produced non-finite values")
     out = Array._wrap(out_data)
+    if op == "inv_chol":      # the factor node reports its factorization's retry
+        out._retried = saved[1]
     if tape is not None:
         in_ids = tuple(tape.node_id(o) for o in operands)
         out_id = next(tape._ids)
@@ -609,11 +560,8 @@ def inner(a, b, axis=None):
 def probit_log_softmax(mean, variance):
     return apply("probit_log_softmax", (mean, variance))
 
-def cholesky_solve_spd(a, b):
-    return apply("cholesky_solve_spd", (a, b))
+def inv_chol(s):
+    return apply("inv_chol", (s,))
 
-def logdet_trinv_spd(a):
-    return apply("logdet_trinv_spd", (a,))
-
-def inv_quad_spd(a, b, rows=False):
-    return apply("inv_quad_spd", (a, b), rows=rows)
+def logdet_trinv(w):
+    return apply("logdet_trinv", (w,))

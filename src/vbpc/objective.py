@@ -67,11 +67,11 @@ def outer_loss(coreset, net, batch, n_total, hyper, tape):
         kl_term = nd.scale(kl_to_prior(post), hyper.beta_d)
         total = nd.add(likelihood, kl_term)
     except nd.NonFiniteError as err:
-        err.retries = nd._retries_of(post.system)
+        err.retries = nd._retries_of(post.factor)
         raise
     return total, OuterLossBreakdown(total.item(), likelihood.item(),
                                      kl_term.item(), condition_lower_bound(post),
-                                     nd._retries_of(post.system))
+                                     nd._retries_of(post.factor))
 
 
 def coreset_grad(loss, tape):

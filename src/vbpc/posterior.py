@@ -13,16 +13,20 @@ picks the side; a tie goes to the nhat side. The smaller side is also the
 better conditioned: the larger system has the same eigenvalues 1 + c s_i^2
 (s_i the singular values of Phi) plus |h - nhat| unit ones, so its
 condition number can only be larger. Both sides share the same
-formulas wherever they can. Since c G G^T = S - I, the log-determinant
-(log det S by the Weinstein-Aronszajn identity) and the KL are functions
-of S alone: they read log det S and Tr S^{-1} from the factorization
-S = L L^T, which keeps W = L^{-1}, as -2 sum log diag W and ||W||_F^2.
-The trace of V* reads Tr(S^{-1} G G^T) as ||W G||_F^2. The means take the
-kernel-trick form c Phi^T S^{-1} Y on the nhat side and the push-through
-form c S^{-1} Phi^T Y on the h side. Phi^T is never copied: the products,
-those with L^{-1} included, read Phi through transposed views (`matmul`'s
-trans flags, `inv_quad_spd`'s rows). No h x h matrix is materialized when
-h >= nhat; ``dense_variance`` builds one only as a test/benchmark oracle.
+formulas wherever they can.
+
+Everything reads one tape node, W = L^{-1} for S = L L^T
+(`ndiff.inv_chol`), so S^{-1} = W^T W and every solve is two products
+with W (Rasmussen & Williams 2006, Algorithm 2.1). Since c G G^T = S - I,
+the log-determinant (log det S by the Weinstein-Aronszajn identity) and
+the KL are functions of S alone: they read log det S and Tr S^{-1} off W
+as -2 sum log diag W and ||W||_F^2 (`ndiff.logdet_trinv`). The trace of
+V* reads Tr(S^{-1} G G^T) as ||W G||_F^2. The means take the kernel-trick
+form c Phi^T (W^T (W Y)) on the nhat side and the push-through form
+c W^T (W (Phi^T Y)) on the h side. Phi^T is never copied: the products
+read Phi and W through transposed views (`matmul`'s trans flags). No
+h x h matrix is materialized when h >= nhat; ``dense_variance`` builds
+one only as a test/benchmark oracle.
 
 Every construction is built from tape primitives, so when the features or
 labels are nodes of a gradient tape the ops that depend on them record on
@@ -79,9 +83,9 @@ class Hyperparams:
 class CoresetPosterior:
     """Efficient representation of the solved coreset posterior.
 
-    Stores the feature matrix, labels, the system S = I + c G G^T (whose
-    inverse Cholesky factor L^{-1} is cached and reused by every solve),
-    which side it is, and the h x k posterior means. `weight_space` is True
+    Stores the feature matrix, labels, the factor W = L^{-1} of the system
+    S = I + c G G^T = L L^T, which every solve reads, which side it is,
+    and the h x k posterior means. `weight_space` is True
     when S is the h x h system (h < nhat), where G = Phi^T is read as a
     view of Phi and never stored. Storage is O(nhat*h + min(h, nhat)^2 +
     h*k); on the nhat side the shared h x h covariance is represented
@@ -90,7 +94,7 @@ class CoresetPosterior:
 
     phi: nd.Array
     labels: nd.Array
-    system: nd.Array        # S = I + c * G G^T
+    factor: nd.Array        # W = L^{-1}, S = I + c * G G^T = L L^T
     weight_space: bool      # G = Phi^T (S is h x h) rather than Phi
     means: nd.Array         # columns m_j
     hyper: Hyperparams
@@ -119,42 +123,46 @@ def _solve(phi, labels, hyper, weight_space):
 
     system = nd.add(nd.eye(h if weight_space else nhat), nd.scale(
         nd.matmul(phi, phi, trans_a=weight_space, trans_b=not weight_space), c))
+    w = nd.inv_chol(system)
+
+    def solve(b):
+        return nd.matmul(w, nd.matmul(w, b), trans_a=True)
+
     try:
         if weight_space:
-            means = nd.cholesky_solve_spd(system, nd.matmul(phi, labels, trans_a=True))
+            means = solve(nd.matmul(phi, labels, trans_a=True))
         else:
-            means = nd.matmul(phi, nd.cholesky_solve_spd(system, labels), trans_a=True)
+            means = nd.matmul(phi, solve(labels), trans_a=True)
         means = nd.scale(means, c)
     except nd.NonFiniteError as err:
-        err.retries = nd._retries_of(system)
+        err.retries = nd._retries_of(w)
         raise
-    return CoresetPosterior(phi, labels, system, weight_space, means, hyper)
+    return CoresetPosterior(phi, labels, w, weight_space, means, hyper)
 
 
 def dense_variance(p):
     """Materialized h x h shared covariance V*. Test/benchmark oracle only.
 
-    V* = rho^{-1} S^{-1} on the h side, and rho^{-1} I -
-    (gamma / (rho^2 beta_s)) Phi^T S^{-1} Phi on the nhat side. Guarded so
-    it cannot sneak into training paths at scale.
+    V* = rho^{-1} W^T W on the h side, and rho^{-1} I -
+    (gamma / (rho^2 beta_s)) (W Phi)^T (W Phi) on the nhat side: Grams,
+    exactly symmetric. Guarded so it cannot sneak into training paths at
+    scale.
     """
     hyper = p.hyper
     h = p.phi.shape[1]
     if h > 4096:
         raise ValueError(f"dense_variance guard: h={h} > 4096")
     if p.weight_space:
-        return nd.scale(nd.cholesky_solve_spd(p.system, nd.eye(h)),
-                        1.0 / hyper.rho)
-    solved = nd.cholesky_solve_spd(p.system, p.phi)
-    outer = nd.matmul(p.phi, solved, trans_a=True)
+        return nd.scale(nd.matmul(p.factor, p.factor, trans_a=True), 1.0 / hyper.rho)
+    w_phi = nd.matmul(p.factor, p.phi)
     return nd.add(nd.scale(nd.eye(h), 1.0 / hyper.rho),
-                  nd.scale(outer, -hyper.variance_scale))
+                  nd.scale(nd.matmul(w_phi, w_phi, trans_a=True), -hyper.variance_scale))
 
 
 def logdet_v(p):
     """log det V* = -h log rho - log det S (det S is the same on either
     side by Weinstein-Aronszajn)."""
-    minus = nd.matmul(nd.logdet_trinv_spd(p.system), nd.constant([[-1.0], [0.0]]))
+    minus = nd.matmul(nd.logdet_trinv(p.factor), nd.constant([[-1.0], [0.0]]))
     const = nd.constant([[-p.phi.shape[1] * math.log(p.hyper.rho)]])
     return nd.add(const, minus)
 
@@ -165,8 +173,8 @@ def trace_v(p):
     where m > h, that cancels m - h unit eigenvalues of S^{-1}, each off by
     rounding of order eps ||S||."""
     hyper = p.hyper
-    quad = nd.inv_quad_spd(p.system, p.phi, rows=p.weight_space)
-    t = nd.inner(quad, nd.constant(np.ones(quad.shape)))
+    w_g = nd.matmul(p.factor, p.phi, trans_b=p.weight_space)
+    t = nd.inner(w_g, w_g)
     return nd.add(nd.constant([[p.phi.shape[1] / hyper.rho]]),
                   nd.scale(t, -hyper.variance_scale))
 
@@ -180,25 +188,24 @@ def kl_to_prior(p):
         1/2 (k (log det S + Tr S^{-1} - m) + rho ||M||^2)
 
     for the m x m system S, whose two spectral terms one primitive reads
-    from the cached factor. It is exactly zero for an empty coreset and
-    never negative beyond round-off.
+    off its factor W. It is exactly zero for an empty coreset and never
+    negative beyond round-off.
     """
     k = p.labels.shape[1]
-    both = nd.matmul(nd.logdet_trinv_spd(p.system), nd.constant([[k], [k]]))
-    spectral = nd.add(both, nd.constant([[-k * p.system.shape[0]]]))
+    both = nd.matmul(nd.logdet_trinv(p.factor), nd.constant([[k], [k]]))
+    spectral = nd.add(both, nd.constant([[-k * p.factor.shape[0]]]))
     msq = nd.inner(p.means, p.means)
     return nd.scale(nd.add(spectral, nd.scale(msq, p.hyper.rho)), 0.5)
 
 
 def condition_lower_bound(p):
-    """(max diag W / min diag W)^2 for the cached factor W = L^{-1} of
-    S = L L^T.
+    """(max diag W / min diag W)^2 for the factor W = L^{-1} of S = L L^T.
 
     The diagonal of W holds its eigenvalues, the reciprocals of L's, so
     this is a lower bound on cond(S) = cond(W)^2; it reads the factor the
     solve already made.
     """
-    diag = np.diag(nd._chol_of(p.system))
+    diag = np.diag(p.factor.data)
     return float((diag.max() / diag.min()) ** 2)
 
 

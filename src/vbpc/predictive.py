@@ -33,12 +33,13 @@ class PredictiveBatch(NamedTuple):
 def predictive_moments(p, phi_batch):
     """Gaussian predictive moments for a feature batch (n x h).
 
-    mean = Phi_b @ M. The variance reads the posterior's factored system
-    S = L L^T with one product with L^{-1} for the batch:
-    on the h side V* = rho^{-1} S^{-1}, so variance_i = ||L^{-1} phi_i^T||^2
-    / rho, a sum of squares; on the nhat side variance_i = ||phi_i||^2 / rho
-    - gamma/(rho^2 beta_s) ||L^{-1} Phi phi_i^T||^2. The batch is read
-    transposed through a view, and no h x h buffer appears on the nhat side.
+    mean = Phi_b @ M. The variance reads the posterior's factor W = L^{-1}
+    of S = L L^T with one product with W^T for the batch: on the h side
+    V* = rho^{-1} W^T W, so variance_i = ||phi_i W^T||^2 / rho, a sum of
+    squares; on the nhat side variance_i = ||phi_i||^2 / rho -
+    gamma/(rho^2 beta_s) ||(phi_i Phi^T) W^T||^2. W, Phi and the batch are
+    read transposed through views, and no h x h buffer appears on the nhat
+    side.
     Differentiable through the posterior; work on the batch features alone
     is constant, so it records nothing. The variance is not clamped here:
     round-off may leave it slightly negative, and `ndiff.probit_log_softmax`,
@@ -49,14 +50,15 @@ def predictive_moments(p, phi_batch):
     mean = nd.matmul(phi_batch, p.means)
 
     if p.weight_space:
-        quad = nd.inv_quad_spd(p.system, phi_batch, rows=True)          # n x 1
-        variance = nd.scale(quad, 1.0 / hyper.rho)
+        z = nd.matmul(phi_batch, p.factor, trans_b=True)                # n x h
+        variance = nd.scale(nd.inner(z, z, axis=1), 1.0 / hyper.rho)
     else:
-        cross = nd.matmul(p.phi, phi_batch, trans_b=True)               # nhat x n
-        quad = nd.inv_quad_spd(p.system, cross)
+        # Phi phi_b^T, nhat x n: cut in halves through its n columns
+        cross = nd.matmul(p.phi, phi_batch, trans_b=True)
+        z = nd.matmul(cross, p.factor, trans_a=True, trans_b=True)      # n x nhat
         norms = nd.inner(phi_batch, phi_batch, axis=1)
         variance = nd.add(nd.scale(norms, 1.0 / hyper.rho),
-                          nd.scale(quad, -hyper.variance_scale))
+                          nd.scale(nd.inner(z, z, axis=1), -hyper.variance_scale))
     return PredictiveBatch(mean, variance)
 
 

@@ -42,6 +42,7 @@ the buffers a thread frees in that thread's own arena.
 """
 
 import ctypes
+import functools
 import math
 import os
 import time
@@ -390,11 +391,14 @@ def _evaluate(coreset, test_x, test_labels, widths, tprime, seed):
                                    TrainConfig.pool_lr, state=state)
     del state       # the fit's float32 moments, a net's size twice over
     post = solve_posterior(features(net, images), coreset.labels, hyper)
-    read = test_x.rows if isinstance(test_x, Dataset) else np.asarray(test_x).__getitem__
+    if isinstance(test_x, Dataset):     # in the net's float32, never whole in float64
+        read = functools.partial(test_x.rows, dtype=np.float32)
+    else:
+        read = np.asarray(test_x).__getitem__
     log_probs = np.empty((len(test_x), coreset.k))
     for lo in range(0, len(test_x), EVAL_CHUNK):
         chunk = slice(lo, lo + EVAL_CHUNK)
         log_probs[chunk] = log_predictive(post, features(net, read(chunk))).data
     acc, nll = metrics(log_probs, test_labels)
     return {"acc": acc, "nll": nll, "cond_lb": condition_lower_bound(post),
-            "jitter_retries": nd._retries_of(post.system)}
+            "jitter_retries": nd._retries_of(post.factor)}

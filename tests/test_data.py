@@ -14,7 +14,7 @@ from vbpc.data import (STD_FLOOR, CoresetFileError, Dataset, gen_synthetic,
                        load_idx, normalize, normalize_with, init_coreset,
                        scaled_onehot_labels, save_coreset, load_coreset,
                        PseudoCoreset)
-from vbpc import data
+from vbpc import data, ndiff as nd
 from vbpc.posterior import Hyperparams
 
 
@@ -277,6 +277,26 @@ def test_rows_are_the_matrix_rows_bit_for_bit(tmp_path, kind):
             assert not np.shares_memory(block, ds.raw)
             assert not np.shares_memory(block, ds.X)
             assert block.tobytes() == ds.X[idx].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["pixels", "floats"])
+def test_float32_rows_are_the_float64_rows_cast(tmp_path, monkeypatch, kind):
+    # standardized in float64 blocks of three rows, each cast into the one
+    # float32 block: bit for bit the float64 rows cast, over block edges
+    loaded = pixel_split(tmp_path)[0] if kind == "pixels" else wide_features()
+    monkeypatch.setattr(data, "STAT_BLOCK_BYTES", 3 * 8 * loaded.d)
+    for ds in (loaded, normalize(loaded)):
+        for idx in (np.array([5, 0, 5, 17]), slice(3, 25, 4), slice(None)):
+            block = ds.rows(idx, np.float32)
+            assert block.dtype == np.float32 and block.flags.c_contiguous
+            assert block.tobytes() == ds.rows(idx).astype(np.float32).tobytes()
+
+
+def test_float32_rows_beyond_its_range_raise():
+    ds = Dataset(raw=np.array([[1.0, 2.0], [1e39, 0.0]]), labels=np.zeros(2, np.int64), k=2)
+    assert ds.rows(slice(0, 1), np.float32).tolist() == [[1.0, 2.0]]
+    with pytest.raises(nd.NonFiniteError, match="feature rows beyond float32's range"):
+        ds.rows(slice(None), np.float32)
 
 
 def test_idx_rows_are_the_eager_expression(tmp_path):

@@ -72,7 +72,7 @@ def test_relu_definition():
 
 
 def test_logdet_diagonal():
-    out = nd.logdet_trinv_spd(nd.Array([[2.0, 0.0], [0.0, 2.0]]))
+    out = nd.logdet_trinv(nd.inv_chol(nd.Array([[2.0, 0.0], [0.0, 2.0]])))
     assert out.shape == (1, 2)
     assert math.isclose(out.data[0, 0], 2.0 * math.log(2.0), rel_tol=1e-14)
     assert math.isclose(out.data[0, 1], 1.0, rel_tol=1e-14)
@@ -158,48 +158,56 @@ def test_non_finite_result_is_error():
 
 
 # ---------------------------------------------------------------------------
-# cholesky (the cached inverse factor W = L^{-1} shared by the solve and
-# log-det primitives)
+# cholesky (the factor node W = L^{-1} that every solve, quadratic form and
+# log-det reads)
 # ---------------------------------------------------------------------------
 
+def solve(w, b):
+    """S^{-1} b = W^T (W b), as the posterior solves."""
+    return nd.matmul(w, nd.matmul(w, b), trans_a=True)
+
+
 def test_cholesky_identity():
-    np.testing.assert_array_equal(nd._chol_of(nd.eye(3)), np.eye(3))
+    np.testing.assert_array_equal(nd.inv_chol(nd.eye(3)).data, np.eye(3))
 
 
 def test_cholesky_hand_recurrence():
     # hand recurrence on [[4,2],[2,3]]: l11=2, l21=1, l22=sqrt(2), so
     # W = L^{-1} has w11=1/2, w21=-1/(2 sqrt 2), w22=1/sqrt 2
-    out = nd._chol_of(nd.Array([[4.0, 2.0], [2.0, 3.0]]))
+    out = nd.inv_chol(nd.Array([[4.0, 2.0], [2.0, 3.0]])).data
     expect = np.array([[0.5, 0.0],
                        [-1.0 / (2.0 * math.sqrt(2.0)), 1.0 / math.sqrt(2.0)]])
     np.testing.assert_allclose(out, expect, rtol=1e-15)
 
 
 def test_cholesky_indefinite_raises():
-    with pytest.raises(nd.NonSPDError):
-        nd.cholesky_solve_spd(nd.Array([[1.0, 2.0], [2.0, 1.0]]), nd.eye(2))
+    with pytest.raises(nd.NonSPDError, match="jitter retry failed"):
+        nd.inv_chol(nd.Array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_cholesky_jitter_rescues_singular_psd():
-    # each factored array records its own retry; a healthy one records none
-    singular = nd.Array([[1.0, 1.0], [1.0, 1.0]])
-    assert nd._retries_of(singular) == 0        # not factored yet
-    out = nd._chol_of(singular)
-    assert np.all(np.diag(out) > 0)
+    # each factor node records its own retry; a healthy one records none
+    singular = nd.inv_chol(nd.Array([[1.0, 1.0], [1.0, 1.0]]))
+    assert np.all(np.diag(singular.data) > 0)
     assert nd._retries_of(singular) == 1
-    healthy = nd.Array([[2.0, 1.0], [1.0, 2.0]])
-    nd._chol_of(healthy)
-    assert nd._retries_of(healthy) == 0
-    assert nd._chol_of(singular) is out and nd._retries_of(singular) == 1
+    healthy = nd.inv_chol(nd.Array([[2.0, 1.0], [1.0, 2.0]]))
+    assert nd._retries_of(healthy) == 0 and nd._retries_of(singular) == 1
+    # products with the node are plain nodes, with no retry of their own
+    assert nd._retries_of(nd.matmul(singular, singular)) == 0
 
 
 def test_cholesky_reconstruction_tolerance():
+    # W S W^T = I, and W is the inverse of scipy's lower factor, in C order
     rng = np.random.default_rng(7)
     for _ in range(5):
         q = rng.standard_normal((6, 6))
         a = q @ q.T + 6 * np.eye(6)
-        w = nd._chol_of(nd.Array(a))
+        w = nd.inv_chol(nd.Array(a)).data
+        assert w.flags.c_contiguous and not w.flags.writeable
         assert np.linalg.norm(w @ a @ w.T - np.eye(6)) <= 1e-12
+        chol = scipy.linalg.cholesky(a, lower=True)
+        assert np.linalg.norm(np.linalg.inv(w) - chol) <= 1e-12 * np.linalg.norm(chol)
+        assert not np.triu(w, 1).any()
 
 
 def test_cholesky_solve_residual_well_conditioned():
@@ -209,11 +217,13 @@ def test_cholesky_solve_residual_well_conditioned():
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         a = (q * np.logspace(-3, 3, 8)) @ q.T
         b = rng.standard_normal((8, 3))
-        x = nd.cholesky_solve_spd(nd.Array(a), nd.Array(b)).data
+        x = solve(nd.inv_chol(nd.Array(a)), nd.Array(b)).data
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
 
 
 def test_inv_quad_matches_dense_solve():
+    # the quadratic forms b_j^T a^{-1} b_j as the predictive variance reads
+    # them: row sums of squares of (b^T W^T)
     rng = np.random.default_rng(12)
     spectra = [np.logspace(-3, 3, 8), rng.uniform(1.0, 5.0, 8)]  # cond ~1e6, ~5
     for spectrum in spectra:
@@ -221,19 +231,37 @@ def test_inv_quad_matches_dense_solve():
             q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
             a = (q * spectrum) @ q.T
             b = rng.standard_normal((8, 5))
-            out = nd.inv_quad_spd(nd.Array(a), nd.Array(b)).data
+            z = nd.matmul(nd.Array(b.T), nd.inv_chol(nd.Array(a)), trans_b=True)
+            out = nd.inner(z, z, axis=1).data
             expect = np.diag(b.T @ np.linalg.solve(a, b)).reshape(-1, 1)
             assert out.shape == (5, 1)
             np.testing.assert_allclose(out, expect, rtol=1e-10)
 
 
 def test_inv_quad_shape_and_spd_errors():
-    with pytest.raises(nd.ShapeError):
-        nd.inv_quad_spd(nd.eye(3), nd.zeros((2, 4)))
-    with pytest.raises(nd.ShapeError):
-        nd.inv_quad_spd(nd.zeros((2, 3)), nd.zeros((3, 1)))
+    # the factor takes a square system, and a product with it checks the
+    # other operand's shape
+    with pytest.raises(nd.ShapeError, match=re.escape("inv_chol: expected a square "
+                                                      "matrix, got (2, 3)")):
+        nd.inv_chol(nd.zeros((2, 3)))
+    with pytest.raises(nd.ShapeError, match="logdet_trinv"):
+        nd.logdet_trinv(nd.zeros((2, 3)))
+    with pytest.raises(nd.ShapeError, match="matmul"):
+        nd.matmul(nd.inv_chol(nd.eye(3)), nd.zeros((2, 4)))
     with pytest.raises(nd.NonSPDError):
-        nd.inv_quad_spd(nd.Array([[1.0, 2.0], [2.0, 1.0]]), nd.zeros((2, 3)))
+        nd.inv_chol(nd.Array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_non_finite_factor_raises_with_its_retry(monkeypatch):
+    # a W that trtri leaves non-finite raises where it is made, and the
+    # error carries whether its factorization took the jitter retry
+    real = scipy.linalg.lapack.dtrtri
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
+                        lambda c, **kw: (real(c, **kw)[0] * np.inf, 0))
+    for system, retried in (([[2.0, 1.0], [1.0, 2.0]], 0), ([[1.0, 1.0], [1.0, 1.0]], 1)):
+        with pytest.raises(nd.NonFiniteError, match="inv_chol") as raised:
+            nd.inv_chol(nd.Array(system))
+        assert raised.value.retries == retried
 
 
 # ---------------------------------------------------------------------------
@@ -311,37 +339,11 @@ def test_gram_adjoint_is_one_product(monkeypatch, flag):
                              lambda x: nd.matmul(x, x, **{flag: True}), n_points=5, seed=3)
 
 
-def test_inv_quad_over_rows_is_the_columns_of_the_transpose():
-    # rows=True reads b.T as a view; a C-contiguous copy of b.T as the
-    # columns gives the same bits in the value and in both gradients
-    rng = np.random.default_rng(13)
-    q = rng.standard_normal((4, 4))
-    a_val = q @ q.T + 4 * np.eye(4)
-    b_val = rng.standard_normal((6, 4))
-    probe = nd.Array(rng.standard_normal((6, 1)))
-    results = []
-    for rows, b_in in ((True, b_val), (False, np.ascontiguousarray(b_val.T))):
-        tape = nd.Tape()
-        a = tape.leaf(nd.Array(a_val))
-        b = tape.leaf(nd.Array(b_in))
-        quad = nd.inv_quad_spd(a, b, rows=rows)
-        grads = nd.backward(tape, nd.inner(quad, probe))
-        results.append((quad.data, grads[tape.node_id(a)].data,
-                        grads[tape.node_id(b)].data))
-    (q_rows, ga_rows, gb_rows), (q_cols, ga_cols, gb_cols) = results
-    np.testing.assert_array_equal(q_rows, q_cols)
-    np.testing.assert_array_equal(ga_rows, ga_cols)
-    np.testing.assert_array_equal(gb_rows, gb_cols.T)
-
-
 def test_shape_error_names_the_oriented_shapes():
     with pytest.raises(nd.ShapeError, match=re.escape("matmul: (3, 2) @ (3, 2)")):
         nd.matmul(nd.zeros((2, 3)), nd.zeros((3, 2)), trans_a=True)
     with pytest.raises(nd.ShapeError, match=re.escape("matmul: (2, 3) @ (2, 3)")):
         nd.matmul(nd.zeros((2, 3)), nd.zeros((3, 2)), trans_b=True)
-    with pytest.raises(nd.ShapeError,
-                       match=re.escape("inv_quad_spd: (3, 3) vs (4, 3)")):
-        nd.inv_quad_spd(nd.eye(3), nd.zeros((3, 4)), rows=True)
 
 
 def test_grad_add_sub_broadcast():
@@ -432,31 +434,45 @@ def test_probit_log_softmax_is_the_old_composition_bit_for_bit(k):
         assert x.shape == w.shape and x.tobytes() == w.tobytes()
 
 
-def test_grad_cholesky_solve():
-    def operands(rng):
-        q = rng.standard_normal((4, 4))
-        return (q @ q.T + 4 * np.eye(4), rng.standard_normal((4, 3)))
+def spd_operand(rng, m=4):
+    q = rng.standard_normal((m, m))
+    return q @ q.T + m * np.eye(m)
 
+
+def test_grad_inv_chol():
+    # the factor node alone: a central difference steps one entry of S,
+    # which the forward symmetrizes, so it reads the symmetrized adjoint
+    check_primitive_gradient(lambda rng: (spd_operand(rng),), nd.inv_chol)
+
+
+def test_grad_cholesky_solve():
+    # the solve S^{-1} b as the posterior composes it, through the node
     check_primitive_gradient(
-        operands, lambda a, b: nd.cholesky_solve_spd(a, b), tol=1e-5)
+        lambda rng: (spd_operand(rng), rng.standard_normal((4, 3))),
+        lambda a, b: solve(nd.inv_chol(a), b))
 
 
 def test_grad_logdet():
+    # the W-side primitive alone, on lower triangles with a positive
+    # diagonal; the random probe weights both columns, log det S and Tr S^{-1}
     def operands(rng):
-        q = rng.standard_normal((4, 4))
-        return (q @ q.T + 4 * np.eye(4),)
+        w = np.tril(rng.standard_normal((4, 4)))
+        w[np.diag_indices(4)] = rng.uniform(0.5, 2.0, 4)
+        return (w,)
 
-    # the random probe weights both columns, log det and the trace of a^{-1}
-    check_primitive_gradient(operands, lambda a: nd.logdet_trinv_spd(a))
+    check_primitive_gradient(operands, nd.logdet_trinv)
+    check_primitive_gradient(lambda rng: (spd_operand(rng),),
+                             lambda a: nd.logdet_trinv(nd.inv_chol(a)), n_points=5)
 
 
 def test_grad_inv_quad():
-    def operands(rng):
-        q = rng.standard_normal((4, 4))
-        return (q @ q.T + 4 * np.eye(4), rng.standard_normal((4, 3)))
+    # the quadratic forms of b's rows, as the predictive variance reads them
+    def quad(a, b):
+        z = nd.matmul(b, nd.inv_chol(a), trans_b=True)
+        return nd.inner(z, z, axis=1)
 
     check_primitive_gradient(
-        operands, lambda a, b: nd.inv_quad_spd(a, b))
+        lambda rng: (spd_operand(rng), rng.standard_normal((3, 4))), quad)
 
 
 def test_grad_sum_axes():
@@ -466,6 +482,19 @@ def test_grad_sum_axes():
         check_primitive_gradient(
             lambda rng: (rng.standard_normal((3, 4)),),
             lambda a, ax=axis: nd.inner(a, ones, axis=ax), n_points=7)
+
+
+@pytest.mark.parametrize("axis", [None, 1])
+def test_sum_of_squares_makes_one_gradient_buffer(axis):
+    # inner(a, a) hands backward its two equal partials already summed, as
+    # one buffer bit for bit the sum of the two, in float64 and float32
+    rng = np.random.default_rng(6)
+    for dtype in (np.float64, np.float32):
+        a = rng.standard_normal((5, 4)).astype(dtype)
+        g = rng.standard_normal((1, 1) if axis is None else (5, 1)).astype(dtype)
+        parts = nd._vjp_inner(g, (a, a), (True, True))
+        assert parts[1] is None and parts[0].dtype == dtype
+        assert parts[0].tobytes() == (g * a + g * a).tobytes()
 
 
 @pytest.mark.parametrize("axis", [None, 1])
@@ -508,9 +537,9 @@ def test_backward_matmul_vs_fd():
 
 
 def test_backward_logdet_is_symmetrized_inverse():
-    # the adjoint of log det a is a^{-1} = W^T W, and that of Tr a^{-1} is
-    # -a^{-2} = -a^{-1} a^{-1}^T: both exactly symmetric, with no
-    # symmetrizing pass
+    # the adjoint of log det a is a^{-1}, and that of Tr a^{-1} is -a^{-2},
+    # through the factor node: exactly symmetric, as the node's adjoint is a
+    # sum with its transpose
     rng = np.random.default_rng(4)
     for m in (3, 40):
         q = rng.standard_normal((m, m))
@@ -519,7 +548,7 @@ def test_backward_logdet_is_symmetrized_inverse():
         for weights, want in (([[1.0], [0.0]], inv), ([[0.0], [1.0]], -inv @ inv)):
             tape = nd.Tape()
             a = tape.leaf(nd.Array(a_val))
-            out = nd.matmul(nd.logdet_trinv_spd(a), nd.Array(weights))
+            out = nd.matmul(nd.logdet_trinv(nd.inv_chol(a)), nd.Array(weights))
             ad = nd.backward(tape, out)[tape.node_id(a)].data
             assert rel_err(ad, 0.5 * (want + want.T)).max() <= 1e-8
             assert ad.tobytes() == ad.T.tobytes()
@@ -568,10 +597,10 @@ def test_tape_replay_deterministic():
         tape = nd.Tape()
         a = tape.leaf(nd.Array(rng.standard_normal((4, 4))))
         b = tape.leaf(nd.Array(rng.standard_normal((4, 2))))
-        spd = nd.add(nd.eye(4), nd.matmul(a, a, trans_b=True))
-        x = nd.cholesky_solve_spd(spd, b)
+        w = nd.inv_chol(nd.add(nd.eye(4), nd.matmul(a, a, trans_b=True)))
+        x = solve(w, b)
         loss = nd.add(total(nd.affine_relu(x, nd.eye(2), nd.zeros((1, 2)))),
-                      total(nd.logdet_trinv_spd(spd)))
+                      total(nd.logdet_trinv(w)))
         grads = nd.backward(tape, loss)
         return loss.item(), grads[tape.node_id(a)].data.copy(), grads[tape.node_id(b)].data.copy()
 
@@ -637,12 +666,12 @@ def test_gradients_share_no_memory_with_saved_buffers():
     a = tape.leaf(nd.Array(rng.standard_normal((4, 3))))
     b = tape.leaf(nd.Array(rng.standard_normal((3, 3))))
     c = tape.leaf(nd.Array(rng.standard_normal((1, 3))))
-    spd = nd.add(nd.matmul(b, b, trans_a=True), nd.eye(3))
+    w = nd.inv_chol(nd.add(nd.matmul(b, b, trans_a=True), nd.eye(3)))
     h = nd.affine_relu(a, b, c)
     h = nd.add(h, nd.scale(a, -0.5))
-    quad = nd.inv_quad_spd(spd, a, rows=True)
-    logp = nd.probit_log_softmax(nd.matmul(h, nd.cholesky_solve_spd(spd, b)), quad)
-    loss = nd.add(nd.inner(logp, h), total(nd.logdet_trinv_spd(spd)))
+    z = nd.matmul(a, w, trans_b=True)
+    logp = nd.probit_log_softmax(nd.matmul(h, solve(w, b)), nd.inner(z, z, axis=1))
+    loss = nd.add(nd.inner(logp, h), total(nd.logdet_trinv(w)))
     grads = nd.backward(tape, loss)
     saved = [buf for record in tape.records for buf in _saved_buffers(record[3])]
     assert saved
@@ -691,16 +720,17 @@ def test_mixed_operand_dtypes_raise(op):
         op(b, a)
 
 
-def test_spd_primitives_and_probit_take_float64_alone():
+def test_spd_primitives_and_probit_take_float64_alone(monkeypatch):
+    factored = []
+    monkeypatch.setattr(scipy.linalg, "cholesky", lambda *a, **kw: factored.append(a))
     a32 = nd.Array((np.eye(3) * 2.0).astype(np.float32))
     b32 = nd.Array(np.ones((3, 2), np.float32))
-    calls = [lambda: nd.cholesky_solve_spd(a32, b32), lambda: nd.logdet_trinv_spd(a32),
-             lambda: nd.inv_quad_spd(a32, b32),
+    calls = [lambda: nd.inv_chol(a32), lambda: nd.logdet_trinv(a32),
              lambda: nd.probit_log_softmax(b32, nd.Array(np.ones((3, 1), np.float32)))]
     for call in calls:
         with pytest.raises(nd.NdiffError, match="takes float64 operands, got float32"):
             call()
-    assert a32._chol is None        # rejected before any factorization
+    assert factored == []       # rejected before any factorization
 
 
 # (m, n, k) at most 15% above SPLIT_WORK: the output's columns are whole
@@ -875,13 +905,15 @@ def test_product_of_a_buffer_with_itself_is_never_cut(halves_calls, flag):
 SOLVES = [((64, 1024), 1), ((136, 232), 1), ((256, 64), 1), ((100, 420), 0)]
 
 
-def _spd_primitives(a_val, b_val):
-    """inv_quad_spd and cholesky_solve_spd, forward and adjoint: the loss
-    and the gradients of both operands, as bytes."""
+def _solve_and_quad(a_val, b_val):
+    """The solve S^{-1} b and the quadratic forms' sum ||W b||_F^2 through
+    the factor node, forward and adjoint: the loss and the gradients of
+    both operands, as bytes."""
     tape = nd.Tape()
     a, b = tape.leaf(nd.Array(a_val)), tape.leaf(nd.Array(b_val))
-    loss = nd.add(total(nd.inv_quad_spd(a, b)),
-                  total(nd.cholesky_solve_spd(a, b)))
+    w = nd.inv_chol(a)
+    z = nd.matmul(w, b)
+    loss = nd.add(nd.inner(z, z), total(nd.matmul(w, z, trans_a=True)))
     grads = nd.backward(tape, loss)
     return [loss.data.tobytes()] + [grads[tape.node_id(x)].data.tobytes()
                                     for x in (a, b)]
@@ -890,21 +922,24 @@ def _spd_primitives(a_val, b_val):
 @pytest.mark.parametrize("op", ["N", "T", "S"])
 @pytest.mark.parametrize("shape,cuts", SOLVES)
 def test_cut_solve_is_bit_equal_to_scipy(halves_calls, monkeypatch, op, shape, cuts):
-    # every solve is a product with W = L^{-1}, which scipy's dtrtri makes:
-    # the cut solve is bit for bit the whole product with that W, on the
-    # second core or not, and agrees with scipy's triangular and Cholesky
-    # solves to rounding
+    # every solve is a product with the node W = L^{-1}, which scipy's
+    # dtrtri makes: the cut solve is bit for bit the whole product with
+    # that W, on the second core or not, and agrees with scipy's triangular
+    # and Cholesky solves to rounding
     m, n = shape
     assert _twocore.SPLIT_WORK <= m * m * n <= 1.1 * _twocore.SPLIT_WORK
     rng = np.random.default_rng(m + n)
     q = rng.standard_normal((m, m))
     a_val = q @ q.T / m + np.eye(m)
-    w = nd._chol_of(nd.Array(a_val))
+    w = nd.inv_chol(nd.Array(a_val))
     chol = scipy.linalg.cholesky(a_val, lower=True)
-    whole = {"N": lambda b: w @ b, "T": lambda b: w.T @ b,
-             "S": lambda b: w.T @ (w @ b)}[op]
+    products = {"N": lambda b: nd.matmul(w, b), "T": lambda b: nd.matmul(w, b, trans_a=True),
+                "S": lambda b: solve(w, b)}[op]
+    whole = {"N": lambda b: w.data @ b, "T": lambda b: w.data.T @ b,
+             "S": lambda b: w.data.T @ (w.data @ b)}[op]
     rhs = (rng.standard_normal((m, n)), rng.standard_normal((n, m)).T)
-    got = [nd._solve(w, b, op) for b in rhs]
+    halves_calls.clear()
+    got = [products(nd.Array(b)).data for b in rhs]
     # one cut per product: one for "N" and "T", two for "S"
     assert len(halves_calls) == len(rhs) * (2 if op == "S" else 1) * cuts
     for b, x in zip(rhs, got):
@@ -916,67 +951,61 @@ def test_cut_solve_is_bit_equal_to_scipy(halves_calls, monkeypatch, op, shape, c
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     monkeypatch.setattr(_twocore, "_worker", False)
     for b, x in zip(rhs, got):
-        assert nd._solve(w, b, op).tobytes() == x.tobytes()
+        assert products(nd.Array(b)).data.tobytes() == x.tobytes()
 
 
 def test_inv_quad_and_cholesky_solve_cut_their_solves(halves_calls, monkeypatch):
-    # the forward and adjoint solves of both primitives at a cut size: three
-    # products forward and four in the adjoints, inv_quad_spd's X diag(g) X^T
-    # among them, each bit-equal to the serial run
+    # the solve's and the quadratic forms' products with W at a cut size,
+    # forward and adjoint: two products forward and four in the adjoints
+    # (the node's own three, m^3 each, stay below the cut), each bit-equal
+    # to the serial run
     rng = np.random.default_rng(21)
     q = rng.standard_normal((64, 64))
     a_val = q @ q.T / 64 + np.eye(64)
     b_val = rng.standard_normal((64, 1024))
-    two = _spd_primitives(a_val, b_val)
-    assert len(halves_calls) == 7
-    w = nd._chol_of(nd.Array(a_val))
-    z = w @ b_val
-    quad = nd.inv_quad_spd(nd.Array(a_val), nd.Array(b_val)).data
-    assert quad.tobytes() == (z * z).sum(axis=0).reshape(-1, 1).tobytes()
+    two = _solve_and_quad(a_val, b_val)
+    assert len(halves_calls) == 6
+    w = nd.inv_chol(nd.Array(a_val)).data
+    z = nd.matmul(nd.inv_chol(nd.Array(a_val)), nd.Array(b_val))
+    assert z.data.tobytes() == (w @ b_val).tobytes()
     z_ref = scipy.linalg.solve_triangular(np.linalg.cholesky(a_val), b_val, lower=True)
-    np.testing.assert_allclose(quad, (z_ref * z_ref).sum(axis=0).reshape(-1, 1),
-                               rtol=1e-12)
+    np.testing.assert_allclose(nd.inner(z, z).item(), (z_ref * z_ref).sum(), rtol=1e-12)
     monkeypatch.setattr(_twocore, "_worker", False)
-    assert _spd_primitives(a_val, b_val) == two
+    assert _solve_and_quad(a_val, b_val) == two
 
 
 def test_inv_quad_gradient_of_b_is_adopted_without_a_copy(monkeypatch):
-    # the solves are products, which write C order, and in the columns form
-    # the adjoint builds 2 X diag(g) in C order, so the gradient of b (and
-    # the solve's result) is that very buffer; the gradient is the only one
-    # of its size the window sees (a Fortran-order one was copied, and its
-    # copy counted instead)
+    # the products with W write C order, and so does matmul's adjoint, so
+    # the gradient of b (and the solve's result) is that very buffer; the
+    # gradient is the only one of its size the window sees (a Fortran-order
+    # one was copied, and its copy counted instead)
     made = {}
-    for op in ("inv_quad_spd", "cholesky_solve_spd"):
-        fwd, vjp, arity = nd._REGISTRY[op]
+    fwd, vjp, arity = nd._REGISTRY["matmul"]
 
-        def recording_fwd(*args, _op=op, _fwd=fwd, **params):
-            out, saved = _fwd(*args, **params)
-            made[_op, "fwd"] = out
-            return out, saved
+    def recording_fwd(*args, **params):
+        out, saved = fwd(*args, **params)
+        made["fwd"] = out
+        return out, saved
 
-        def recording_vjp(g, saved, needs, _op=op, _vjp=vjp):
-            parts = _vjp(g, saved, needs)
-            made[_op, "vjp"] = parts[1]
-            return parts
+    def recording_vjp(g, saved, needs):
+        parts = vjp(g, saved, needs)
+        made["vjp"] = parts
+        return parts
 
-        monkeypatch.setitem(nd._REGISTRY, op, (recording_fwd, recording_vjp, arity))
+    monkeypatch.setitem(nd._REGISTRY, "matmul", (recording_fwd, recording_vjp, arity))
     rng = np.random.default_rng(22)
     q = rng.standard_normal((50, 50))
-    a = nd.Array(q @ q.T + 50 * np.eye(50))
-    cases = (("inv_quad_spd", lambda b: nd.inv_quad_spd(a, b), (50, 200)),
-             ("inv_quad_spd", lambda b: nd.inv_quad_spd(a, b, rows=True), (200, 50)),
-             ("cholesky_solve_spd", lambda b: nd.cholesky_solve_spd(a, b), (50, 200)))
-    for op, primitive, shape in cases:
+    w = nd.inv_chol(nd.Array(q @ q.T + 50 * np.eye(50)))
+    # b in the solve W^T (W b), and as the rows whose forms the variance reads
+    for rows, shape in ((False, (50, 200)), (True, (200, 50))):
         tape = nd.Tape()
         b = tape.leaf(nd.Array(rng.standard_normal(shape)))
-        out = primitive(b)
-        if op == "cholesky_solve_spd":
-            assert out.data is made[op, "fwd"] and out.data.flags.c_contiguous
-        loss = total(out)
+        out = nd.matmul(b, w, trans_b=True) if rows else solve(w, b)
+        assert out.data is made["fwd"] and out.data.flags.c_contiguous
         with nd.track_allocations() as window:
-            grad = nd.backward(tape, loss)[tape.node_id(b)]
-        assert grad.data is made[op, "vjp"] and grad.data.flags.c_contiguous
+            grad = nd.backward(tape, total(out))[tape.node_id(b)]
+        # the last adjoint backward runs is the one that reaches b
+        assert grad.data is made["vjp"][0 if rows else 1] and grad.data.flags.c_contiguous
         assert window.largest_block == 50 * 200
 
 

@@ -258,12 +258,13 @@ def test_outer_loss_clamps_the_variance_once():
         assert "relu" not in ops and "sub" not in ops, (nhat, h)
 
 
-@pytest.mark.parametrize("nhat,records", [(8, 23), (4, 25)])
+@pytest.mark.parametrize("nhat,records", [(8, 26), (4, 28)])
 def test_tape_records_per_outer_loss(monkeypatch, nhat, records):
     # two hidden layers, as perfbench's image workloads have: nhat=8 > h=6
     # solves on the h side as `solve-heavy` does, nhat=4 on the nhat side as
     # `wide` does. The probit rule is one record, and each sum of products
-    # one `inner`; a pool slot's Gaussian step makes 6 primitive calls
+    # one `inner`; the factor is one `inv_chol` record, and each solve two
+    # products with it. A pool slot's Gaussian step makes 6 primitive calls
     rng = np.random.default_rng(17)
     coreset, _, batch, hyper = make_instance(rng, nhat=nhat, h=6, k=10)
     net = network.init_net((3, 6, 6), 10, seed=18)
@@ -279,16 +280,19 @@ def test_tape_records_per_outer_loss(monkeypatch, nhat, records):
 
 
 def test_kl_reads_the_system_alone():
-    # the KL's log det S and Tr S^{-1} are one record; the one quadratic-form
-    # record left is the predictive variance's
+    # the KL's log det S and Tr S^{-1} are one record on the system's one
+    # factor node, which the means and the predictive variance read too
     for nhat, h in ((4, 6), (8, 6)):
         rng = np.random.default_rng(16)
         coreset, net, batch, hyper = make_instance(rng, nhat=nhat, h=h, beta_d=0.5)
         tape = nd.Tape()
         outer_loss(coreset, net, batch, 8, hyper, tape)
         ops = [op for op, _, _, _ in tape.records]
-        assert ops.count("logdet_trinv_spd") == 1, (nhat, h)
-        assert ops.count("inv_quad_spd") == 1, (nhat, h)
+        assert ops.count("logdet_trinv") == 1, (nhat, h)
+        assert ops.count("inv_chol") == 1, (nhat, h)
+        factor = next(out for op, out, _, _ in tape.records if op == "inv_chol")
+        (kl_in,) = next(ins for op, _, ins, _ in tape.records if op == "logdet_trinv")
+        assert kl_in == factor, (nhat, h)
 
 
 # ---------------------------------------------------------------------------

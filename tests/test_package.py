@@ -164,7 +164,7 @@ def test_tape_wrapper_options_are_the_listed_ones():
                for op, (_, _, arity) in nd._REGISTRY.items()}
     assert {op: names for op, names in options.items() if names} == {
         "matmul": ["trans_a", "trans_b"], "scale": ["factor"], "cast": ["dtype"],
-        "inner": ["axis"], "inv_quad_spd": ["rows"]}
+        "inner": ["axis"]}
 
 
 def test_network_holds_only_its_parameters():

@@ -95,11 +95,10 @@ def test_non_finite_features_rejected():
         solve_posterior(phi, np.zeros((2, 2)), hyper)
 
 
-@pytest.mark.parametrize("weight_space,op", [(True, "matmul"),
-                                             (False, "cholesky_solve_spd")])
+@pytest.mark.parametrize("weight_space,op", [(True, "matmul"), (False, "matmul")])
 def test_labels_of_another_row_count_raise_in_the_primitive(weight_space, op):
     # the h side reads the labels through Phi^T Y, the nhat side through
-    # the solve S^{-1} Y: either primitive rejects a row count not nhat
+    # W Y in the solve W^T (W Y): either product rejects a row count not nhat
     hyper = Hyperparams(rho=1.0, gamma=2.0, beta_s=3.0)
     phi = np.random.default_rng(8).standard_normal((3, 4))
     for rows in (2, 4):
@@ -211,7 +210,7 @@ def test_fixed_point_satisfied_by_solution():
 def test_fixed_point_detects_perturbation():
     phi, y, hyper = canonical_instance()
     p = solve_posterior(phi, y, hyper)
-    bad = CoresetPosterior(p.phi, p.labels, p.system, p.weight_space,
+    bad = CoresetPosterior(p.phi, p.labels, p.factor, p.weight_space,
                            nd.Array(p.means.data + 0.1), p.hyper)
     assert fixed_point_residual(bad) >= 0.01
 
@@ -240,7 +239,7 @@ def test_side_selected_by_shape(h):
                         rng.standard_normal((nhat, 2)),
                         Hyperparams(rho=1.0, gamma=3.0, beta_s=2.0))
     assert p.weight_space is (h < nhat)
-    assert p.system.shape == (min(h, nhat),) * 2
+    assert p.factor.shape == (min(h, nhat),) * 2
 
 
 @pytest.mark.parametrize("nhat,h", [(3, 8), (8, 3), (6, 6), (16, 5), (5, 40)])
@@ -258,7 +257,7 @@ def test_both_sides_match_dense_oracle(nhat, h):
         sigma = np.einsum("ij,jk,ik->i", phi_test, v, phi_test)
         for side, p in zip((False, True), both_sides(phi, y, hyper)):
             assert p.weight_space == side
-            assert p.system.shape == ((h, h) if side else (nhat, nhat))
+            assert p.factor.shape == ((h, h) if side else (nhat, nhat))
             assert np.abs(p.means.data - m).max() / np.abs(m).max() <= 1e-10
             assert np.abs(dense_variance(p).data - v).max() / np.abs(v).max() <= 1e-10
             assert abs(logdet_v(p).item() - ld) / abs(ld) <= 1e-10
@@ -299,8 +298,9 @@ def test_condition_lower_bound_on_both_sides():
     for _ in range(10):
         phi, y, hyper = random_instance(rng, h_range=(2, 24))
         for p in both_sides(phi, y, hyper):
+            # cond(S) = cond(W)^2, for S = W^{-1} W^{-T}
             bound = posterior.condition_lower_bound(p)
-            assert 1.0 <= bound <= np.linalg.cond(p.system.data) * (1 + 1e-12)
+            assert 1.0 <= bound <= np.linalg.cond(p.factor.data) ** 2 * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,10 @@ def test_variance_matches_dense_oracle_random():
 def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
     # nhat side: the batch row norms and their scaling are constant work (2
     # ops); h side: none. The variance is left unclamped: the primitive
-    # probit_log_softmax clamps it, once.
+    # probit_log_softmax clamps it, once. Beside the mean's product, the h
+    # side records phi_b W^T, its row sums of squares and their scaling; the
+    # nhat side phi_b Phi^T, its product with W^T, the sums of squares,
+    # their scaling and the sum with the norms
     rng = np.random.default_rng(nhat * h)
     tape = nd.Tape()
     phi = tape.leaf(nd.Array(rng.standard_normal((nhat, h))))
@@ -79,7 +82,7 @@ def test_taped_moments_record_nothing_for_the_batch_alone(nhat, h):
     batch = predictive_moments(post, rng.standard_normal((7, h)))
     added = tape.records[before:]
     assert all(any(i is not None for i in in_ids) for _, _, in_ids, _ in added)
-    assert len(added) == (3 if post.weight_space else 5)
+    assert len(added) == (4 if post.weight_space else 6)
     assert "probit_log_softmax" not in [op for op, _, _, _ in added]
     assert tape.node_id(batch.variance) is not None
 

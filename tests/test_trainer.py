@@ -12,7 +12,7 @@ import scipy.linalg
 
 from vbpc.data import (Dataset, gen_synthetic, normalize, normalize_with,
                        init_coreset)
-from vbpc import _twocore, ndiff as nd, network, objective, optim, trainer
+from vbpc import _twocore, data, ndiff as nd, network, objective, optim, trainer
 from vbpc.network import pool_new, pool_sample, pool_update
 from vbpc.objective import coreset_grad, outer_loss
 from vbpc.optim import AdamState, adam_step, cosine_lr
@@ -474,10 +474,17 @@ def test_jitter_retries_counted_per_run(monkeypatch):
         records = []
         train(tiny_config(steps=4), ds, sink=records.append)
         assert [r["jitter_retries"] for r in records] == [1, 2, 3, 4]
-    # step 2's loss raises after its factorization took the retry, inside the
-    # posterior solve or after it: the abort record counts that retry too
-    solve_fwd, solve_vjp, arity = nd._REGISTRY["cholesky_solve_spd"]
-    for module, name, real_fn in ((nd._REGISTRY, "cholesky_solve_spd", solve_fwd),
+    # step 2's loss raises after its factorization took the retry: where
+    # trtri leaves the factor non-finite, or after the posterior solve. The
+    # abort record counts that retry too
+    real_trtri = scipy.linalg.lapack.dtrtri
+
+    def non_finite_inverse(chol, **kwargs):
+        hits.append(None)
+        w, info = real_trtri(chol, **kwargs)
+        return (w * np.inf if len(hits) == 3 else w), info
+
+    for module, name, real_fn in ((scipy.linalg.lapack, "dtrtri", None),
                                   (objective, "kl_to_prior", objective.kl_to_prior)):
         def failing(*args, _real=real_fn, **kwargs):
             hits.append(None)
@@ -486,10 +493,7 @@ def test_jitter_retries_counted_per_run(monkeypatch):
             return _real(*args, **kwargs)
 
         with monkeypatch.context() as patch:
-            if module is nd._REGISTRY:
-                patch.setitem(module, name, (failing, solve_vjp, arity))
-            else:
-                patch.setattr(module, name, failing)
+            patch.setattr(module, name, non_finite_inverse if real_fn is None else failing)
             runs = []
             for loop in (train, serial_train):
                 hits = []
@@ -505,7 +509,7 @@ def test_jitter_retries_count_only_the_runs_own_factorizations():
 
     def sink(record):
         records.append(record)
-        nd._chol_of(nd.Array([[1.0, 1.0], [1.0, 1.0]]))
+        nd.inv_chol(nd.Array([[1.0, 1.0], [1.0, 1.0]]))
 
     train(tiny_config(steps=6, pool_size=3), moons_dataset(), sink=sink)
     assert [r["jitter_retries"] for r in records] == [0] * 6
@@ -837,7 +841,8 @@ def test_eval_in_chunks_gives_the_one_chunk_result(monkeypatch):
                                      widths, tprime=10, seed=1)
     reads = []
     real = Dataset.rows
-    monkeypatch.setattr(Dataset, "rows", lambda self, idx: reads.append(idx) or real(self, idx))
+    monkeypatch.setattr(Dataset, "rows", lambda self, idx, dtype=np.float64:
+                        reads.append(idx) or real(self, idx, dtype))
     monkeypatch.setattr(trainer, "EVAL_CHUNK", 64)
     chunked = evaluate_coreset(coreset, test_ds, test_ds.labels, widths, tprime=10, seed=1)
     assert [(part.start, part.stop) for part in reads] == [(lo, lo + 64)
@@ -846,6 +851,27 @@ def test_eval_in_chunks_gives_the_one_chunk_result(monkeypatch):
     assert abs(chunked["nll"] - whole["nll"]) <= 1e-12 * abs(whole["nll"])
     assert (chunked["cond_lb"], chunked["jitter_retries"]) == (whole["cond_lb"],
                                                                whole["jitter_retries"])
+
+
+def test_eval_reads_a_split_in_float32_blocks(monkeypatch):
+    # a split's chunk reaches the float32 net as float32 rows, standardized
+    # in float64 blocks of about STAT_BLOCK_BYTES: no float64 block holds a
+    # whole chunk, and the result is the float64 array's
+    train_ds, test_ds = image_like_splits(2, n_train=200, n_test=300)
+    coreset = init_coreset(train_ds, 3, "sample", seed=0)
+    widths = (64, 32)
+    want = evaluate_coreset(coreset, test_ds.rows(slice(None)), test_ds.labels, widths,
+                            tprime=3, seed=1)
+    monkeypatch.setattr(data, "STAT_BLOCK_BYTES", 8 * 64 * 40)
+    monkeypatch.setattr(trainer, "EVAL_CHUNK", 128)
+    loaded = []
+    real = Dataset._loaded
+    monkeypatch.setattr(Dataset, "_loaded", lambda self, idx=slice(None), out=None:
+                        loaded.append(real(self, idx, out)) or loaded[-1])
+    got = evaluate_coreset(coreset, test_ds, test_ds.labels, widths, tprime=3, seed=1)
+    assert got == want
+    assert loaded and max(len(block) for block in loaded) == 40
+    assert all(block.dtype == np.float64 for block in loaded)
 
 
 def test_eval_counts_one_feature_pass_per_input():
