@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ndiff as nd
+from . import _twocore, ndiff as nd
 from .posterior import Hyperparams
 
 MAGIC = b"VBPC"
@@ -60,8 +60,9 @@ class Dataset:
         return self.raw.shape[1]
 
     def _loaded(self, idx=slice(None), out=None):
-        """The loaded rows at `idx` as float64, pixels scaled to [0, 1] and
-        float rows copied, in `out` or else a fresh C-ordered block."""
+        """The loaded features at `idx` (an index of rows, or of rows and
+        columns) as float64, pixels scaled to [0, 1] and float rows copied,
+        in `out` or else a fresh C-ordered block."""
         block = self.raw[idx]
         if out is None:
             out = np.empty(block.shape)
@@ -231,17 +232,37 @@ def normalize(dataset):
     The statistics are those of `X.mean(0)` and `X.std(0)` on the loaded
     features, bit for bit, but no n x d buffer is made: each of the two
     passes streams the rows through one block of about STAT_BLOCK_BYTES
-    (`_column_sums`)."""
+    (`_column_sums`). The block's columns are cut in two at
+    `_twocore._cut(d)`, each half a buffer of its own made here, and the
+    worker of `_twocore._halves` sums the later columns; each column is
+    still summed row after row."""
     if dataset.n < 2:
         raise ValueError("need at least 2 rows to estimate statistics")
     n, d = dataset.n, dataset.d
-    # numpy sums one column pairwise rather than row after row, so a
-    # one-column split is summed in one block, as the whole is
-    rows = n if d == 1 else min(n, max(1, STAT_BLOCK_BYTES // (8 * d)))
-    buf = np.empty((rows + 1, d))
+    mid = _twocore._cut(d)
+    # A ufunc that broadcasts or casts takes a scratch buffer of up to
+    # np.getbufsize() doubles on each thread that runs it, so a cut block
+    # gives up one such buffer's bytes: both halves at work then take what
+    # one uncut block and its buffer take. numpy sums one column pairwise
+    # rather than row after row, so a one-column split is summed in one
+    # block, as the whole is.
+    budget = STAT_BLOCK_BYTES - (8 * np.getbufsize() if mid else 0)
+    rows = n if d == 1 else min(n, max(1, budget // (8 * d)))
+    halves = [slice(0, mid), slice(mid, d)] if mid else [slice(0, d)]
+    bufs = [np.empty((rows + 1, cols.stop - cols.start)) for cols in halves]
+    mean, sq = np.empty(d), np.empty(d)
+
+    def sums(half):
+        cols, buf = halves[half], bufs[half]
+        mean[cols] = _column_sums(dataset, buf, cols) / n
+        sq[cols] = _column_sums(dataset, buf, cols, mean[cols]) / n
+
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = _column_sums(dataset, buf) / n
-        std = np.maximum(np.sqrt(_column_sums(dataset, buf, mean) / n), STD_FLOOR)
+        if mid:
+            _twocore._halves(lambda: sums(0), lambda: sums(1))
+        else:
+            sums(0)
+        std = np.maximum(np.sqrt(sq), STD_FLOOR)
     # A non-finite feature makes its mean non-finite; a finite std bounds
     # every |x - mean|, so the standardized features are finite.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
@@ -250,17 +271,17 @@ def normalize(dataset):
     return replace(dataset, mean=mean, std=std)
 
 
-def _column_sums(dataset, buf, mean=None):
-    """The column sums of the loaded features, or with `mean` of their
-    squared deviations from it, loaded into the rows of `buf` but the first
-    a block at a time. From the second block on, the first row carries the
-    running sum, so each axis-0 reduction adds the rows in the order the
+def _column_sums(dataset, buf, cols, mean=None):
+    """The sums of the loaded features' columns `cols`, or with `mean` of
+    their squared deviations from it, loaded into the rows of `buf` but the
+    first a block at a time. From the second block on, the first row carries
+    the running sum, so each axis-0 reduction adds the rows in the order the
     reduction of the whole n x d matrix adds them: row after row."""
     rows = buf.shape[0] - 1
     total = None
     for lo in range(0, dataset.n, rows):
         hi = min(lo + rows, dataset.n)
-        block = dataset._loaded(slice(lo, hi), out=buf[1:1 + hi - lo])
+        block = dataset._loaded((slice(lo, hi), cols), out=buf[1:1 + hi - lo])
         if mean is not None:
             np.subtract(block, mean, out=block)
             np.square(block, out=block)

@@ -417,14 +417,17 @@ def _fwd_inv_chol(s):
 def _vjp_inv_chol(g, saved, needs):
     """S_bar = -sym(W^T Phi(g W^T) W), with Phi(X) = tril(X) - diag(X) / 2
     (Murray 2016, arXiv:1602.07527): three products, and the sum with its
-    transpose, exactly symmetric."""
+    transpose, exactly symmetric. Three m x m buffers: Phi is taken in the
+    first product's (its strict upper triangle set to +0.0, as `np.tril`
+    sets it), and the sum is written there once Phi is read."""
     w = saved[0]
-    x = np.tril(_twocore._product(g, w.T))
+    x = _twocore._product(g, w.T)
+    np.copyto(x, 0.0, where=np.tri(len(x), k=-1, dtype=bool).T)
     x[np.diag_indices_from(x)] *= 0.5
     y = _twocore._product(w.T, _twocore._product(x, w))
-    out = y + y.T
-    out *= -0.5
-    return (out,)
+    np.add(y, y.T, out=x)
+    x *= -0.5
+    return (x,)
 
 
 def _fwd_logdet_trinv(w):

@@ -8,12 +8,14 @@ reborn from a deterministic seed stream, so the coreset never overfits one
 feature map. A slot keeps its net, its Adam state and its step count; its
 generation and its net's shape are read off those, never stored twice.
 
-Pool slots keep float32 parameters, as the evaluation net does. A slot,
-at `pool_new` and at each rotation, is `init_net`'s draw rounded to
-float32, bit for bit, and its Gaussian step, its Adam moments and the
-batch features it computes run in float32, at sgemm's rate. A parameter
-then takes 12 bytes with its moments. The draw goes through one float64
-scratch buffer per half and layer, so no float64 net is ever whole.
+Every net is drawn in float32, its Gaussian blocks by one Box-Muller
+sampler (`_standard_normal`) that every model-side normal draw goes
+through, the training noise's too. Pool slots keep float32 parameters, as
+the evaluation net does: a slot, at `pool_new` and at each rotation, is
+`init_net`'s draw rounded to float32, bit for bit, since `init_net` is that
+float32 draw upcast exactly. A slot's Gaussian step, its Adam moments and
+the batch features it computes run in float32, at sgemm's rate. A
+parameter then takes 12 bytes with its moments.
 
 This module owns the boundary between a net's dtype and the posterior's
 float64, and one helper, `_read_only`, crosses it for plain arrays: it
@@ -69,8 +71,10 @@ class FeatureNet:
 
 def init_net(widths, k, seed):
     """Fresh network per seed: weights ~ N(0, 1/fan_in), biases ~
-    U(+-1/sqrt(fan_in)). The parameters are read-only, so `ndiff.Array`
-    adopts them as leaves and constants without a copy, and checks them.
+    U(+-1/sqrt(fan_in)), drawn in float32 as a pool slot is (`_draw_nets`)
+    and upcast exactly to float64. The parameters are read-only, so
+    `ndiff.Array` adopts them as leaves and constants without a copy, and
+    checks them.
 
     Non-zero biases keep the ReLU features from being positively homogeneous
     in the input. The biases are drawn after the head, so weights and head
@@ -79,49 +83,75 @@ def init_net(widths, k, seed):
     return _draw_nets(widths, k, [seed], np.float64)[0]
 
 
+def _standard_normal(rng, out):
+    """Fill the C-ordered float32 buffer `out` with standard normals and
+    return it: Box-Muller (1958) on one `rng.random` draw of 2 * ceil(n/2)
+    float32 uniforms u. The first half gives the radii sqrt(-2 log(1 - u)),
+    the second the angles 2 pi u; `out` takes r cos(theta) in its first
+    ceil(n/2) elements and r sin(theta) in the rest. Every model-side normal
+    draw comes from here: a normal from numpy's ziggurat costs about four
+    float32 uniforms, one from here a uniform and half as much again in
+    vectorized float32 transforms. The uniforms are multiples of 2^-24
+    below 1, so 1 - u >= 2^-24 and every value is finite, with
+    |z| <= sqrt(48 ln 2) < 5.77."""
+    flat = np.reshape(out, -1, copy=False)
+    n = flat.size
+    half = n - n // 2
+    u = rng.random(2 * half, dtype=np.float32)
+    r, theta = u[:half], u[half:]
+    np.subtract(np.float32(1.0), r, out=r)
+    np.log(r, out=r)
+    r *= np.float32(-2.0)
+    np.sqrt(r, out=r)
+    theta *= np.float32(2.0 * np.pi)
+    np.cos(theta, out=flat[:half])
+    flat[:half] *= r
+    np.sin(theta[:n - half], out=flat[half:])
+    flat[half:] *= r[:n - half]
+    return out
+
+
 def _draw_nets(widths, k, seeds, dtype):
-    """One network per seed, each drawn as `init_net` documents and rounded
-    to `dtype`, float64 or float32. The buffers are made here with
-    `np.empty` and then filled: `standard_normal(out=)` and a division give
-    the bits of `standard_normal(shape) / sqrt(fan_in)`. A float32 net's
-    Gaussian blocks are drawn into float64 scratch, one buffer per half and
-    layer, from which the division writes the rounded quotient. When there
-    are two seeds or more, the later half of the seeds is filled on the
-    second core (`_twocore._halves`); numpy's fill releases the interpreter
+    """One network per seed, each drawn as `init_net` documents, in `dtype`,
+    float64 or float32. Every net is drawn in float32 into buffers made here
+    with `np.empty`: each Gaussian block is `_standard_normal` divided by
+    sqrt(fan_in) in float32, each bias a float64 uniform divided by
+    sqrt(fan_in) and rounded. A float64 net is that draw upcast exactly, so
+    a float32 net is its float64 twin rounded, bit for bit. When there are
+    two seeds or more, the later half of the seeds is filled on the second
+    core (`_twocore._halves`); numpy's fills release the interpreter
     lock."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 1 or any(w < 1 for w in widths) or k < 1:
         raise ValueError(f"invalid widths {widths} / classes {k}")
     layers = list(zip(widths[:-1], widths[1:]))
     shapes = layers + [(widths[-1], k)]     # the Gaussian blocks: weights, head
-    buffers = [([np.empty(shape, dtype) for shape in shapes],
-                [np.empty((1, w_out), dtype) for _, w_out in layers]) for _ in seeds]
-    mid = len(seeds) // 2
-    # float64 blocks take their draws in place; float32 ones through one set
-    # of float64 scratch blocks per half
-    scratch = [None if np.dtype(dtype) == np.float64 else [np.empty(s) for s in shapes]
-               for _ in range(1 + bool(mid))]
+    buffers = [([np.empty(shape, np.float32) for shape in shapes],
+                [np.empty((1, w_out), np.float32) for _, w_out in layers])
+               for _ in seeds]
 
-    def fill(lo, hi, draws):
+    def fill(lo, hi):
         for seed, (gaussian, uniform) in zip(seeds[lo:hi], buffers[lo:hi]):
             rng = np.random.default_rng(seed)
-            for w, z in zip(gaussian, draws or gaussian):
-                rng.standard_normal(out=z)
-                np.divide(z, np.sqrt(z.shape[0]), out=w)
+            for w in gaussian:
+                _standard_normal(rng, w)
+                w /= np.float32(np.sqrt(w.shape[0]))
             for b, (w_in, _) in zip(uniform, layers):
                 np.divide(rng.uniform(-1.0, 1.0, b.shape), np.sqrt(w_in), out=b)
 
+    mid = len(seeds) // 2
     if mid:
-        _twocore._halves(lambda: fill(0, mid, scratch[0]),
-                         lambda: fill(mid, len(seeds), scratch[1]))
+        _twocore._halves(lambda: fill(0, mid), lambda: fill(mid, len(seeds)))
     else:
-        fill(0, len(seeds), scratch[0])
-    nets = []
-    for gaussian, uniform in buffers:
-        for p in (*gaussian, *uniform):
-            p.flags.writeable = False
-        nets.append(FeatureNet(tuple(gaussian[:-1]), tuple(uniform), gaussian[-1]))
-    return nets
+        fill(0, len(seeds))
+
+    def final(p):
+        p = p.astype(dtype, copy=False)
+        p.flags.writeable = False
+        return p
+
+    return [FeatureNet(tuple(map(final, gaussian[:-1])), tuple(map(final, uniform)),
+                       final(gaussian[-1])) for gaussian, uniform in buffers]
 
 
 def _read_only(values, dtype, name):

@@ -25,13 +25,13 @@ the coreset's Adam step) needs that coreset and the network of the slot it
 samples. So, unless step t+1 samples the slot step t updates, the two are
 independent. Every iteration t+1 is one `_twocore._halves` call: the
 calling thread runs step t's pool update, if it is still pending, then
-draws step t+2's batch (its rows read and standardized) and the
-standard-normal draw for its noise, while the worker runs the coreset step,
-which reads its slot's net when it runs. When the slots are the same, the
-update runs first, alone, and the calling thread's half only draws; the
-last step's update runs after the loop. Every op gets the inputs it gets in
-the serial order, and each random stream (batches, slots, noise) is drawn
-in its own order, so the records (bar `ms`) and the coreset are
+draws step t+2's batch (its rows read, standardized and rounded to float32)
+and the standard-normal draw for its noise, while the worker runs the
+coreset step, which reads its slot's net when it runs. When the slots are
+the same, the update runs first, alone, and the calling thread's half only
+draws; the last step's update runs after the loop. Every op gets the inputs
+it gets in the serial order, and each random stream (batches, slots, noise)
+is drawn in its own order, so the records (bar `ms`) and the coreset are
 bit-identical to the serial loop's on any number of cores. A step's record
 is emitted once its pool update is done, with the retries of the steps up
 to it, summed in step order; a failure in step t's pool update aborts at
@@ -145,7 +145,9 @@ def _check_dataset(config, dataset):
 
 class BatchSampler:
     """Without-replacement batches within an epoch, reshuffled between
-    epochs; `size` is at most `dataset.n` (`_check_dataset`)."""
+    epochs; `size` is at most `dataset.n` (`_check_dataset`). A batch's rows
+    come in the pool slots' float32 (`Dataset.rows`, which refuses a row
+    beyond float32's range), so no float64 block of them is made."""
 
     def __init__(self, dataset, size, seed):
         self.dataset = dataset
@@ -160,18 +162,20 @@ class BatchSampler:
             self._cursor = 0
         idx = self._order[self._cursor:self._cursor + self.size]
         self._cursor += len(idx)
-        return self.dataset.rows(idx), self.dataset.onehot(idx)
+        return self.dataset.rows(idx, dtype=np.float32), self.dataset.onehot(idx)
 
 
 def _draw_noise(shape, dtype, sigma, rng):
-    """sigma times a fresh standard-normal draw in `dtype`, float32 or
-    float64, in the draw's own buffer; None, with nothing drawn, at
-    sigma = 0. A float64 draw is numpy's default one."""
+    """sigma times a fresh float32 standard-normal draw
+    (`network._standard_normal`), scaled in `dtype`, float32 or float64, in
+    a buffer of its own; None, with nothing drawn, at sigma = 0. A float64
+    draw is the float32 one upcast exactly."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return None
-    noise = rng.standard_normal(shape, dtype=dtype)
+    noise = network._standard_normal(rng, np.empty(shape, np.float32))
+    noise = noise.astype(dtype, copy=False)
     noise *= sigma
     return noise
 
@@ -187,8 +191,9 @@ def _add_noise(images, noise):
 
 
 def augment_noise(images, sigma, rng):
-    """Additive Gaussian pixel noise, drawn in the images' dtype, in a fresh
-    read-only buffer; sigma = 0 is the identity path."""
+    """Additive Gaussian pixel noise, float32 normals scaled by sigma in the
+    images' dtype (`_draw_noise`), in a fresh read-only buffer; sigma = 0 is
+    the identity path."""
     return _add_noise(images, _draw_noise(images.shape, images.dtype, sigma, rng))
 
 
@@ -264,6 +269,8 @@ def _train(config, dataset, sink):
         """Outer loss through its slot's net, backward and the coreset's Adam
         step; replaces the step's coreset with the one it makes."""
         try:
+            if isinstance(batch, nd.NonFiniteError):
+                raise batch
             # the noisy images are read-only, so the tape adopts them
             loss_images = _add_noise(step.images, noise)
             tape = nd.Tape()
@@ -289,9 +296,15 @@ def _train(config, dataset, sink):
 
     def draw(number):
         """The batch and the noise of step `number`, if the run has such a
-        step; the noise is None when the run adds none."""
+        step; the noise is None when the run adds none. A batch row beyond
+        float32's range stands in for the batch as its NonFiniteError, which
+        aborts step `number` in its coreset step."""
         if number < config.steps:
-            ahead.append((sampler.next(),
+            try:
+                batch = sampler.next()
+            except nd.NonFiniteError as err:
+                batch = err
+            ahead.append((batch,
                           _draw_noise(images.shape, images.dtype, sigma, noise_rng)))
 
     def settle(step):

@@ -14,7 +14,7 @@ from vbpc.data import (STD_FLOOR, CoresetFileError, Dataset, gen_synthetic,
                        load_idx, normalize, normalize_with, init_coreset,
                        scaled_onehot_labels, save_coreset, load_coreset,
                        PseudoCoreset)
-from vbpc import data, ndiff as nd
+from vbpc import _twocore, data, ndiff as nd
 from vbpc.posterior import Hyperparams
 
 
@@ -228,6 +228,30 @@ def test_one_column_statistics_are_the_one_buffer_statistics(monkeypatch):
     mean, std = _one_buffer_statistics(ds)
     out = normalize(ds)
     assert out.mean.tobytes() == mean.tobytes() and out.std.tobytes() == std.tobytes()
+
+
+@pytest.mark.parametrize("worker", [None, False], ids=["two-cores", "one-core"])
+@pytest.mark.parametrize("kind", ["pixels", "floats"])
+@pytest.mark.parametrize("d, cut", [(3072, True), (784, True), (2, False)])
+def test_normalize_in_column_halves_keeps_every_bit(monkeypatch, halves_calls,
+                                                    worker, kind, d, cut):
+    # the columns are summed in two halves, on two cores or one after the
+    # other on one, each half over several row blocks; a split too narrow
+    # to cut is summed whole
+    if worker is False:
+        monkeypatch.setattr(_twocore, "_worker", False)
+    n = 300
+    rng = np.random.default_rng(d)
+    if kind == "pixels":
+        raw = rng.integers(0, 256, (n, d), dtype=np.uint8)
+    else:
+        raw = rng.standard_normal((n, d)) * np.logspace(-6, 6, d) + rng.standard_normal(d) * 1e3
+    ds = Dataset(raw=raw, labels=np.zeros(n, dtype=np.int64), k=2)
+    X = ds._loaded()
+    out = normalize(ds)
+    assert len(halves_calls) == int(cut)
+    assert out.mean.tobytes() == X.mean(0).tobytes()
+    assert out.std.tobytes() == np.maximum(X.std(0), STD_FLOOR).tobytes()
 
 
 def test_normalize_streams_through_one_block():

@@ -445,6 +445,23 @@ def test_grad_inv_chol():
     check_primitive_gradient(lambda rng: (spd_operand(rng),), nd.inv_chol)
 
 
+@pytest.mark.parametrize("m", [1, 7, 256])
+def test_inv_chol_vjp_is_the_tril_expression_bit_for_bit(m):
+    # the adjoint keeps Phi in the first product's buffer and the sum in
+    # Phi's: the bits of the expression that copies with `np.tril` and sums
+    # into a fresh buffer (at m = 256 the products are cut in halves)
+    rng = np.random.default_rng(m)
+    _, saved = nd._fwd_inv_chol(spd_operand(rng, m))
+    w, g = saved[0], rng.standard_normal((m, m))
+    x = np.tril(_twocore._product(g, w.T))
+    x[np.diag_indices_from(x)] *= 0.5
+    y = _twocore._product(w.T, _twocore._product(x, w))
+    want = y + y.T
+    want *= -0.5
+    got, = nd._vjp_inv_chol(g, saved, (True,))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_grad_cholesky_solve():
     # the solve S^{-1} b as the posterior composes it, through the node
     check_primitive_gradient(

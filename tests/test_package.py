@@ -197,6 +197,26 @@ def test_the_tape_takes_outside_buffers_one_way():
     assert doors == ["Array._wrap"]
 
 
+def test_model_side_normals_come_from_the_one_sampler():
+    # every net and noise draw goes through network._standard_normal; only
+    # the data, the bench's instance and the Monte Carlo oracle call numpy's
+    # normal draws: a new caller is a decision this list records
+    callers = set()
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr in ("standard_normal", "normal"):
+            callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "vbpc").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert callers == {"data.gen_synthetic", "bench._instance",
+                       "predictive.mc_log_softmax"}
+
+
 def test_scheduler_tuning_constants_are_the_listed_ones():
     # each threshold is a size at which work changes thread or kernel, and
     # one more is a rule to keep in step with the rest: adding one is a

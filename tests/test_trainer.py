@@ -285,9 +285,15 @@ def test_noise_sigma_zero_is_identity():
     assert out is images
 
 
+def float32_normals(shape, seed):
+    return network._standard_normal(np.random.default_rng(seed),
+                                    np.empty(shape, np.float32))
+
+
 def test_noise_is_the_expression_bit_for_bit():
+    # float64 images get the float32 draw upcast, times sigma in float64
     images = np.random.default_rng(2).standard_normal((7, 9))
-    want = images + 0.1 * np.random.default_rng(3).standard_normal(images.shape)
+    want = images + 0.1 * float32_normals(images.shape, 3).astype(np.float64)
     got = augment_noise(images, 0.1, np.random.default_rng(3))
     assert got.tobytes() == want.tobytes()
 
@@ -295,8 +301,7 @@ def test_noise_is_the_expression_bit_for_bit():
 def test_noise_is_drawn_in_the_images_dtype():
     # float32 images get a float32 draw times sigma, in float32, bit for bit
     images = np.random.default_rng(2).standard_normal((7, 9)).astype(np.float32)
-    want = images + 0.1 * np.random.default_rng(3).standard_normal(images.shape,
-                                                                   dtype=np.float32)
+    want = images + 0.1 * float32_normals(images.shape, 3)
     got = augment_noise(images, 0.1, np.random.default_rng(3))
     assert got.dtype == want.dtype == np.float32 and not got.flags.writeable
     assert got.tobytes() == want.tobytes()
@@ -350,9 +355,9 @@ def test_every_reader_of_the_features_goes_through_rows(monkeypatch):
     calls = []
     real = Dataset.rows
 
-    def spy(self, idx):
+    def spy(self, idx, **kwargs):
         calls.append(idx)
-        return real(self, idx)
+        return real(self, idx, **kwargs)
 
     monkeypatch.setattr(Dataset, "rows", spy)
     ds = normalize(gen_synthetic("blobs", n=60, k=3, noise=0.5, seed=8))
@@ -996,8 +1001,8 @@ def _serial_loop(config, dataset, sink, failed):
         idx = pool_sample(pool, sample_rng)
         loss_images = images
         if config.noise_aug and config.noise_sigma != 0.0:
-            loss_images = images + config.noise_sigma * noise_rng.standard_normal(
-                images.shape, dtype=np.float32)
+            loss_images = images + config.noise_sigma * network._standard_normal(
+                noise_rng, np.empty(images.shape, np.float32))
         try:
             tape = nd.Tape()
             loss, breakdown = outer_loss(coreset.with_arrays(loss_images, labels),
