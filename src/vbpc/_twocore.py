@@ -3,7 +3,8 @@
 BLAS stays at one thread. Instead, a worker thread runs the second of two
 halves while the caller runs the first (`_halves`): large products (solves
 included) and Adam blocks, cut where `_cut` puts them, pool draws, Monte
-Carlo chunks, and each training step's coreset step beside a pool update.
+Carlo chunks, a pixel split's integer sums (`data.normalize`), and each
+training step's coreset step beside a pool update.
 A product is cut only where each output element takes the same
 instructions as in the whole (`_product`), so results are bit-equal to the
 uncut work on any number of cores. Halves may cut their own work again.

@@ -2,9 +2,11 @@
 
 Synthetic generators stand in for the image benchmarks at desk scale; the
 IDX loader ingests MNIST-format files and keeps their u8 pixels. A split
-holds its features as loaded, with the statistics `normalize` estimated,
-and standardizes rows as they are read: a training run reads only its
-batches, so it never builds a float64 copy of the split. Coresets
+holds its features as loaded, with the statistics `normalize` estimated
+(exact ones from integer sums for pixels; those of `X.mean(0)` and
+`X.std(0)`, bit for bit, for float rows), and standardizes rows as they
+are read: a training run reads only its batches, so it never builds a
+float64 copy of the split. Coresets
 round-trip through a small versioned, checksummed little-endian binary
 format (magic "VBPC") that carries the training statistics the images are
 standardized by, so a coreset file needs no training data to be read.
@@ -24,10 +26,13 @@ from .posterior import Hyperparams
 MAGIC = b"VBPC"
 FORMAT_VERSION = 2
 STD_FLOOR = 1e-8
-# Bytes of the float64 row block in which `normalize` streams a split and
-# `Dataset.rows` makes float32 rows; about a core's L2 cache (1 MiB ran
-# fastest at d = 784 and d = 3072)
+# Bytes of the row block in which `normalize` streams a split (float64
+# rows, or the uint16 squares of pixels) and `Dataset.rows` makes float32
+# rows; about a core's L2 cache (1 MiB ran fastest at d = 784 and d = 3072)
 STAT_BLOCK_BYTES = 1 << 20
+# Most rows of a block of pixel squares: a column's uint32 sum of squares,
+# at most 255**2 a row, cannot wrap
+_PIXEL_BLOCK_ROWS = (2**32 - 1) // 255**2
 # Largest synthetic dataset: desk-scale shapes, a few tens of MB per split
 SYNTHETIC_MAX_N = 1_000_000
 _IDX_IMAGES_MAGIC = 2051
@@ -41,7 +46,9 @@ class CoresetFileError(Exception):
 @dataclass(frozen=True)
 class Dataset:
     """Features as loaded (u8 pixels or float64 rows, n x d), integer class
-    labels, and the normalization stats, if any. `rows` and `X` read the
+    labels, and the normalization stats, if any: for pixels the mean and
+    std of c / 255 from exact integer sums, for float rows those of
+    `X.mean(0)` and `X.std(0)` (`normalize`). `rows` and `X` read the
     features standardized; `len()` is the row count."""
 
     raw: np.ndarray
@@ -60,9 +67,9 @@ class Dataset:
         return self.raw.shape[1]
 
     def _loaded(self, idx=slice(None), out=None):
-        """The loaded features at `idx` (an index of rows, or of rows and
-        columns) as float64, pixels scaled to [0, 1] and float rows copied,
-        in `out` or else a fresh C-ordered block."""
+        """The loaded features at the rows `idx` as float64, pixels scaled
+        to [0, 1] and float rows copied, in `out` or else a fresh C-ordered
+        block."""
         block = self.raw[idx]
         if out is None:
             out = np.empty(block.shape)
@@ -77,9 +84,10 @@ class Dataset:
         split's statistics, in a fresh C-ordered block of `dtype`. Every
         reader of the features goes through here. Float32 rows are
         standardized in float64 blocks of about STAT_BLOCK_BYTES, each cast
-        into the one float32 block by the rule a float32 net's inputs are
-        cast by (`ndiff._checked_cast`), so they are `rows(idx)` cast, bit
-        for bit, and no float64 block of them all is made."""
+        straight into its rows of the one float32 block by the rule a
+        float32 net's inputs are cast by (`ndiff._checked_cast`), so they
+        are `rows(idx)` cast, bit for bit, and no float64 block of them all
+        is made."""
         if np.dtype(dtype) == np.float64:
             return self._standardize(self._loaded(idx))
         picked = np.arange(self.n)[idx]
@@ -89,7 +97,7 @@ class Dataset:
         for lo in range(0, picked.size, step):
             part = picked[lo:lo + step]
             block = self._standardize(self._loaded(part, out=buf[:part.size]))
-            out[lo:lo + part.size] = nd._checked_cast(block, dtype, "feature rows")
+            nd._checked_cast(block, dtype, "feature rows", out=out[lo:lo + part.size])
         return out
 
     def _standardize(self, block):
@@ -227,42 +235,30 @@ def load_idx(images_path, labels_path):
 
 def normalize(dataset):
     """Per-feature standardization: the split with the mean and std of its
-    loaded features attached, for its rows and for reuse on test data.
+    loaded features attached, for its rows and for reuse on test data. No
+    n x d float64 buffer is made.
 
-    The statistics are those of `X.mean(0)` and `X.std(0)` on the loaded
-    features, bit for bit, but no n x d buffer is made: each of the two
-    passes streams the rows through one block of about STAT_BLOCK_BYTES
-    (`_column_sums`). The block's columns are cut in two at
-    `_twocore._cut(d)`, each half a buffer of its own made here, and the
-    worker of `_twocore._halves` sums the later columns; each column is
-    still summed row after row."""
+    Pixels get exact statistics. One pass sums each column's pixels c and
+    squares c**2 as integers (`_pixel_sums`), over two row halves, the
+    later on the worker of `_twocore._halves`; the mean and std are then
+    computed from the exact sums (`_pixel_statistics`), so they are the
+    same bytes on one core or two and for any block size. Float rows get
+    the statistics of `X.mean(0)` and `X.std(0)` bit for bit, from two
+    passes that stream the rows through one block of about
+    STAT_BLOCK_BYTES (`_column_sums`)."""
     if dataset.n < 2:
         raise ValueError("need at least 2 rows to estimate statistics")
     n, d = dataset.n, dataset.d
-    mid = _twocore._cut(d)
-    # A ufunc that broadcasts or casts takes a scratch buffer of up to
-    # np.getbufsize() doubles on each thread that runs it, so a cut block
-    # gives up one such buffer's bytes: both halves at work then take what
-    # one uncut block and its buffer take. numpy sums one column pairwise
-    # rather than row after row, so a one-column split is summed in one
-    # block, as the whole is.
-    budget = STAT_BLOCK_BYTES - (8 * np.getbufsize() if mid else 0)
-    rows = n if d == 1 else min(n, max(1, budget // (8 * d)))
-    halves = [slice(0, mid), slice(mid, d)] if mid else [slice(0, d)]
-    bufs = [np.empty((rows + 1, cols.stop - cols.start)) for cols in halves]
-    mean, sq = np.empty(d), np.empty(d)
-
-    def sums(half):
-        cols, buf = halves[half], bufs[half]
-        mean[cols] = _column_sums(dataset, buf, cols) / n
-        sq[cols] = _column_sums(dataset, buf, cols, mean[cols]) / n
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mid:
-            _twocore._halves(lambda: sums(0), lambda: sums(1))
-        else:
-            sums(0)
-        std = np.maximum(np.sqrt(sq), STD_FLOOR)
+    if dataset.raw.dtype == np.uint8:
+        mean, std = _pixel_statistics(*_pixel_sums(dataset.raw), n)
+    else:
+        # numpy sums one column pairwise rather than row after row, so a
+        # one-column split is summed in one block, as the whole is
+        rows = n if d == 1 else min(n, max(1, STAT_BLOCK_BYTES // (8 * d)))
+        buf = np.empty((rows + 1, d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = _column_sums(dataset, buf) / n
+            std = np.maximum(np.sqrt(_column_sums(dataset, buf, mean) / n), STD_FLOOR)
     # A non-finite feature makes its mean non-finite; a finite std bounds
     # every |x - mean|, so the standardized features are finite.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
@@ -271,17 +267,59 @@ def normalize(dataset):
     return replace(dataset, mean=mean, std=std)
 
 
-def _column_sums(dataset, buf, cols, mean=None):
-    """The sums of the loaded features' columns `cols`, or with `mean` of
-    their squared deviations from it, loaded into the rows of `buf` but the
-    first a block at a time. From the second block on, the first row carries
-    the running sum, so each axis-0 reduction adds the rows in the order the
+def _pixel_sums(pixels):
+    """The exact column sums S of the u8 `pixels` (n x d) and Q of their
+    squares, uint64. The rows are cut in two at `_twocore._cut(n)` and each
+    half streamed through its own uint16 block of about STAT_BLOCK_BYTES
+    and at most _PIXEL_BLOCK_ROWS rows, all made here; a block's sums are
+    taken in uint32, which it cannot overflow, and added to the half's."""
+    n, d = pixels.shape
+    mid = _twocore._cut(n)
+    spans = [(0, mid), (mid, n)] if mid else [(0, n)]
+    rows = min(_PIXEL_BLOCK_ROWS, max(1, STAT_BLOCK_BYTES // (2 * d)))
+    blocks = [np.empty((min(rows, hi - lo), d), np.uint16) for lo, hi in spans]
+    sums = np.zeros((len(spans), 2, d), np.uint64)
+
+    def accumulate(half):
+        (lo, hi), block, (total, squares) = spans[half], blocks[half], sums[half]
+        for start in range(lo, hi, len(block)):
+            part = block[:min(len(block), hi - start)]
+            part[...] = pixels[start:start + len(part)]
+            total += part.sum(0, dtype=np.uint32)
+            np.multiply(part, part, out=part)
+            squares += part.sum(0, dtype=np.uint32)
+
+    if mid:
+        _twocore._halves(lambda: accumulate(0), lambda: accumulate(1))
+    else:
+        accumulate(0)
+    return sums.sum(0)
+
+
+def _pixel_statistics(total, squares, n):
+    """The mean and std of the pixels c / 255 of n rows, from their exact
+    column sums S = `total` of c and Q = `squares` of c**2 (uint64). The
+    mean S / (255 n) is one correctly rounded division: S <= 255 n is an
+    exact float64. The variance (nQ - S**2) / (255 n)**2 is formed in
+    Python integers, so it has no cancellation error, and rounded once;
+    its square root is the std, floored at STD_FLOOR."""
+    scale = 255 * n
+    mean = total / float(scale)
+    var = [(n * q - s * s) / scale**2 for s, q in zip(total.tolist(), squares.tolist())]
+    return mean, np.maximum(np.sqrt(var), STD_FLOOR)
+
+
+def _column_sums(dataset, buf, mean=None):
+    """The column sums of the loaded features, or with `mean` of their
+    squared deviations from it, loaded into the rows of `buf` but the first
+    a block at a time. From the second block on, the first row carries the
+    running sum, so each axis-0 reduction adds the rows in the order the
     reduction of the whole n x d matrix adds them: row after row."""
     rows = buf.shape[0] - 1
     total = None
     for lo in range(0, dataset.n, rows):
         hi = min(lo + rows, dataset.n)
-        block = dataset._loaded((slice(lo, hi), cols), out=buf[1:1 + hi - lo])
+        block = dataset._loaded(slice(lo, hi), out=buf[1:1 + hi - lo])
         if mean is not None:
             np.subtract(block, mean, out=block)
             np.square(block, out=block)

@@ -296,8 +296,9 @@ def _vjp_scale(g, saved, needs):
     return (factor * g,)
 
 
-def _checked_cast(values, dtype, name):
-    """A fresh C-ordered copy of `values` in `dtype`. A finite value beyond
+def _checked_cast(values, dtype, name, out=None):
+    """A fresh C-ordered copy of `values` in `dtype`, or `values` cast into
+    `out`, a buffer of `dtype`, which is returned. A finite value beyond
     `dtype`'s range raises NonFiniteError naming `name`, the range and the
     largest finite magnitude, where the cast would warn and give inf. The
     cast's own overflow flag tells, so no pass of its own reads the values;
@@ -305,7 +306,10 @@ def _checked_cast(values, dtype, name):
     it or what is computed from it."""
     try:
         with np.errstate(over="raise"):
-            return np.array(values, dtype=dtype, order="C")
+            if out is None:
+                return np.array(values, dtype=dtype, order="C")
+            np.copyto(out, values, casting="same_kind")
+            return out
     except FloatingPointError:
         finite = np.asarray(values)[np.isfinite(values)]
         raise NonFiniteError(

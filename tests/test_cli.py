@@ -401,10 +401,10 @@ _CUT_CFG = ("steps = 4\nbatch_size = 64\nipc = 32\n"
             "hidden = 256,1024\npool_size = 2\nlog_interval = 1\n")
 
 
-def run_train_child(tmp_path, name, cpus, **blas):
-    """`vbpc train` of `_CUT_CFG` in a child pinned to `cpus` (or "all"),
-    with the BLAS thread variables `blas` only; returns (out dir, whether a
-    worker took the second halves)."""
+def run_train_child(tmp_path, name, cpus, spec, **blas):
+    """`vbpc train` of `_CUT_CFG` on the data `spec` in a child pinned to
+    `cpus` (or "all"), with the BLAS thread variables `blas` only; returns
+    (out dir, whether a worker took the second halves)."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env.update(blas)
@@ -413,7 +413,7 @@ def run_train_child(tmp_path, name, cpus, **blas):
     child = subprocess.run(
         [sys.executable, "-c", _PINNED_TRAIN, cpus, "train",
          "--config", write_cfg(tmp_path, _CUT_CFG),
-         "--data", "synthetic:moons:n=400,k=2,noise=0.1", "--out", str(out),
+         "--data", spec, "--out", str(out),
          "--seed", "4"], env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     return out, child.stderr.split()[-1] == "True"
@@ -428,12 +428,23 @@ def assert_same_run(a, b):
     assert (a / "coreset.vbpc").read_bytes() == (b / "coreset.vbpc").read_bytes()
 
 
+def cut_data_spec(tmp_path, data):
+    """The moons of the cut runs, or an IDX split of 400 random 6 x 6 pixel
+    images, whose statistics are summed in two row halves and whose batches
+    are read as float32 rows."""
+    if data == "moons":
+        return "synthetic:moons:n=400,k=2,noise=0.1"
+    return f"idx:{write_idx_split(tmp_path, 'cut', 400, 6)}"
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="pins a process to one CPU")
-def test_train_on_one_cpu_is_bit_identical_to_two(tmp_path):
+@pytest.mark.parametrize("data", ["moons", "pixels"])
+def test_train_on_one_cpu_is_bit_identical_to_two(tmp_path, data):
     one_cpu = str(min(os.sched_getaffinity(0)))
-    pinned, pinned_worker = run_train_child(tmp_path, "pinned", one_cpu)
-    free, free_worker = run_train_child(tmp_path, "free", "all")
+    spec = cut_data_spec(tmp_path, data)
+    pinned, pinned_worker = run_train_child(tmp_path, "pinned", one_cpu, spec)
+    free, free_worker = run_train_child(tmp_path, "free", "all", spec)
     assert not pinned_worker
     assert free_worker == (len(os.sched_getaffinity(0)) > 1)
     assert_same_run(pinned, free)
@@ -441,12 +452,14 @@ def test_train_on_one_cpu_is_bit_identical_to_two(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="pins a process to one CPU")
-def test_train_with_two_blas_threads_is_bit_identical_to_pinned(tmp_path):
+@pytest.mark.parametrize("data", ["moons", "pixels"])
+def test_train_with_two_blas_threads_is_bit_identical_to_pinned(tmp_path, data):
     # a user's thread count switches off both vbpc's pinning and its worker,
     # and OpenBLAS may then split each product over two threads
     one_cpu = str(min(os.sched_getaffinity(0)))
-    pinned, _ = run_train_child(tmp_path, "pinned", one_cpu)
-    threaded, worker = run_train_child(tmp_path, "blas2", "all",
+    spec = cut_data_spec(tmp_path, data)
+    pinned, _ = run_train_child(tmp_path, "pinned", one_cpu, spec)
+    threaded, worker = run_train_child(tmp_path, "blas2", "all", spec,
                                        OPENBLAS_NUM_THREADS="2")
     assert not worker
     assert_same_run(pinned, threaded)

@@ -5,7 +5,9 @@ import struct
 import tracemalloc
 import zlib
 from dataclasses import replace
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,12 +202,33 @@ def _one_buffer_statistics(ds):
     return X.mean(0), np.maximum(X.std(0), STD_FLOOR)
 
 
+def _exact_pixel_statistics(pixels):
+    """The mean and std of the pixels c / 255, each the correctly rounded
+    value of its exact rational (the std the square root of the correctly
+    rounded variance, floored), from Python integer sums."""
+    n = pixels.shape[0]
+    columns = pixels.T.astype(int).tolist()
+    sums = [(sum(c), sum(v * v for v in c)) for c in columns]
+    mean = [float(Fraction(s, 255 * n)) for s, _ in sums]
+    var = [float(Fraction(n * q - s * s, (255 * n) ** 2)) for s, q in sums]
+    return np.array(mean), np.maximum(np.sqrt(var), STD_FLOOR)
+
+
+def _reference_statistics(ds):
+    """Exact statistics for pixels, the whole matrix's mean(0) and std(0)
+    for float rows."""
+    if ds.raw.dtype == np.uint8:
+        return _exact_pixel_statistics(ds.raw)
+    return _one_buffer_statistics(ds)
+
+
 @pytest.mark.parametrize("kind", ["pixels", "floats"])
 @pytest.mark.parametrize("n", [2, 4, 5, 11, 40])
 def test_streamed_statistics_are_the_one_buffer_statistics(monkeypatch, kind, n):
     # blocks of four rows: one block or several, with a ragged last block
-    # unless n is a multiple of four; the bits are those of the whole
-    # matrix's mean(0) and std(0)
+    # unless n is a multiple of four; the bits are those of the exact
+    # statistics for pixels, of the whole matrix's mean(0) and std(0) for
+    # float rows
     d = 6
     monkeypatch.setattr(data, "STAT_BLOCK_BYTES", 4 * 8 * d)
     rng = np.random.default_rng(n)
@@ -214,7 +237,7 @@ def test_streamed_statistics_are_the_one_buffer_statistics(monkeypatch, kind, n)
     else:
         raw = rng.standard_normal((n, d)) * np.logspace(-6, 6, d) + rng.standard_normal(d) * 1e3
     ds = Dataset(raw=raw, labels=np.zeros(n, dtype=np.int64), k=2)
-    mean, std = _one_buffer_statistics(ds)
+    mean, std = _reference_statistics(ds)
     out = normalize(ds)
     assert out.mean.tobytes() == mean.tobytes() and out.std.tobytes() == std.tobytes()
 
@@ -235,9 +258,11 @@ def test_one_column_statistics_are_the_one_buffer_statistics(monkeypatch):
 @pytest.mark.parametrize("d, cut", [(3072, True), (784, True), (2, False)])
 def test_normalize_in_column_halves_keeps_every_bit(monkeypatch, halves_calls,
                                                     worker, kind, d, cut):
-    # the columns are summed in two halves, on two cores or one after the
-    # other on one, each half over several row blocks; a split too narrow
-    # to cut is summed whole
+    # `cut` marks the widths whose columns were once summed in two halves.
+    # Now no float split is cut: its columns are summed whole, over several
+    # row blocks, to the whole matrix's bits. A pixel split of any width is
+    # summed in two row halves, on two cores or one after the other on
+    # one, to the exact statistics.
     if worker is False:
         monkeypatch.setattr(_twocore, "_worker", False)
     n = 300
@@ -247,11 +272,11 @@ def test_normalize_in_column_halves_keeps_every_bit(monkeypatch, halves_calls,
     else:
         raw = rng.standard_normal((n, d)) * np.logspace(-6, 6, d) + rng.standard_normal(d) * 1e3
     ds = Dataset(raw=raw, labels=np.zeros(n, dtype=np.int64), k=2)
-    X = ds._loaded()
+    mean, std = _reference_statistics(ds)
     out = normalize(ds)
-    assert len(halves_calls) == int(cut)
-    assert out.mean.tobytes() == X.mean(0).tobytes()
-    assert out.std.tobytes() == np.maximum(X.std(0), STD_FLOOR).tobytes()
+    assert len(halves_calls) == int(kind == "pixels")
+    assert out.mean.tobytes() == mean.tobytes()
+    assert out.std.tobytes() == std.tobytes()
 
 
 def test_normalize_streams_through_one_block():
@@ -266,6 +291,113 @@ def test_normalize_streams_through_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= data.STAT_BLOCK_BYTES + (8 * ds.d + np.getbufsize()) * 8
+
+
+def _mp_std(n, s, q):
+    """The std of n pixels c / 255 whose c sum to s and c**2 to q, to 50
+    digits, rounded to float64."""
+    with mpmath.workdps(50):
+        return float(mpmath.sqrt(mpmath.mpf(n * q - s * s)) / (255 * n))
+
+
+def _pixel_cases():
+    rng = np.random.default_rng(11)
+    flat = rng.integers(0, 256, (37, 5), dtype=np.uint8)
+    flat[:, 1] = 93                     # a constant column
+    flat[:, 3] = 255                    # an all-255 column
+    rare = (rng.random((300, 9)) < 0.01) * rng.integers(1, 256, (300, 9))
+    return {"random": rng.integers(0, 256, (300, 17), dtype=np.uint8),
+            "rare": rare.astype(np.uint8),
+            "constant": flat,
+            "two-rows": rng.integers(0, 256, (2, 8), dtype=np.uint8)}
+
+
+@pytest.mark.parametrize("case", ["random", "rare", "constant", "two-rows"])
+@pytest.mark.parametrize("block", ["whole", "one-row", "three-rows"])
+def test_pixel_statistics_are_exact(monkeypatch, case, block):
+    # the mean is S / (255 n) correctly rounded, the std within 2 ulp of a
+    # 50-digit reference, in one block, in one-row blocks, and in blocks of
+    # three rows with a ragged last block (300 rows are cut into halves of
+    # 152 and 148, 37 into 16 and 21)
+    pixels = _pixel_cases()[case]
+    n, d = pixels.shape
+    if block != "whole":
+        block_bytes = 1 if block == "one-row" else 3 * 2 * d
+        monkeypatch.setattr(data, "STAT_BLOCK_BYTES", block_bytes)
+    out = normalize(Dataset(raw=pixels, labels=np.zeros(n, dtype=np.int64), k=2))
+    for j, column in enumerate(pixels.T.astype(int).tolist()):
+        s, q = sum(column), sum(c * c for c in column)
+        assert out.mean[j] == float(Fraction(s, 255 * n))
+        ref = max(_mp_std(n, s, q), STD_FLOOR)
+        assert abs(out.std[j] - ref) <= 2 * np.spacing(ref)
+    if case == "constant":
+        assert out.std[1] == out.std[3] == STD_FLOOR and out.mean[3] == 1.0
+        rows = out.rows(slice(None))
+        assert (rows[:, 1] == 0.0).all() and (rows[:, 3] == 0.0).all()
+
+
+def test_pixel_square_sums_do_not_wrap(monkeypatch):
+    # 70,000 rows of 255 square-sum past 2**32 in one column; uncut, they
+    # are summed in blocks of at most _PIXEL_BLOCK_ROWS rows, whose uint32
+    # sums cannot wrap
+    n = 70_000
+    assert n * 255**2 >= 2**32 > data._PIXEL_BLOCK_ROWS * 255**2
+    monkeypatch.setattr(_twocore, "_cut", lambda *args: 0)
+    ds = Dataset(raw=np.full((n, 1), 255, np.uint8), labels=np.zeros(n, np.int64), k=2)
+    total, squares = data._pixel_sums(ds.raw)
+    assert total.tolist() == [255 * n] and squares.tolist() == [255**2 * n]
+    out = normalize(ds)
+    assert out.mean.tolist() == [1.0] and out.std.tolist() == [STD_FLOOR]
+
+
+def test_pixel_statistics_are_the_same_bytes_on_one_core_or_two(monkeypatch):
+    # integer sums are exact: the row halves on two cores or on one, and
+    # any block size, give the same bytes
+    raw = np.random.default_rng(5).integers(0, 256, (1000, 784), dtype=np.uint8)
+    ds = Dataset(raw=raw, labels=np.zeros(1000, dtype=np.int64), k=2)
+    base = normalize(ds)
+    for worker in (None, False):
+        monkeypatch.setattr(_twocore, "_worker", worker)
+        for block_bytes in (1, 7 * 2 * 784, 1 << 20):
+            monkeypatch.setattr(data, "STAT_BLOCK_BYTES", block_bytes)
+            out = normalize(ds)
+            assert out.mean.tobytes() == base.mean.tobytes()
+            assert out.std.tobytes() == base.std.tobytes()
+
+
+def test_pixel_statistics_make_no_float64_block():
+    # the peak is the halves' two uint16 blocks of about STAT_BLOCK_BYTES,
+    # the ufunc machinery's buffers and a few d-vectors: far under one
+    # n x d float64 block, or a uint16 copy of the split
+    n, d = 6000, 784
+    raw = np.random.default_rng(6).integers(0, 256, (n, d), dtype=np.uint8)
+    ds = Dataset(raw=raw, labels=np.zeros(n, dtype=np.int64), k=2)
+    tracemalloc.start()
+    try:
+        normalize(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * data.STAT_BLOCK_BYTES + (8 * d + 2 * np.getbufsize()) * 8
+    assert peak < 2 * n * d
+
+
+def test_pixel_variance_numerator_is_exact_beyond_int64():
+    # sums with no data behind them: n rows of which k are 255 and the rest
+    # 0, in three columns (half, one row in n, all but one row), and one
+    # column of n // 3 rows of 255 and one row of 1. nQ passes 2**64 in
+    # all but the second; in the third, nQ - S**2 is about 1 / n of nQ, so
+    # a float difference of the two would cancel about 26 bits
+    n = 2**26 + 1
+    ks = [(n // 2, 0), (1, 0), (n - 1, 0), (n // 3, 1)]
+    total = np.array([255 * k + one for k, one in ks], np.uint64)
+    squares = np.array([255**2 * k + one for k, one in ks], np.uint64)
+    assert n * int(squares.min()) < 2**63 < 2**64 < n * int(squares.max())
+    mean, std = data._pixel_statistics(total, squares, n)
+    for j, (s, q) in enumerate(zip(total.tolist(), squares.tolist())):
+        assert mean[j] == float(Fraction(s, 255 * n))
+        ref = _mp_std(n, s, q)
+        assert abs(std[j] - ref) <= 2 * np.spacing(ref)
 
 
 def test_normalize_with_names_both_widths():
@@ -327,7 +459,8 @@ def test_idx_rows_are_the_eager_expression(tmp_path):
     loaded, pixels = pixel_split(tmp_path)
     assert loaded.raw.dtype == np.uint8 and not loaded.raw.flags.writeable
     ds = normalize(loaded)
-    np.testing.assert_array_equal(ds.mean, (pixels / 255.0).mean(0))
+    mean, std = _exact_pixel_statistics(pixels)
+    assert ds.mean.tobytes() == mean.tobytes() and ds.std.tobytes() == std.tobytes()
     expect = (pixels / 255.0 - ds.mean) / ds.std
     assert ds.rows(slice(None)).tobytes() == expect.tobytes()
 
