@@ -3,13 +3,13 @@
 Synthetic generators stand in for the image benchmarks at desk scale; the
 IDX loader ingests MNIST-format files and keeps their u8 pixels. A split
 holds its features as loaded, with the statistics `normalize` estimated
-(exact ones from integer sums for pixels; those of `X.mean(0)` and
-`X.std(0)`, bit for bit, for float rows), and standardizes rows as they
-are read: a training run reads only its batches, so it never builds a
-float64 copy of the split. Coresets
-round-trip through a small versioned, checksummed little-endian binary
-format (magic "VBPC") that carries the training statistics the images are
-standardized by, so a coreset file needs no training data to be read.
+(exact ones from integer sums for pixels; numpy's own `mean(0)` and
+`std(0)` for float rows), and standardizes rows as they are read: a
+training run reads only its batches, so it never builds a standardized
+copy of the split. Coresets round-trip through a small versioned,
+checksummed little-endian binary format (magic "VBPC") that carries the
+training statistics the images are standardized by, so a coreset file
+needs no training data to be read.
 """
 
 import math
@@ -26,9 +26,9 @@ from .posterior import Hyperparams
 MAGIC = b"VBPC"
 FORMAT_VERSION = 2
 STD_FLOOR = 1e-8
-# Bytes of the row block in which `normalize` streams a split (float64
-# rows, or the uint16 squares of pixels) and `Dataset.rows` makes float32
-# rows; about a core's L2 cache (1 MiB ran fastest at d = 784 and d = 3072)
+# Bytes of the row block in which `normalize` streams the uint16 squares
+# of pixels and `Dataset.rows` makes float32 rows; about a core's L2
+# cache (1 MiB ran fastest at d = 784 and d = 3072)
 STAT_BLOCK_BYTES = 1 << 20
 # Most rows of a block of pixel squares: a column's uint32 sum of squares,
 # at most 255**2 a row, cannot wrap
@@ -47,8 +47,8 @@ class CoresetFileError(Exception):
 class Dataset:
     """Features as loaded (u8 pixels or float64 rows, n x d), integer class
     labels, and the normalization stats, if any: for pixels the mean and
-    std of c / 255 from exact integer sums, for float rows those of
-    `X.mean(0)` and `X.std(0)` (`normalize`). `rows` and `X` read the
+    std of c / 255 from exact integer sums, for float rows numpy's own
+    `mean(0)` and `std(0)` (`normalize`). `rows` and `X` read the
     features standardized; `len()` is the row count."""
 
     raw: np.ndarray
@@ -235,30 +235,24 @@ def load_idx(images_path, labels_path):
 
 def normalize(dataset):
     """Per-feature standardization: the split with the mean and std of its
-    loaded features attached, for its rows and for reuse on test data. No
-    n x d float64 buffer is made.
+    loaded features attached, for its rows and for reuse on test data.
 
-    Pixels get exact statistics. One pass sums each column's pixels c and
-    squares c**2 as integers (`_pixel_sums`), over two row halves, the
-    later on the worker of `_twocore._halves`; the mean and std are then
-    computed from the exact sums (`_pixel_statistics`), so they are the
-    same bytes on one core or two and for any block size. Float rows get
-    the statistics of `X.mean(0)` and `X.std(0)` bit for bit, from two
-    passes that stream the rows through one block of about
-    STAT_BLOCK_BYTES (`_column_sums`)."""
+    Pixels get exact statistics, and no n x d float64 buffer is made. One
+    pass sums each column's pixels c and squares c**2 as integers
+    (`_pixel_sums`), over two row halves, the later on the worker of
+    `_twocore._halves`; the mean and std are then computed from the exact
+    sums (`_pixel_statistics`), so they are the same bytes on one core or
+    two and for any block size. Float rows take numpy's own `mean(0)` and
+    `std(0)` of their C-ordered float64 copy, the rows `rows` reads."""
     if dataset.n < 2:
         raise ValueError("need at least 2 rows to estimate statistics")
-    n, d = dataset.n, dataset.d
     if dataset.raw.dtype == np.uint8:
-        mean, std = _pixel_statistics(*_pixel_sums(dataset.raw), n)
+        mean, std = _pixel_statistics(*_pixel_sums(dataset.raw), dataset.n)
     else:
-        # numpy sums one column pairwise rather than row after row, so a
-        # one-column split is summed in one block, as the whole is
-        rows = n if d == 1 else min(n, max(1, STAT_BLOCK_BYTES // (8 * d)))
-        buf = np.empty((rows + 1, d))
+        X = np.ascontiguousarray(dataset.raw, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = _column_sums(dataset, buf) / n
-            std = np.maximum(np.sqrt(_column_sums(dataset, buf, mean) / n), STD_FLOOR)
+            mean = X.mean(0)
+            std = np.maximum(X.std(0), STD_FLOOR)
     # A non-finite feature makes its mean non-finite; a finite std bounds
     # every |x - mean|, so the standardized features are finite.
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
@@ -307,28 +301,6 @@ def _pixel_statistics(total, squares, n):
     mean = total / float(scale)
     var = [(n * q - s * s) / scale**2 for s, q in zip(total.tolist(), squares.tolist())]
     return mean, np.maximum(np.sqrt(var), STD_FLOOR)
-
-
-def _column_sums(dataset, buf, mean=None):
-    """The column sums of the loaded features, or with `mean` of their
-    squared deviations from it, loaded into the rows of `buf` but the first
-    a block at a time. From the second block on, the first row carries the
-    running sum, so each axis-0 reduction adds the rows in the order the
-    reduction of the whole n x d matrix adds them: row after row."""
-    rows = buf.shape[0] - 1
-    total = None
-    for lo in range(0, dataset.n, rows):
-        hi = min(lo + rows, dataset.n)
-        block = dataset._loaded(slice(lo, hi), out=buf[1:1 + hi - lo])
-        if mean is not None:
-            np.subtract(block, mean, out=block)
-            np.square(block, out=block)
-        if total is None:
-            total = np.add.reduce(block, 0)
-        else:
-            buf[0] = total
-            total = np.add.reduce(buf[:1 + hi - lo], 0)
-    return total
 
 
 def normalize_with(dataset, mean, std):

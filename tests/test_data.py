@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+import warnings
 import zlib
 from dataclasses import replace
 from fractions import Fraction
@@ -225,10 +226,10 @@ def _reference_statistics(ds):
 @pytest.mark.parametrize("kind", ["pixels", "floats"])
 @pytest.mark.parametrize("n", [2, 4, 5, 11, 40])
 def test_streamed_statistics_are_the_one_buffer_statistics(monkeypatch, kind, n):
-    # blocks of four rows: one block or several, with a ragged last block
-    # unless n is a multiple of four; the bits are those of the exact
-    # statistics for pixels, of the whole matrix's mean(0) and std(0) for
-    # float rows
+    # pixels in blocks of four rows: one block or several, with a ragged
+    # last block unless n is a multiple of four; the bits are those of the
+    # exact statistics for pixels, of the whole matrix's mean(0) and std(0)
+    # for float rows, whatever the block size
     d = 6
     monkeypatch.setattr(data, "STAT_BLOCK_BYTES", 4 * 8 * d)
     rng = np.random.default_rng(n)
@@ -244,7 +245,7 @@ def test_streamed_statistics_are_the_one_buffer_statistics(monkeypatch, kind, n)
 
 def test_one_column_statistics_are_the_one_buffer_statistics(monkeypatch):
     # numpy sums a single column pairwise, not row after row: such a split
-    # is summed in one block whatever the block size
+    # has the whole column's statistics whatever the block size
     monkeypatch.setattr(data, "STAT_BLOCK_BYTES", 4 * 8)
     raw = np.random.default_rng(3).standard_normal((1000, 1)) * 1e3 + 0.1
     ds = Dataset(raw=raw, labels=np.zeros(1000, dtype=np.int64), k=2)
@@ -259,10 +260,10 @@ def test_one_column_statistics_are_the_one_buffer_statistics(monkeypatch):
 def test_normalize_in_column_halves_keeps_every_bit(monkeypatch, halves_calls,
                                                     worker, kind, d, cut):
     # `cut` marks the widths whose columns were once summed in two halves.
-    # Now no float split is cut: its columns are summed whole, over several
-    # row blocks, to the whole matrix's bits. A pixel split of any width is
-    # summed in two row halves, on two cores or one after the other on
-    # one, to the exact statistics.
+    # Now no float split is cut: it takes the whole matrix's mean(0) and
+    # std(0) on the calling thread. A pixel split of any width is summed
+    # in two row halves, on two cores or one after the other on one, to
+    # the exact statistics.
     if worker is False:
         monkeypatch.setattr(_twocore, "_worker", False)
     n = 300
@@ -279,18 +280,57 @@ def test_normalize_in_column_halves_keeps_every_bit(monkeypatch, halves_calls,
     assert out.std.tobytes() == std.tobytes()
 
 
-def test_normalize_streams_through_one_block():
-    # no n x d buffer: the peak is one block of about STAT_BLOCK_BYTES and
-    # the slack the one-buffer test allows, under half of the matrix's bytes
-    ds = wide_features()
-    assert 2 * data.STAT_BLOCK_BYTES < ds.X.nbytes
+def _layouts():
+    """Float rows with wide columns as a Fortran-ordered float64 array, a
+    strided view (every other row of a Fortran-ordered array), and float32."""
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((1000, 7)) * np.logspace(-4, 4, 7) + rng.standard_normal(7) * 1e3
+    return {"fortran": np.asfortranarray(X),
+            "strided": np.asfortranarray(np.concatenate([X, X[::-1]]))[::2],
+            "float32": X.astype(np.float32)}
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
+def test_float_statistics_are_those_of_the_c_ordered_float64_copy(layout):
+    # numpy sums a column in another order when the rows are not C-ordered
+    # float64: the statistics are those of the copy `rows` standardizes
+    raw = _layouts()[layout]
+    assert not raw.flags.c_contiguous or raw.dtype != np.float64
+    X = np.ascontiguousarray(raw, dtype=np.float64)
+    mean, std = X.mean(0), np.maximum(X.std(0), STD_FLOOR)
+    out = normalize(Dataset(raw=raw, labels=np.zeros(len(raw), dtype=np.int64), k=2))
+    assert out.mean.tobytes() == mean.tobytes() and out.std.tobytes() == std.tobytes()
+    assert out.rows(slice(None)).tobytes() == ((X - mean) / std).tobytes()
+
+
+def test_widest_synthetic_statistics_take_one_feature_buffer():
+    # the widest float split the program reads: numpy's own statistics,
+    # with at most one n x 2 buffer (the deviations) beside the rows, the
+    # ufunc machinery's buffers and a few d-vectors
+    ds = gen_synthetic("moons", n=data.SYNTHETIC_MAX_N, k=2, noise=0.1, seed=0)
+    X = ds.raw
     tracemalloc.start()
     try:
-        normalize(ds)
+        out = normalize(ds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= data.STAT_BLOCK_BYTES + (8 * ds.d + np.getbufsize()) * 8
+    assert out.mean.tobytes() == X.mean(0).tobytes()
+    assert out.std.tobytes() == np.maximum(X.std(0), STD_FLOOR).tobytes()
+    assert peak <= X.nbytes + (8 * ds.d + 2 * np.getbufsize()) * X.itemsize
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_float_rows_too_large_to_standardize_raise(value):
+    # an inf or a nan makes the mean non-finite; rows of +-1e200 have a
+    # finite mean whose squared deviations overflow. No warning escapes.
+    raw = np.array([[1.0, value], [2.0, -value], [3.0, value], [4.0, 0.5]])
+    ds = Dataset(raw=raw, labels=np.zeros(4, dtype=np.int64), k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="features too large to standardize: "
+                                             "non-finite mean or std"):
+            normalize(ds)
 
 
 def _mp_std(n, s, q):
@@ -352,11 +392,13 @@ def test_pixel_square_sums_do_not_wrap(monkeypatch):
 
 def test_pixel_statistics_are_the_same_bytes_on_one_core_or_two(monkeypatch):
     # integer sums are exact: the row halves on two cores or on one, and
-    # any block size, give the same bytes
+    # any block size, give the same bytes. Two cores means the running
+    # worker: `_worker = None` would start a second one for the rest of
+    # the session.
     raw = np.random.default_rng(5).integers(0, 256, (1000, 784), dtype=np.uint8)
     ds = Dataset(raw=raw, labels=np.zeros(1000, dtype=np.int64), k=2)
     base = normalize(ds)
-    for worker in (None, False):
+    for worker in (_twocore._start_worker(), False):
         monkeypatch.setattr(_twocore, "_worker", worker)
         for block_bytes in (1, 7 * 2 * 784, 1 << 20):
             monkeypatch.setattr(data, "STAT_BLOCK_BYTES", block_bytes)
