@@ -362,3 +362,52 @@ def test_import_starts_no_thread():
     assert result["product"][0] == (2 if result["worker"] else 1)
     if hasattr(os, "sched_getaffinity"):
         assert result["worker"] == (len(os.sched_getaffinity(0)) > 1)
+
+
+# Two threads start the worker at once. The CPU count, which `_start_worker`
+# reads under its lock, takes 50 ms, so an unguarded start would race.
+_CONCURRENT_START = """
+import json, os, threading, time
+import vbpc
+
+name = "sched_getaffinity" if hasattr(os, "sched_getaffinity") else "cpu_count"
+count_cpus = getattr(os, name)
+
+def slow(*args):
+    time.sleep(0.05)
+    return count_cpus(*args)
+
+setattr(os, name, slow)
+barrier = threading.Barrier(2)
+got = []
+
+def start():
+    barrier.wait(timeout=30.0)
+    got.append(vbpc._twocore._start_worker())
+
+callers = [threading.Thread(target=start) for _ in range(2)]
+for caller in callers:
+    caller.start()
+for caller in callers:
+    caller.join(timeout=30.0)
+print(json.dumps({"got": got,
+                  "joined": not any(caller.is_alive() for caller in callers),
+                  "workers": sum(thread.name == "vbpc-half"
+                                 for thread in threading.enumerate())}))
+"""
+
+
+def test_concurrent_starts_make_one_worker():
+    # in a fresh interpreter: the pytest process already has its worker
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    out = subprocess.run([sys.executable, "-c", _CONCURRENT_START], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    result = json.loads(out)
+    assert result["joined"]
+    first, second = result["got"]
+    assert first == second
+    assert result["workers"] == (1 if first else 0)
+    if hasattr(os, "sched_getaffinity"):
+        assert first == (len(os.sched_getaffinity(0)) > 1)
